@@ -27,22 +27,34 @@ class PositivityError(ValueError):
     """An operation needed a strictly positive density."""
 
 
+def _entropy_series(u: np.ndarray) -> np.ndarray:
+    """sum_{k=2}^{10} (-1)^k u^k / (k(k-1)), Horner in u, in a new array."""
+    acc = np.full_like(u, 1.0 / 90.0)
+    for k in range(9, 1, -1):
+        acc *= u
+        acc += (1.0 if k % 2 == 0 else -1.0) / (k * (k - 1))
+    acc *= u
+    acc *= u
+    return acc
+
+
 def _entropy_core(r: np.ndarray) -> np.ndarray:
     """r log r - r + 1, elementwise, accurate through r = 1.
 
     The direct formula loses all significant digits once r - 1 falls below
-    sqrt(eps); a short Taylor series takes over there so entropies as small
-    as ~1e-30 remain meaningful.
+    sqrt(eps); a short Taylor series takes over on those cells (|r - 1| <
+    0.01) so entropies as small as ~1e-30 remain meaningful.  Each formula
+    is evaluated only on the cells that use it.
     """
     r = np.asarray(r, dtype=float)
     u = r - 1.0
-    direct = xlogy(r, r) - u
-    # sum_{k>=2} (-1)^k u^k / (k(k-1)), Horner in u
-    acc = np.zeros_like(u)
-    for k in range(10, 1, -1):
-        acc = acc * u + (1.0 if k % 2 == 0 else -1.0) / (k * (k - 1))
-    series = acc * u * u
-    return np.where(np.abs(u) < 0.01, series, direct)
+    near = np.abs(u) < 0.01
+    if near.all():
+        return _entropy_series(u)
+    out = xlogy(r, r) - u
+    if near.any():
+        out[near] = _entropy_series(u[near])
+    return out
 
 
 def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float:
@@ -53,12 +65,13 @@ def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float:
     discrepancies (no mass-cancellation noise), which matters when fitting
     entropy decay over many orders of magnitude.
     """
-    pos = g_values > 0.0
-    if np.any(f_values[~pos] > 0.0):
-        raise AbsoluteContinuityError("f > 0 on a cell where the reference vanishes")
-    g = g_values[pos]
-    r = f_values[pos] / g
-    return float((g * _entropy_core(r)).sum() * dy)
+    g, f = g_values, f_values
+    pos = g > 0.0
+    if not pos.all():
+        if np.any(f[~pos] > 0.0):
+            raise AbsoluteContinuityError("f > 0 on a cell where the reference vanishes")
+        g, f = g[pos], f[pos]
+    return float((g * _entropy_core(f / g)).sum() * dy)
 
 
 def relative_entropy(f: DensityField, g: DensityField) -> float:

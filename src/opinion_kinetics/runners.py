@@ -5,7 +5,7 @@ inequality verification battery.  Every artifact is a self-describing CSV
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ from .solver import (
     Trajectory,
     analytic_equilibrium_field,
     make_solver_state,
+    march,
     solve,
-    step_implicit,
 )
 from .transform import minimize_potential_second
 from . import montecarlo
@@ -46,12 +46,9 @@ def _fmt(x: float) -> str:
 
 
 def write_csv(path: Path, header, columns):
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    n = cols[0].size
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(_fmt(c[i]) for c in cols))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Header line, then one row per entry, every value as _fmt prints it."""
+    np.savetxt(path, np.column_stack([np.asarray(c, dtype=float) for c in columns]),
+               fmt="%.16e", delimiter=",", header=",".join(header), comments="")
 
 
 @dataclass(frozen=True)
@@ -192,28 +189,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, lambdas=None) -> dict:
     out = Path(out_dir)
     reports = {}
     for lv in values:
-        sub_cfg = ExperimentConfig(
-            lam=lv, m=cfg.m, n=cfg.n, dt=cfg.dt, t_end=cfg.t_end,
-            sample_every=cfg.sample_every, initial=cfg.initial,
-            bimodal_width=cfg.bimodal_width, out=cfg.out, mc=cfg.mc,
-        )
-        reports[lv] = run_solve(sub_cfg, out / f"lambda_{lv:g}")
+        reports[lv] = run_solve(replace(cfg, lam=lv), out / f"lambda_{lv:g}")
     return reports
-
-
-def _fp_snapshots(p: KineticParams, v0: DensityField, dt: float, times) -> dict:
-    """Backward-Euler snapshots of the density at the requested times."""
-    state = make_solver_state(p, v0, dt)
-    want = sorted(int(round(t / dt)) for t in times)
-    out = {}
-    if want and want[0] == 0:
-        out[0] = state.density
-    last = want[-1] if want else 0
-    for k in range(1, last + 1):
-        state = step_implicit(state)
-        if k in want:
-            out[k] = state.density
-    return {k * dt: v for k, v in out.items()}
 
 
 def coarsen_density(f: DensityField, coarse: Grid) -> DensityField:
@@ -247,8 +224,13 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
 
     hist_grid = Grid(mc_cfg.hist_n)
     t_samples = [mc_cfg.t_end * f for f in (0.25, 0.5, 0.75, 1.0)]
-    fp = _fp_snapshots(p, cfg.initial_density(), cfg.dt, t_samples)
-    fp_keys = sorted(fp.keys())
+    # Fokker-Planck reference densities at the steps nearest the sample times
+    fp_state = make_solver_state(p, cfg.initial_density(), cfg.dt)
+    fp_step = {t: int(round(t / cfg.dt)) for t in t_samples}
+    fp = {0: fp_state.density}
+    for k, _, v, _ in march(fp_state, max(fp_step.values())):
+        if k in fp_step.values():
+            fp[k] = DensityField(fp_state.density.grid, v)
 
     total_sweeps = sweeps_for_time(ip, mc_cfg.t_end)
     sweep_of_sample = {sweeps_for_time(ip, t): t for t in t_samples}
@@ -271,8 +253,7 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
         if k in sweep_of_sample:
             t = sweep_of_sample[k]
             hist = montecarlo.histogram(ens, hist_grid)
-            t_fp = min(fp_keys, key=lambda u: abs(u - t))
-            ref = coarsen_density(fp[t_fp], hist_grid)
+            ref = coarsen_density(fp[fp_step[t]], hist_grid)
             hist_cols[t] = hist.values
             fp_cols[t] = ref.values
             l1_rows.append((t, l1_distance(hist, ref)))

@@ -9,8 +9,9 @@ which is the expansion of (lam/2)((1-y^2) v)'' + ((y-m) v)' into divergence
 form.  Interfaces carry Chang-Cooper weights, so the scheme is positivity
 preserving for any time step, conserves mass exactly (zero column sums),
 dissipates the discrete relative entropy, and holds the discrete Beta
-steady state to machine precision.  Time stepping is backward Euler with a
-tridiagonal solve per step.
+steady state to machine precision.  Time stepping is backward Euler: the
+tridiagonal I - dt A is factored once per run (LAPACK dgttrf), and each step
+is one dgttrs solve on a raw array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .equilibrium import BetaEquilibrium
 from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
@@ -37,6 +38,7 @@ __all__ = [
     "apply_operator",
     "discretize_equilibrium",
     "make_solver_state",
+    "march",
     "step_implicit",
     "solve",
 ]
@@ -142,48 +144,50 @@ class SolverState:
     params: KineticParams
     density: DensityField
     dt: float
+    lu: tuple = field(repr=False)   # dgttrf factors of I - dt A
     time: float = 0.0
     step_count: int = 0
-    coeffs: FluxCoefficients = field(repr=False, default=None)
-    _bands: np.ndarray = field(repr=False, default=None)
 
 
 def make_solver_state(p: KineticParams, v0: DensityField, dt: float) -> SolverState:
-    """Validate the initial density and prefactor the implicit bands."""
+    """Validate the initial density and factor I - dt A once."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if not v0.is_normalized(tol=1e-8):
         raise ValueError(f"initial density must have unit mass, got {v0.mass()}")
     coeffs = assemble_coefficients(p, v0.grid)
-    n = v0.grid.n_cells
-    bands = np.zeros((3, n))
-    bands[0, 1:] = -dt * coeffs.upper
-    bands[1, :] = 1.0 - dt * coeffs.diag
-    bands[2, :-1] = -dt * coeffs.lower
-    return SolverState(p, v0, dt, 0.0, 0, coeffs, bands)
+    *lu, info = dgttrf(-dt * coeffs.lower, 1.0 - dt * coeffs.diag, -dt * coeffs.upper)
+    if info != 0:
+        raise SolverError(f"LU factorization of I - dt A failed (dgttrf info {info})")
+    return SolverState(p, v0, dt, tuple(lu))
+
+
+def march(s: SolverState, n_steps: int):
+    """Yield (step_count, time, values, mass) after each of n_steps
+    backward-Euler steps (I - dt A) v_new = v_old from s; values is a fresh
+    raw array every step.  I - dt A is an M-matrix, so each solve keeps
+    nonnegativity and mass for any dt; every step is still checked, and a
+    non-finite or negative value raises SolverError.
+    """
+    dl, d, du, du2, ipiv = s.lu
+    dy = s.density.grid.cell_width
+    v, t = s.density.values, s.time
+    for k in range(s.step_count + 1, s.step_count + n_steps + 1):
+        v, info = dgttrs(dl, d, du, du2, ipiv, v)
+        t += s.dt
+        mass = float(v.sum() * dy)
+        # a NaN or infinity anywhere makes the sum non-finite
+        if info != 0 or not math.isfinite(mass):
+            raise SolverError(f"implicit step {k} produced non-finite values")
+        if v.min() < 0.0:
+            raise SolverError(f"implicit step {k} produced negative values")
+        yield k, t, v, mass
 
 
 def step_implicit(s: SolverState) -> SolverState:
-    """One backward-Euler step (I - dt A) v_new = v_old.
-
-    I - dt A is an M-matrix (positive diagonal, nonpositive off-diagonals,
-    zero-sum columns plus identity), so the solve preserves nonnegativity
-    and conserves mass to roundoff for any dt.
-    """
-    if s.coeffs is None:
-        raise SolverError("state was not created by make_solver_state")
-    try:
-        v_new = solve_banded((1, 1), s._bands, s.density.values, check_finite=False)
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
-        raise SolverError(f"tridiagonal solve failed: {exc}") from exc
-    if not np.all(np.isfinite(v_new)):
-        raise SolverError("tridiagonal solve produced non-finite values")
-    return replace(
-        s,
-        density=DensityField(s.density.grid, v_new),
-        time=s.time + s.dt,
-        step_count=s.step_count + 1,
-    )
+    """One backward-Euler step of march, as a new state."""
+    k, t, v, _ = next(march(s, 1))
+    return replace(s, density=DensityField(s.density.grid, v), time=t, step_count=k)
 
 
 @dataclass(frozen=True)
@@ -231,11 +235,10 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     n_steps = max(1, int(round(t_end / dt)))
     rows = []
 
-    def record(st: SolverState):
-        v = st.density
+    def record(t: float, v: DensityField, h: float):
         rows.append((
-            st.time,
-            entropy_gap(v.values, g, dy),
+            t,
+            h,
             _row_fisher(v, eq_field, p.lam),
             l1_distance(v, eq_field),
             weighted_l2(v, eq_field),
@@ -243,18 +246,18 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
             v.mean(),
         ))
 
-    record(state)
-    h_prev = rows[0][1]
+    h_prev = entropy_gap(v0.values, g, dy)
     max_increase = 0.0
-    max_mass_drift = abs(rows[0][5] - 1.0)
-    for k in range(1, n_steps + 1):
-        state = step_implicit(state)
-        h_now = entropy_gap(state.density.values, g, dy)
+    max_mass_drift = abs(v0.mass() - 1.0)
+    record(0.0, v0, h_prev)
+    for k, t, v, mass in march(state, n_steps):
+        h_now = entropy_gap(v, g, dy)
         max_increase = max(max_increase, h_now - h_prev)
         h_prev = h_now
-        max_mass_drift = max(max_mass_drift, abs(state.density.mass() - 1.0))
+        max_mass_drift = max(max_mass_drift, abs(mass - 1.0))
         if k % sample_every == 0 or k == n_steps:
-            record(state)
+            final = DensityField(v0.grid, v)
+            record(t, final, h_now)
 
     cols = list(zip(*rows))
     return Trajectory(
@@ -269,7 +272,7 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
         mean=np.array(cols[6]),
         max_entropy_increase=max_increase,
         max_mass_drift=max_mass_drift,
-        final=state.density,
+        final=final,
         equilibrium=eq_field,
     )
 

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .equilibrium import BetaEquilibrium, log_normalization
 from .functionals import PositivityError
@@ -157,6 +156,8 @@ def pushforward_density(f: DensityField, n_z: int | None = None) -> AngularDensi
     cubic through log f (positivity survives interpolation and the short
     extrapolation beyond the outermost cell centers).
     """
+    # deferred: scipy.interpolate is slow to import and only the transports use it
+    from scipy.interpolate import PchipInterpolator
     if np.any(f.values <= 0.0):
         raise PositivityError("pushforward needs a strictly positive density")
     n_z = f.grid.n_cells if n_z is None else n_z
@@ -168,6 +169,7 @@ def pushforward_density(f: DensityField, n_z: int | None = None) -> AngularDensi
 
 def pullback_density(ang: AngularDensity, grid: Grid) -> DensityField:
     """Inverse transport: f(y) = g(arcsin y) / sqrt(1 - y^2)."""
+    from scipy.interpolate import PchipInterpolator
     if np.any(ang.values <= 0.0):
         raise PositivityError("pullback needs a strictly positive density")
     log_g = PchipInterpolator(ang.z, np.log(ang.values), extrapolate=True)

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
+from scipy.special import xlogy
 
 from opinion_kinetics import (
     BetaEquilibrium,
     DensityField,
     KineticParams,
+    SolverError,
     assemble_coefficients,
     bimodal_density,
     build_grid,
@@ -19,6 +22,8 @@ from opinion_kinetics import (
     step_implicit,
     uniform_density,
 )
+from opinion_kinetics import solver as solver_module
+from opinion_kinetics.cli import main
 from opinion_kinetics.solver import apply_operator
 
 
@@ -200,3 +205,65 @@ def test_solver_runs_outside_l2_regime():
     traj = solve(p, uniform_density(g), 1e-3, 0.5, sample_every=100)
     assert traj.max_mass_drift <= 1e-12
     assert np.all(traj.final.values >= 0.0)
+
+
+def _reference_entropy(f, g, dy):
+    # the direct and series formulas on every cell, chosen per cell afterwards
+    r = f / g
+    u = r - 1.0
+    direct = xlogy(r, r) - u
+    acc = np.zeros_like(u)
+    for k in range(10, 1, -1):
+        acc = acc * u + (1.0 if k % 2 == 0 else -1.0) / (k * (k - 1))
+    return float((g * np.where(np.abs(u) < 0.01, acc * u * u, direct)).sum() * dy)
+
+
+@pytest.mark.parametrize("lam, m, n, dt, t_end", [
+    (0.5, 0.0, 200, 1e-3, 1.0),
+    (0.8, 0.3, 400, 1e-2, 2.0),
+    (1.5, -0.1, 100, 5e-2, 5.0),
+])
+def test_solve_matches_banded_reference_bitwise(lam, m, n, dt, t_end):
+    # reference: a fresh banded solve of (I - dt A) v_new = v_old every step
+    p = KineticParams(lam, m)
+    g = build_grid(n)
+    v0 = bimodal_density(g)
+    coeffs = assemble_coefficients(p, g)
+    bands = np.zeros((3, n))
+    bands[0, 1:] = -dt * coeffs.upper
+    bands[1, :] = 1.0 - dt * coeffs.diag
+    bands[2, :-1] = -dt * coeffs.lower
+    eq = discretize_equilibrium(p, g).values
+    dy = g.cell_width
+    n_steps, every = int(round(t_end / dt)), 7
+    v, t = v0.values.copy(), 0.0
+    times, entropy = [t], [_reference_entropy(v, eq, dy)]
+    for k in range(1, n_steps + 1):
+        v = solve_banded((1, 1), bands, v)
+        t += dt
+        if k % every == 0 or k == n_steps:
+            times.append(t)
+            entropy.append(_reference_entropy(v, eq, dy))
+
+    traj = solve(p, v0, dt, t_end, sample_every=every)
+    assert np.array_equal(traj.final.values, v)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.entropy, entropy)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-3])
+def test_non_finite_or_negative_step_is_a_solver_error(monkeypatch, tmp_path, bad):
+    real = solver_module.dgttrs
+
+    def poisoned(*args, **kwargs):
+        x, info = real(*args, **kwargs)
+        x[x.size // 2] = bad
+        return x, info
+
+    monkeypatch.setattr(solver_module, "dgttrs", poisoned)
+    p = KineticParams(0.5, 0.0)
+    with pytest.raises(SolverError):
+        solve(p, bimodal_density(build_grid(64)), 1e-3, 0.1)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\nn = 64\nt_end = 0.1\n", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
