@@ -123,7 +123,8 @@ def _cmd_verify_ls(args) -> int:
     if args.lambdas:
         lams = [float(tok) for tok in args.lambdas.replace(",", " ").split()]
         points = default_ls_grid(lams)
-    report = verify_ls(points=points, n=args.n or 400, n_samples=args.samples,
+    report = verify_ls(points=points, n=args.n if args.n is not None else 400,
+                       n_samples=args.samples,
                        seed=args.seed if args.seed is not None else 2024,
                        out_dir=args.out)
     print(format_ls_table(report))

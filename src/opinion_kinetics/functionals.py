@@ -5,6 +5,11 @@ interface-centered differences so they mirror the flux structure of the
 finite-volume solver.  Reference densities may be passed either as a
 BetaEquilibrium (center-sampled and renormalized on the fly) or as an
 explicit DensityField (e.g. the solver's own discrete steady state).
+
+Every sum runs along the last axis, so the *_rows functions score a
+(rows, n) stack of density values against one reference field in a single
+pass; the DensityField functions are their one-row case, and row i of a
+stack gives bit for bit what the DensityField function gives for row i.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .equilibrium import BetaEquilibrium
-from .grid import DensityField, Grid, require_same_grid
+from .grid import DensityField, Grid, GridMismatchError, check_density_values, require_same_grid
 from .params import KineticParams, log_sobolev_constant
 
 
@@ -57,21 +62,39 @@ def _entropy_core(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float:
+def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float | np.ndarray:
     """sum g * (r log r - r + 1) dy with r = f/g, over cells with g > 0.
 
     Nonnegative term by term; coincides with the relative entropy when both
     fields carry unit mass, but stays accurate down to roundoff-level
     discrepancies (no mass-cancellation noise), which matters when fitting
-    entropy decay over many orders of magnitude.
+    entropy decay over many orders of magnitude.  A float for one row of
+    f_values; an array with one value per row for a (rows, n) stack.
     """
     g, f = g_values, f_values
     pos = g > 0.0
     if not pos.all():
-        if np.any(f[~pos] > 0.0):
+        if np.any(f[..., ~pos] > 0.0):
             raise AbsoluteContinuityError("f > 0 on a cell where the reference vanishes")
-        g, f = g[pos], f[pos]
-    return float((g * _entropy_core(f / g)).sum() * dy)
+        g, f = g[pos], f[..., pos]
+    gap = (g * _entropy_core(f / g)).sum(axis=-1) * dy
+    return float(gap) if gap.ndim == 0 else gap
+
+
+def _density_rows(values: np.ndarray, ref: DensityField) -> np.ndarray:
+    """values as float density rows on ref's grid, checked as DensityField checks."""
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1:] != (ref.grid.n_cells,):
+        raise GridMismatchError(
+            f"values of shape {v.shape} do not fit a grid with {ref.grid.n_cells} cells"
+        )
+    check_density_values(v)
+    return v
+
+
+def _relative_entropy(f_values: np.ndarray, g: DensityField) -> np.ndarray:
+    dy = g.grid.cell_width
+    return entropy_gap(f_values, g.values, dy) + (f_values.sum(axis=-1) - g.values.sum()) * dy
 
 
 def relative_entropy(f: DensityField, g: DensityField) -> float:
@@ -81,20 +104,22 @@ def relative_entropy(f: DensityField, g: DensityField) -> float:
     mass.  Raises AbsoluteContinuityError if f puts mass on a cell where g
     vanishes.
     """
-    grid = require_same_grid(f, g)
-    dy = grid.cell_width
-    core = entropy_gap(f.values, g.values, dy)
-    return core + (f.values.sum() - g.values.sum()) * dy
+    require_same_grid(f, g)
+    return float(_relative_entropy(f.values, g))
 
 
-def log_ratio(f: DensityField, ref: DensityField) -> np.ndarray:
+def relative_entropy_rows(values: np.ndarray, g: DensityField) -> np.ndarray:
+    """relative_entropy of each row of a (rows, n) stack of density values."""
+    return _relative_entropy(_density_rows(values, g), g)
+
+
+def _log_ratio(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
     """log(f/ref) per cell; requires both strictly positive."""
-    require_same_grid(f, ref)
-    if np.any(f.values <= 0.0):
+    if np.any(f_values <= 0.0):
         raise PositivityError("log ratio needs strictly positive f")
     if np.any(ref.values <= 0.0):
         raise PositivityError("log ratio needs a strictly positive reference")
-    return np.log(f.values) - np.log(ref.values)
+    return np.log(f_values) - np.log(ref.values)
 
 
 def _reference_field(eq, grid: Grid) -> DensityField:
@@ -103,6 +128,15 @@ def _reference_field(eq, grid: Grid) -> DensityField:
     if isinstance(eq, DensityField):
         return eq
     raise TypeError(f"expected BetaEquilibrium or DensityField, got {type(eq)!r}")
+
+
+def _weighted_fisher(f_values: np.ndarray, ref: DensityField, lam: float) -> np.ndarray:
+    grid = ref.grid
+    dy = grid.cell_width
+    dlogr = np.diff(_log_ratio(f_values, ref), axis=-1) / dy
+    weight = 0.5 * lam * (1.0 - grid.interior_interfaces**2)
+    f_mid = 0.5 * (f_values[..., :-1] + f_values[..., 1:])
+    return (weight * dlogr * dlogr * f_mid).sum(axis=-1) * dy
 
 
 def weighted_fisher(f: DensityField, eq, lam: float) -> float:
@@ -114,13 +148,13 @@ def weighted_fisher(f: DensityField, eq, lam: float) -> float:
     Zero when f is proportional to the reference.
     """
     ref = _reference_field(eq, f.grid)
-    logr = log_ratio(f, ref)
-    grid = f.grid
-    dy = grid.cell_width
-    dlogr = np.diff(logr) / dy
-    weight = 0.5 * lam * (1.0 - grid.interior_interfaces**2)
-    f_mid = 0.5 * (f.values[:-1] + f.values[1:])
-    return float((weight * dlogr * dlogr * f_mid).sum() * dy)
+    require_same_grid(f, ref)
+    return float(_weighted_fisher(f.values, ref, lam))
+
+
+def weighted_fisher_rows(values: np.ndarray, ref: DensityField, lam: float) -> np.ndarray:
+    """weighted_fisher of each row of a (rows, n) stack of density values."""
+    return _weighted_fisher(_density_rows(values, ref), ref, lam)
 
 
 def weighted_l2(f: DensityField, eq) -> float:
@@ -161,29 +195,44 @@ def ls_slack(phi: DensityField, p: KineticParams, eq=None) -> float:
     An explicit reference field may be supplied; the default is the
     center-sampled analytic equilibrium.
     """
-    k = log_sobolev_constant(p)
     ref = _reference_field(eq if eq is not None else BetaEquilibrium.from_params(p),
                            phi.grid)
-    return k * weighted_fisher(phi, ref, p.lam) - relative_entropy(phi, ref)
+    return float(ls_slack_rows(phi.values, p, ref))
 
 
-def uniform_ls_slack(grid: Grid, w: np.ndarray) -> float:
+def ls_slack_rows(values: np.ndarray, p: KineticParams, ref: DensityField) -> np.ndarray:
+    """ls_slack of each row of a (rows, n) stack of density values.
+
+    The rows are checked once, as a DensityField and the log ratio check
+    one field: finite, nonnegative, and strictly positive.
+    """
+    k = log_sobolev_constant(p)
+    v = _density_rows(values, ref)
+    return k * _weighted_fisher(v, ref, p.lam) - _relative_entropy(v, ref)
+
+
+def uniform_ls_slack(grid: Grid, w: np.ndarray) -> float | np.ndarray:
     """Slack of the unconstrained log-Sobolev inequality for the uniform state.
 
     For any square-integrable w:
         2 sum (1-x^2) (w')^2 dy  >=  sum w^2 log w^2 dy - ||w||^2 log(||w||^2 / 2)
     with the same interface-difference stencil as weighted_fisher.  Returns
-    left minus right; scales exactly quadratically under w -> alpha w.
+    left minus right; scales exactly quadratically under w -> alpha w.  A
+    float for one function w; one value per row for a (rows, n) stack, where
+    no row may be identically zero.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape != (grid.n_cells,):
+    if w.shape[-1:] != (grid.n_cells,):
         raise ValueError("w must have one value per grid cell")
     dy = grid.cell_width
     wsq = w * w
-    norm2 = float(wsq.sum() * dy)
-    if norm2 == 0.0:
+    norm2 = wsq.sum(axis=-1) * dy
+    if np.any(norm2 == 0.0):
         raise ValueError("w must not be identically zero")
-    dw = np.diff(w) / dy
-    lhs = 2.0 * float(((1.0 - grid.interior_interfaces**2) * dw * dw).sum() * dy)
-    rhs = float(xlogy(wsq, wsq).sum() * dy) - norm2 * math.log(norm2 / 2.0)
-    return lhs - rhs
+    dw = np.diff(w, axis=-1) / dy
+    lhs = 2.0 * (((1.0 - grid.interior_interfaces**2) * dw * dw).sum(axis=-1) * dy)
+    # xlogy(x, y) is x * log(y) with the C library's log, bit for bit what
+    # math.log gives; numpy's log can differ from it in the last place
+    rhs = xlogy(wsq, wsq).sum(axis=-1) * dy - xlogy(norm2, norm2 / 2.0)
+    slack = lhs - rhs
+    return float(slack) if slack.ndim == 0 else slack

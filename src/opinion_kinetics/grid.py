@@ -78,10 +78,7 @@ class DensityField:
             raise ValueError(
                 f"values shape {v.shape} does not match grid with {self.grid.n_cells} cells"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("density values must be finite")
-        if np.any(v < 0.0):
-            raise ValueError(f"density values must be nonnegative (min {v.min()})")
+        check_density_values(v)
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -100,6 +97,18 @@ class DensityField:
 
     def mean(self) -> float:
         return float((self.grid.centers * self.values).sum() * self.grid.cell_width)
+
+
+def check_density_values(values: np.ndarray) -> None:
+    """Raise ValueError unless every value is finite and nonnegative.
+
+    The DensityField invariant, applied as well to (rows, n) stacks of
+    density values that are scored without a DensityField per row.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("density values must be finite")
+    if np.any(values < 0.0):
+        raise ValueError(f"density values must be nonnegative (min {values.min()})")
 
 
 def require_same_grid(*fields: DensityField) -> Grid:
@@ -132,6 +141,33 @@ def bimodal_density(grid: Grid, width: float = 0.15) -> DensityField:
     return DensityField(grid, v)
 
 
+def _add_trig_series(out: np.ndarray, y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """out += sum_k a_k cos(pi k y / 2) + b_k sin(pi k y / 2), row by row.
+
+    coef has shape (rows, degree, 2) holding (a_k, b_k); out has shape
+    (rows, n).  Terms are added in order of k, as a one-row loop would.
+    """
+    for k in range(1, coef.shape[1] + 1):
+        arg = 0.5 * np.pi * k * y
+        out += coef[:, k - 1, 0:1] * np.cos(arg) + coef[:, k - 1, 1:2] * np.sin(arg)
+    return out
+
+
+def random_smooth_densities(grid: Grid, rng: np.random.Generator, rows: int,
+                            degree: int = 4, amplitude: float = 0.6) -> np.ndarray:
+    """(rows, n) stack of strictly positive smooth random densities.
+
+    Each row is exp of a trig series of the given degree, normalized to
+    unit discrete mass.  The coefficients are drawn as one block in row
+    order, so row i equals the values of the i-th of `rows` successive
+    random_smooth_density calls on the same generator.
+    """
+    coef = rng.normal(size=(rows, degree, 2)) * amplitude / np.arange(1, degree + 1)[:, None]
+    v = np.exp(_add_trig_series(np.zeros((rows, grid.n_cells)), grid.centers, coef))
+    v /= v.sum(axis=-1, keepdims=True) * grid.cell_width
+    return v
+
+
 def random_smooth_density(grid: Grid, rng: np.random.Generator, degree: int = 4,
                           amplitude: float = 0.6) -> DensityField:
     """Strictly positive smooth random density: exp of a low-order trig series.
@@ -139,22 +175,24 @@ def random_smooth_density(grid: Grid, rng: np.random.Generator, degree: int = 4,
     Used by the inequality property batteries; smoothness keeps the
     discretization error of the functionals at second order.
     """
-    y = grid.centers
-    logv = np.zeros_like(y)
-    for k in range(1, degree + 1):
-        a, b = rng.normal(size=2) * amplitude / k
-        logv += a * np.cos(0.5 * np.pi * k * y) + b * np.sin(0.5 * np.pi * k * y)
-    v = np.exp(logv)
-    v /= v.sum() * grid.cell_width
-    return DensityField(grid, v)
+    return DensityField(grid, random_smooth_densities(grid, rng, 1, degree, amplitude)[0])
+
+
+def random_grid_functions(grid: Grid, rng: np.random.Generator, rows: int,
+                          degree: int = 4, amplitude: float = 1.0) -> np.ndarray:
+    """(rows, n) stack of sign-changing smooth random functions.
+
+    Row i equals the i-th of `rows` successive random_grid_function calls
+    on the same generator: per row, a constant term then degree (cos, sin)
+    coefficient pairs, drawn as one block in row order.
+    """
+    draws = rng.normal(size=(rows, 1 + 2 * degree))
+    coef = draws[:, 1:].reshape(rows, degree, 2) * amplitude / np.arange(1, degree + 1)[:, None]
+    w = np.repeat(draws[:, :1] * amplitude, grid.n_cells, axis=1)
+    return _add_trig_series(w, grid.centers, coef)
 
 
 def random_grid_function(grid: Grid, rng: np.random.Generator, degree: int = 4,
                          amplitude: float = 1.0) -> np.ndarray:
     """Sign-changing smooth random function for the L2 form of the inequality."""
-    y = grid.centers
-    w = rng.normal() * amplitude * np.ones_like(y)
-    for k in range(1, degree + 1):
-        a, b = rng.normal(size=2) * amplitude / k
-        w += a * np.cos(0.5 * np.pi * k * y) + b * np.sin(0.5 * np.pi * k * y)
-    return w
+    return random_grid_functions(grid, rng, 1, degree, amplitude)[0]

@@ -150,6 +150,17 @@ def test_cli_verify_ls_small(tmp_path):
     assert main(["verify-ls", "--lambdas", "2.5"]) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--samples", "0"], "n_samples must be at least 1", id="samples_0"),
+    pytest.param(["--n", "0"], "need at least 4 cells", id="n_0"),
+])
+def test_cli_verify_ls_rejects_empty_battery_sizes(flags, message, capsys, tmp_path):
+    code = main(["verify-ls", "--lambdas", "0.5", "--out", str(tmp_path)] + flags)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "ls_report.csv").exists()
+
+
 def test_cli_mc_failing_budget_exits_3(tmp_path):
     # deliberately tiny ensemble: statistical error must blow the L1 budget
     cfg = tmp_path / "exp.cfg"

@@ -24,6 +24,13 @@ from opinion_kinetics import (
     weighted_l2,
 )
 
+from opinion_kinetics.functionals import (
+    entropy_gap,
+    ls_slack_rows,
+    relative_entropy_rows,
+    weighted_fisher_rows,
+)
+
 from oracles import SmoothRatioCase
 
 
@@ -273,3 +280,63 @@ def test_refinement_convergence_order():
     for name, e in errs.items():
         order = -np.polyfit(np.log(ns), np.log(e), 1)[0]
         assert order >= 0.9, f"{name}: errors {e} give order {order:.2f}"
+
+
+def _raised_type(fn):
+    with pytest.raises(ValueError) as info:
+        fn()
+    return info.type
+
+
+def _stack_near_and_far(g, ref, rng, rows):
+    # rows far from the reference, plus the reference itself and a small
+    # perturbation of it, so the entropy series branch runs on whole rows
+    # and on part of a stack
+    far = [random_smooth_density(g, rng).values for _ in range(rows)]
+    near = ref.values * (1.0 + 1e-3 * np.sin(np.pi * g.centers))
+    return np.stack(far + [ref.values, near / (near.sum() * g.cell_width)])
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_row_functionals_equal_one_row_calls_bitwise(n):
+    g = build_grid(n)
+    rng = np.random.default_rng(n)
+    p = KineticParams(0.6, 0.2)
+    ref = BetaEquilibrium.from_params(p).on_grid(g)
+    stack = _stack_near_and_far(g, ref, rng, 9)
+    fields = [DensityField(g, row) for row in stack]
+    assert np.array_equal(weighted_fisher_rows(stack, ref, p.lam),
+                          [weighted_fisher(f, ref, p.lam) for f in fields])
+    assert np.array_equal(relative_entropy_rows(stack, ref),
+                          [relative_entropy(f, ref) for f in fields])
+    assert np.array_equal(entropy_gap(stack, ref.values, g.cell_width),
+                          [entropy_gap(row, ref.values, g.cell_width) for row in stack])
+    assert np.array_equal(ls_slack_rows(stack, p, ref), [ls_slack(f, p) for f in fields])
+    ws = np.stack([random_grid_function(g, rng) for _ in range(9)])
+    assert np.array_equal(uniform_ls_slack(g, ws), [uniform_ls_slack(g, w) for w in ws])
+
+
+@pytest.mark.parametrize("bad, error", [
+    (math.nan, ValueError), (math.inf, ValueError), (-1e-3, ValueError),
+    (0.0, PositivityError),
+])
+def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
+    g = build_grid(64)
+    p = KineticParams(0.6, 0.2)
+    ref = BetaEquilibrium.from_params(p).on_grid(g)
+    stack = _stack_near_and_far(g, ref, np.random.default_rng(1), 4)
+    stack[2, 5] = bad
+
+    def one_row(fn):
+        return lambda: fn(DensityField(g, stack[2]))
+
+    assert _raised_type(one_row(lambda f: ls_slack(f, p, ref))) is error
+    assert _raised_type(lambda: ls_slack_rows(stack, p, ref)) is error
+    assert _raised_type(lambda: weighted_fisher_rows(stack, ref, p.lam)) is error
+    if error is ValueError:
+        assert _raised_type(one_row(lambda f: relative_entropy(f, ref))) is error
+        assert _raised_type(lambda: relative_entropy_rows(stack, ref)) is error
+    ws = np.stack([random_grid_function(g, np.random.default_rng(2)) for _ in range(3)])
+    ws[1] = 0.0
+    assert _raised_type(lambda: uniform_ls_slack(g, ws[1])) is ValueError
+    assert _raised_type(lambda: uniform_ls_slack(g, ws)) is ValueError
