@@ -59,7 +59,6 @@ from .solver import (
 )
 from .transform import (
     AngularDensity,
-    AngularPotential,
     angular_equilibrium,
     angular_equilibrium_explicit,
     boundary_exponents,

@@ -1,6 +1,10 @@
 """Command-line entry point.
 
 Subcommands: equilibrium, solve, mc, sweep, verify-ls, transform-check, fit.
+Each subcommand takes only the flags its handler reads (see _COMMANDS); any
+other flag is a usage error.  --n, --dt, --t-end and sweep's --lambdas
+override config entries and are checked by the config parser exactly as
+the same value in the file would be.
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
 3 acceptance-check failure.
 """
@@ -10,12 +14,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, lambda_list, parse_config
 from .equilibrium import BetaEquilibrium
 from .fitting import fit_decay_rate
 from .grid import Grid
@@ -41,35 +44,21 @@ from .transform import (
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILED = 1, 2, 3
 
 
-def _add_common(sp):
-    sp.add_argument("--config", type=Path, help="key = value config file")
-    sp.add_argument("--out", type=Path, help="output directory")
-    sp.add_argument("--n", type=int, help="number of grid cells")
-    sp.add_argument("--dt", type=float, help="time step")
-    sp.add_argument("--t-end", type=float, dest="t_end", help="final time")
-    sp.add_argument("--seed", type=int, help="random seed override")
+# argument destination -> the config key it overrides
+_OVERRIDES = {"n": "n", "dt": "dt", "t_end": "t_end", "lambdas": "sweep_lambdas"}
 
 
-def _load_config(args, required=True) -> ExperimentConfig | None:
+def _load_config(args) -> ExperimentConfig:
     if args.config is None:
-        if required:
-            raise ConfigError("this subcommand requires --config")
-        return None
-    cfg = parse_config(args.config)
-    overrides = {}
-    for name in ("n", "dt", "t_end"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    return replace(cfg, **overrides) if overrides else cfg
+        raise ConfigError("this subcommand requires --config")
+    given = vars(args)
+    overrides = {key: given[dest] for dest, key in _OVERRIDES.items()
+                 if given.get(dest) is not None}
+    return parse_config(args.config, **overrides)
 
 
-def _out_dir(args, cfg: ExperimentConfig | None) -> Path:
-    if args.out is not None:
-        return args.out
-    if cfg is not None:
-        return Path(cfg.out)
-    return Path(".")
+def _out_dir(args, cfg: ExperimentConfig) -> Path:
+    return args.out if args.out is not None else Path(cfg.out)
 
 
 def _cmd_equilibrium(args) -> int:
@@ -98,9 +87,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    lambdas = tuple(float(tok) for tok in args.lambdas.replace(",", " ").split()) \
-        if args.lambdas else None
-    reports = run_sweep(cfg, out, lambdas)
+    reports = run_sweep(cfg, out)
     ok = True
     for lv, report in reports.items():
         verdict = all(report.verdicts().values())
@@ -119,11 +106,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_verify_ls(args) -> int:
-    points = None
-    if args.lambdas:
-        lams = [float(tok) for tok in args.lambdas.replace(",", " ").split()]
-        points = default_ls_grid(lams)
-    report = verify_ls(points=points, n=args.n if args.n is not None else 400,
+    report = verify_ls(points=default_ls_grid(args.lambdas),
+                       n=args.n if args.n is not None else 400,
                        n_samples=args.samples,
                        seed=args.seed if args.seed is not None else 2024,
                        out_dir=args.out)
@@ -178,6 +162,8 @@ def _cmd_transform_check(args) -> int:
 
 def _cmd_fit(args) -> int:
     rows = Path(args.csv).read_text(encoding="utf-8").strip().splitlines()
+    if len(rows) < 2:
+        raise ConfigError(f"{args.csv} holds no data rows")
     header = rows[0].split(",")
     try:
         t_idx = header.index(args.t_column)
@@ -194,6 +180,34 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--config": dict(type=Path, help="key = value config file"),
+    "--out": dict(type=Path, help="output directory"),
+    "--n": dict(type=int, help="number of grid cells"),
+    "--dt": dict(type=float, help="time step"),
+    "--t-end": dict(type=float, help="final time"),
+    "--seed": dict(type=int, help="random seed override"),
+    "--lambdas": dict(type=lambda_list, help="comma-separated lambda values"),
+    "--samples": dict(type=int, default=200, help="random densities per point"),
+}
+
+# subcommand, handler, help, the flags the handler reads
+_COMMANDS = [
+    ("equilibrium", _cmd_equilibrium, "write analytic and discrete steady states",
+     ("--config", "--out", "--n")),
+    ("solve", _cmd_solve, "run a decay experiment",
+     ("--config", "--out", "--n", "--dt", "--t-end")),
+    ("mc", _cmd_mc, "run the Monte Carlo model against the solver",
+     ("--config", "--out", "--n", "--dt", "--seed")),
+    ("sweep", _cmd_sweep, "run a lambda sweep of decay experiments",
+     ("--config", "--out", "--n", "--dt", "--t-end", "--lambdas")),
+    ("transform-check", _cmd_transform_check, "verify the angular change of variables",
+     ("--config", "--out", "--n")),
+    ("verify-ls", _cmd_verify_ls, "run the log-Sobolev inequality battery",
+     ("--out", "--n", "--seed", "--lambdas", "--samples")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="opkin",
@@ -201,25 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "Boltzmann Monte Carlo, and inequality verification.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, fn, meta in [
-        ("equilibrium", _cmd_equilibrium, "write analytic and discrete steady states"),
-        ("solve", _cmd_solve, "run a decay experiment"),
-        ("mc", _cmd_mc, "run the Monte Carlo model against the solver"),
-        ("sweep", _cmd_sweep, "run a lambda sweep of decay experiments"),
-        ("transform-check", _cmd_transform_check, "verify the angular change of variables"),
-    ]:
+    for name, fn, meta, flags in _COMMANDS:
         sp = sub.add_parser(name, help=meta)
-        _add_common(sp)
-        if name == "sweep":
-            sp.add_argument("--lambdas", help="comma-separated lambda values")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("verify-ls", help="run the log-Sobolev inequality battery")
-    _add_common(sp)
-    sp.add_argument("--lambdas", help="comma-separated lambda values for the grid")
-    sp.add_argument("--samples", type=int, default=200, help="random densities per point")
-    sp.set_defaults(func=_cmd_verify_ls)
 
     sp = sub.add_parser("fit", help="fit an exponential rate to a CSV column")
     sp.add_argument("--csv", required=True, type=Path)

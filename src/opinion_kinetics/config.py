@@ -1,13 +1,19 @@
-"""Experiment configuration: line-oriented `key = value` files with defaults."""
+"""Experiment configuration: line-oriented `key = value` files with defaults.
+
+This is the one place where a run setting is checked, whether it comes from
+a config line or a command-line override.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .grid import DensityField, Grid, bimodal_density, uniform_density
+from .montecarlo import InteractionParams
 from .params import KineticParams
 
 
@@ -23,18 +29,6 @@ class McConfig:
     seed: int = 1234
     hist_n: int = 50
     t_end: float = 2.0
-
-    def validate(self):
-        if self.n_agents < 2 or self.n_agents % 2 != 0:
-            raise ConfigError(f"mc.n must be a positive even integer, got {self.n_agents}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ConfigError(f"mc.epsilon must lie in (0, 1], got {self.epsilon}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"mc.gamma must lie in (0, 1), got {self.gamma}")
-        if self.hist_n < 4:
-            raise ConfigError(f"mc.hist_n must be at least 4, got {self.hist_n}")
-        if self.t_end <= 0.0:
-            raise ConfigError(f"mc.t_end must be positive, got {self.t_end}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +88,13 @@ _INT_KEYS = {"n", "sample_every", "mc.n", "mc.seed", "mc.hist_n"}
 _STR_KEYS = {"initial", "out"}
 _LIST_KEYS = {"sweep_lambdas"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
+# keys whose dataclass field has another name; other mc.* keys drop the prefix
+_FIELD_NAMES = {"lambda": "lam", "mc.n": "n_agents"}
+
+
+def lambda_list(text: str) -> tuple:
+    """Comma- or space-separated lambda values, as `sweep_lambdas` and --lambdas take them."""
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_value(key: str, raw: str, lineno: int):
@@ -103,14 +104,19 @@ def _parse_value(key: str, raw: str, lineno: int):
         if key in _INT_KEYS:
             return int(raw)
         if key in _LIST_KEYS:
-            return tuple(float(tok) for tok in raw.replace(",", " ").split())
+            return lambda_list(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {raw!r}") from exc
     return raw
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    """Parse `key = value` lines (# starts a comment) into a validated config."""
+def parse_config_text(text: str, source: str = "<config>", **overrides) -> ExperimentConfig:
+    """Parse `key = value` lines (# starts a comment) into a validated config.
+
+    Overrides, named like the keys (n, dt, t_end, sweep_lambdas, ...), replace
+    or add entries before validation, so a value gets the same checks and
+    message whether it comes from the file or from the command line.
+    """
     entries: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -124,66 +130,66 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if key in entries:
             raise ConfigError(f"{source}, line {lineno}: duplicate key {key!r}")
         entries[key] = _parse_value(key, raw, lineno)
+    unknown = sorted(overrides.keys() - _ALL_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown override keys {unknown}")
+    entries.update(overrides)
 
-    if "lambda" not in entries:
-        raise ConfigError(f"{source}: missing required key 'lambda'")
-    if "m" not in entries:
-        raise ConfigError(f"{source}: missing required key 'm'")
-
-    mc_entries = {k.split(".", 1)[1]: v for k, v in entries.items() if k.startswith("mc.")}
-    mc = None
-    if mc_entries:
-        rename = {"n": "n_agents"}
-        mc = McConfig(**{rename.get(k, k): v for k, v in mc_entries.items()})
-        mc.validate()
-
-    cfg = ExperimentConfig(
-        lam=entries["lambda"],
-        m=entries["m"],
-        n=entries.get("n", 200),
-        dt=entries.get("dt", 1e-3),
-        t_end=entries.get("t_end", 10.0),
-        sample_every=entries.get("sample_every", 10),
-        initial=entries.get("initial", "bimodal"),
-        bimodal_width=entries.get("bimodal_width", 0.15),
-        out=entries.get("out", "."),
-        sweep_lambdas=entries.get("sweep_lambdas", ()),
-        mc=mc,
-    )
+    for key in ("lambda", "m"):
+        if key not in entries:
+            raise ConfigError(f"{source}: missing required key '{key}'")
+    top = {_FIELD_NAMES.get(k, k): v for k, v in entries.items() if not k.startswith("mc.")}
+    mc = {_FIELD_NAMES.get(k, k[3:]): v for k, v in entries.items() if k.startswith("mc.")}
+    cfg = ExperimentConfig(**top, mc=McConfig(**mc) if mc else None)
     _validate(cfg)
     return cfg
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, **overrides) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, source=str(path), **overrides)
+
+
+def _finite_positive(x: float):
+    if not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"must be finite and positive, got {x}")
+
+
+def _check(field: str, build, *args):
+    """build(*args), with its ValueError reported as a ConfigError naming the field."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"field '{field}': {exc}") from exc
 
 
 def _validate(cfg: ExperimentConfig):
-    if not cfg.lam > 0.0:
-        raise ConfigError(f"field 'lambda': must be positive, got {cfg.lam}")
-    if not -1.0 < cfg.m < 1.0:
-        raise ConfigError(f"field 'm': must lie strictly inside (-1, 1), got {cfg.m}")
-    try:
-        KineticParams(cfg.lam, cfg.m)
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameters: {exc}") from exc
-    if cfg.n < 4:
-        raise ConfigError(f"field 'n': need at least 4 cells, got {cfg.n}")
-    if cfg.dt <= 0.0:
-        raise ConfigError(f"field 'dt': must be positive, got {cfg.dt}")
-    if cfg.t_end <= 0.0:
-        raise ConfigError(f"field 't_end': must be positive, got {cfg.t_end}")
+    """Check every setting once, by the type that owns it where there is one.
+
+    A type that checks a pair of settings is built first with a fixed valid
+    partner, so that its error names the one field at fault.
+    """
+    _check("lambda", KineticParams, cfg.lam, 0.0)
+    p = _check("m", KineticParams, cfg.lam, cfg.m)
+    _check("n", Grid, cfg.n)
+    for lv in cfg.sweep_lambdas:
+        _check("sweep_lambdas", KineticParams, lv, cfg.m)
+    for name in ("dt", "t_end", "bimodal_width"):
+        _check(name, _finite_positive, getattr(cfg, name))
     if cfg.sample_every < 1:
         raise ConfigError(f"field 'sample_every': must be >= 1, got {cfg.sample_every}")
-    if cfg.bimodal_width <= 0.0:
-        raise ConfigError(f"field 'bimodal_width': must be positive, got {cfg.bimodal_width}")
-    for lv in cfg.sweep_lambdas:
-        if lv <= 0.0:
-            raise ConfigError(f"field 'sweep_lambdas': entries must be positive, got {lv}")
     if cfg.initial not in ("bimodal", "uniform") and not cfg.initial.startswith("file:"):
         raise ConfigError(f"field 'initial': unknown value {cfg.initial!r}")
+    mc = cfg.mc
+    if mc is None:
+        return
+    if mc.n_agents < 2 or mc.n_agents % 2 != 0:
+        raise ConfigError(f"field 'mc.n': must be a positive even integer, got {mc.n_agents}")
+    _check("mc.gamma", InteractionParams.from_kinetic, p, mc.gamma, 1.0)
+    _check("mc.epsilon", InteractionParams.from_kinetic, p, mc.gamma, mc.epsilon)
+    _check("mc.hist_n", Grid, mc.hist_n)
+    _check("mc.t_end", _finite_positive, mc.t_end)

@@ -6,10 +6,11 @@ finite-volume solver.  Reference densities may be passed either as a
 BetaEquilibrium (center-sampled and renormalized on the fly) or as an
 explicit DensityField (e.g. the solver's own discrete steady state).
 
-Every sum runs along the last axis, so the *_rows functions score a
-(rows, n) stack of density values against one reference field in a single
-pass; the DensityField functions are their one-row case, and row i of a
-stack gives bit for bit what the DensityField function gives for row i.
+Every sum runs along the last axis, so ls_slack_rows scores a (rows, n)
+stack of density values against one reference field in a single pass;
+ls_slack is its one-row case, and row i of a stack gives bit for bit what
+ls_slack gives for row i.  entropy_gap and uniform_ls_slack take a stack
+as well as one row.
 """
 
 from __future__ import annotations
@@ -81,17 +82,6 @@ def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float 
     return float(gap) if gap.ndim == 0 else gap
 
 
-def _density_rows(values: np.ndarray, ref: DensityField) -> np.ndarray:
-    """values as float density rows on ref's grid, checked as DensityField checks."""
-    v = np.asarray(values, dtype=float)
-    if v.shape[-1:] != (ref.grid.n_cells,):
-        raise GridMismatchError(
-            f"values of shape {v.shape} do not fit a grid with {ref.grid.n_cells} cells"
-        )
-    check_density_values(v)
-    return v
-
-
 def _relative_entropy(f_values: np.ndarray, g: DensityField) -> np.ndarray:
     dy = g.grid.cell_width
     return entropy_gap(f_values, g.values, dy) + (f_values.sum(axis=-1) - g.values.sum()) * dy
@@ -106,11 +96,6 @@ def relative_entropy(f: DensityField, g: DensityField) -> float:
     """
     require_same_grid(f, g)
     return float(_relative_entropy(f.values, g))
-
-
-def relative_entropy_rows(values: np.ndarray, g: DensityField) -> np.ndarray:
-    """relative_entropy of each row of a (rows, n) stack of density values."""
-    return _relative_entropy(_density_rows(values, g), g)
 
 
 def _log_ratio(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
@@ -150,11 +135,6 @@ def weighted_fisher(f: DensityField, eq, lam: float) -> float:
     ref = _reference_field(eq, f.grid)
     require_same_grid(f, ref)
     return float(_weighted_fisher(f.values, ref, lam))
-
-
-def weighted_fisher_rows(values: np.ndarray, ref: DensityField, lam: float) -> np.ndarray:
-    """weighted_fisher of each row of a (rows, n) stack of density values."""
-    return _weighted_fisher(_density_rows(values, ref), ref, lam)
 
 
 def weighted_l2(f: DensityField, eq) -> float:
@@ -207,7 +187,12 @@ def ls_slack_rows(values: np.ndarray, p: KineticParams, ref: DensityField) -> np
     one field: finite, nonnegative, and strictly positive.
     """
     k = log_sobolev_constant(p)
-    v = _density_rows(values, ref)
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1:] != (ref.grid.n_cells,):
+        raise GridMismatchError(
+            f"values of shape {v.shape} do not fit a grid with {ref.grid.n_cells} cells"
+        )
+    check_density_values(v)
     return k * _weighted_fisher(v, ref, p.lam) - _relative_entropy(v, ref)
 
 

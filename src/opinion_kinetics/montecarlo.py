@@ -138,6 +138,15 @@ def sample_noise(rng: np.random.Generator, sigma2_scaled: float, size=None):
     return rng.uniform(-half, half, size)
 
 
+def _interact(x, xs, g_s, eta, eta_s):
+    """The interaction rule on pairs (x, xs), elementwise over arrays or floats:
+    the post-interaction opinions and whether both stay in [-1, 1]."""
+    x_new = x + g_s * (xs - x) + np.sqrt(1.0 - x * x) * eta
+    xs_new = xs + g_s * (x - xs) + np.sqrt(1.0 - xs * xs) * eta_s
+    ok = (np.abs(x_new) <= 1.0) & (np.abs(xs_new) <= 1.0)
+    return x_new, xs_new, ok
+
+
 def binary_interact(x: float, x_star: float, gamma_scaled: float,
                     eta: float, eta_star: float):
     """Post-interaction opinions, or None when either would leave [-1, 1].
@@ -145,11 +154,8 @@ def binary_interact(x: float, x_star: float, gamma_scaled: float,
     Rejection is a value, not an error: the pair simply keeps its states.
     The expected pair sum is conserved because the noise has zero mean.
     """
-    x_new = x + gamma_scaled * (x_star - x) + math.sqrt(1.0 - x * x) * eta
-    xs_new = x_star + gamma_scaled * (x - x_star) + math.sqrt(1.0 - x_star * x_star) * eta_star
-    if abs(x_new) > 1.0 or abs(xs_new) > 1.0:
-        return None
-    return x_new, xs_new
+    x_new, xs_new, ok = _interact(x, x_star, gamma_scaled, eta, eta_star)
+    return (float(x_new), float(xs_new)) if ok else None
 
 
 def mc_step(e: Ensemble, p: InteractionParams) -> Ensemble:
@@ -170,10 +176,7 @@ def mc_step(e: Ensemble, p: InteractionParams) -> Ensemble:
     eta = sample_noise(e.rng, s2_s, size=half)
     eta_s = sample_noise(e.rng, s2_s, size=half)
 
-    x_new = x + g_s * (xs - x) + np.sqrt(1.0 - x * x) * eta
-    xs_new = xs + g_s * (x - xs) + np.sqrt(1.0 - xs * xs) * eta_s
-    ok = (np.abs(x_new) <= 1.0) & (np.abs(xs_new) <= 1.0)
-
+    x_new, xs_new, ok = _interact(x, xs, g_s, eta, eta_s)
     out = e.opinions.copy()
     out[i[ok]] = x_new[ok]
     out[j[ok]] = xs_new[ok]

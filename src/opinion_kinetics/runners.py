@@ -181,14 +181,13 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
     return report
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir, lambdas=None) -> dict:
-    """One run_solve per lambda value, each in its own subdirectory."""
-    values = tuple(lambdas) if lambdas else cfg.sweep_lambdas
-    if not values:
+def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
+    """One run_solve per sweep_lambdas value, each in its own subdirectory."""
+    if not cfg.sweep_lambdas:
         raise ConfigError("sweep requires sweep_lambdas in the config or --lambdas")
     out = Path(out_dir)
     reports = {}
-    for lv in values:
+    for lv in cfg.sweep_lambdas:
         reports[lv] = run_solve(replace(cfg, lam=lv), out / f"lambda_{lv:g}")
     return reports
 

@@ -82,22 +82,6 @@ def minimize_potential_second(p: KineticParams, tol: float = 1e-12):
     return z_bar, potential_second(p, z_bar)
 
 
-@dataclass(frozen=True)
-class AngularPotential:
-    """Evaluator bundle for the potential derivatives of one parameter pair."""
-
-    params: KineticParams
-
-    def prime(self, z):
-        return potential_prime(self.params, z)
-
-    def second(self, z):
-        return potential_second(self.params, z)
-
-    def min_second(self, tol: float = 1e-12):
-        return minimize_potential_second(self.params, tol)
-
-
 def angular_equilibrium(p: KineticParams, z):
     """g(z) = v(sin z) cos z, the steady state in the angular coordinate."""
     z_arr = _check_angle(z)

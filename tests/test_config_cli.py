@@ -207,3 +207,68 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     assert (tmp_path / "sw" / "lambda_0.4" / "decay.csv").exists()
     assert (tmp_path / "sw" / "lambda_0.6" / "decay.csv").exists()
+
+
+def test_cli_fit_header_only_csv_exits_1(tmp_path, capsys):
+    csv = tmp_path / "empty.csv"
+    csv.write_text("t,entropy\n", encoding="utf-8")
+    assert main(["fit", "--csv", str(csv)]) == 1
+    assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, lines, flags, field", [
+    pytest.param("solve", "t_end = inf\n", [], "t_end", id="file_t_end_inf"),
+    pytest.param("solve", "dt = nan\n", [], "dt", id="file_dt_nan"),
+    pytest.param("solve", "bimodal_width = nan\n", [], "bimodal_width",
+                 id="file_bimodal_width_nan"),
+    pytest.param("mc", "mc.n = 100\nmc.t_end = inf\n", [], "mc.t_end", id="file_mc_t_end_inf"),
+    pytest.param("sweep", "sweep_lambdas = nan\n", [], "sweep_lambdas",
+                 id="file_sweep_lambdas_nan"),
+    pytest.param("solve", "", ["--t-end", "inf"], "t_end", id="flag_t_end_inf"),
+    pytest.param("solve", "", ["--dt", "nan"], "dt", id="flag_dt_nan"),
+    pytest.param("solve", "", ["--n", "2"], "n", id="flag_n_2"),
+    pytest.param("sweep", "", ["--lambdas", "nan"], "sweep_lambdas", id="flag_lambdas_nan"),
+])
+def test_cli_bad_setting_exits_1_naming_the_field(command, lines, flags, field,
+                                                   capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\n" + lines, encoding="utf-8")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")] + flags)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: field '{field}'" in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("key, raw, value", [
+    pytest.param("t_end", "inf", float("inf"), id="t_end"),
+    pytest.param("dt", "nan", float("nan"), id="dt"),
+    pytest.param("n", "2", 2, id="n"),
+    pytest.param("sweep_lambdas", "0.5, -1", (0.5, -1.0), id="sweep_lambdas"),
+])
+def test_override_gets_the_checks_and_message_of_the_file_value(key, raw, value):
+    base = "lambda = 0.5\nm = 0\n"
+    with pytest.raises(ConfigError) as from_file:
+        parse_config_text(base + f"{key} = {raw}\n")
+    with pytest.raises(ConfigError) as from_override:
+        parse_config_text(base, **{key: value})
+    assert str(from_override.value) == str(from_file.value)
+    assert str(from_file.value).startswith(f"field '{key}'")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["solve", "--seed", "9"], id="solve_seed"),
+    pytest.param(["equilibrium", "--dt", "-5"], id="equilibrium_dt"),
+    pytest.param(["transform-check", "--t-end", "1"], id="transform_check_t_end"),
+    pytest.param(["mc", "--t-end", "9"], id="mc_t_end"),
+    pytest.param(["verify-ls", "--lambdas", "0.5", "--samples", "2", "--n", "16"],
+                 id="verify_ls_config"),
+])
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(argv, capsys, tmp_path):
+    # every case also gets --config and --out; verify-ls reads no --config
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.1\n"
+                   "mc.n = 100\nmc.t_end = 0.05\nmc.hist_n = 8\n", encoding="utf-8")
+    code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from opinion_kinetics import (
     bimodal_density,
     build_grid,
     ckp_slack,
+    discretize_equilibrium,
     l1_distance,
     ls_slack,
     random_grid_function,
@@ -27,8 +28,6 @@ from opinion_kinetics import (
 from opinion_kinetics.functionals import (
     entropy_gap,
     ls_slack_rows,
-    relative_entropy_rows,
-    weighted_fisher_rows,
 )
 
 from oracles import SmoothRatioCase
@@ -305,13 +304,13 @@ def test_row_functionals_equal_one_row_calls_bitwise(n):
     ref = BetaEquilibrium.from_params(p).on_grid(g)
     stack = _stack_near_and_far(g, ref, rng, 9)
     fields = [DensityField(g, row) for row in stack]
-    assert np.array_equal(weighted_fisher_rows(stack, ref, p.lam),
-                          [weighted_fisher(f, ref, p.lam) for f in fields])
-    assert np.array_equal(relative_entropy_rows(stack, ref),
-                          [relative_entropy(f, ref) for f in fields])
     assert np.array_equal(entropy_gap(stack, ref.values, g.cell_width),
                           [entropy_gap(row, ref.values, g.cell_width) for row in stack])
     assert np.array_equal(ls_slack_rows(stack, p, ref), [ls_slack(f, p) for f in fields])
+    # an explicit reference other than the analytic one
+    disc = discretize_equilibrium(p, g)
+    assert np.array_equal(ls_slack_rows(stack, p, disc),
+                          [ls_slack(f, p, disc) for f in fields])
     ws = np.stack([random_grid_function(g, rng) for _ in range(9)])
     assert np.array_equal(uniform_ls_slack(g, ws), [uniform_ls_slack(g, w) for w in ws])
 
@@ -332,10 +331,8 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
 
     assert _raised_type(one_row(lambda f: ls_slack(f, p, ref))) is error
     assert _raised_type(lambda: ls_slack_rows(stack, p, ref)) is error
-    assert _raised_type(lambda: weighted_fisher_rows(stack, ref, p.lam)) is error
     if error is ValueError:
         assert _raised_type(one_row(lambda f: relative_entropy(f, ref))) is error
-        assert _raised_type(lambda: relative_entropy_rows(stack, ref)) is error
     ws = np.stack([random_grid_function(g, np.random.default_rng(2)) for _ in range(3)])
     ws[1] = 0.0
     assert _raised_type(lambda: uniform_ls_slack(g, ws[1])) is ValueError

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from opinion_kinetics import (
-    AngularPotential,
     BetaEquilibrium,
     KineticParams,
     PositivityError,
@@ -81,11 +80,13 @@ def test_minimizer_stationarity_quadratic():
         assert abs(m * s * s + (lam - 2.0) * s + m) <= 5e-8
 
 
-def test_angular_potential_wrapper():
-    pot = AngularPotential(KineticParams(0.6, 0.1))
-    assert pot.prime(0.2) == potential_prime(pot.params, 0.2)
-    assert pot.second(0.2) == potential_second(pot.params, 0.2)
-    assert pot.min_second()[1] == pytest.approx(bakry_emery_rho(pot.params), abs=1e-10)
+def test_potential_scalar_and_array_calls_agree():
+    p = KineticParams(0.6, 0.1)
+    zs = np.array([-0.4, 0.2])
+    for fn in (potential_prime, potential_second):
+        assert isinstance(fn(p, 0.2), float)
+        assert fn(p, 0.2) == fn(p, zs)[1]
+    assert minimize_potential_second(p)[1] == pytest.approx(bakry_emery_rho(p), abs=1e-10)
 
 
 def test_convexity_on_admissible_grid():
