@@ -180,6 +180,10 @@ def _validate(cfg: ExperimentConfig):
         _check("sweep_lambdas", KineticParams, lv, cfg.m)
     for name in ("dt", "t_end", "bimodal_width"):
         _check(name, _finite_positive, getattr(cfg, name))
+    # the solver takes round(t_end / dt) steps; the run must end at t_end
+    if abs(round(cfg.t_end / cfg.dt) * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
+        raise ConfigError(f"field 't_end': must be a whole number of dt steps, "
+                          f"got t_end = {cfg.t_end!r}, dt = {cfg.dt!r}")
     if cfg.sample_every < 1:
         raise ConfigError(f"field 'sample_every': must be >= 1, got {cfg.sample_every}")
     if cfg.initial not in ("bimodal", "uniform") and not cfg.initial.startswith("file:"):
@@ -192,4 +196,6 @@ def _validate(cfg: ExperimentConfig):
     _check("mc.gamma", InteractionParams.from_kinetic, p, mc.gamma, 1.0)
     _check("mc.epsilon", InteractionParams.from_kinetic, p, mc.gamma, mc.epsilon)
     _check("mc.hist_n", Grid, mc.hist_n)
+    if cfg.n % mc.hist_n != 0:
+        raise ConfigError(f"field 'mc.hist_n': must divide n = {cfg.n}, got {mc.hist_n}")
     _check("mc.t_end", _finite_positive, mc.t_end)

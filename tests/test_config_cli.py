@@ -27,6 +27,7 @@ def test_config_full_block_and_comments():
         initial = uniform
         mc.n = 2000
         mc.epsilon = 0.02
+        mc.hist_n = 32
         """
     )
     assert cfg.n == 128 and cfg.initial == "uniform"
@@ -228,6 +229,14 @@ def test_cli_fit_header_only_csv_exits_1(tmp_path, capsys):
     pytest.param("solve", "", ["--dt", "nan"], "dt", id="flag_dt_nan"),
     pytest.param("solve", "", ["--n", "2"], "n", id="flag_n_2"),
     pytest.param("sweep", "", ["--lambdas", "nan"], "sweep_lambdas", id="flag_lambdas_nan"),
+    pytest.param("mc", "n = 100\nmc.n = 100\nmc.hist_n = 30\n", [], "mc.hist_n",
+                 id="file_hist_n_not_dividing_n"),
+    pytest.param("mc", "mc.n = 100\nmc.hist_n = 40\n", ["--n", "100"], "mc.hist_n",
+                 id="flag_n_not_divided_by_hist_n"),
+    pytest.param("solve", "dt = 0.5\nt_end = 0.1\n", [], "t_end",
+                 id="file_t_end_not_whole_dt_steps"),
+    pytest.param("solve", "t_end = 0.1\n", ["--dt", "0.03"], "t_end",
+                 id="flag_dt_not_dividing_t_end"),
 ])
 def test_cli_bad_setting_exits_1_naming_the_field(command, lines, flags, field,
                                                    capsys, tmp_path):
@@ -272,3 +281,35 @@ def test_cli_rejects_a_flag_the_subcommand_does_not_read(argv, capsys, tmp_path)
     code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_cli_unfitted_decay_rate_fails(command, tmp_path):
+    # ten steps sampled only at t = 0 and t_end: neither rate can be fitted
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.1\n"
+                   "sample_every = 100\nsweep_lambdas = 0.5\n", encoding="utf-8")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    summary = next((tmp_path / "o").rglob("summary.txt")).read_text()
+    assert "entropy_slope = not fitted" in summary
+    assert "weighted_l2_slope = not fitted" in summary
+    assert "entropy_rate_bound = " in summary and "weighted_l2_rate_bound = " in summary
+    for line in summary.splitlines():
+        if line.startswith(("entropy_rate_bound", "weighted_l2_rate_bound")):
+            assert line.endswith("-> FAIL")
+
+
+def test_unfitted_rate_verdicts_are_false(tmp_path):
+    cfg = parse_config_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.1\n"
+                            "sample_every = 100\n")
+    report = run_solve(cfg, tmp_path)
+    assert report.entropy_fit is None and report.wl2_fit is None
+    verdicts = report.verdicts()
+    assert verdicts["entropy_rate"] is False
+    assert verdicts["weighted_l2_rate"] is False
+    # outside the L2 regime there is no entropy bound, hence no entropy verdict
+    general = run_solve(parse_config_text("lambda = 3\nm = 0\nn = 16\ndt = 1e-2\n"
+                                          "t_end = 0.1\nsample_every = 100\n"), tmp_path)
+    assert "entropy_rate" not in general.verdicts()
+    assert general.verdicts()["weighted_l2_rate"] is False

@@ -39,7 +39,7 @@ def test_run_sweep_sub_config_keeps_every_other_field(monkeypatch, tmp_path):
     cfg = parse_config_text(
         "lambda = 0.5\nm = 0.1\nn = 64\ndt = 2e-3\nt_end = 3\nsample_every = 5\n"
         "initial = uniform\nbimodal_width = 0.2\nout = somewhere\n"
-        "sweep_lambdas = 0.4, 0.6\nmc.n = 2000\nmc.seed = 9\n"
+        "sweep_lambdas = 0.4, 0.6\nmc.n = 2000\nmc.seed = 9\nmc.hist_n = 16\n"
     )
     assert cfg.sweep_lambdas and isinstance(cfg.mc, McConfig)
     seen = []

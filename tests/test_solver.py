@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrs
 from scipy.special import xlogy
 
 from opinion_kinetics import (
@@ -251,19 +253,84 @@ def test_solve_matches_banded_reference_bitwise(lam, m, n, dt, t_end):
     assert np.array_equal(traj.entropy, entropy)
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1e-3])
-def test_non_finite_or_negative_step_is_a_solver_error(monkeypatch, tmp_path, bad):
-    real = solver_module.dgttrs
+@pytest.mark.parametrize("n, n_steps", [
+    pytest.param(200, 123, id="n200_partial_last_block"),
+    pytest.param(200, 1, id="n200_one_step"),
+    pytest.param(2000, 12, id="n2000_five_row_blocks"),
+])
+def test_march_blocks_equal_a_per_step_dgttrs_loop(n, n_steps):
+    p = KineticParams(0.8, 0.3)
+    g = build_grid(n)
+    s = make_solver_state(p, bimodal_density(g), 1e-2)
+    dy = g.cell_width
+    v, t = s.density.values, 0.0
+    ref_values, ref_times, ref_mass = [], [], []
+    for _ in range(n_steps):
+        v, info = dgttrs(*s.lu, v)
+        assert info == 0
+        t += s.dt
+        ref_values.append(v)
+        ref_times.append(t)
+        ref_mass.append(float(v.sum() * dy))
+
+    blocks = list(solver_module.march(s, n_steps))
+    rows = max(1, 10_000 // n)
+    assert [len(b[0]) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1][0]) <= rows
+    assert [k for b in blocks for k in b[0]] == list(range(1, n_steps + 1))
+    assert np.array_equal(np.concatenate([b[2] for b in blocks]), ref_values)
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]), ref_times)
+    assert np.array_equal(np.concatenate([b[3] for b in blocks]), ref_mass)
+
+
+def _poison_steps(monkeypatch, bad_at):
+    """Make the k-th dgttrs solve write bad_at(k), unless None, into its middle cell."""
+    calls = itertools.count(1)
 
     def poisoned(*args, **kwargs):
-        x, info = real(*args, **kwargs)
-        x[x.size // 2] = bad
+        x, info = dgttrs(*args, **kwargs)
+        bad = bad_at(next(calls))
+        if bad is not None:
+            x[x.size // 2] = bad
         return x, info
 
     monkeypatch.setattr(solver_module, "dgttrs", poisoned)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e-3])
+def test_non_finite_or_negative_step_is_a_solver_error(monkeypatch, tmp_path, bad):
+    kind = "non-finite" if math.isnan(bad) else "negative"
+    _poison_steps(monkeypatch, lambda k: bad)
     p = KineticParams(0.5, 0.0)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=f"implicit step 1 produced {kind} values"):
         solve(p, bimodal_density(build_grid(64)), 1e-3, 0.1)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("lambda = 0.5\nm = 0\nn = 64\nt_end = 0.1\n", encoding="utf-8")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    # poison only step 7, inside the first 50-step block at n = 200
+    _poison_steps(monkeypatch, lambda k: bad if k == 7 else None)
+    with pytest.raises(SolverError, match=f"implicit step 7 produced {kind} values"):
+        solve(p, bimodal_density(build_grid(200)), 1e-3, 0.1)
+
+
+def test_first_bad_step_of_a_block_is_reported(monkeypatch):
+    # a negative value at step 3 comes before a NaN at step 5 in one block
+    _poison_steps(monkeypatch, {3: -1e-3, 5: math.nan}.get)
+    with pytest.raises(SolverError, match="implicit step 3 produced negative values"):
+        solve(KineticParams(0.5, 0.0), bimodal_density(build_grid(200)), 1e-3, 0.1)
+
+
+def test_entropy_increase_across_a_block_boundary_is_seen(monkeypatch):
+    # step 51 opens the second 50-step block at n = 200; it restarts from v0
+    p = KineticParams(0.5, 0.0)
+    v0 = bimodal_density(build_grid(200))
+    h_50 = solve(p, v0, 1e-3, 0.05, sample_every=50).entropy[-1]
+    calls = itertools.count(1)
+
+    def restart(*args, **kwargs):
+        x, info = dgttrs(*args, **kwargs)
+        return (v0.values.copy() if next(calls) == 51 else x), info
+
+    monkeypatch.setattr(solver_module, "dgttrs", restart)
+    traj = solve(p, v0, 1e-3, 0.1)
+    assert traj.max_entropy_increase == traj.entropy[0] - h_50 > 0.0
