@@ -34,7 +34,6 @@ from .montecarlo import (
     initial_ensemble,
     mc_step,
     moments,
-    quasi_invariant_run,
     sample_noise,
 )
 from .params import (
@@ -55,7 +54,6 @@ from .solver import (
     discretize_equilibrium,
     make_solver_state,
     solve,
-    step_implicit,
 )
 from .transform import (
     AngularDensity,

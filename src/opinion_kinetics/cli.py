@@ -32,7 +32,7 @@ from .runners import (
     verify_ls,
     write_csv,
 )
-from .solver import SolverError, analytic_equilibrium_field, discretize_equilibrium
+from .solver import SolverError, discretize_equilibrium
 from .transform import (
     angular_equilibrium,
     angular_equilibrium_explicit,
@@ -67,7 +67,7 @@ def _cmd_equilibrium(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
     grid = cfg.grid()
-    analytic = analytic_equilibrium_field(p, grid)
+    analytic = BetaEquilibrium.from_params(p).on_grid(grid)
     discrete = discretize_equilibrium(p, grid)
     write_csv(out / "equilibrium.csv", ["y", "analytic", "discrete"],
               [grid.centers, analytic.values, discrete.values])
@@ -135,7 +135,7 @@ def _cmd_transform_check(args) -> int:
     grid = Grid(cfg.n)
     f = cfg.initial_density()
     if np.any(f.values <= 0.0):
-        f = analytic_equilibrium_field(p, grid)
+        f = BetaEquilibrium.from_params(p).on_grid(grid)
     ang = pushforward_density(f)
     back = pullback_density(ang, f.grid)
     roundtrip = float(np.abs(back.values - f.values).sum() * f.grid.cell_width)

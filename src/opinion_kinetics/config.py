@@ -159,6 +159,20 @@ def _finite_positive(x: float):
         raise ValueError(f"must be finite and positive, got {x}")
 
 
+def whole_steps(t_end: float, dt: float) -> int:
+    """The number of dt steps that ends at t_end (to 1e-9 relative).
+
+    Raises ValueError when t_end is not a whole number of dt steps, so that
+    a run never ends short of or past t_end.  solver.solve applies the same
+    rule to a library call.
+    """
+    n_steps = round(t_end / dt)
+    if abs(n_steps * dt - t_end) > 1e-9 * t_end:
+        raise ValueError(f"must be a whole number of dt steps, "
+                         f"got t_end = {t_end!r}, dt = {dt!r}")
+    return n_steps
+
+
 def _check(field: str, build, *args):
     """build(*args), with its ValueError reported as a ConfigError naming the field."""
     try:
@@ -180,10 +194,7 @@ def _validate(cfg: ExperimentConfig):
         _check("sweep_lambdas", KineticParams, lv, cfg.m)
     for name in ("dt", "t_end", "bimodal_width"):
         _check(name, _finite_positive, getattr(cfg, name))
-    # the solver takes round(t_end / dt) steps; the run must end at t_end
-    if abs(round(cfg.t_end / cfg.dt) * cfg.dt - cfg.t_end) > 1e-9 * cfg.t_end:
-        raise ConfigError(f"field 't_end': must be a whole number of dt steps, "
-                          f"got t_end = {cfg.t_end!r}, dt = {cfg.dt!r}")
+    _check("t_end", whole_steps, cfg.t_end, cfg.dt)
     if cfg.sample_every < 1:
         raise ConfigError(f"field 'sample_every': must be >= 1, got {cfg.sample_every}")
     if cfg.initial not in ("bimodal", "uniform") and not cfg.initial.startswith("file:"):

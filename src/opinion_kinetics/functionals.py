@@ -6,11 +6,13 @@ finite-volume solver.  Reference densities may be passed either as a
 BetaEquilibrium (center-sampled and renormalized on the fly) or as an
 explicit DensityField (e.g. the solver's own discrete steady state).
 
-Every sum runs along the last axis, so ls_slack_rows scores a (rows, n)
-stack of density values against one reference field in a single pass;
-ls_slack is its one-row case, and row i of a stack gives bit for bit what
-ls_slack gives for row i.  entropy_gap and uniform_ls_slack take a stack
-as well as one row.
+Every sum runs along the last axis.  Each functional has one private
+kernel on raw values (_relative_entropy, _weighted_fisher, _weighted_l2,
+_l1_distance) that its public one-row function calls and that the stacked
+callers call on a (rows, n) stack in a single pass: ls_slack_rows for the
+log-Sobolev battery and solver.solve for the sampled rows of each block.
+Row i of a stack gives bit for bit what the one-row call gives for row i.
+entropy_gap and uniform_ls_slack take a stack as well as one row.
 """
 
 from __future__ import annotations
@@ -137,21 +139,29 @@ def weighted_fisher(f: DensityField, eq, lam: float) -> float:
     return float(_weighted_fisher(f.values, ref, lam))
 
 
+def _weighted_l2(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
+    v = ref.values
+    if np.any(v <= 0.0):
+        raise PositivityError("weighted L2 needs a strictly positive reference")
+    d = f_values - v
+    return (d * d / v).sum(axis=-1) * ref.grid.cell_width
+
+
 def weighted_l2(f: DensityField, eq) -> float:
     """Equilibrium-weighted L2 distance sum (f - v)^2 / v dy."""
     ref = _reference_field(eq, f.grid)
     require_same_grid(f, ref)
-    v = ref.values
-    if np.any(v <= 0.0):
-        raise PositivityError("weighted L2 needs a strictly positive reference")
-    d = f.values - v
-    return float((d * d / v).sum() * f.grid.cell_width)
+    return float(_weighted_l2(f.values, ref))
+
+
+def _l1_distance(f_values: np.ndarray, g: DensityField) -> np.ndarray:
+    return np.abs(f_values - g.values).sum(axis=-1) * g.grid.cell_width
 
 
 def l1_distance(f: DensityField, g: DensityField) -> float:
     """L1 distance sum |f - g| dy (total variation times two at most)."""
-    grid = require_same_grid(f, g)
-    return float(np.abs(f.values - g.values).sum() * grid.cell_width)
+    require_same_grid(f, g)
+    return float(_l1_distance(f.values, g))
 
 
 def ckp_slack(f: DensityField, g: DensityField) -> float:

@@ -96,7 +96,13 @@ class DensityField:
         return DensityField(self.grid, self.values / m)
 
     def mean(self) -> float:
-        return float((self.grid.centers * self.values).sum() * self.grid.cell_width)
+        return float(_mean(self.values, self.grid))
+
+
+def _mean(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """sum y_i v_i dy along the last axis: the mean of one density or of
+    each row of a (rows, n) stack."""
+    return (grid.centers * values).sum(axis=-1) * grid.cell_width
 
 
 def check_density_values(values: np.ndarray) -> None:

@@ -201,15 +201,6 @@ def sweeps_for_time(p: InteractionParams, t_fp: float) -> int:
     return max(0, int(round(t_fp / (p.epsilon * p.gamma))))
 
 
-def quasi_invariant_run(e0: Ensemble, p: InteractionParams, t_fp: float,
-                        grid: Grid) -> DensityField:
-    """Run to macroscopic time t_fp and return the unit-mass cell histogram."""
-    e = e0
-    for _ in range(sweeps_for_time(p, t_fp)):
-        e = mc_step(e, p)
-    return histogram(e, grid)
-
-
 def histogram(e: Ensemble, grid: Grid) -> DensityField:
     """Cell counts / (N dy); unit discrete mass by construction."""
     counts, _ = np.histogram(e.opinions, bins=grid.edges)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
+from .equilibrium import BetaEquilibrium
 from .fitting import DecayFit, fit_decay_rate
 from .functionals import l1_distance, ls_slack_rows, uniform_ls_slack
 from .grid import DensityField, Grid, random_grid_functions, random_smooth_densities
@@ -30,13 +31,7 @@ from .params import (
     classify_params,
     log_sobolev_constant,
 )
-from .solver import (
-    Trajectory,
-    analytic_equilibrium_field,
-    make_solver_state,
-    march,
-    solve,
-)
+from .solver import Trajectory, make_solver_state, march, solve
 from .transform import minimize_potential_second
 from . import montecarlo
 
@@ -136,7 +131,7 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
         [traj.times, traj.entropy, traj.fisher, k_col,
          traj.l1_dist, traj.wl2_dist, traj.mass, traj.mean],
     )
-    analytic = analytic_equilibrium_field(p, grid)
+    analytic = BetaEquilibrium.from_params(p).on_grid(grid)
     write_csv(
         out / "equilibrium.csv",
         ["y", "analytic", "discrete"],
@@ -355,7 +350,7 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
         k = log_sobolev_constant(p)
         rho = bakry_emery_rho(p)
         _, rho_min = minimize_potential_second(p)
-        ref = analytic_equilibrium_field(p, grid)
+        ref = BetaEquilibrium.from_params(p).on_grid(grid)
         min_slack = min(
             float(ls_slack_rows(random_smooth_densities(grid, rng, r), p, ref).min())
             for r in block_rows)

@@ -11,40 +11,27 @@ preserving for any time step, conserves mass exactly (zero column sums),
 dissipates the discrete relative entropy, and holds the discrete Beta
 steady state to machine precision.  Time stepping is backward Euler: the
 tridiagonal I - dt A is factored once per run (LAPACK dgttrf), and each step
-is one dgttrs solve on a raw array.  march, the one stepping loop, hands
-the steps out in blocks of consecutive rows, and the per-step checks
-(finiteness, nonnegativity, mass drift, entropy monotonicity) run as one
-array pass per block; every step is still checked.
+is one dgttrs solve on a raw array.  march, the one stepping loop, runs
+from the initial state and hands the steps out in blocks of consecutive
+rows.  solve scores each block once: the per-step checks (finiteness,
+nonnegativity, mass drift, entropy monotonicity) over every row, and the
+sampled rows as one (rows, n) stack through the last-axis kernels of the
+functionals module, the same kernels its one-row functionals use.  Every
+step is still checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .equilibrium import BetaEquilibrium
-from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
-from .grid import DensityField, Grid, build_grid
+from .config import whole_steps
+from .functionals import _l1_distance, _weighted_fisher, _weighted_l2, entropy_gap
+from .grid import DensityField, Grid, _mean
 from .params import KineticParams
-
-__all__ = [
-    "FluxCoefficients",
-    "SolverState",
-    "Trajectory",
-    "SolverError",
-    "build_grid",
-    "chang_cooper_delta",
-    "assemble_coefficients",
-    "apply_operator",
-    "discretize_equilibrium",
-    "make_solver_state",
-    "march",
-    "step_implicit",
-    "solve",
-]
 
 
 class SolverError(RuntimeError):
@@ -112,14 +99,6 @@ def assemble_coefficients(p: KineticParams, grid: Grid) -> FluxCoefficients:
     return FluxCoefficients(grid, p, drift, diffusion, delta, upper, lower, diag)
 
 
-def apply_operator(coeffs: FluxCoefficients, values: np.ndarray) -> np.ndarray:
-    """A @ values using the assembled bands (for residual checks)."""
-    out = coeffs.diag * values
-    out[:-1] += coeffs.upper * values[1:]
-    out[1:] += coeffs.lower * values[:-1]
-    return out
-
-
 def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
     """The positive unit-mass kernel vector of the discrete operator.
 
@@ -142,14 +121,11 @@ def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
 
 @dataclass(frozen=True)
 class SolverState:
-    """One owning context's view of the evolving density."""
+    """The initial density of a run and the factored I - dt A it steps with."""
 
-    params: KineticParams
     density: DensityField
     dt: float
     lu: tuple = field(repr=False)   # dgttrf factors of I - dt A
-    time: float = 0.0
-    step_count: int = 0
 
 
 def make_solver_state(p: KineticParams, v0: DensityField, dt: float) -> SolverState:
@@ -162,7 +138,7 @@ def make_solver_state(p: KineticParams, v0: DensityField, dt: float) -> SolverSt
     *lu, info = dgttrf(-dt * coeffs.lower, 1.0 - dt * coeffs.diag, -dt * coeffs.upper)
     if info != 0:
         raise SolverError(f"LU factorization of I - dt A failed (dgttrf info {info})")
-    return SolverState(p, v0, dt, tuple(lu))
+    return SolverState(v0, dt, tuple(lu))
 
 
 # Values per block of march: a block's arrays stay in L2 cache, and its
@@ -171,11 +147,13 @@ _BLOCK_VALUES = 10_000
 
 
 def march(s: SolverState, n_steps: int):
-    """Take n_steps backward-Euler steps (I - dt A) v_new = v_old from s and
-    yield them in blocks of up to max(1, 10_000 // n) consecutive steps.
+    """Take n_steps backward-Euler steps (I - dt A) v_new = v_old from the
+    initial density of s, and yield them in blocks of up to
+    max(1, 10_000 // n) consecutive steps.
 
-    A block is (steps, times, values, mass): the range of its step numbers,
-    their times (t += dt per step), a fresh (rows, n) array whose row i is
+    A block is (steps, times, values, mass): the range of its step numbers
+    (1 to n_steps over the run), their times (t += dt per step from
+    t = 0), a fresh (rows, n) array whose row i is
     the density after step steps[i], and the per-row masses.  Each step is
     one dgttrs solve.  I - dt A is an M-matrix, so each solve keeps
     nonnegativity and mass for any dt; every step is still checked, once per
@@ -185,10 +163,9 @@ def march(s: SolverState, n_steps: int):
     dl, d, du, du2, ipiv = s.lu
     grid = s.density.grid
     block = max(1, _BLOCK_VALUES // grid.n_cells)
-    v, t = s.density.values, s.time
-    end = s.step_count + n_steps
-    for first in range(s.step_count + 1, end + 1, block):
-        steps = range(first, min(first + block, end + 1))
+    v, t = s.density.values, 0.0
+    for first in range(1, n_steps + 1, block):
+        steps = range(first, min(first + block, n_steps + 1))
         times = np.empty(len(steps))
         values = np.empty((len(steps), grid.n_cells))
         info = np.empty(len(steps), dtype=int)
@@ -206,13 +183,6 @@ def march(s: SolverState, n_steps: int):
             kind = "non-finite" if non_finite[i] else "negative"
             raise SolverError(f"implicit step {steps[i]} produced {kind} values")
         yield steps, times, values, mass
-
-
-def step_implicit(s: SolverState) -> SolverState:
-    """One backward-Euler step, march's one-step block, as a new state."""
-    steps, times, values, _ = next(march(s, 1))
-    return replace(s, density=DensityField(s.density.grid, values[0]),
-                   time=float(times[0]), step_count=steps[0])
 
 
 @dataclass(frozen=True)
@@ -239,76 +209,71 @@ class Trajectory:
     equilibrium: DensityField
 
 
-def _row_fisher(v: DensityField, eq_field: DensityField, lam: float) -> float:
-    if np.any(v.values <= 0.0) or np.any(eq_field.values <= 0.0):
-        return math.inf
-    return weighted_fisher(v, eq_field, lam)
+def _score_rows(times, values, mass, entropy, eq_field: DensityField, lam: float):
+    """The Trajectory columns of a (rows, n) stack of sampled rows.
+
+    Each functional is one pass over the stack through the kernel its
+    one-row function uses; a row with a cell <= 0 has infinite Fisher
+    information.
+    """
+    l1 = _l1_distance(values, eq_field)
+    wl2 = _weighted_l2(values, eq_field)
+    fisher = np.full(len(values), math.inf)
+    positive = (values > 0.0).all(axis=-1)
+    if positive.any():
+        fisher[positive] = _weighted_fisher(values[positive], eq_field, lam)
+    return times, entropy, fisher, l1, wl2, mass, _mean(values, eq_field.grid)
 
 
 def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
           sample_every: int = 10) -> Trajectory:
     """Integrate to t_end, sampling functional rows every sample_every steps.
 
-    Each block of march is scored in one pass: the entropy of every step,
-    its increase over the step before (the previous block's last value
-    carried over), and the mass drift.  A DensityField is built only for
-    the sampled rows.
+    t_end must be a whole number of dt steps.  Each block of march is
+    scored in one pass: the entropy of every step, its increase over the
+    step before (the previous block's last value carried over), the mass
+    drift, and the functionals of the block's sampled rows.  v0 is scored
+    as a one-row block, and the final density is the only DensityField
+    built.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     state = make_solver_state(p, v0, dt)
+    n_steps = whole_steps(t_end, dt)
     eq_field = discretize_equilibrium(p, v0.grid)
     g = eq_field.values
     dy = v0.grid.cell_width
 
-    n_steps = max(1, int(round(t_end / dt)))
-    rows = []
-
-    def record(t: float, v: DensityField, h: float):
-        rows.append((
-            t,
-            h,
-            _row_fisher(v, eq_field, p.lam),
-            l1_distance(v, eq_field),
-            weighted_l2(v, eq_field),
-            v.mass(),
-            v.mean(),
-        ))
-
-    h_prev = entropy_gap(v0.values, g, dy)
+    start, start_mass = v0.values[None, :], v0.mass()
+    h_prev = entropy_gap(start, g, dy)
     max_increase = 0.0
-    max_mass_drift = abs(v0.mass() - 1.0)
-    record(0.0, v0, h_prev)
+    max_mass_drift = abs(start_mass - 1.0)
+    scored = [_score_rows(np.zeros(1), start, np.array([start_mass]), h_prev, eq_field, p.lam)]
     for steps, times, values, mass in march(state, n_steps):
         h = entropy_gap(values, g, dy)
-        max_increase = max(max_increase, float(np.diff(h, prepend=h_prev).max()))
-        h_prev = h[-1]
+        max_increase = max(max_increase, float(np.diff(h, prepend=h_prev[-1]).max()))
+        h_prev = h
         max_mass_drift = max(max_mass_drift, float(np.abs(mass - 1.0).max()))
-        for i, k in enumerate(steps):
-            if k % sample_every == 0 or k == n_steps:
-                final = DensityField(v0.grid, values[i])
-                record(times[i], final, h[i])
+        k = np.arange(steps.start, steps.stop)
+        keep = (k % sample_every == 0) | (k == n_steps)
+        scored.append(_score_rows(times[keep], values[keep], mass[keep], h[keep],
+                                  eq_field, p.lam))
 
-    cols = list(zip(*rows))
+    times, entropy, fisher, l1, wl2, mass, mean = (np.concatenate(c) for c in zip(*scored))
     return Trajectory(
         params=p,
         grid=v0.grid,
-        times=np.array(cols[0]),
-        entropy=np.array(cols[1]),
-        fisher=np.array(cols[2]),
-        l1_dist=np.array(cols[3]),
-        wl2_dist=np.array(cols[4]),
-        mass=np.array(cols[5]),
-        mean=np.array(cols[6]),
+        times=times,
+        entropy=entropy,
+        fisher=fisher,
+        l1_dist=l1,
+        wl2_dist=wl2,
+        mass=mass,
+        mean=mean,
         max_entropy_increase=max_increase,
         max_mass_drift=max_mass_drift,
-        final=final,
+        final=DensityField(v0.grid, values[-1]),
         equilibrium=eq_field,
     )
-
-
-def analytic_equilibrium_field(p: KineticParams, grid: Grid) -> DensityField:
-    """Center-sampled, renormalized analytic Beta density (for comparisons)."""
-    return BetaEquilibrium.from_params(p).on_grid(grid)

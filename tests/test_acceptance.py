@@ -18,6 +18,7 @@ from opinion_kinetics import (
     build_grid,
     ckp_slack,
     discretize_equilibrium,
+    histogram,
     initial_ensemble,
     l1_distance,
     log_sobolev_constant,
@@ -25,17 +26,16 @@ from opinion_kinetics import (
     make_solver_state,
     mc_step,
     minimize_potential_second,
-    quasi_invariant_run,
     random_grid_function,
     random_smooth_density,
     solve,
-    step_implicit,
     uniform_ls_slack,
     weighted_fisher,
 )
 from opinion_kinetics.functionals import entropy_gap
 from opinion_kinetics.fitting import fit_decay_rate
 from opinion_kinetics.montecarlo import sweeps_for_time
+from opinion_kinetics.solver import march
 from opinion_kinetics.transform import (
     angular_equilibrium,
     angular_equilibrium_explicit,
@@ -47,6 +47,13 @@ def _report(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"\n[criterion {num}] {name}: {status}  {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
+
+
+def _last_row(state, n_steps):
+    """The density after n_steps backward-Euler steps from state."""
+    for _, _, values, _ in march(state, n_steps):
+        pass
+    return DensityField(state.density.grid, values[-1])
 
 
 # ---------------------------------------------------------------- fixtures
@@ -92,11 +99,9 @@ def test_criterion_2_steady_state_preservation():
     p = KineticParams(0.5, 0.0)
     grid = build_grid(200)
     eq = discretize_equilibrium(p, grid)
-    state = make_solver_state(p, eq, 1e-3)
-    for _ in range(10_000):
-        state = step_implicit(state)
-    drift = float(np.max(np.abs(state.density.values - eq.values)))
-    mass_drift = abs(state.density.mass() - 1.0)
+    final = _last_row(make_solver_state(p, eq, 1e-3), 10_000)
+    drift = float(np.max(np.abs(final.values - eq.values)))
+    mass_drift = abs(final.mass() - 1.0)
 
     l1_at_200 = {}
     orders = {}
@@ -214,12 +219,12 @@ def test_criterion_7_micro_macro_consistency():
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.01)
     ens = initial_ensemble(100_000, seed=42, kind="bimodal")
     hist_grid = build_grid(50)
-    hist = quasi_invariant_run(ens, ip, 2.0, hist_grid)
+    for _ in range(sweeps_for_time(ip, 2.0)):
+        ens = mc_step(ens, ip)
+    hist = histogram(ens, hist_grid)
     fine = build_grid(200)
-    state = make_solver_state(p, bimodal_density(fine), 1e-3)
-    for _ in range(2000):
-        state = step_implicit(state)
-    fp = DensityField(hist_grid, state.density.values.reshape(50, -1).mean(axis=1))
+    final = _last_row(make_solver_state(p, bimodal_density(fine), 1e-3), 2000)
+    fp = DensityField(hist_grid, final.values.reshape(50, -1).mean(axis=1))
     l1_mc_fp = l1_distance(hist, fp)
 
     # (b) mean conservation across 50 independent runs
@@ -239,7 +244,9 @@ def test_criterion_7_micro_macro_consistency():
     for gamma in (0.4, 0.8):
         ipg = InteractionParams(gamma=gamma, sigma2=p.lam * gamma, epsilon=0.01)
         e = initial_ensemble(100_000, seed=11, kind="bimodal")
-        hists.append(quasi_invariant_run(e, ipg, 2.0, hist_grid))
+        for _ in range(sweeps_for_time(ipg, 2.0)):
+            e = mc_step(e, ipg)
+        hists.append(histogram(e, hist_grid))
     l1_invariance = l1_distance(hists[0], hists[1])
     budget = 2.0 * math.sqrt(2.0 * hist_grid.n_cells / 100_000)  # ~2x expected noise
 
@@ -294,13 +301,13 @@ def test_criterion_9_entropy_production_identity():
         dy = grid.cell_width
         h_prev = entropy_gap(state.density.values, eq.values, dy)
         worst = 0.0
-        for k in range(int(round(1.0 / dt))):
-            state = step_implicit(state)
-            h_now = entropy_gap(state.density.values, eq.values, dy)
-            if k % 25 == 0 and state.time >= 0.2:
-                fisher = weighted_fisher(state.density, eq, p.lam)
-                worst = max(worst, abs((h_now - h_prev) / dt + fisher))
-            h_prev = h_now
+        for steps, times, values, _ in march(state, int(round(1.0 / dt))):
+            for k, t, v in zip(steps, times, values):
+                h_now = entropy_gap(v, eq.values, dy)
+                if (k - 1) % 25 == 0 and t >= 0.2:
+                    fisher = weighted_fisher(DensityField(grid, v), eq, p.lam)
+                    worst = max(worst, abs((h_now - h_prev) / dt + fisher))
+                h_prev = h_now
         errs.append(worst)
     hs = [2.0 / n + dt for n, dt in levels]
     order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

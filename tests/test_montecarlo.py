@@ -15,7 +15,6 @@ from opinion_kinetics import (
     l1_distance,
     mc_step,
     moments,
-    quasi_invariant_run,
     sample_noise,
 )
 from opinion_kinetics.montecarlo import sample_from_density, sweeps_for_time
@@ -161,14 +160,6 @@ def test_quasi_invariant_time_mapping():
     ip = InteractionParams(gamma=0.5, sigma2=0.25, epsilon=0.01)
     assert sweeps_for_time(ip, 2.0) == 400
     assert sweeps_for_time(ip, 0.0) == 0
-
-
-def test_quasi_invariant_run_time_zero():
-    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0))
-    e = initial_ensemble(5000, seed=21, kind="bimodal")
-    g = build_grid(25)
-    assert np.array_equal(quasi_invariant_run(e, ip, 0.0, g).values,
-                          histogram(e, g).values)
 
 
 def test_pure_compromise_variance_contracts():

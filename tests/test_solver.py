@@ -21,12 +21,26 @@ from opinion_kinetics import (
     make_solver_state,
     relative_entropy,
     solve,
-    step_implicit,
     uniform_density,
+    weighted_fisher,
+    weighted_l2,
 )
 from opinion_kinetics import solver as solver_module
 from opinion_kinetics.cli import main
-from opinion_kinetics.solver import apply_operator
+from opinion_kinetics.functionals import entropy_gap
+
+
+def _apply_bands(coeffs, values):
+    """A @ values from the assembled bands."""
+    out = coeffs.diag * values
+    out[:-1] += coeffs.upper * values[1:]
+    out[1:] += coeffs.lower * values[:-1]
+    return out
+
+
+def _rows(s, n_steps):
+    """Every row march yields from s, in step order."""
+    return np.concatenate([b[2] for b in solver_module.march(s, n_steps)])
 
 
 def test_chang_cooper_delta_examples():
@@ -91,14 +105,14 @@ def test_discrete_equilibrium_kernel_property():
     p = KineticParams(0.5, 0.2)
     g = build_grid(8)
     eq = discretize_equilibrium(p, g)
-    res = apply_operator(assemble_coefficients(p, g), eq.values.copy())
+    res = _apply_bands(assemble_coefficients(p, g), eq.values.copy())
     assert np.max(np.abs(res)) <= 1e-14
     # production grid: the bands scale like 1/dy^2, so the honest statement
     # is a residual within a few ulps of the operator scale
     g = build_grid(200)
     eq = discretize_equilibrium(p, g)
     coeffs = assemble_coefficients(p, g)
-    res = apply_operator(coeffs, eq.values.copy())
+    res = _apply_bands(coeffs, eq.values.copy())
     scale = max(coeffs.upper.max(), coeffs.lower.max()) * eq.values.max()
     assert np.max(np.abs(res)) <= 20 * np.finfo(float).eps * scale
 
@@ -128,8 +142,8 @@ def test_step_holds_equilibrium():
     p = KineticParams(0.5, 0.2)
     g = build_grid(200)
     eq = discretize_equilibrium(p, g)
-    s = step_implicit(make_solver_state(p, eq, 1e-3))
-    assert np.max(np.abs(s.density.values - eq.values)) <= 1e-13
+    v = _rows(make_solver_state(p, eq, 1e-3), 1)[0]
+    assert np.max(np.abs(v - eq.values)) <= 1e-13
 
 
 def test_step_conserves_mass_and_positivity():
@@ -137,13 +151,13 @@ def test_step_conserves_mass_and_positivity():
     g = build_grid(200)
     rng = np.random.default_rng(4)
     v0 = DensityField(g, rng.uniform(0.0, 1.0, 200)).normalized()
-    s = make_solver_state(p, v0, 0.05)
-    for _ in range(20):
-        mass_before = s.density.mass()
-        s = step_implicit(s)
-        assert abs(s.density.mass() - mass_before) <= 1e-13
-        assert np.all(s.density.values >= 0.0)
-        assert np.all(s.density.values[1:-1] > 0.0)
+    before = v0
+    for row in _rows(make_solver_state(p, v0, 0.05), 20):
+        after = DensityField(g, row)
+        assert abs(after.mass() - before.mass()) <= 1e-13
+        assert np.all(after.values >= 0.0)
+        assert np.all(after.values[1:-1] > 0.0)
+        before = after
 
 
 def test_step_from_point_mass_spreads_positively():
@@ -152,8 +166,7 @@ def test_step_from_point_mass_spreads_positively():
     g = build_grid(64)
     v = np.zeros(64)
     v[32] = 1.0 / g.cell_width
-    s = step_implicit(make_solver_state(p, DensityField(g, v), 0.1))
-    assert np.all(s.density.values > 0.0)
+    assert np.all(_rows(make_solver_state(p, DensityField(g, v), 0.1), 1)[0] > 0.0)
 
 
 def test_step_decreases_entropy():
@@ -162,8 +175,7 @@ def test_step_decreases_entropy():
     eq = discretize_equilibrium(p, g)
     s = make_solver_state(p, bimodal_density(g), 1e-3)
     h0 = relative_entropy(s.density, eq)
-    s = step_implicit(s)
-    assert relative_entropy(s.density, eq) < h0
+    assert relative_entropy(DensityField(g, _rows(s, 1)[0]), eq) < h0
 
 
 def test_solve_from_equilibrium_is_flat():
@@ -198,6 +210,16 @@ def test_solve_input_validation():
         solve(p, uniform_density(g), -1e-3, 1.0)
     with pytest.raises(ValueError):
         solve(p, uniform_density(g), 1e-3, 0.0)
+
+
+def test_solve_ends_at_t_end_or_raises():
+    # the library call keeps the config rule: t_end is a whole number of dt steps
+    p = KineticParams(0.5, 0.0)
+    v0 = uniform_density(build_grid(64))
+    for dt, t_end in ((0.5, 0.1), (0.03, 0.1)):
+        with pytest.raises(ValueError, match="must be a whole number of dt steps"):
+            solve(p, v0, dt, t_end)
+    assert solve(p, v0, 0.05, 0.1).times[-1] == pytest.approx(0.1, rel=1e-12)
 
 
 def test_solver_runs_outside_l2_regime():
@@ -251,6 +273,52 @@ def test_solve_matches_banded_reference_bitwise(lam, m, n, dt, t_end):
     assert np.array_equal(traj.final.values, v)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.entropy, entropy)
+
+
+@pytest.mark.parametrize("n, t_end, start", [
+    pytest.param(200, 1.23, "bimodal", id="n200_partial_last_block"),
+    pytest.param(2000, 0.12, "bimodal", id="n2000_five_row_blocks"),
+    pytest.param(200, 0.3, "point_mass", id="n200_point_mass_start"),
+])
+def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
+    # reference: a per-step dgttrs loop, each sampled row scored alone as a
+    # DensityField by the public one-row functionals
+    p = KineticParams(0.8, 0.3)
+    g = build_grid(n)
+    if start == "bimodal":
+        v0 = bimodal_density(g)
+    else:
+        v = np.zeros(n)
+        v[n // 3] = 1.0 / g.cell_width
+        v0 = DensityField(g, v)
+    dt, every = 1e-2, 7
+    s = make_solver_state(p, v0, dt)
+    eq = discretize_equilibrium(p, g)
+    n_steps = int(round(t_end / dt))
+    assert n_steps % every != 0
+    v, t = v0.values, 0.0
+    times, fields = [t], [v0]
+    for k in range(1, n_steps + 1):
+        v, info = dgttrs(*s.lu, v)
+        assert info == 0
+        t += dt
+        if k % every == 0 or k == n_steps:
+            times.append(t)
+            fields.append(DensityField(g, v))
+
+    traj = solve(p, v0, dt, t_end, sample_every=every)
+    fisher = [weighted_fisher(f, eq, p.lam) if np.all(f.values > 0.0) else math.inf
+              for f in fields]
+    assert math.isinf(fisher[0]) == (start == "point_mass")
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.entropy,
+                          [entropy_gap(f.values, eq.values, g.cell_width) for f in fields])
+    assert np.array_equal(traj.fisher, fisher)
+    assert np.array_equal(traj.l1_dist, [l1_distance(f, eq) for f in fields])
+    assert np.array_equal(traj.wl2_dist, [weighted_l2(f, eq) for f in fields])
+    assert np.array_equal(traj.mass, [f.mass() for f in fields])
+    assert np.array_equal(traj.mean, [f.mean() for f in fields])
+    assert np.array_equal(traj.final.values, fields[-1].values)
 
 
 @pytest.mark.parametrize("n, n_steps", [
