@@ -32,7 +32,7 @@ from .montecarlo import (
     binary_interact,
     histogram,
     initial_ensemble,
-    mc_step,
+    mc_sweeps,
     moments,
     sample_noise,
 )

@@ -30,6 +30,12 @@ class McConfig:
     hist_n: int = 50
     t_end: float = 2.0
 
+    @property
+    def sample_times(self) -> tuple:
+        """The times at which a run compares the Monte Carlo with the
+        Fokker-Planck reference: t_end times 1/4, 1/2, 3/4 and 1."""
+        return tuple(self.t_end * f for f in (0.25, 0.5, 0.75, 1.0))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -210,3 +216,12 @@ def _validate(cfg: ExperimentConfig):
     if cfg.n % mc.hist_n != 0:
         raise ConfigError(f"field 'mc.hist_n': must divide n = {cfg.n}, got {mc.hist_n}")
     _check("mc.t_end", _finite_positive, mc.t_end)
+    for t in mc.sample_times:
+        for unit, name, step in (("steps", "dt", cfg.dt),
+                                 ("sweeps", "mc.epsilon * mc.gamma", mc.epsilon * mc.gamma)):
+            try:
+                whole_steps(t, step)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"field 'mc.t_end': sample time {t!r} must be a whole number of {unit}, "
+                    f"got {t / step:.6g} {unit} of {name} = {step!r}") from exc

@@ -18,7 +18,7 @@ of the order of the rejection fraction (counted and reported).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class Ensemble:
     opinions: np.ndarray = field(repr=False)
     rng: np.random.Generator = field(repr=False, compare=False)
     rng_seed: int
-    time: float = 0.0  # kinetic time: one unit per sweep
     attempted_pairs: int = 0
     rejected_pairs: int = 0
 
@@ -79,8 +78,7 @@ class Ensemble:
         x = np.asarray(self.opinions, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("opinions must be a nonempty 1-d array")
-        if np.any(np.abs(x) > 1.0) or not np.all(np.isfinite(x)):
-            raise ValueError("opinions must lie in [-1, 1]")
+        _check_range(x)
         object.__setattr__(self, "opinions", x)
 
     @property
@@ -90,6 +88,16 @@ class Ensemble:
     @property
     def rejection_fraction(self) -> float:
         return self.rejected_pairs / self.attempted_pairs if self.attempted_pairs else 0.0
+
+
+def _check_range(x: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """Raise ValueError unless every opinion is finite and in [-1, 1].
+
+    The maximum propagates NaN, and NaN <= 1 is false, so one pass catches
+    NaN, inf and out-of-range values; with scratch it allocates nothing.
+    """
+    if not np.abs(x, out=scratch).max() <= 1.0:
+        raise ValueError("opinions must lie in [-1, 1]")
 
 
 def initial_ensemble(n: int, seed: int, kind: str = "bimodal",
@@ -122,28 +130,52 @@ def sample_from_density(f: DensityField, n: int, seed: int) -> Ensemble:
     return Ensemble(opinions=np.clip(x, -1.0, 1.0), rng=rng, rng_seed=seed)
 
 
-def sample_noise(rng: np.random.Generator, sigma2_scaled: float, size=None):
+def sample_noise(rng: np.random.Generator, sigma2_scaled: float, size=None, out=None):
     """Zero-mean noise of variance sigma2_scaled, uniform on a bounded support.
 
     The law is uniform on [-sqrt(3 s2), sqrt(3 s2)]; bounded support keeps
-    boundary rejections rare, which an unbounded law would not.
+    boundary rejections rare, which an unbounded law would not.  Returns a
+    float when neither size nor out is given; with out, the draws fill out
+    in place.  The draws equal rng.uniform's bit for bit.
     """
     if sigma2_scaled < 0.0:
         raise ValueError("noise variance must be nonnegative")
     half = math.sqrt(3.0 * sigma2_scaled)
-    if size is None:
-        return float(rng.uniform(-half, half)) if half > 0.0 else 0.0
+    draws = np.empty(1 if size is None else size) if out is None else out
     if half == 0.0:
-        return np.zeros(size)
-    return rng.uniform(-half, half, size)
+        draws.fill(0.0)
+    else:
+        rng.random(out=draws)
+        draws *= 2.0 * half
+        draws -= half
+    return float(draws[0]) if size is None and out is None else draws
 
 
-def _interact(x, xs, g_s, eta, eta_s):
-    """The interaction rule on pairs (x, xs), elementwise over arrays or floats:
-    the post-interaction opinions and whether both stay in [-1, 1]."""
-    x_new = x + g_s * (xs - x) + np.sqrt(1.0 - x * x) * eta
-    xs_new = xs + g_s * (x - xs) + np.sqrt(1.0 - xs * xs) * eta_s
-    ok = (np.abs(x_new) <= 1.0) & (np.abs(xs_new) <= 1.0)
+def _interact(x, xs, g_s, eta, eta_s, out=None):
+    """The interaction rule on arrays of pairs (x, xs): the post-interaction
+    opinions and whether both stay in [-1, 1].
+
+    The results go into out = (x_new, xs_new, ok, ok_s) when it is given,
+    into new arrays otherwise; eta and eta_s are overwritten as scratch.
+    Each new opinion is x + g_s (xs - x) + sqrt(1 - x^2) eta, rounded as
+    that expression evaluates left to right.
+    """
+    if out is None:
+        out = (np.empty_like(x), np.empty_like(x),
+               np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool))
+    x_new, xs_new, ok, ok_s = out
+    for new, own, partner, noise, inside in ((x_new, x, xs, eta, ok),
+                                             (xs_new, xs, x, eta_s, ok_s)):
+        np.multiply(own, own, out=new)
+        np.subtract(1.0, new, out=new)
+        np.sqrt(new, out=new)
+        new *= noise
+        np.subtract(partner, own, out=noise)
+        noise *= g_s
+        noise += own
+        new += noise
+        np.less_equal(np.abs(new, out=noise), 1.0, out=inside)
+    ok &= ok_s
     return x_new, xs_new, ok
 
 
@@ -154,14 +186,20 @@ def binary_interact(x: float, x_star: float, gamma_scaled: float,
     Rejection is a value, not an error: the pair simply keeps its states.
     The expected pair sum is conserved because the noise has zero mean.
     """
-    x_new, xs_new, ok = _interact(x, x_star, gamma_scaled, eta, eta_star)
-    return (float(x_new), float(xs_new)) if ok else None
+    x_new, xs_new, ok = _interact(np.array([x]), np.array([x_star]), gamma_scaled,
+                                  np.array([eta]), np.array([eta_star]))
+    return (float(x_new[0]), float(xs_new[0])) if ok[0] else None
 
 
-def mc_step(e: Ensemble, p: InteractionParams) -> Ensemble:
-    """One Nanbu sweep: disjoint random pairing, one interaction per pair.
+def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
+    """Run n_sweeps Nanbu sweeps from e in place, allocating nothing per sweep.
 
-    Kinetic time advances by one unit (every agent interacts once).
+    Yields (k, opinions, rejected) after sweep k = 1..n_sweeps: the live
+    buffer, which the next sweep overwrites, and the pairs rejected in
+    sweep k.  e.opinions is never changed; e.rng advances.  Each sweep
+    checks the buffer's range (the caller may have written to it), shuffles
+    it and pairs its two halves: the agents are exchangeable, so that is a
+    uniform random perfect matching.  One sweep is one unit of kinetic time.
     """
     n = e.size
     if n % 2 != 0:
@@ -169,24 +207,18 @@ def mc_step(e: Ensemble, p: InteractionParams) -> Ensemble:
     half = n // 2
     g_s = p.epsilon * p.gamma
     s2_s = p.epsilon * p.sigma2
-
-    perm = e.rng.permutation(n)
-    i, j = perm[:half], perm[half:]
-    x, xs = e.opinions[i], e.opinions[j]
-    eta = sample_noise(e.rng, s2_s, size=half)
-    eta_s = sample_noise(e.rng, s2_s, size=half)
-
-    x_new, xs_new, ok = _interact(x, xs, g_s, eta, eta_s)
-    out = e.opinions.copy()
-    out[i[ok]] = x_new[ok]
-    out[j[ok]] = xs_new[ok]
-    return replace(
-        e,
-        opinions=out,
-        time=e.time + 1.0,
-        attempted_pairs=e.attempted_pairs + half,
-        rejected_pairs=e.rejected_pairs + int((~ok).sum()),
-    )
+    x = e.opinions.copy()
+    noise, new = np.empty(n), np.empty(n)
+    ok, ok_s = np.empty(half, dtype=bool), np.empty(half, dtype=bool)
+    # the two contiguous halves as the rows of (2, half) views
+    pairs, new_pairs, noise_pairs = (a.reshape(2, half) for a in (x, new, noise))
+    for k in range(1, n_sweeps + 1):
+        _check_range(x, scratch=noise)
+        e.rng.shuffle(x)
+        sample_noise(e.rng, s2_s, out=noise)
+        _interact(*pairs, g_s, *noise_pairs, out=(*new_pairs, ok, ok_s))
+        np.copyto(pairs, new_pairs, where=ok)
+        yield k, x, half - int(np.count_nonzero(ok))
 
 
 def sweeps_for_time(p: InteractionParams, t_fp: float) -> int:
@@ -207,9 +239,9 @@ def histogram(e: Ensemble, grid: Grid) -> DensityField:
     return DensityField(grid, counts / (e.size * grid.cell_width))
 
 
-def moments(e: Ensemble):
-    """Sample mean and unbiased sample variance (nan for a singleton)."""
-    x = e.opinions
+def moments(x: np.ndarray):
+    """Sample mean and unbiased sample variance of opinions x (nan for a
+    singleton)."""
     mean = float(x.mean())
     var = float(x.var(ddof=1)) if x.size > 1 else math.nan
     return mean, var

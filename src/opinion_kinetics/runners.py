@@ -16,9 +16,10 @@ from .fitting import DecayFit, fit_decay_rate
 from .functionals import l1_distance, ls_slack_rows, uniform_ls_slack
 from .grid import DensityField, Grid, random_grid_functions, random_smooth_densities
 from .montecarlo import (
+    Ensemble,
     InteractionParams,
     initial_ensemble,
-    mc_step,
+    mc_sweeps,
     moments,
     sample_from_density,
     sweeps_for_time,
@@ -205,25 +206,34 @@ def coarsen_density(f: DensityField, coarse: Grid) -> DensityField:
 
 
 def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
-    """Monte Carlo run with matched Fokker-Planck reference at sample times."""
+    """Monte Carlo run with matched Fokker-Planck reference at sample times.
+
+    The pair rule conserves the ensemble mean while the Fokker-Planck drift
+    moves the mean to m, so an initial law whose mean is not m is rejected
+    before any output."""
     if cfg.mc is None:
         raise ConfigError("mc run requires an mc block (mc.n, mc.epsilon, ...)")
+    p = cfg.params()
+    v0 = cfg.initial_density()
+    if abs(v0.mean() - p.m) > 1e-9:
+        raise ConfigError(
+            f"field 'm': the Monte Carlo keeps the mean of the initial law, "
+            f"{v0.mean()!r}, so m must equal it, got {p.m!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mc_cfg = cfg.mc
-    p = cfg.params()
     ip = InteractionParams.from_kinetic(p, gamma=mc_cfg.gamma, epsilon=mc_cfg.epsilon)
     use_seed = mc_cfg.seed if seed is None else seed
 
     if cfg.initial in ("bimodal", "uniform"):
         ens = initial_ensemble(mc_cfg.n_agents, use_seed, cfg.initial, cfg.bimodal_width)
     else:
-        ens = sample_from_density(cfg.initial_density(), mc_cfg.n_agents, use_seed)
+        ens = sample_from_density(v0, mc_cfg.n_agents, use_seed)
 
     hist_grid = Grid(mc_cfg.hist_n)
-    t_samples = [mc_cfg.t_end * f for f in (0.25, 0.5, 0.75, 1.0)]
-    # Fokker-Planck reference densities at the steps nearest the sample times
-    fp_state = make_solver_state(p, cfg.initial_density(), cfg.dt)
+    t_samples = mc_cfg.sample_times
+    # Fokker-Planck reference densities at the sample times (whole dt steps)
+    fp_state = make_solver_state(p, v0, cfg.dt)
     fp_step = {t: int(round(t / cfg.dt)) for t in t_samples}
     fp = {0: fp_state.density}
     for steps, _, values, _ in march(fp_state, max(fp_step.values())):
@@ -233,24 +243,28 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
 
     total_sweeps = sweeps_for_time(ip, mc_cfg.t_end)
     sweep_of_sample = {sweeps_for_time(ip, t): t for t in t_samples}
+    half = ens.size // 2
+    rejected = 0
     t_axis, mean_col, var_col = [], [], []
     att_col, rej_col = [], []
     hist_cols, fp_cols, l1_rows = {}, {}, []
 
-    def record_moments(e):
-        mean, var = moments(e)
-        t_axis.append(e.time * ip.epsilon * ip.gamma)
+    def record_moments(k, x):
+        mean, var = moments(x)
+        t_axis.append(k * ip.epsilon * ip.gamma)
         mean_col.append(mean)
         var_col.append(var)
-        att_col.append(float(e.attempted_pairs))
-        rej_col.append(float(e.rejected_pairs))
+        att_col.append(float(k * half))
+        rej_col.append(float(rejected))
 
-    record_moments(ens)
-    for k in range(1, total_sweeps + 1):
-        ens = mc_step(ens, ip)
-        record_moments(ens)
+    record_moments(0, ens.opinions)
+    for k, x, rejected_k in mc_sweeps(ens, ip, total_sweeps):
+        rejected += rejected_k
+        record_moments(k, x)
         if k in sweep_of_sample:
             t = sweep_of_sample[k]
+            ens = Ensemble(x.copy(), ens.rng, ens.rng_seed,
+                           attempted_pairs=k * half, rejected_pairs=rejected)
             hist = montecarlo.histogram(ens, hist_grid)
             ref = coarsen_density(fp[fp_step[t]], hist_grid)
             hist_cols[t] = hist.values

@@ -11,6 +11,7 @@ import pytest
 from opinion_kinetics import (
     BetaEquilibrium,
     DensityField,
+    Ensemble,
     InteractionParams,
     KineticParams,
     bakry_emery_rho,
@@ -24,7 +25,7 @@ from opinion_kinetics import (
     log_sobolev_constant,
     ls_slack,
     make_solver_state,
-    mc_step,
+    mc_sweeps,
     minimize_potential_second,
     random_grid_function,
     random_smooth_density,
@@ -54,6 +55,13 @@ def _last_row(state, n_steps):
     for _, _, values, _ in march(state, n_steps):
         pass
     return DensityField(state.density.grid, values[-1])
+
+
+def _swept(e, ip, n_sweeps):
+    """The ensemble after n_sweeps Monte Carlo sweeps from e."""
+    for _, x, _ in mc_sweeps(e, ip, n_sweeps):
+        pass
+    return Ensemble(opinions=x, rng=e.rng, rng_seed=e.rng_seed)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -219,8 +227,7 @@ def test_criterion_7_micro_macro_consistency():
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.01)
     ens = initial_ensemble(100_000, seed=42, kind="bimodal")
     hist_grid = build_grid(50)
-    for _ in range(sweeps_for_time(ip, 2.0)):
-        ens = mc_step(ens, ip)
+    ens = _swept(ens, ip, sweeps_for_time(ip, 2.0))
     hist = histogram(ens, hist_grid)
     fine = build_grid(200)
     final = _last_row(make_solver_state(p, bimodal_density(fine), 1e-3), 2000)
@@ -232,8 +239,7 @@ def test_criterion_7_micro_macro_consistency():
     for seed in range(50):
         e = initial_ensemble(5000, seed=100 + seed, kind="bimodal")
         m0 = float(e.opinions.mean())
-        for _ in range(sweeps_for_time(ip, 1.0)):
-            e = mc_step(e, ip)
+        e = _swept(e, ip, sweeps_for_time(ip, 1.0))
         drifts.append(float(e.opinions.mean()) - m0)
     drifts = np.array(drifts)
     se = drifts.std(ddof=1) / math.sqrt(drifts.size)
@@ -244,8 +250,7 @@ def test_criterion_7_micro_macro_consistency():
     for gamma in (0.4, 0.8):
         ipg = InteractionParams(gamma=gamma, sigma2=p.lam * gamma, epsilon=0.01)
         e = initial_ensemble(100_000, seed=11, kind="bimodal")
-        for _ in range(sweeps_for_time(ipg, 2.0)):
-            e = mc_step(e, ipg)
+        e = _swept(e, ipg, sweeps_for_time(ipg, 2.0))
         hists.append(histogram(e, hist_grid))
     l1_invariance = l1_distance(hists[0], hists[1])
     budget = 2.0 * math.sqrt(2.0 * hist_grid.n_cells / 100_000)  # ~2x expected noise

@@ -166,7 +166,7 @@ def test_cli_mc_failing_budget_exits_3(tmp_path):
     # deliberately tiny ensemble: statistical error must blow the L1 budget
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
-        "lambda = 0.5\nm = 0\nn = 200\ndt = 1e-2\nt_end = 1.0\n"
+        "lambda = 0.5\nm = 0\nn = 200\ndt = 5e-3\nt_end = 1.0\n"
         "mc.n = 100\nmc.epsilon = 0.05\nmc.t_end = 0.1\nmc.seed = 7\n",
         encoding="utf-8",
     )
@@ -237,6 +237,12 @@ def test_cli_fit_header_only_csv_exits_1(tmp_path, capsys):
                  id="file_t_end_not_whole_dt_steps"),
     pytest.param("solve", "t_end = 0.1\n", ["--dt", "0.03"], "t_end",
                  id="flag_dt_not_dividing_t_end"),
+    pytest.param("mc", "dt = 0.3\nt_end = 0.3\nmc.n = 100\n", [], "mc.t_end",
+                 id="file_mc_sample_time_not_whole_dt_steps"),
+    pytest.param("mc", "t_end = 0.3\nmc.n = 100\n", ["--dt", "0.3"], "mc.t_end",
+                 id="flag_dt_not_dividing_mc_sample_time"),
+    pytest.param("mc", "mc.n = 100\nmc.epsilon = 0.03\n", [], "mc.t_end",
+                 id="file_mc_sample_time_not_whole_sweeps"),
 ])
 def test_cli_bad_setting_exits_1_naming_the_field(command, lines, flags, field,
                                                    capsys, tmp_path):
@@ -247,6 +253,34 @@ def test_cli_bad_setting_exits_1_naming_the_field(command, lines, flags, field,
     assert code == 1
     assert f"error: field '{field}'" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("lines, message", [
+    pytest.param("dt = 0.3\nt_end = 0.3\n", "sample time 0.5 must be a whole number of "
+                 "steps, got 1.66667 steps of dt = 0.3", id="dt"),
+    pytest.param("mc.epsilon = 0.03\n", "sample time 0.5 must be a whole number of "
+                 "sweeps, got 33.3333 sweeps of mc.epsilon * mc.gamma = 0.015", id="sweeps"),
+])
+def test_mc_sample_time_error_names_the_time_and_the_step(lines, message):
+    # the fp_t* columns would otherwise come from other times than their labels
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("lambda = 0.5\nm = 0\nmc.n = 100\nmc.t_end = 2\n" + lines)
+    assert str(exc.value) == "field 'mc.t_end': " + message
+
+
+@pytest.mark.parametrize("initial", ["bimodal", "uniform"])
+def test_cli_mc_rejects_an_initial_mean_other_than_m(initial, capsys, tmp_path):
+    # the pair rule conserves the ensemble mean, so from a mean-zero start
+    # the histograms could never approach the Fokker-Planck densities at m
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"lambda = 0.5\nm = 0.3\nn = 100\ninitial = {initial}\n"
+                   "mc.n = 2000\nmc.t_end = 0.5\nmc.seed = 1\nmc.hist_n = 25\n",
+                   encoding="utf-8")
+    code = main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: field 'm'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, raw, value", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,18 @@ from opinion_kinetics import (
     histogram,
     initial_ensemble,
     l1_distance,
-    mc_step,
+    mc_sweeps,
     moments,
     sample_noise,
 )
 from opinion_kinetics.montecarlo import sample_from_density, sweeps_for_time
+
+
+def _swept(e, ip, n_sweeps):
+    """The ensemble after n_sweeps sweeps from e."""
+    for _, x, _ in mc_sweeps(e, ip, n_sweeps):
+        pass
+    return Ensemble(opinions=x, rng=e.rng, rng_seed=e.rng_seed)
 
 
 def test_interaction_params_validation():
@@ -82,37 +90,37 @@ def test_mc_step_pure_compromise_midpoint():
     # eps*gamma = 1/2 with no noise sends both agents to the midpoint
     ip = InteractionParams(gamma=0.5, sigma2=0.0, epsilon=1.0)
     e = Ensemble(opinions=np.array([0.9, -0.3]), rng=np.random.default_rng(0), rng_seed=0)
-    e2 = mc_step(e, ip)
-    assert np.allclose(np.sort(e2.opinions), [0.3, 0.3], atol=1e-15)
-    assert e2.time == 1.0
+    [(k, x, rejected)] = mc_sweeps(e, ip, 1)
+    assert np.allclose(np.sort(x), [0.3, 0.3], atol=1e-15)
+    assert k == 1 and rejected == 0
 
 
 def test_mc_step_odd_size_error():
     ip = InteractionParams(gamma=0.5, sigma2=0.1, epsilon=0.1)
     e = Ensemble(opinions=np.zeros(3), rng=np.random.default_rng(0), rng_seed=0)
     with pytest.raises(ValueError):
-        mc_step(e, ip)
+        next(mc_sweeps(e, ip, 1))
 
 
 def test_mc_step_range_invariant_and_rejections():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     e = initial_ensemble(20_000, seed=5, kind="bimodal")
-    for _ in range(50):
-        e = mc_step(e, ip)
-        assert np.all(np.abs(e.opinions) <= 1.0)
-    assert e.rejection_fraction < 1e-3
+    rejected = 0
+    for _, x, rejected_k in mc_sweeps(e, ip, 50):
+        assert np.all(np.abs(x) <= 1.0)
+        rejected += rejected_k
+    assert rejected / (50 * e.size // 2) < 1e-3
 
 
 def test_mc_step_mean_within_standard_errors():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     e = initial_ensemble(50_000, seed=9, kind="bimodal")
-    m0 = moments(e)[0]
+    m0 = moments(e.opinions)[0]
     n_sweeps = 200
-    for _ in range(n_sweeps):
-        e = mc_step(e, ip)
+    e = _swept(e, ip, n_sweeps)
     # per-sweep noise variance of the ensemble mean is at most eps*sigma2/N
     se = math.sqrt(n_sweeps * ip.epsilon * ip.sigma2 / e.size)
-    assert abs(moments(e)[0] - m0) <= 3.0 * se
+    assert abs(moments(e.opinions)[0] - m0) <= 3.0 * se
 
 
 def test_determinism_bitwise():
@@ -120,10 +128,76 @@ def test_determinism_bitwise():
     runs = []
     for _ in range(2):
         e = initial_ensemble(1000, seed=1234, kind="bimodal")
-        for _ in range(10):
-            e = mc_step(e, ip)
-        runs.append(e.opinions)
+        runs.append(_swept(e, ip, 10).opinions)
     assert np.array_equal(runs[0], runs[1])
+
+
+def test_mc_sweeps_matches_a_plain_reference_loop():
+    # the reference writes the pair rule out as one expression: shuffle,
+    # pair the contiguous halves, keep both states of a rejected pair
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    e = initial_ensemble(1000, seed=21, kind="bimodal")
+    x0 = e.opinions.copy()
+    swept = [(k, x.copy(), rejected) for k, x, rejected in mc_sweeps(e, ip, 25)]
+    assert np.array_equal(e.opinions, x0)  # the caller's ensemble is unchanged
+
+    rng = initial_ensemble(1000, seed=21, kind="bimodal").rng
+    g_s, half = ip.epsilon * ip.gamma, x0.size // 2
+    x = x0.copy()
+    assert [k for k, _, _ in swept] == list(range(1, 26))
+    for _, got, rejected in swept:
+        rng.shuffle(x)
+        eta = sample_noise(rng, ip.epsilon * ip.sigma2, size=x.size)
+        a, b = x[:half], x[half:]
+        a_new = a + g_s * (b - a) + np.sqrt(1.0 - a * a) * eta[:half]
+        b_new = b + g_s * (a - b) + np.sqrt(1.0 - b * b) * eta[half:]
+        ok = (np.abs(a_new) <= 1.0) & (np.abs(b_new) <= 1.0)
+        x = np.concatenate([np.where(ok, a_new, a), np.where(ok, b_new, b)])
+        assert np.array_equal(got, x)
+        assert rejected == int((~ok).sum())
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5], ids=["nan", "above_one"])
+def test_mc_sweeps_rejects_a_buffer_written_out_of_range(bad):
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    sweeps = mc_sweeps(initial_ensemble(100, seed=3, kind="bimodal"), ip, 3)
+    _, x, _ = next(sweeps)
+    x[17] = bad
+    with pytest.raises(ValueError, match=r"opinions must lie in \[-1, 1\]"):
+        next(sweeps)
+
+
+def test_mc_sweeps_pairs_by_a_uniform_perfect_matching():
+    # eps*gamma = 1/2 without noise sends each pair to its midpoint, so the
+    # smallest opinion after one sweep names the matching of four agents
+    ip = InteractionParams(gamma=0.5, sigma2=0.0, epsilon=1.0)
+    e = Ensemble(opinions=np.array([-0.8, -0.2, 0.3, 0.9]),
+                 rng=np.random.default_rng(17), rng_seed=17)
+    matching = {-0.5: "01|23", -0.25: "02|13", 0.05: "03|12"}
+    counts = dict.fromkeys(matching.values(), 0)
+    n_runs = 3000
+    for _ in range(n_runs):
+        [(_, x, _)] = mc_sweeps(e, ip, 1)
+        counts[matching[round(float(x.min()), 9)]] += 1
+    se = math.sqrt(n_runs * (1 / 3) * (2 / 3))
+    for count in counts.values():
+        assert abs(count - n_runs / 3) <= 5.0 * se
+
+
+def test_mc_sweeps_allocates_nothing_per_sweep():
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    sweeps = mc_sweeps(initial_ensemble(100_000, seed=5, kind="bimodal"), ip, 50)
+    tracemalloc.start()
+    try:
+        next(sweeps)
+        after_first, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in sweeps:
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - after_first < 0.1e6
 
 
 def test_histogram_point_mass_and_mass():
@@ -150,10 +224,10 @@ def test_histogram_uniform_multinomial():
 
 def test_moments_examples():
     e = Ensemble(opinions=np.array([0.3]), rng=np.random.default_rng(0), rng_seed=0)
-    mean, var = moments(e)
+    mean, var = moments(e.opinions)
     assert mean == 0.3 and math.isnan(var)
     e2 = Ensemble(opinions=np.array([-1.0, 1.0]), rng=np.random.default_rng(0), rng_seed=0)
-    assert moments(e2) == (0.0, 2.0)
+    assert moments(e2.opinions) == (0.0, 2.0)
 
 
 def test_quasi_invariant_time_mapping():
@@ -165,10 +239,9 @@ def test_quasi_invariant_time_mapping():
 def test_pure_compromise_variance_contracts():
     ip = InteractionParams(gamma=0.5, sigma2=0.0, epsilon=0.05)
     e = initial_ensemble(10_000, seed=13, kind="uniform")
-    variances = [moments(e)[1]]
-    for _ in range(30):
-        e = mc_step(e, ip)
-        variances.append(moments(e)[1])
+    variances = [moments(e.opinions)[1]]
+    for _, x, _ in mc_sweeps(e, ip, 30):
+        variances.append(moments(x)[1])
     assert all(v2 < v1 for v1, v2 in zip(variances, variances[1:]))
 
 
@@ -179,13 +252,12 @@ def test_long_run_reaches_beta_equilibrium():
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.02)
     e = initial_ensemble(50_000, seed=31, kind="bimodal")
     g = build_grid(25)
-    for _ in range(sweeps_for_time(ip, 20.0)):
-        e = mc_step(e, ip)
+    e = _swept(e, ip, sweeps_for_time(ip, 20.0))
     h = histogram(e, g)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
     assert l1_distance(h, eq) <= 0.05
     # matching moments: variance lam (1-m^2)/(lam+2)
-    mean, var = moments(e)
+    mean, var = moments(e.opinions)
     assert abs(mean) <= 0.02
     assert var == pytest.approx(p.lam / (p.lam + 2.0), rel=0.05)
 
