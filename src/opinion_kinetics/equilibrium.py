@@ -22,6 +22,12 @@ from .grid import DensityField, Grid
 from .params import KineticParams
 
 
+def _scalar_or_array(values):
+    """A pointwise result as callers get it: a float for 0-d input, the
+    ndarray for anything else (a list included)."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def log_normalization(p: KineticParams) -> float:
     """log C with C = 1 / (2^(a+b-1) B(a, b)), via log-gamma.
 
@@ -64,12 +70,11 @@ class BetaEquilibrium:
             (self.exponent_minus - 1.0) * np.log1p(-y_arr)
             + (self.exponent_plus - 1.0) * np.log1p(y_arr)
         )
-        return out if isinstance(y, np.ndarray) else float(out)
+        return _scalar_or_array(out)
 
     def value(self, y):
         """Pointwise density v(y), |y| < 1."""
-        out = np.exp(self.log_value(np.asarray(y, dtype=float)))
-        return out if isinstance(y, np.ndarray) else float(out)
+        return _scalar_or_array(np.exp(self.log_value(y)))
 
     def on_grid(self, grid: Grid, renormalize: bool = True) -> DensityField:
         """Center-sampled equilibrium as a DensityField.

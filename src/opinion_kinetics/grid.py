@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -147,15 +147,35 @@ def bimodal_density(grid: Grid, width: float = 0.15) -> DensityField:
     return DensityField(grid, v)
 
 
-def _add_trig_series(out: np.ndarray, y: np.ndarray, coef: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _trig_basis(grid: Grid, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (degree, n) arrays: row k-1 holds cos and sin of pi k y / 2
+    at the cell centers y, for k = 1..degree."""
+    y = grid.centers
+    cos = np.empty((degree, grid.n_cells))
+    sin = np.empty((degree, grid.n_cells))
+    for k in range(1, degree + 1):
+        arg = 0.5 * np.pi * k * y
+        cos[k - 1] = np.cos(arg)
+        sin[k - 1] = np.sin(arg)
+    cos.flags.writeable = False
+    sin.flags.writeable = False
+    return cos, sin
+
+
+def _add_trig_series(out: np.ndarray, grid: Grid, coef: np.ndarray) -> np.ndarray:
     """out += sum_k a_k cos(pi k y / 2) + b_k sin(pi k y / 2), row by row.
 
     coef has shape (rows, degree, 2) holding (a_k, b_k); out has shape
-    (rows, n).  Terms are added in order of k, as a one-row loop would.
+    (rows, n).  Terms are added in order of k, each as (a cos + b sin), so
+    every row rounds as a one-row loop would.  One k at a time: a
+    broadcast over all k at once measured slower at 25 rows of 400 cells.
     """
-    for k in range(1, coef.shape[1] + 1):
-        arg = 0.5 * np.pi * k * y
-        out += coef[:, k - 1, 0:1] * np.cos(arg) + coef[:, k - 1, 1:2] * np.sin(arg)
+    cos, sin = _trig_basis(grid, coef.shape[1])
+    for k in range(coef.shape[1]):
+        term = coef[:, k, 0:1] * cos[k]
+        term += coef[:, k, 1:2] * sin[k]
+        out += term
     return out
 
 
@@ -169,7 +189,7 @@ def random_smooth_densities(grid: Grid, rng: np.random.Generator, rows: int,
     random_smooth_density calls on the same generator.
     """
     coef = rng.normal(size=(rows, degree, 2)) * amplitude / np.arange(1, degree + 1)[:, None]
-    v = np.exp(_add_trig_series(np.zeros((rows, grid.n_cells)), grid.centers, coef))
+    v = np.exp(_add_trig_series(np.zeros((rows, grid.n_cells)), grid, coef))
     v /= v.sum(axis=-1, keepdims=True) * grid.cell_width
     return v
 
@@ -195,7 +215,7 @@ def random_grid_functions(grid: Grid, rng: np.random.Generator, rows: int,
     draws = rng.normal(size=(rows, 1 + 2 * degree))
     coef = draws[:, 1:].reshape(rows, degree, 2) * amplitude / np.arange(1, degree + 1)[:, None]
     w = np.repeat(draws[:, :1] * amplitude, grid.n_cells, axis=1)
-    return _add_trig_series(w, grid.centers, coef)
+    return _add_trig_series(w, grid, coef)
 
 
 def random_grid_function(grid: Grid, rng: np.random.Generator, degree: int = 4,

@@ -239,9 +239,14 @@ def histogram(e: Ensemble, grid: Grid) -> DensityField:
     return DensityField(grid, counts / (e.size * grid.cell_width))
 
 
-def moments(x: np.ndarray):
+def moments(x: np.ndarray, scratch: np.ndarray | None = None):
     """Sample mean and unbiased sample variance of opinions x (nan for a
-    singleton)."""
+    singleton).  The variance rounds as x.var(ddof=1) does; its squared
+    deviations go into scratch, an array shaped like x, when one is given,
+    so a caller that passes the same one each time allocates nothing."""
     mean = float(x.mean())
-    var = float(x.var(ddof=1)) if x.size > 1 else math.nan
-    return mean, var
+    if x.size < 2:
+        return mean, math.nan
+    d = np.subtract(x, mean, out=scratch)
+    d *= d
+    return mean, float(d.sum() / (x.size - 1))

@@ -248,9 +248,10 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
     t_axis, mean_col, var_col = [], [], []
     att_col, rej_col = [], []
     hist_cols, fp_cols, l1_rows = {}, {}, []
+    scratch = np.empty(ens.size)
 
     def record_moments(k, x):
-        mean, var = moments(x)
+        mean, var = moments(x, scratch)
         t_axis.append(k * ip.epsilon * ip.gamma)
         mean_col.append(mean)
         var_col.append(var)
@@ -347,6 +348,8 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     pts = default_ls_grid() if points is None else list(points)
+    if not pts:
+        raise ConfigError("points must hold at least one (lambda, m) pair")
     bad = [
         f"(lambda={lv}, m={mv})" for lv, mv in pts
         if classify_params(KineticParams(lv, mv)) < ParamRegime.L2_EQUILIBRIUM

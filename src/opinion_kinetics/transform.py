@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import BetaEquilibrium, log_normalization
+from .equilibrium import BetaEquilibrium, _scalar_or_array, log_normalization
 from .functionals import PositivityError
 from .grid import DensityField, Grid
 from .params import KineticParams, ParamRegime, RegimeError, classify_params
@@ -39,16 +39,19 @@ def potential_prime(p: KineticParams, z):
     """P'(z) = ((1 - lam/2) sin z - m) / cos z on (-pi/2, pi/2)."""
     z_arr = _check_angle(z)
     out = ((1.0 - 0.5 * p.lam) * np.sin(z_arr) - p.m) / np.cos(z_arr)
-    return out if isinstance(z, np.ndarray) else float(out)
+    return _scalar_or_array(out)
+
+
+def _second(p: KineticParams, sin_z, cos_z):
+    """P'' from sin z and cos z, given as arrays or as plain floats."""
+    return ((1.0 - 0.5 * p.lam) - p.m * sin_z) / (cos_z * cos_z)
 
 
 def potential_second(p: KineticParams, z):
     """P''(z) = ((1 - lam/2) - m sin z) / cos^2 z, the exact derivative of
     potential_prime (validated against finite differences in the tests)."""
     z_arr = _check_angle(z)
-    c = np.cos(z_arr)
-    out = ((1.0 - 0.5 * p.lam) - p.m * np.sin(z_arr)) / (c * c)
-    return out if isinstance(z, np.ndarray) else float(out)
+    return _scalar_or_array(_second(p, np.sin(z_arr), np.cos(z_arr)))
 
 
 def minimize_potential_second(p: KineticParams, tol: float = 1e-12):
@@ -58,28 +61,34 @@ def minimize_potential_second(p: KineticParams, tol: float = 1e-12):
     unimodal (one interior sign change of its derivative), so golden
     section is safe.  The minimum equals the closed-form convexity bound;
     the stationary point satisfies m s^2 + (lam - 2) s + m = 0 in s = sin z.
+    The search interval stays strictly inside (-pi/2, pi/2), so P'' is
+    evaluated on plain floats without the angle check.
     """
     if classify_params(p) < ParamRegime.L2_EQUILIBRIUM:
         raise RegimeError(
             f"potential is not uniformly convex for lam={p.lam}, m={p.m}"
         )
+
+    def f(z):
+        return _second(p, math.sin(z), math.cos(z))
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = -_HALF_PI + 1e-6, _HALF_PI - 1e-6
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc = potential_second(p, c)
-    fd = potential_second(p, d)
+    fc = f(c)
+    fd = f(d)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = potential_second(p, c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = potential_second(p, d)
+            fd = f(d)
     z_bar = 0.5 * (a + b)
-    return z_bar, potential_second(p, z_bar)
+    return z_bar, f(z_bar)
 
 
 def angular_equilibrium(p: KineticParams, z):
@@ -87,7 +96,7 @@ def angular_equilibrium(p: KineticParams, z):
     z_arr = _check_angle(z)
     eq = BetaEquilibrium.from_params(p)
     out = np.exp(eq.log_value(np.sin(z_arr)) + np.log(np.cos(z_arr)))
-    return out if isinstance(z, np.ndarray) else float(out)
+    return _scalar_or_array(out)
 
 
 def angular_equilibrium_explicit(p: KineticParams, z):
@@ -105,7 +114,7 @@ def angular_equilibrium_explicit(p: KineticParams, z):
         + (2.0 * p.m / p.lam) * (np.log1p(t) - np.log1p(-t))
     )
     out = np.exp(log_g)
-    return out if isinstance(z, np.ndarray) else float(out)
+    return _scalar_or_array(out)
 
 
 def boundary_exponents(p: KineticParams):

@@ -10,6 +10,11 @@ from opinion_kinetics import (
     random_smooth_density,
     uniform_density,
 )
+from opinion_kinetics.grid import (
+    _trig_basis,
+    random_grid_functions,
+    random_smooth_densities,
+)
 
 
 def test_build_grid_examples():
@@ -73,6 +78,42 @@ def test_random_density_positive_normalized():
         f = random_smooth_density(g, rng)
         assert np.all(f.values > 0.0)
         assert abs(f.mass() - 1.0) <= 1e-12
+
+
+def _trig_series_loop(out, y, coef):
+    """The trig series with cos and sin evaluated afresh for every k."""
+    for k in range(1, coef.shape[1] + 1):
+        arg = 0.5 * np.pi * k * y
+        out += coef[:, k - 1, 0:1] * np.cos(arg) + coef[:, k - 1, 1:2] * np.sin(arg)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 400])
+@pytest.mark.parametrize("degree", [1, 4, 7])
+def test_random_stacks_equal_per_k_trig_loop(n, degree):
+    g = build_grid(n)
+    rows, ks = 25, np.arange(1, degree + 1)[:, None]
+
+    rng = np.random.default_rng(7)
+    coef = rng.normal(size=(rows, degree, 2)) * 0.6 / ks
+    want = np.exp(_trig_series_loop(np.zeros((rows, n)), g.centers, coef))
+    want /= want.sum(axis=-1, keepdims=True) * g.cell_width
+    got = random_smooth_densities(g, np.random.default_rng(7), rows, degree)
+    assert np.array_equal(got, want)
+
+    draws = np.random.default_rng(8).normal(size=(rows, 1 + 2 * degree))
+    coef = draws[:, 1:].reshape(rows, degree, 2) / ks
+    want = _trig_series_loop(np.repeat(draws[:, :1], n, axis=1), g.centers, coef)
+    got = random_grid_functions(g, np.random.default_rng(8), rows, degree)
+    assert np.array_equal(got, want)
+
+
+def test_trig_basis_is_read_only():
+    cos, sin = _trig_basis(build_grid(400), 4)
+    assert cos.shape == sin.shape == (4, 400)
+    for a in (cos, sin):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
 
 
 def test_grid_mismatch_raises():

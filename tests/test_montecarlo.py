@@ -230,6 +230,16 @@ def test_moments_examples():
     assert moments(e2.opinions) == (0.0, 2.0)
 
 
+def test_moments_match_numpy_var_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 1000, 100_001):
+        x = rng.uniform(-1.0, 1.0, n)
+        scratch = np.empty(n)
+        want = (float(x.mean()), float(x.var(ddof=1)))
+        assert moments(x) == want
+        assert moments(x, scratch) == want
+
+
 def test_quasi_invariant_time_mapping():
     ip = InteractionParams(gamma=0.5, sigma2=0.25, epsilon=0.01)
     assert sweeps_for_time(ip, 2.0) == 400

@@ -13,7 +13,7 @@ from opinion_kinetics import (
     runners,
     uniform_ls_slack,
 )
-from opinion_kinetics.config import McConfig, parse_config_text
+from opinion_kinetics.config import ConfigError, McConfig, parse_config_text
 from opinion_kinetics.runners import run_sweep, verify_ls, write_csv
 
 
@@ -74,3 +74,8 @@ def test_verify_ls_rows_equal_scalar_loop(seed):
     got = [(r["min_ls_slack"], r["min_uniform_slack"]) for r in report.rows]
     assert np.array_equal(got, _scalar_battery(points, 400, 37, seed), equal_nan=True)
     assert math.isfinite(got[1][1])
+
+
+def test_verify_ls_rejects_empty_points():
+    with pytest.raises(ConfigError, match="at least one"):
+        verify_ls(points=[], n=16, n_samples=1)

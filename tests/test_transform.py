@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,8 @@ from opinion_kinetics import (
     pushforward_density,
     uniform_density,
 )
+
+from opinion_kinetics.runners import default_ls_grid
 
 from oracles import centered_difference
 
@@ -87,6 +93,55 @@ def test_potential_scalar_and_array_calls_agree():
         assert isinstance(fn(p, 0.2), float)
         assert fn(p, 0.2) == fn(p, zs)[1]
     assert minimize_potential_second(p)[1] == pytest.approx(bakry_emery_rho(p), abs=1e-10)
+
+
+_POINTWISE = {
+    "potential_prime": lambda z: potential_prime(KineticParams(0.6, 0.1), z),
+    "potential_second": lambda z: potential_second(KineticParams(0.6, 0.1), z),
+    "angular_equilibrium": lambda z: angular_equilibrium(KineticParams(0.6, 0.1), z),
+    "angular_equilibrium_explicit":
+        lambda z: angular_equilibrium_explicit(KineticParams(0.6, 0.1), z),
+    "log_value": BetaEquilibrium.from_params(KineticParams(0.6, 0.1)).log_value,
+    "value": BetaEquilibrium.from_params(KineticParams(0.6, 0.1)).value,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_POINTWISE))
+def test_pointwise_0d_input_gives_float_else_array(name):
+    fn = _POINTWISE[name]
+    for z in (0.1, np.float64(0.1), np.array(0.1)):
+        assert type(fn(z)) is float
+        assert fn(z) == fn(0.1)
+    for z, want in (([0.1, 0.2], [fn(0.1), fn(0.2)]), ([0.1], [fn(0.1)]),
+                    (np.array([[0.1], [0.2]]), [[fn(0.1)], [fn(0.2)]])):
+        got = fn(z)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, want)
+
+
+def _golden_section_on_public_second(p, tol=1e-12):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = -math.pi / 2 + 1e-6, math.pi / 2 - 1e-6
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = potential_second(p, c), potential_second(p, d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = potential_second(p, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = potential_second(p, d)
+    z_bar = 0.5 * (a + b)
+    return z_bar, potential_second(p, z_bar)
+
+
+def test_minimize_equals_golden_section_on_public_potential_second():
+    for lam, m in default_ls_grid():
+        p = KineticParams(lam, m)
+        assert minimize_potential_second(p) == _golden_section_on_public_second(p)
 
 
 def test_convexity_on_admissible_grid():
@@ -181,3 +236,13 @@ def test_roundtrip_and_mass():
     back2 = pullback_density(ang2, bim.grid)
     assert np.abs(back2.values - bim.values).sum() * bim.grid.cell_width <= 2e-6
     assert abs(ang2.mass() - 1.0) <= 1e-5
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the transports import it on first use; the package import must not
+    code = "import sys, opinion_kinetics; print('scipy.interpolate' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
