@@ -180,14 +180,29 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, as numpy's generators take it."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _lambdas(text: str) -> tuple:
+    """--lambdas: one or more values; an empty list does not mean the defaults."""
+    lams = lambda_list(text)
+    if not lams:
+        raise argparse.ArgumentTypeError(f"must hold at least one value, got {text!r}")
+    return lams
+
+
 _FLAGS = {
     "--config": dict(type=Path, help="key = value config file"),
     "--out": dict(type=Path, help="output directory"),
     "--n": dict(type=int, help="number of grid cells"),
     "--dt": dict(type=float, help="time step"),
     "--t-end": dict(type=float, help="final time"),
-    "--seed": dict(type=int, help="random seed override"),
-    "--lambdas": dict(type=lambda_list, help="comma-separated lambda values"),
+    "--seed": dict(type=_seed, help="random seed override (>= 0)"),
+    "--lambdas": dict(type=_lambdas, help="comma-separated lambda values"),
     "--samples": dict(type=int, default=200, help="random densities per point"),
 }
 

@@ -208,6 +208,8 @@ def _validate(cfg: ExperimentConfig):
     mc = cfg.mc
     if mc is None:
         return
+    if mc.seed < 0:
+        raise ConfigError(f"field 'mc.seed': must be >= 0, got {mc.seed}")
     if mc.n_agents < 2 or mc.n_agents % 2 != 0:
         raise ConfigError(f"field 'mc.n': must be a positive even integer, got {mc.n_agents}")
     _check("mc.gamma", InteractionParams.from_kinetic, p, mc.gamma, 1.0)

@@ -13,6 +13,10 @@ callers call on a (rows, n) stack in a single pass: ls_slack_rows for the
 log-Sobolev battery and solver.solve for the sampled rows of each block.
 Row i of a stack gives bit for bit what the one-row call gives for row i.
 entropy_gap and uniform_ls_slack take a stack as well as one row.
+
+xlogy is scipy.special's own ufunc, loaded from its extension file by
+_scipy: importing scipy.special would load scipy's array-API layer, the
+larger part of the package's import time.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
+from ._scipy import xlogy
 from .equilibrium import BetaEquilibrium
 from .grid import DensityField, Grid, GridMismatchError, check_density_values, require_same_grid
 from .params import KineticParams, log_sobolev_constant

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  (load it with the package, not lazily inside a run)
 
 from .grid import DensityField, Grid
 from .params import KineticParams

@@ -219,11 +219,13 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
         raise ConfigError(
             f"field 'm': the Monte Carlo keeps the mean of the initial law, "
             f"{v0.mean()!r}, so m must equal it, got {p.m!r}")
+    mc_cfg = cfg.mc
+    use_seed = mc_cfg.seed if seed is None else seed
+    if use_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {use_seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mc_cfg = cfg.mc
     ip = InteractionParams.from_kinetic(p, gamma=mc_cfg.gamma, epsilon=mc_cfg.epsilon)
-    use_seed = mc_cfg.seed if seed is None else seed
 
     if cfg.initial in ("bimodal", "uniform"):
         ens = initial_ensemble(mc_cfg.n_agents, use_seed, cfg.initial, cfg.bimodal_width)
@@ -309,8 +311,14 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
 
 def default_ls_grid(lambdas=None):
     """Admissible (lambda, m) points: per lambda, m = 0 and +-fractions of
-    the admissibility margin 1 - lambda/2."""
-    lams = tuple(lambdas) if lambdas else tuple(np.round(np.arange(0.2, 1.81, 0.2), 10))
+    the admissibility margin 1 - lambda/2.  lambdas=None takes nine lambdas
+    from 0.2 to 1.8; an empty sequence is an error, not the default."""
+    if lambdas is None:
+        lams = tuple(np.round(np.arange(0.2, 1.81, 0.2), 10))
+    else:
+        lams = tuple(lambdas)
+        if not lams:
+            raise ConfigError("lambdas must hold at least one value")
     points = []
     for lv in lams:
         c = 1.0 - lv / 2.0
@@ -347,6 +355,8 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     in, so the report is the same as one scalar call per density."""
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     pts = default_ls_grid() if points is None else list(points)
     if not pts:
         raise ConfigError("points must hold at least one (lambda, m) pair")

@@ -17,7 +17,9 @@ rows.  solve scores each block once: the per-step checks (finiteness,
 nonnegativity, mass drift, entropy monotonicity) over every row, and the
 sampled rows as one (rows, n) stack through the last-axis kernels of the
 functionals module, the same kernels its one-row functionals use.  Every
-step is still checked.
+step is still checked.  dgttrf and dgttrs are scipy's LAPACK wrappers,
+loaded from their extension file by _scipy, since importing scipy.linalg
+would load scipy's array-API layer.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from ._scipy import dgttrf, dgttrs
 from .config import whole_steps
 from .functionals import _l1_distance, _weighted_fisher, _weighted_l2, entropy_gap
 from .grid import DensityField, Grid, _mean

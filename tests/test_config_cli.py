@@ -4,7 +4,7 @@ import pytest
 from opinion_kinetics import ConfigError, parse_config
 from opinion_kinetics.cli import main
 from opinion_kinetics.config import parse_config_text
-from opinion_kinetics.runners import run_solve
+from opinion_kinetics.runners import default_ls_grid, run_mc, run_solve, verify_ls
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -162,6 +162,42 @@ def test_cli_verify_ls_rejects_empty_battery_sizes(flags, message, capsys, tmp_p
     assert not (tmp_path / "ls_report.csv").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["verify-ls", "--lambdas", ""], "--lambdas", id="verify_ls_lambdas_empty"),
+    pytest.param(["verify-ls", "--lambdas", ","], "--lambdas", id="verify_ls_lambdas_comma"),
+    pytest.param(["sweep", "--lambdas", ""], "--lambdas", id="sweep_lambdas_empty"),
+    pytest.param(["verify-ls", "--seed", "-1"], "--seed", id="verify_ls_seed_negative"),
+    pytest.param(["mc", "--seed", "-1"], "--seed", id="mc_seed_negative"),
+])
+def test_cli_rejects_an_empty_lambda_list_or_a_negative_seed(argv, flag, capsys, tmp_path):
+    # an empty list given on purpose is not the default battery, and numpy's
+    # generators take no negative seed
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\nsweep_lambdas = 0.5\nmc.n = 100\n", encoding="utf-8")
+    config = [] if argv[0] == "verify-ls" else ["--config", str(cfg)]
+    code = main(argv + config + ["--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"argument {flag}: " in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def test_runners_reject_a_negative_seed_before_any_output(tmp_path):
+    cfg = parse_config_text("lambda = 0.5\nm = 0\nmc.n = 100\n")
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        run_mc(cfg, tmp_path / "o", seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        verify_ls(points=[(0.5, 0.0)], n=8, n_samples=1, seed=-1, out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
+def test_default_ls_grid_rejects_an_empty_lambda_list():
+    with pytest.raises(ConfigError, match="lambdas"):
+        default_ls_grid(())
+    assert len(default_ls_grid()) == 45
+
+
 def test_cli_mc_failing_budget_exits_3(tmp_path):
     # deliberately tiny ensemble: statistical error must blow the L1 budget
     cfg = tmp_path / "exp.cfg"
@@ -243,6 +279,7 @@ def test_cli_fit_header_only_csv_exits_1(tmp_path, capsys):
                  id="flag_dt_not_dividing_mc_sample_time"),
     pytest.param("mc", "mc.n = 100\nmc.epsilon = 0.03\n", [], "mc.t_end",
                  id="file_mc_sample_time_not_whole_sweeps"),
+    pytest.param("mc", "mc.n = 100\nmc.seed = -1\n", [], "mc.seed", id="file_mc_seed_negative"),
 ])
 def test_cli_bad_setting_exits_1_naming_the_field(command, lines, flags, field,
                                                    capsys, tmp_path):
