@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DensityField, Grid, bimodal_density, uniform_density
+from .grid import BIMODAL_WIDTH, DensityField, Grid, bimodal_density, uniform_density
 from .montecarlo import InteractionParams
 from .params import KineticParams
 
@@ -46,7 +46,7 @@ class ExperimentConfig:
     t_end: float = 10.0
     sample_every: int = 10
     initial: str = "bimodal"
-    bimodal_width: float = 0.15
+    bimodal_width: float = BIMODAL_WIDTH
     out: str = "."
     sweep_lambdas: tuple = ()
     mc: McConfig | None = None
@@ -61,11 +61,12 @@ class ExperimentConfig:
         return build_initial_density(self.initial, self.grid(), self.bimodal_width)
 
 
-def build_initial_density(spec: str, grid: Grid, width: float = 0.15) -> DensityField:
+def build_initial_density(spec: str, grid: Grid, width: float) -> DensityField:
     """Materialize a named initial condition on a grid, normalized to unit mass.
 
-    Presets: "bimodal" (Gaussian mixture at +-1/2, truncated, renormalized),
-    "uniform", and "file:<path>" with one nonnegative value per cell.
+    Presets: "bimodal" (Gaussian mixture at +-1/2 of standard deviation
+    width, truncated, renormalized), "uniform", and "file:<path>" with one
+    nonnegative value per cell.
     """
     if spec == "bimodal":
         return bimodal_density(grid, width)

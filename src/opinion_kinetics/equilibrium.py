@@ -76,17 +76,12 @@ class BetaEquilibrium:
         """Pointwise density v(y), |y| < 1."""
         return _scalar_or_array(np.exp(self.log_value(y)))
 
-    def on_grid(self, grid: Grid, renormalize: bool = True) -> DensityField:
-        """Center-sampled equilibrium as a DensityField.
-
-        With renormalize=True (the default) the samples are rescaled to unit
+    def on_grid(self, grid: Grid) -> DensityField:
+        """Center-sampled equilibrium as a DensityField, rescaled to unit
         discrete mass, which keeps the discrete entropy functionals
-        nonnegative by Jensen's inequality.
-        """
+        nonnegative by Jensen's inequality."""
         v = self.value(grid.centers)
-        if renormalize:
-            v = v / (v.sum() * grid.cell_width)
-        return DensityField(grid, v)
+        return DensityField(grid, v / (v.sum() * grid.cell_width))
 
     def mean(self) -> float:
         """First moment; equals m for every admissible pair."""

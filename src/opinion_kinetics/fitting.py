@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_POINTS = 10  # the fewest samples a fit window may hold
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -16,12 +18,13 @@ class DecayFit:
     window: tuple
 
 
-def fit_decay_rate(times, values, window=None, min_points: int = 10) -> DecayFit:
+def fit_decay_rate(times, values, window=None) -> DecayFit:
     """Least-squares line through (t, log value) inside the window.
 
     Returns the fitted slope (the decay exponent), intercept, and r^2.
-    values must be strictly positive inside the window; a perfectly flat
-    series fits with slope 0 and r^2 = 1.
+    The window must hold at least MIN_POINTS samples, and values must be
+    strictly positive inside it; a perfectly flat series fits with slope 0
+    and r^2 = 1.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -36,9 +39,9 @@ def fit_decay_rate(times, values, window=None, min_points: int = 10) -> DecayFit
             raise ValueError(f"degenerate fit window [{t0}, {t1}]")
         sel = (t >= t0) & (t <= t1)
         window = (t0, t1)
-    if int(sel.sum()) < min_points:
+    if int(sel.sum()) < MIN_POINTS:
         raise ValueError(
-            f"need at least {min_points} samples in the window, got {int(sel.sum())}"
+            f"need at least {MIN_POINTS} samples in the window, got {int(sel.sum())}"
         )
     tw, vw = t[sel], v[sel]
     if np.any(vw <= 0.0):

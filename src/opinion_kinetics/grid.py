@@ -7,6 +7,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+# Standard deviation of each Gaussian bump of the bimodal initial law.
+BIMODAL_WIDTH = 0.15
+# Highest wavenumber k of the random trig series (cos and sin of pi k y / 2).
+TRIG_DEGREE = 4
+
 
 class GridMismatchError(ValueError):
     """Raised when two fields that must share a grid do not."""
@@ -132,7 +137,7 @@ def uniform_density(grid: Grid) -> DensityField:
     return DensityField(grid, np.full(grid.n_cells, 0.5))
 
 
-def bimodal_density(grid: Grid, width: float = 0.15) -> DensityField:
+def bimodal_density(grid: Grid, width: float = BIMODAL_WIDTH) -> DensityField:
     """Equal-weight Gaussian mixture at +-1/2, truncated to (-1,1), renormalized.
 
     The standard initial condition for the decay experiments.  Values are
@@ -148,13 +153,13 @@ def bimodal_density(grid: Grid, width: float = 0.15) -> DensityField:
 
 
 @lru_cache(maxsize=8)
-def _trig_basis(grid: Grid, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (degree, n) arrays: row k-1 holds cos and sin of pi k y / 2
-    at the cell centers y, for k = 1..degree."""
+def _trig_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (TRIG_DEGREE, n) arrays: row k-1 holds cos and sin of
+    pi k y / 2 at the cell centers y, for k = 1..TRIG_DEGREE."""
     y = grid.centers
-    cos = np.empty((degree, grid.n_cells))
-    sin = np.empty((degree, grid.n_cells))
-    for k in range(1, degree + 1):
+    cos = np.empty((TRIG_DEGREE, grid.n_cells))
+    sin = np.empty((TRIG_DEGREE, grid.n_cells))
+    for k in range(1, TRIG_DEGREE + 1):
         arg = 0.5 * np.pi * k * y
         cos[k - 1] = np.cos(arg)
         sin[k - 1] = np.sin(arg)
@@ -166,59 +171,56 @@ def _trig_basis(grid: Grid, degree: int) -> tuple[np.ndarray, np.ndarray]:
 def _add_trig_series(out: np.ndarray, grid: Grid, coef: np.ndarray) -> np.ndarray:
     """out += sum_k a_k cos(pi k y / 2) + b_k sin(pi k y / 2), row by row.
 
-    coef has shape (rows, degree, 2) holding (a_k, b_k); out has shape
+    coef has shape (rows, TRIG_DEGREE, 2) holding (a_k, b_k); out has shape
     (rows, n).  Terms are added in order of k, each as (a cos + b sin), so
     every row rounds as a one-row loop would.  One k at a time: a
     broadcast over all k at once measured slower at 25 rows of 400 cells.
     """
-    cos, sin = _trig_basis(grid, coef.shape[1])
-    for k in range(coef.shape[1]):
+    cos, sin = _trig_basis(grid)
+    for k in range(TRIG_DEGREE):
         term = coef[:, k, 0:1] * cos[k]
         term += coef[:, k, 1:2] * sin[k]
         out += term
     return out
 
 
-def random_smooth_densities(grid: Grid, rng: np.random.Generator, rows: int,
-                            degree: int = 4, amplitude: float = 0.6) -> np.ndarray:
+def random_smooth_densities(grid: Grid, rng: np.random.Generator, rows: int) -> np.ndarray:
     """(rows, n) stack of strictly positive smooth random densities.
 
-    Each row is exp of a trig series of the given degree, normalized to
+    Each row is exp of a trig series of degree TRIG_DEGREE, normalized to
     unit discrete mass.  The coefficients are drawn as one block in row
     order, so row i equals the values of the i-th of `rows` successive
     random_smooth_density calls on the same generator.
     """
-    coef = rng.normal(size=(rows, degree, 2)) * amplitude / np.arange(1, degree + 1)[:, None]
+    k = np.arange(1, TRIG_DEGREE + 1)[:, None]
+    coef = rng.normal(size=(rows, TRIG_DEGREE, 2)) * 0.6 / k
     v = np.exp(_add_trig_series(np.zeros((rows, grid.n_cells)), grid, coef))
     v /= v.sum(axis=-1, keepdims=True) * grid.cell_width
     return v
 
 
-def random_smooth_density(grid: Grid, rng: np.random.Generator, degree: int = 4,
-                          amplitude: float = 0.6) -> DensityField:
+def random_smooth_density(grid: Grid, rng: np.random.Generator) -> DensityField:
     """Strictly positive smooth random density: exp of a low-order trig series.
 
     Used by the inequality property batteries; smoothness keeps the
     discretization error of the functionals at second order.
     """
-    return DensityField(grid, random_smooth_densities(grid, rng, 1, degree, amplitude)[0])
+    return DensityField(grid, random_smooth_densities(grid, rng, 1)[0])
 
 
-def random_grid_functions(grid: Grid, rng: np.random.Generator, rows: int,
-                          degree: int = 4, amplitude: float = 1.0) -> np.ndarray:
+def random_grid_functions(grid: Grid, rng: np.random.Generator, rows: int) -> np.ndarray:
     """(rows, n) stack of sign-changing smooth random functions.
 
     Row i equals the i-th of `rows` successive random_grid_function calls
-    on the same generator: per row, a constant term then degree (cos, sin)
-    coefficient pairs, drawn as one block in row order.
+    on the same generator: per row, a constant term then TRIG_DEGREE
+    (cos, sin) coefficient pairs, drawn as one block in row order.
     """
-    draws = rng.normal(size=(rows, 1 + 2 * degree))
-    coef = draws[:, 1:].reshape(rows, degree, 2) * amplitude / np.arange(1, degree + 1)[:, None]
-    w = np.repeat(draws[:, :1] * amplitude, grid.n_cells, axis=1)
+    draws = rng.normal(size=(rows, 1 + 2 * TRIG_DEGREE))
+    coef = draws[:, 1:].reshape(rows, TRIG_DEGREE, 2) / np.arange(1, TRIG_DEGREE + 1)[:, None]
+    w = np.repeat(draws[:, :1], grid.n_cells, axis=1)
     return _add_trig_series(w, grid, coef)
 
 
-def random_grid_function(grid: Grid, rng: np.random.Generator, degree: int = 4,
-                         amplitude: float = 1.0) -> np.ndarray:
+def random_grid_function(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Sign-changing smooth random function for the L2 form of the inequality."""
-    return random_grid_functions(grid, rng, 1, degree, amplitude)[0]
+    return random_grid_functions(grid, rng, 1)[0]

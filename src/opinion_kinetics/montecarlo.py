@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401  (load it with the package, not lazily inside a run)
 
-from .grid import DensityField, Grid
+from .grid import BIMODAL_WIDTH, DensityField, Grid
 from .params import KineticParams
 
 
@@ -54,8 +54,8 @@ class InteractionParams:
         return self.sigma2 / self.gamma
 
     @classmethod
-    def from_kinetic(cls, p: KineticParams, gamma: float = 0.5,
-                     epsilon: float = 0.01) -> "InteractionParams":
+    def from_kinetic(cls, p: KineticParams, gamma: float,
+                     epsilon: float) -> "InteractionParams":
         """Microscopic parameters matching a macroscopic pair (lam, m)."""
         return cls(gamma=gamma, sigma2=p.lam * gamma, epsilon=epsilon)
 
@@ -71,7 +71,6 @@ class Ensemble:
 
     opinions: np.ndarray = field(repr=False)
     rng: np.random.Generator = field(repr=False, compare=False)
-    rng_seed: int
     attempted_pairs: int = 0
     rejected_pairs: int = 0
 
@@ -102,7 +101,7 @@ def _check_range(x: np.ndarray, scratch: np.ndarray | None = None) -> None:
 
 
 def initial_ensemble(n: int, seed: int, kind: str = "bimodal",
-                     width: float = 0.15) -> Ensemble:
+                     width: float = BIMODAL_WIDTH) -> Ensemble:
     """Seeded ensemble from a named initial law ("bimodal" or "uniform")."""
     rng = np.random.default_rng(seed)
     if kind == "uniform":
@@ -118,7 +117,7 @@ def initial_ensemble(n: int, seed: int, kind: str = "bimodal",
             out = np.abs(x) > 1.0
     else:
         raise ValueError(f"unknown initial ensemble kind {kind!r}")
-    return Ensemble(opinions=x, rng=rng, rng_seed=seed)
+    return Ensemble(opinions=x, rng=rng)
 
 
 def sample_from_density(f: DensityField, n: int, seed: int) -> Ensemble:
@@ -128,28 +127,27 @@ def sample_from_density(f: DensityField, n: int, seed: int) -> Ensemble:
     cells = rng.choice(f.grid.n_cells, size=n, p=p)
     lo = f.grid.edges[cells]
     x = lo + rng.uniform(0.0, f.grid.cell_width, n)
-    return Ensemble(opinions=np.clip(x, -1.0, 1.0), rng=rng, rng_seed=seed)
+    return Ensemble(opinions=np.clip(x, -1.0, 1.0), rng=rng)
 
 
-def sample_noise(rng: np.random.Generator, sigma2_scaled: float, size=None, out=None):
-    """Zero-mean noise of variance sigma2_scaled, uniform on a bounded support.
+def sample_noise(rng: np.random.Generator, sigma2_scaled: float, out: np.ndarray) -> np.ndarray:
+    """Fill out with zero-mean noise of variance sigma2_scaled, uniform on a
+    bounded support, and return it.
 
     The law is uniform on [-sqrt(3 s2), sqrt(3 s2)]; bounded support keeps
-    boundary rejections rare, which an unbounded law would not.  Returns a
-    float when neither size nor out is given; with out, the draws fill out
-    in place.  The draws equal rng.uniform's bit for bit.
+    boundary rejections rare, which an unbounded law would not.  The draws
+    equal rng.uniform's bit for bit.
     """
     if sigma2_scaled < 0.0:
         raise ValueError("noise variance must be nonnegative")
     half = math.sqrt(3.0 * sigma2_scaled)
-    draws = np.empty(1 if size is None else size) if out is None else out
     if half == 0.0:
-        draws.fill(0.0)
+        out.fill(0.0)
     else:
-        rng.random(out=draws)
-        draws *= 2.0 * half
-        draws -= half
-    return float(draws[0]) if size is None and out is None else draws
+        rng.random(out=out)
+        out *= 2.0 * half
+        out -= half
+    return out
 
 
 def _interact(x, xs, g_s, eta, eta_s, out=None):
@@ -234,10 +232,11 @@ def sweeps_for_time(p: InteractionParams, t_fp: float) -> int:
     return max(0, int(round(t_fp / (p.epsilon * p.gamma))))
 
 
-def histogram(e: Ensemble, grid: Grid) -> DensityField:
-    """Cell counts / (N dy); unit discrete mass by construction."""
-    counts, _ = np.histogram(e.opinions, bins=grid.edges)
-    return DensityField(grid, counts / (e.size * grid.cell_width))
+def histogram(x: np.ndarray, grid: Grid) -> DensityField:
+    """Cell counts of the opinions x over N = x.size, divided by dy: unit
+    discrete mass when every opinion lies in [-1, 1]."""
+    counts, _ = np.histogram(x, bins=grid.edges)
+    return DensityField(grid, counts / (x.size * grid.cell_width))
 
 
 def moments(x: np.ndarray, scratch: np.ndarray | None = None):

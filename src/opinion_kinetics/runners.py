@@ -12,7 +12,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .equilibrium import BetaEquilibrium
-from .fitting import DecayFit, fit_decay_rate
+from .fitting import MIN_POINTS, DecayFit, fit_decay_rate
 from .functionals import l1_distance, ls_slack_rows, uniform_ls_slack
 from .grid import DensityField, Grid, random_grid_functions, random_smooth_densities
 from .montecarlo import (
@@ -76,7 +76,7 @@ class DecayReport:
         return out
 
 
-_NOT_FITTED = "not fitted (needs at least 10 samples in the window, all positive)"
+_NOT_FITTED = f"not fitted (needs at least {MIN_POINTS} samples in the window, all positive)"
 
 
 def _safe_fit(times, values, window) -> DecayFit | None:
@@ -86,12 +86,11 @@ def _safe_fit(times, values, window) -> DecayFit | None:
         return None
 
 
-def build_decay_report(traj: Trajectory, fit_window=None) -> DecayReport:
-    """Fit log H and log ||.||* over the (default: second) half of the run."""
+def build_decay_report(traj: Trajectory) -> DecayReport:
+    """Fit log H and log ||.||* over the second half of the run."""
     p = traj.params
     t = traj.times
-    if fit_window is None:
-        fit_window = (0.5 * float(t[-1]), float(t[-1]))
+    fit_window = (0.5 * float(t[-1]), float(t[-1]))
     admissible = classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
     k = log_sobolev_constant(p) if admissible else None
     rho = bakry_emery_rho(p) if admissible else None
@@ -236,55 +235,47 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
     t_samples = mc_cfg.sample_times
     # Fokker-Planck reference densities at the sample times (whole dt steps)
     fp_state = make_solver_state(p, v0, cfg.dt)
-    fp_step = {t: int(round(t / cfg.dt)) for t in t_samples}
-    fp = {0: fp_state.density}
-    for steps, _, values, _ in march(fp_state, max(fp_step.values())):
+    time_of_step = {int(round(t / cfg.dt)): t for t in t_samples}
+    fp = {}
+    for steps, _, values, _ in march(fp_state, max(time_of_step)):
         for i, k in enumerate(steps):
-            if k in fp_step.values():
-                fp[k] = DensityField(fp_state.density.grid, values[i])
+            if k in time_of_step:
+                fp[time_of_step[k]] = DensityField(fp_state.density.grid, values[i])
 
     total_sweeps = sweeps_for_time(ip, mc_cfg.t_end)
     sweep_of_sample = {sweeps_for_time(ip, t): t for t in t_samples}
     half = ens.size // 2
-    rejected = 0
-    t_axis, mean_col, var_col = [], [], []
-    att_col, rej_col = [], []
-    hist_cols, fp_cols, l1_rows = {}, {}, []
+    # row k: the state after sweep k = 0..total_sweeps
+    sweeps = np.arange(total_sweeps + 1)
+    mean_col, var_col = np.empty(total_sweeps + 1), np.empty(total_sweeps + 1)
+    rej_col = np.zeros(total_sweeps + 1)  # pairs rejected up to sweep k
+    header, cols, l1_rows = ["y"], [hist_grid.centers], []
     scratch = np.empty(ens.size)
-
-    def record_moments(k, x):
-        mean, var = moments(x, scratch)
-        t_axis.append(k * ip.epsilon * ip.gamma)
-        mean_col.append(mean)
-        var_col.append(var)
-        att_col.append(float(k * half))
-        rej_col.append(float(rejected))
-
-    record_moments(0, ens.opinions)
+    x = ens.opinions  # the state after sweep 0, kept when there are no sweeps
+    mean_col[0], var_col[0] = moments(x, scratch)
+    rejected = 0
     for k, x, rejected_k in mc_sweeps(ens, ip, total_sweeps):
         rejected += rejected_k
-        record_moments(k, x)
+        rej_col[k] = rejected
+        mean_col[k], var_col[k] = moments(x, scratch)
         if k in sweep_of_sample:
             t = sweep_of_sample[k]
-            ens = Ensemble(x.copy(), ens.rng, ens.rng_seed,
-                           attempted_pairs=k * half, rejected_pairs=rejected)
-            hist = montecarlo.histogram(ens, hist_grid)
-            ref = coarsen_density(fp[fp_step[t]], hist_grid)
-            hist_cols[t] = hist.values
-            fp_cols[t] = ref.values
+            hist = montecarlo.histogram(x, hist_grid)
+            ref = coarsen_density(fp[t], hist_grid)
+            header += [f"hist_t{t:g}", f"fp_t{t:g}"]
+            cols += [hist.values, ref.values]
             l1_rows.append((t, l1_distance(hist, ref)))
+    # the buffer of the finished sweeps; the Ensemble checks its range
+    ens = Ensemble(x, ens.rng, attempted_pairs=total_sweeps * half, rejected_pairs=rejected)
 
+    t_axis = sweeps * ip.epsilon * ip.gamma
+    att_col = sweeps * half
     write_csv(out / "moments.csv", ["t_fp", "mean", "variance"],
               [t_axis, mean_col, var_col])
-    rej_frac = [r / a if a else 0.0 for r, a in zip(rej_col, att_col)]
+    rej_frac = np.divide(rej_col, att_col, out=np.zeros(total_sweeps + 1), where=att_col > 0)
     write_csv(out / "rejection_stats.csv",
               ["t_fp", "attempted_pairs", "rejected_pairs", "rejection_fraction"],
               [t_axis, att_col, rej_col, rej_frac])
-    header = ["y"]
-    cols = [hist_grid.centers]
-    for t in sorted(hist_cols):
-        header += [f"hist_t{t:g}", f"fp_t{t:g}"]
-        cols += [hist_cols[t], fp_cols[t]]
     write_csv(out / "mc_hist.csv", header, cols)
     write_csv(out / "mc_vs_fp.csv", ["t_fp", "l1_distance"],
               [[r[0] for r in l1_rows], [r[1] for r in l1_rows]])

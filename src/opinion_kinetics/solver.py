@@ -61,44 +61,35 @@ def chang_cooper_delta(w):
 
 @dataclass(frozen=True)
 class FluxCoefficients:
-    """Per-interface drift/diffusion data and the assembled operator bands.
+    """The assembled bands of the flux-divergence operator A.
 
-    drift, diffusion and delta live on the n-1 interior interfaces; the two
-    boundary interfaces carry no entries because their flux is hard zero.
-    upper/lower are the off-diagonal rates of the flux-divergence operator A
-    (dv_i/dt = (F_{i+1/2} - F_{i-1/2})/dy); the diagonal is -(lower + upper)
-    shifted, so column sums vanish identically.
+    upper/lower are its off-diagonal rates (dv_i/dt = (F_{i+1/2} -
+    F_{i-1/2})/dy), one per interior interface; the two boundary interfaces
+    carry no entries because their flux is hard zero.  The diagonal is
+    -(lower + upper) shifted, so column sums vanish identically.
     """
 
-    grid: Grid
-    params: KineticParams
-    drift: np.ndarray = field(repr=False)       # B at interior interfaces
-    diffusion: np.ndarray = field(repr=False)   # D at interior interfaces
-    delta: np.ndarray = field(repr=False)
     upper: np.ndarray = field(repr=False)       # A[i, i+1], i = 0..n-2
     lower: np.ndarray = field(repr=False)       # A[i+1, i], i = 0..n-2
     diag: np.ndarray = field(repr=False)        # A[i, i]
 
 
 def assemble_coefficients(p: KineticParams, grid: Grid) -> FluxCoefficients:
-    """Drift, diffusion and Chang-Cooper weights for the interior interfaces."""
+    """The bands of A from the drift B, the diffusion D and the Chang-Cooper
+    weights at the interior interfaces."""
     y = grid.interior_interfaces
     dy = grid.cell_width
     drift = (1.0 - p.lam) * y - p.m
     diffusion = 0.5 * p.lam * (1.0 - y * y)
-    w = dy * drift / diffusion
-    delta = chang_cooper_delta(w)
-
+    delta = chang_cooper_delta(dy * drift / diffusion)
     d_over = diffusion / dy
-    cu = drift * (1.0 - delta) + d_over       # coefficient of v_{i+1} in F_{i+1/2}
-    mm = d_over - drift * delta               # minus the coefficient of v_i
-    upper = cu / dy
-    lower = mm / dy
-    n = grid.n_cells
-    diag = np.zeros(n)
+    # the coefficient of v_{i+1} in F_{i+1/2}, and minus that of v_i, over dy
+    upper = (drift * (1.0 - delta) + d_over) / dy
+    lower = (d_over - drift * delta) / dy
+    diag = np.zeros(grid.n_cells)
     diag[:-1] -= lower
     diag[1:] -= upper
-    return FluxCoefficients(grid, p, drift, diffusion, delta, upper, lower, diag)
+    return FluxCoefficients(upper, lower, diag)
 
 
 def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
@@ -197,7 +188,6 @@ class Trajectory:
     """
 
     params: KineticParams
-    grid: Grid
     times: np.ndarray
     entropy: np.ndarray
     fisher: np.ndarray
@@ -266,7 +256,6 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     times, entropy, fisher, l1, wl2, mass, mean = (np.concatenate(c) for c in zip(*scored))
     return Trajectory(
         params=p,
-        grid=v0.grid,
         times=times,
         entropy=entropy,
         fisher=fisher,

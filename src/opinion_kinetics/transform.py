@@ -54,8 +54,9 @@ def potential_second(p: KineticParams, z):
     return _scalar_or_array(_second(p, np.sin(z_arr), np.cos(z_arr)))
 
 
-def minimize_potential_second(p: KineticParams, tol: float = 1e-12):
-    """Golden-section minimum of P'' over (-pi/2, pi/2): (z_bar, min value).
+def minimize_potential_second(p: KineticParams):
+    """Golden-section minimum of P'' over (-pi/2, pi/2): (z_bar, min value),
+    bracketed to a width of 1e-12.
 
     Requires the square-integrable-equilibrium regime; there P'' is
     unimodal (one interior sign change of its derivative), so golden
@@ -78,7 +79,7 @@ def minimize_potential_second(p: KineticParams, tol: float = 1e-12):
     d = a + invphi * (b - a)
     fc = f(c)
     fd = f(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -142,19 +143,19 @@ def _angular_grid(n: int) -> np.ndarray:
     return 0.5 * (z - z[::-1])
 
 
-def pushforward_density(f: DensityField, n_z: int | None = None) -> AngularDensity:
+def pushforward_density(f: DensityField) -> AngularDensity:
     """Transport a strictly positive y-density to the angular coordinate.
 
-    g(z) = f(sin z) cos z, with f interpolated between grids by a monotone
-    cubic through log f (positivity survives interpolation and the short
-    extrapolation beyond the outermost cell centers).
+    g(z) = f(sin z) cos z on an angular grid with as many cells as f's,
+    with f interpolated between grids by a monotone cubic through log f
+    (positivity survives interpolation and the short extrapolation beyond
+    the outermost cell centers).
     """
     # deferred: scipy.interpolate is slow to import and only the transports use it
     from scipy.interpolate import PchipInterpolator
     if np.any(f.values <= 0.0):
         raise PositivityError("pushforward needs a strictly positive density")
-    n_z = f.grid.n_cells if n_z is None else n_z
-    z = _angular_grid(n_z)
+    z = _angular_grid(f.grid.n_cells)
     log_f = PchipInterpolator(f.grid.centers, np.log(f.values), extrapolate=True)
     g = np.exp(log_f(np.sin(z)) + np.log(np.cos(z)))
     return AngularDensity(z=z, values=g)

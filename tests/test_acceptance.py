@@ -61,7 +61,7 @@ def _swept(e, ip, n_sweeps):
     """The ensemble after n_sweeps Monte Carlo sweeps from e."""
     for _, x, _ in mc_sweeps(e, ip, n_sweeps):
         pass
-    return Ensemble(opinions=x, rng=e.rng, rng_seed=e.rng_seed)
+    return Ensemble(opinions=x, rng=e.rng)
 
 
 # ---------------------------------------------------------------- fixtures
@@ -228,7 +228,7 @@ def test_criterion_7_micro_macro_consistency():
     ens = initial_ensemble(100_000, seed=42, kind="bimodal")
     hist_grid = build_grid(50)
     ens = _swept(ens, ip, sweeps_for_time(ip, 2.0))
-    hist = histogram(ens, hist_grid)
+    hist = histogram(ens.opinions, hist_grid)
     fine = build_grid(200)
     final = _last_row(make_solver_state(p, bimodal_density(fine), 1e-3), 2000)
     fp = DensityField(hist_grid, final.values.reshape(50, -1).mean(axis=1))
@@ -251,7 +251,7 @@ def test_criterion_7_micro_macro_consistency():
         ipg = InteractionParams(gamma=gamma, sigma2=p.lam * gamma, epsilon=0.01)
         e = initial_ensemble(100_000, seed=11, kind="bimodal")
         e = _swept(e, ipg, sweeps_for_time(ipg, 2.0))
-        hists.append(histogram(e, hist_grid))
+        hists.append(histogram(e.opinions, hist_grid))
     l1_invariance = l1_distance(hists[0], hists[1])
     budget = 2.0 * math.sqrt(2.0 * hist_grid.n_cells / 100_000)  # ~2x expected noise
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,50 @@ def test_cli_transform_check(tmp_path):
     cfg.write_text("lambda = 0.5\nm = 0.2\nn = 200\n", encoding="utf-8")
     assert main(["transform-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
     assert (tmp_path / "t" / "transform_report.txt").exists()
+
+
+def test_cli_transform_check_survives_underflow_at_small_lambda(tmp_path, capsys):
+    # lambda = 0.01: g = v(sin z) cos z underflows to 0 near +-pi/2, where
+    # its boundary exponent 2/lambda - 1 is 199
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.01\nm = 0\nn = 200\n", encoding="utf-8")
+    code = main(["transform-check", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "nan" not in captured.out and captured.err == ""
+    assert captured.out.count("fitted 198.99") == 2
+
+
+def test_max_relative_error_needs_exact_zeros_where_the_reference_is_zero():
+    from opinion_kinetics.cli import _max_relative_error
+    want = np.array([0.0, 2.0, 4.0])
+    assert _max_relative_error(np.array([0.0, 2.2, 4.0]), want) == pytest.approx(0.1)
+    assert _max_relative_error(np.array([1e-300, 2.0, 4.0]), want) == math.inf
+    assert _max_relative_error(np.zeros(2), np.zeros(2)) == 0.0
+
+
+def test_cli_verify_ls_defaults_are_verify_ls_defaults(tmp_path):
+    assert main(["verify-ls", "--out", str(tmp_path / "cli")]) == 0
+    verify_ls(out_dir=tmp_path / "lib")
+    assert ((tmp_path / "cli" / "ls_report.csv").read_bytes()
+            == (tmp_path / "lib" / "ls_report.csv").read_bytes())
+
+
+def test_run_mc_pair_counters_match_rejection_stats_and_summary(tmp_path):
+    cfg = parse_config_text(
+        "lambda = 0.5\nm = 0\nn = 100\ndt = 5e-3\ninitial = uniform\n"
+        "mc.n = 2000\nmc.hist_n = 20\nmc.t_end = 0.2\n")
+    ens = run_mc(cfg, tmp_path)["ensemble"]
+    sweeps = 40  # mc.t_end / (mc.epsilon * mc.gamma) = 0.2 / (0.01 * 0.5)
+    assert ens.attempted_pairs == cfg.mc.n_agents // 2 * sweeps
+    stats = np.loadtxt(tmp_path / "rejection_stats.csv", delimiter=",", skiprows=1)
+    assert stats.shape == (sweeps + 1, 4)
+    assert list(stats[0, 1:]) == [0.0, 0.0, 0.0]  # no pairs yet: 0/0 reads 0
+    assert stats[-1, 1] == ens.attempted_pairs
+    assert stats[-1, 2] == ens.rejected_pairs > 0
+    summary = (tmp_path / "mc_summary.txt").read_text(encoding="utf-8")
+    fraction = ens.rejected_pairs / ens.attempted_pairs
+    assert f"rejection_fraction = {fraction:.16e}\n" in summary
 
 
 def test_cli_sweep(tmp_path):

@@ -11,6 +11,7 @@ from opinion_kinetics import (
     uniform_density,
 )
 from opinion_kinetics.grid import (
+    TRIG_DEGREE,
     _trig_basis,
     random_grid_functions,
     random_smooth_densities,
@@ -89,8 +90,9 @@ def _trig_series_loop(out, y, coef):
 
 
 @pytest.mark.parametrize("n", [4, 400])
-@pytest.mark.parametrize("degree", [1, 4, 7])
+@pytest.mark.parametrize("degree", [4])  # the generators' TRIG_DEGREE, pinned
 def test_random_stacks_equal_per_k_trig_loop(n, degree):
+    assert TRIG_DEGREE == degree
     g = build_grid(n)
     rows, ks = 25, np.arange(1, degree + 1)[:, None]
 
@@ -98,18 +100,18 @@ def test_random_stacks_equal_per_k_trig_loop(n, degree):
     coef = rng.normal(size=(rows, degree, 2)) * 0.6 / ks
     want = np.exp(_trig_series_loop(np.zeros((rows, n)), g.centers, coef))
     want /= want.sum(axis=-1, keepdims=True) * g.cell_width
-    got = random_smooth_densities(g, np.random.default_rng(7), rows, degree)
+    got = random_smooth_densities(g, np.random.default_rng(7), rows)
     assert np.array_equal(got, want)
 
     draws = np.random.default_rng(8).normal(size=(rows, 1 + 2 * degree))
     coef = draws[:, 1:].reshape(rows, degree, 2) / ks
     want = _trig_series_loop(np.repeat(draws[:, :1], n, axis=1), g.centers, coef)
-    got = random_grid_functions(g, np.random.default_rng(8), rows, degree)
+    got = random_grid_functions(g, np.random.default_rng(8), rows)
     assert np.array_equal(got, want)
 
 
 def test_trig_basis_is_read_only():
-    cos, sin = _trig_basis(build_grid(400), 4)
+    cos, sin = _trig_basis(build_grid(400))
     assert cos.shape == sin.shape == (4, 400)
     for a in (cos, sin):
         with pytest.raises(ValueError):

@@ -66,22 +66,37 @@ def test_chang_cooper_delta_series_seam_and_bounds():
 
 
 def test_assemble_coefficients_pure_diffusion():
-    # lam = 1, m = 0: drift vanishes identically, centered weights everywhere
-    coeffs = assemble_coefficients(KineticParams(1.0, 0.0), build_grid(64))
-    assert np.all(coeffs.drift == 0.0)
-    assert np.all(coeffs.delta == 0.5)
-    assert np.all(coeffs.diffusion > 0.0)
+    # lam = 1, m = 0: drift vanishes identically, so both rates are D/dy^2
+    g = build_grid(64)
+    coeffs = assemble_coefficients(KineticParams(1.0, 0.0), g)
+    y, dy = g.interior_interfaces, g.cell_width
+    assert np.array_equal(coeffs.upper, coeffs.lower)
+    assert np.allclose(coeffs.upper, 0.5 * (1.0 - y * y) / dy**2, rtol=1e-14, atol=0.0)
+    assert np.all(coeffs.upper > 0.0)
+
+
+def _chang_cooper_rates(lam, m, y, dy):
+    """(upper, lower) at the interface y, from the flux
+    F = D (v_right - v_left)/dy + B ((1 - delta) v_right + delta v_left)
+    with B = (1 - lam) y - m, D = (lam/2)(1 - y^2), delta = 1/w - 1/(e^w - 1)
+    and w = dy B / D; each rate is its coefficient in F over dy."""
+    b, d = (1.0 - lam) * y - m, 0.5 * lam * (1.0 - y * y)
+    w = dy * b / d
+    delta = 1.0 / w - 1.0 / math.expm1(w)
+    return (b * (1.0 - delta) + d / dy) / dy, (d / dy - b * delta) / dy
 
 
 def test_assemble_coefficients_values():
     g = build_grid(200)
     coeffs = assemble_coefficients(KineticParams(0.5, 0.2), g)
     i_mid = np.where(g.interior_interfaces == 0.0)[0][0]
-    assert coeffs.drift[i_mid] == pytest.approx(-0.2, abs=1e-15)
-    assert coeffs.diffusion[i_mid] == pytest.approx(0.25, abs=1e-15)
-    # interface nearest the left boundary stays strictly diffusive
-    assert coeffs.diffusion[0] == pytest.approx(0.25 * (1.0 - 0.99**2), rel=1e-12)
-    assert coeffs.diffusion[0] > 0.0
+    # the middle interface (B = -m, D = lam/2) and the one nearest the left boundary
+    for i, y in ((i_mid, 0.0), (0, -0.99)):
+        upper, lower = _chang_cooper_rates(0.5, 0.2, y, g.cell_width)
+        assert coeffs.upper[i] == pytest.approx(upper, rel=1e-12)
+        assert coeffs.lower[i] == pytest.approx(lower, rel=1e-12)
+    # the interface nearest the left boundary stays strictly diffusive
+    assert coeffs.upper[0] > 0.0 and coeffs.lower[0] > 0.0
 
 
 def test_operator_columns_sum_to_zero():
