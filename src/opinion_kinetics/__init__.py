@@ -45,7 +45,6 @@ from .params import (
     log_sobolev_constant,
 )
 from .solver import (
-    FluxCoefficients,
     SolverError,
     SolverState,
     Trajectory,

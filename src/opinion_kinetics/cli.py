@@ -5,41 +5,33 @@ Each subcommand takes only the flags its handler reads (see _COMMANDS); any
 other flag is a usage error.  --n, --dt, --t-end and sweep's --lambdas
 override config entries and are checked by the config parser exactly as
 the same value in the file would be.
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure,
+Each handler parses and dispatches to runners.  Exit codes: 0 success,
+1 usage/config error, 2 numerical failure (overflow included),
 3 acceptance-check failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, lambda_list, parse_config
-from .equilibrium import BetaEquilibrium
 from .fitting import fit_decay_rate
-from .grid import Grid
-from .params import RegimeError, classify_params
+from .params import classify_params
 from .runners import (
     default_ls_grid,
     format_ls_table,
     run_mc,
     run_solve,
     run_sweep,
+    run_transform_check,
     verify_ls,
-    write_csv,
+    write_equilibrium_csv,
 )
-from .solver import SolverError, discretize_equilibrium
-from .transform import (
-    angular_equilibrium,
-    angular_equilibrium_explicit,
-    boundary_exponents,
-    pullback_density,
-    pushforward_density,
-)
+from .solver import SolverError
 
 USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILED = 1, 2, 3
 
@@ -66,12 +58,8 @@ def _cmd_equilibrium(args) -> int:
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     p = cfg.params()
-    grid = cfg.grid()
-    analytic = BetaEquilibrium.from_params(p).on_grid(grid)
-    discrete = discretize_equilibrium(p, grid)
-    write_csv(out / "equilibrium.csv", ["y", "analytic", "discrete"],
-              [grid.centers, analytic.values, discrete.values])
-    print(f"wrote {out / 'equilibrium.csv'} (lambda={p.lam:g}, m={p.m:g}, "
+    path = write_equilibrium_csv(out, p, cfg.grid())
+    print(f"wrote {path} (lambda={p.lam:g}, m={p.m:g}, "
           f"regime={classify_params(p).name})")
     return 0
 
@@ -114,59 +102,9 @@ def _cmd_verify_ls(args) -> int:
     return 0 if report.all_pass else CHECK_FAILED
 
 
-def _max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
-    """max |got - want| / want where want > 0; where want is 0 (it underflows
-    near the endpoints) got must be 0 too, or the error is infinite."""
-    pos = want > 0.0
-    if np.any(got[~pos] != 0.0):
-        return math.inf
-    return float(np.max(np.abs(got[pos] - want[pos]) / want[pos], initial=0.0))
-
-
 def _cmd_transform_check(args) -> int:
-    cfg = _load_config(args)
-    p = cfg.params()
-    z = np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 2001)
-    eq = BetaEquilibrium.from_params(p)
-    direct = eq.value(np.sin(z)) * np.cos(z)
-    via_identity = angular_equilibrium(p, z)
-    rel_identity = _max_relative_error(via_identity, direct)
-    explicit = angular_equilibrium_explicit(p, z)
-    rel_explicit = _max_relative_error(explicit, via_identity)
-
-    # fitted in log space: g itself underflows near the endpoints for small lambda
-    exp_minus, exp_plus = boundary_exponents(p)
-    deltas = np.logspace(-6, -3, 16)
-    zs = 0.5 * math.pi - deltas
-    log_cos = np.log(np.cos(zs))
-    slope_plus = np.polyfit(np.log(deltas), eq.log_value(np.sin(zs)) + log_cos, 1)[0]
-    slope_minus = np.polyfit(np.log(deltas), eq.log_value(np.sin(-zs)) + log_cos, 1)[0]
-
-    grid = Grid(cfg.n)
-    f = cfg.initial_density()
-    if np.any(f.values <= 0.0):
-        f = BetaEquilibrium.from_params(p).on_grid(grid)
-    ang = pushforward_density(f)
-    back = pullback_density(ang, f.grid)
-    roundtrip = float(np.abs(back.values - f.values).sum() * f.grid.cell_width)
-
-    ok = (rel_identity <= 1e-12 and rel_explicit <= 1e-10
-          and abs(slope_plus - exp_plus) <= 0.02 * max(1.0, abs(exp_plus))
-          and abs(slope_minus - exp_minus) <= 0.02 * max(1.0, abs(exp_minus)))
-    lines = [
-        f"pointwise identity max relative error = {rel_identity:.3e} (tol 1e-12)",
-        f"explicit formula max relative error   = {rel_explicit:.3e} (tol 1e-10)",
-        f"boundary exponent at +pi/2: fitted {slope_plus:.6f}, expected {exp_plus:.6f}",
-        f"boundary exponent at -pi/2: fitted {slope_minus:.6f}, expected {exp_minus:.6f}",
-        f"pushforward mass = {ang.mass():.12f}",
-        f"roundtrip L1 error = {roundtrip:.3e}",
-        f"verdict: {'PASS' if ok else 'FAIL'}",
-    ]
-    text = "\n".join(lines)
+    text, ok = run_transform_check(_load_config(args), args.out)
     print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "transform_report.txt").write_text(text + "\n", encoding="utf-8")
     return 0 if ok else CHECK_FAILED
 
 
@@ -263,13 +201,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, RegimeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (SolverError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    # numerical first: LinAlgError is a ValueError
+    except (SolverError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -23,8 +23,8 @@ def fit_decay_rate(times, values, window=None) -> DecayFit:
 
     Returns the fitted slope (the decay exponent), intercept, and r^2.
     The window must hold at least MIN_POINTS samples, and values must be
-    strictly positive inside it; a perfectly flat series fits with slope 0
-    and r^2 = 1.
+    finite and strictly positive inside it; a perfectly flat series fits
+    with slope 0 and r^2 = 1.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -44,8 +44,8 @@ def fit_decay_rate(times, values, window=None) -> DecayFit:
             f"need at least {MIN_POINTS} samples in the window, got {int(sel.sum())}"
         )
     tw, vw = t[sel], v[sel]
-    if np.any(vw <= 0.0):
-        raise ValueError("values must be strictly positive for a log-linear fit")
+    if not np.all(np.isfinite(vw) & (vw > 0.0)):
+        raise ValueError("values must be finite and strictly positive for a log-linear fit")
     logv = np.log(vw)
     tc = tw - tw.mean()
     denom = float((tc * tc).sum())

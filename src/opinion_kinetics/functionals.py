@@ -2,9 +2,9 @@
 
 All functionals are midpoint sums over cell centers; derivative terms use
 interface-centered differences so they mirror the flux structure of the
-finite-volume solver.  Reference densities may be passed either as a
-BetaEquilibrium (center-sampled and renormalized on the fly) or as an
-explicit DensityField (e.g. the solver's own discrete steady state).
+finite-volume solver.  Every reference density is a DensityField on the
+same grid: the solver's own discrete steady state, or the analytic one
+sampled on the grid by BetaEquilibrium.on_grid (ls_slack's default).
 
 Every sum runs along the last axis.  Each functional has one private
 kernel on raw values (_relative_entropy, _weighted_fisher, _weighted_l2,
@@ -113,14 +113,6 @@ def _log_ratio(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
     return np.log(f_values) - np.log(ref.values)
 
 
-def _reference_field(eq, grid: Grid) -> DensityField:
-    if isinstance(eq, BetaEquilibrium):
-        return eq.on_grid(grid)
-    if isinstance(eq, DensityField):
-        return eq
-    raise TypeError(f"expected BetaEquilibrium or DensityField, got {type(eq)!r}")
-
-
 def _weighted_fisher(f_values: np.ndarray, ref: DensityField, lam: float) -> np.ndarray:
     grid = ref.grid
     dy = grid.cell_width
@@ -130,7 +122,7 @@ def _weighted_fisher(f_values: np.ndarray, ref: DensityField, lam: float) -> np.
     return (weight * dlogr * dlogr * f_mid).sum(axis=-1) * dy
 
 
-def weighted_fisher(f: DensityField, eq, lam: float) -> float:
+def weighted_fisher(f: DensityField, eq: DensityField, lam: float) -> float:
     """Weighted Fisher information with diffusion weight (lam/2)(1 - y^2).
 
     Interface-centered differences of log(f/eq) with arithmetic-mean density
@@ -138,9 +130,8 @@ def weighted_fisher(f: DensityField, eq, lam: float) -> float:
         (lam/2)(1 - y_if^2) * ((dlog r)/dy)^2 * (f_i + f_{i+1})/2 * dy.
     Zero when f is proportional to the reference.
     """
-    ref = _reference_field(eq, f.grid)
-    require_same_grid(f, ref)
-    return float(_weighted_fisher(f.values, ref, lam))
+    require_same_grid(f, eq)
+    return float(_weighted_fisher(f.values, eq, lam))
 
 
 def _weighted_l2(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
@@ -151,11 +142,10 @@ def _weighted_l2(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
     return (d * d / v).sum(axis=-1) * ref.grid.cell_width
 
 
-def weighted_l2(f: DensityField, eq) -> float:
+def weighted_l2(f: DensityField, eq: DensityField) -> float:
     """Equilibrium-weighted L2 distance sum (f - v)^2 / v dy."""
-    ref = _reference_field(eq, f.grid)
-    require_same_grid(f, ref)
-    return float(_weighted_l2(f.values, ref))
+    require_same_grid(f, eq)
+    return float(_weighted_l2(f.values, eq))
 
 
 def _l1_distance(f_values: np.ndarray, g: DensityField) -> np.ndarray:
@@ -181,17 +171,17 @@ def ckp_slack(f: DensityField, g: DensityField) -> float:
     return 2.0 * h - l1_distance(f, g) ** 2
 
 
-def ls_slack(phi: DensityField, p: KineticParams, eq=None) -> float:
+def ls_slack(phi: DensityField, p: KineticParams, eq: DensityField | None = None) -> float:
     """Slack of the weighted log-Sobolev inequality: K * I(phi, v) - H(phi, v).
 
     Requires the square-integrable-equilibrium regime.  Nonnegative up to a
     discretization allowance (~1e-6 for smooth positive phi at n >= 400).
     An explicit reference field may be supplied; the default is the
-    center-sampled analytic equilibrium.
+    center-sampled analytic equilibrium on phi's grid.
     """
-    ref = _reference_field(eq if eq is not None else BetaEquilibrium.from_params(p),
-                           phi.grid)
-    return float(ls_slack_rows(phi.values, p, ref))
+    if eq is None:
+        eq = BetaEquilibrium.from_params(p).on_grid(phi.grid)
+    return float(ls_slack_rows(phi.values, p, eq))
 
 
 def ls_slack_rows(values: np.ndarray, p: KineticParams, ref: DensityField) -> np.ndarray:

@@ -49,10 +49,6 @@ class InteractionParams:
         if self.epsilon * self.gamma >= 1.0:
             raise ValueError("scaled compromise epsilon*gamma must stay below 1")
 
-    @property
-    def lam(self) -> float:
-        return self.sigma2 / self.gamma
-
     @classmethod
     def from_kinetic(cls, p: KineticParams, gamma: float,
                      epsilon: float) -> "InteractionParams":

@@ -1,6 +1,7 @@
-"""Experiment drivers: decay runs, Monte Carlo runs, sweeps, and the
-inequality verification battery.  Every artifact is a self-describing CSV
-(or a plain-text summary recomputable from the CSVs)."""
+"""Experiment drivers: steady states, decay runs, Monte Carlo runs, sweeps,
+the inequality verification battery and the angular-transform check.
+Every artifact is a self-describing CSV (or a plain-text summary
+recomputable from the CSVs)."""
 
 from __future__ import annotations
 
@@ -32,8 +33,15 @@ from .params import (
     classify_params,
     log_sobolev_constant,
 )
-from .solver import Trajectory, make_solver_state, march, solve
-from .transform import minimize_potential_second
+from .solver import Trajectory, discretize_equilibrium, make_solver_state, march, solve
+from .transform import (
+    angular_equilibrium,
+    angular_equilibrium_explicit,
+    boundary_exponents,
+    minimize_potential_second,
+    pullback_density,
+    pushforward_density,
+)
 from . import montecarlo
 
 
@@ -45,6 +53,18 @@ def write_csv(path: Path, header, columns):
     """Header line, then one row per entry, every value as _fmt prints it."""
     np.savetxt(path, np.column_stack([np.asarray(c, dtype=float) for c in columns]),
                fmt="%.16e", delimiter=",", header=",".join(header), comments="")
+
+
+def write_equilibrium_csv(out: Path, p: KineticParams, grid: Grid,
+                          discrete: DensityField | None = None) -> Path:
+    """Write out/equilibrium.csv: y, the analytic steady state on the grid and
+    the discrete one, computed after the analytic one unless given."""
+    analytic = BetaEquilibrium.from_params(p).on_grid(grid)
+    if discrete is None:
+        discrete = discretize_equilibrium(p, grid)
+    write_csv(out / "equilibrium.csv", ["y", "analytic", "discrete"],
+              [grid.centers, analytic.values, discrete.values])
+    return out / "equilibrium.csv"
 
 
 @dataclass(frozen=True)
@@ -131,12 +151,7 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
         [traj.times, traj.entropy, traj.fisher, k_col,
          traj.l1_dist, traj.wl2_dist, traj.mass, traj.mean],
     )
-    analytic = BetaEquilibrium.from_params(p).on_grid(grid)
-    write_csv(
-        out / "equilibrium.csv",
-        ["y", "analytic", "discrete"],
-        [grid.centers, analytic.values, traj.equilibrium.values],
-    )
+    write_equilibrium_csv(out, p, grid, traj.equilibrium)
     write_csv(out / "final_state.csv", ["y", "density"],
               [grid.centers, traj.final.values])
 
@@ -387,16 +402,10 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(
-            out / "ls_report.csv",
-            ["lambda", "m", "K", "rho", "rho_minimized",
-             "min_ls_slack", "min_uniform_slack", "passed"],
-            [[r["lambda"] for r in rows], [r["m"] for r in rows],
-             [r["K"] for r in rows], [r["rho"] for r in rows],
-             [r["rho_minimized"] for r in rows], [r["min_ls_slack"] for r in rows],
-             [r["min_uniform_slack"] for r in rows],
-             [1.0 if r["pass"] else 0.0 for r in rows]],
-        )
+        # one column per row key; a verdict is written as 1.0 or 0.0
+        write_csv(out / "ls_report.csv",
+                  ["passed" if key == "pass" else key for key in rows[0]],
+                  [[r[key] for r in rows] for key in rows[0]])
     return report
 
 
@@ -412,3 +421,61 @@ def format_ls_table(report: LsVerification) -> str:
         )
     lines.append("overall: " + ("PASS" if report.all_pass else "FAIL"))
     return "\n".join(lines)
+
+
+def _max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    """max |got - want| / want where want > 0; where want is 0 (it underflows
+    near the endpoints) got must be 0 too, or the error is infinite."""
+    pos = want > 0.0
+    if np.any(got[~pos] != 0.0):
+        return math.inf
+    return float(np.max(np.abs(got[pos] - want[pos]) / want[pos], initial=0.0))
+
+
+def run_transform_check(cfg: ExperimentConfig, out_dir=None) -> tuple[str, bool]:
+    """Check the angular change of variables: the identity g(z) = v(sin z)
+    cos z and the explicit formula at 2001 angles, the boundary exponents
+    and the roundtrip of a positive density through the angular grid.
+    Returns the report text and the verdict; the text also goes to
+    out_dir/transform_report.txt when out_dir is given."""
+    p = cfg.params()
+    z = np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 2001)
+    eq = BetaEquilibrium.from_params(p)
+    direct = eq.value(np.sin(z)) * np.cos(z)
+    via_identity = angular_equilibrium(p, z)
+    rel_identity = _max_relative_error(via_identity, direct)
+    explicit = angular_equilibrium_explicit(p, z)
+    rel_explicit = _max_relative_error(explicit, via_identity)
+
+    # fitted in log space: g itself underflows near the endpoints for small lambda
+    exp_minus, exp_plus = boundary_exponents(p)
+    deltas = np.logspace(-6, -3, 16)
+    zs = 0.5 * math.pi - deltas
+    log_cos = np.log(np.cos(zs))
+    slope_plus = np.polyfit(np.log(deltas), eq.log_value(np.sin(zs)) + log_cos, 1)[0]
+    slope_minus = np.polyfit(np.log(deltas), eq.log_value(np.sin(-zs)) + log_cos, 1)[0]
+
+    f = cfg.initial_density()
+    if np.any(f.values <= 0.0):
+        f = eq.on_grid(cfg.grid())
+    ang = pushforward_density(f)
+    back = pullback_density(ang, f.grid)
+    roundtrip = float(np.abs(back.values - f.values).sum() * f.grid.cell_width)
+
+    ok = (rel_identity <= 1e-12 and rel_explicit <= 1e-10
+          and abs(slope_plus - exp_plus) <= 0.02 * max(1.0, abs(exp_plus))
+          and abs(slope_minus - exp_minus) <= 0.02 * max(1.0, abs(exp_minus)))
+    text = "\n".join([
+        f"pointwise identity max relative error = {rel_identity:.3e} (tol 1e-12)",
+        f"explicit formula max relative error   = {rel_explicit:.3e} (tol 1e-10)",
+        f"boundary exponent at +pi/2: fitted {slope_plus:.6f}, expected {exp_plus:.6f}",
+        f"boundary exponent at -pi/2: fitted {slope_minus:.6f}, expected {exp_minus:.6f}",
+        f"pushforward mass = {ang.mass():.12f}",
+        f"roundtrip L1 error = {roundtrip:.3e}",
+        f"verdict: {'PASS' if ok else 'FAIL'}",
+    ])
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "transform_report.txt").write_text(text + "\n", encoding="utf-8")
+    return text, ok

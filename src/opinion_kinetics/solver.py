@@ -9,17 +9,19 @@ which is the expansion of (lam/2)((1-y^2) v)'' + ((y-m) v)' into divergence
 form.  Interfaces carry Chang-Cooper weights, so the scheme is positivity
 preserving for any time step, conserves mass exactly (zero column sums),
 dissipates the discrete relative entropy, and holds the discrete Beta
-steady state to machine precision.  Time stepping is backward Euler: the
-tridiagonal I - dt A is factored once per run (LAPACK dgttrf), and each step
-is one dgttrs solve on a raw array.  march, the one stepping loop, runs
-from the initial state and hands the steps out in blocks of consecutive
-rows.  solve scores each block once: the per-step checks (finiteness,
-nonnegativity, mass drift, entropy monotonicity) over every row, and the
-sampled rows as one (rows, n) stack through the last-axis kernels of the
-functionals module, the same kernels its one-row functionals use.  Every
-step is still checked.  dgttrf and dgttrs are scipy's LAPACK wrappers,
-loaded from their extension file by _scipy, since importing scipy.linalg
-would load scipy's array-API layer.
+steady state to machine precision.  The operator A is held as its two
+off-diagonal rates per interior interface (assemble_coefficients); its
+diagonal is built from them only where I - dt A is factored.  Time
+stepping is backward Euler: the tridiagonal I - dt A is factored once per
+run (LAPACK dgttrf), and each step is one dgttrs solve on a raw array.
+march, the one stepping loop, runs from the initial state and hands the
+steps out in blocks of consecutive rows.  solve scores each block once:
+the per-step checks (finiteness, nonnegativity, mass drift, entropy
+monotonicity) over every row, and the sampled rows as one (rows, n) stack
+through the last-axis kernels of the functionals module, the same kernels
+its one-row functionals use.  Every step is still checked.  dgttrf and
+dgttrs are scipy's LAPACK wrappers, loaded from their extension file by
+_scipy, since importing scipy.linalg would load scipy's array-API layer.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .params import KineticParams
 
 
 class SolverError(RuntimeError):
-    """Numerical failure inside the time stepper."""
+    """Numerical failure of the scheme: a steady state or a time step that
+    floating point cannot represent."""
 
 
 def chang_cooper_delta(w):
@@ -59,24 +62,10 @@ def chang_cooper_delta(w):
     return out
 
 
-@dataclass(frozen=True)
-class FluxCoefficients:
-    """The assembled bands of the flux-divergence operator A.
-
-    upper/lower are its off-diagonal rates (dv_i/dt = (F_{i+1/2} -
-    F_{i-1/2})/dy), one per interior interface; the two boundary interfaces
-    carry no entries because their flux is hard zero.  The diagonal is
-    -(lower + upper) shifted, so column sums vanish identically.
-    """
-
-    upper: np.ndarray = field(repr=False)       # A[i, i+1], i = 0..n-2
-    lower: np.ndarray = field(repr=False)       # A[i+1, i], i = 0..n-2
-    diag: np.ndarray = field(repr=False)        # A[i, i]
-
-
-def assemble_coefficients(p: KineticParams, grid: Grid) -> FluxCoefficients:
-    """The bands of A from the drift B, the diffusion D and the Chang-Cooper
-    weights at the interior interfaces."""
+def assemble_coefficients(p: KineticParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The off-diagonal rates of A, upper[i] = A[i, i+1] and lower[i] =
+    A[i+1, i], one per interior interface (the boundary fluxes are hard
+    zero), from the drift B, the diffusion D and the Chang-Cooper weights."""
     y = grid.interior_interfaces
     dy = grid.cell_width
     drift = (1.0 - p.lam) * y - p.m
@@ -86,10 +75,15 @@ def assemble_coefficients(p: KineticParams, grid: Grid) -> FluxCoefficients:
     # the coefficient of v_{i+1} in F_{i+1/2}, and minus that of v_i, over dy
     upper = (drift * (1.0 - delta) + d_over) / dy
     lower = (d_over - drift * delta) / dy
-    diag = np.zeros(grid.n_cells)
+    return upper, lower
+
+
+def _diagonal(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """A[i, i] = -(lower + upper) shifted, so the column sums of A vanish."""
+    diag = np.zeros(upper.size + 1)
     diag[:-1] -= lower
     diag[1:] -= upper
-    return FluxCoefficients(upper, lower, diag)
+    return diag
 
 
 def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
@@ -98,17 +92,24 @@ def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
     Zero flux at every interface gives the two-term recurrence
     v_{i+1} = v_i * lower_i / upper_i, solved cell by cell and normalized.
     This is the steady state the scheme holds exactly; it converges to the
-    analytic Beta density as the grid is refined.
+    analytic Beta density as the grid is refined.  SolverError when floating
+    point cannot represent it (at small lam, lower cancels below zero).
     """
-    coeffs = assemble_coefficients(p, grid)
-    q = coeffs.lower / coeffs.upper
-    v = np.concatenate(([1.0], np.cumprod(q)))
-    if not np.all(np.isfinite(v)):
-        # extreme exponents: rebuild in log space, losing the exact kernel
-        # property but staying finite
-        logv = np.concatenate(([0.0], np.cumsum(np.log(q))))
-        v = np.exp(logv - logv.max())
-    v /= v.sum() * grid.cell_width
+    upper, lower = assemble_coefficients(p, grid)
+    with np.errstate(all="ignore"):
+        q = lower / upper
+        v = np.concatenate(([1.0], np.cumprod(q)))
+        if not np.all(np.isfinite(v)):
+            # extreme exponents: rebuild in log space, losing the exact kernel
+            # property but staying finite
+            logv = np.concatenate(([0.0], np.cumsum(np.log(q))))
+            v = np.exp(logv - logv.max())
+        v /= v.sum() * grid.cell_width
+    # the checks of DensityField, which would reject this kernel as bad input
+    if not (np.all(np.isfinite(v)) and v.min() >= 0.0):
+        raise SolverError(
+            f"the discrete steady state is not representable in floating point "
+            f"(minimum off-diagonal rate {min(upper.min(), lower.min()):.3e})")
     return DensityField(grid, v)
 
 
@@ -127,8 +128,8 @@ def make_solver_state(p: KineticParams, v0: DensityField, dt: float) -> SolverSt
         raise ValueError("dt must be positive")
     if not v0.is_normalized(tol=1e-8):
         raise ValueError(f"initial density must have unit mass, got {v0.mass()}")
-    coeffs = assemble_coefficients(p, v0.grid)
-    *lu, info = dgttrf(-dt * coeffs.lower, 1.0 - dt * coeffs.diag, -dt * coeffs.upper)
+    upper, lower = assemble_coefficients(p, v0.grid)
+    *lu, info = dgttrf(-dt * lower, 1.0 - dt * _diagonal(upper, lower), -dt * upper)
     if info != 0:
         raise SolverError(f"LU factorization of I - dt A failed (dgttrf info {info})")
     return SolverState(v0, dt, tuple(lu))

@@ -23,7 +23,7 @@ import numpy as np
 from .equilibrium import BetaEquilibrium, _scalar_or_array, log_normalization
 from .functionals import PositivityError
 from .grid import DensityField, Grid
-from .params import KineticParams, ParamRegime, RegimeError, classify_params
+from .params import KineticParams, _require_l2
 
 _HALF_PI = 0.5 * math.pi
 
@@ -65,10 +65,7 @@ def minimize_potential_second(p: KineticParams):
     The search interval stays strictly inside (-pi/2, pi/2), so P'' is
     evaluated on plain floats without the angle check.
     """
-    if classify_params(p) < ParamRegime.L2_EQUILIBRIUM:
-        raise RegimeError(
-            f"potential is not uniformly convex for lam={p.lam}, m={p.m}"
-        )
+    _require_l2(p, "minimize_potential_second")
 
     def f(z):
         return _second(p, math.sin(z), math.cos(z))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +146,10 @@ def test_cli_fit_subcommand(tmp_path, capsys):
     assert main(["fit", "--csv", str(csv), "--column", "value"]) == 0
     out = capsys.readouterr().out
     assert "slope = -2.0" in out
+    # [0.5, 1] holds the samples t = 2i/39 with i = 10..19
+    assert main(["fit", "--csv", str(csv), "--column", "value", "--window", "0.5", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "slope = -2.0" in out and "points = 10, window = [0.5, 1]" in out
 
 
 def test_cli_verify_ls_small(tmp_path):
@@ -248,7 +256,7 @@ def test_cli_transform_check_survives_underflow_at_small_lambda(tmp_path, capsys
 
 
 def test_max_relative_error_needs_exact_zeros_where_the_reference_is_zero():
-    from opinion_kinetics.cli import _max_relative_error
+    from opinion_kinetics.runners import _max_relative_error
     want = np.array([0.0, 2.0, 4.0])
     assert _max_relative_error(np.array([0.0, 2.2, 4.0]), want) == pytest.approx(0.1)
     assert _max_relative_error(np.array([1e-300, 2.0, 4.0]), want) == math.inf
@@ -297,6 +305,43 @@ def test_cli_fit_header_only_csv_exits_1(tmp_path, capsys):
     csv.write_text("t,entropy\n", encoding="utf-8")
     assert main(["fit", "--csv", str(csv)]) == 1
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, message", [
+    pytest.param("nope", "column not found", id="missing_column"),
+    # k_fisher is nan outside the L2 regime (here lambda = 3)
+    pytest.param("k_fisher", "values must be finite and strictly positive", id="nan_column"),
+])
+def test_cli_fit_bad_column_exits_1(column, message, tmp_path, capsys):
+    csv = tmp_path / "decay.csv"
+    rows = [f"{0.1 * i!r},{math.exp(-0.1 * i)!r},nan" for i in range(20)]
+    csv.write_text("\n".join(["t,entropy,k_fisher"] + rows) + "\n", encoding="utf-8")
+    assert main(["fit", "--csv", str(csv), "--column", column]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("command, message", [
+    pytest.param("sweep", "sweep requires sweep_lambdas", id="sweep_no_lambdas"),
+    pytest.param("mc", "mc run requires an mc block", id="mc_no_block"),
+])
+def test_cli_missing_setting_exits_1_before_any_output(command, message, capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\nn = 16\n", encoding="utf-8")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_module_help_lists_every_subcommand():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-m", "opinion_kinetics", "--help"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0 and out.stderr == ""
+    assert "{equilibrium,solve,mc,sweep,transform-check,verify-ls,fit}" in out.stdout
 
 
 @pytest.mark.parametrize("command, lines, flags, field", [

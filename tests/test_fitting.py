@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -43,9 +45,10 @@ def test_errors():
         fit_decay_rate(t, v, window=(1.0, 1.0))
     with pytest.raises(ValueError):
         fit_decay_rate(t[:5], v[:5])  # too few samples
-    bad = v.copy()
-    bad[10] = -1.0
-    with pytest.raises(ValueError):
-        fit_decay_rate(t, bad)
+    for value in (-1.0, math.nan, math.inf):
+        bad = v.copy()
+        bad[10] = value
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            fit_decay_rate(t, bad)
     with pytest.raises(ValueError):
         fit_decay_rate(t, v[:-1])

@@ -36,7 +36,7 @@ def test_interaction_params_validation():
     with pytest.raises(ValueError):
         InteractionParams(gamma=0.5, sigma2=0.1, epsilon=1.5)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    assert ip.lam == pytest.approx(0.5)
+    assert ip.sigma2 / ip.gamma == pytest.approx(0.5)
 
 
 def test_sample_noise_degenerate():

@@ -30,11 +30,12 @@ from opinion_kinetics.cli import main
 from opinion_kinetics.functionals import entropy_gap
 
 
-def _apply_bands(coeffs, values):
-    """A @ values from the assembled bands."""
-    out = coeffs.diag * values
-    out[:-1] += coeffs.upper * values[1:]
-    out[1:] += coeffs.lower * values[:-1]
+def _apply_bands(rates, values):
+    """A @ values from the assembled rates and the diagonal the solver factors."""
+    upper, lower = rates
+    out = solver_module._diagonal(upper, lower) * values
+    out[:-1] += upper * values[1:]
+    out[1:] += lower * values[:-1]
     return out
 
 
@@ -68,11 +69,11 @@ def test_chang_cooper_delta_series_seam_and_bounds():
 def test_assemble_coefficients_pure_diffusion():
     # lam = 1, m = 0: drift vanishes identically, so both rates are D/dy^2
     g = build_grid(64)
-    coeffs = assemble_coefficients(KineticParams(1.0, 0.0), g)
+    upper, lower = assemble_coefficients(KineticParams(1.0, 0.0), g)
     y, dy = g.interior_interfaces, g.cell_width
-    assert np.array_equal(coeffs.upper, coeffs.lower)
-    assert np.allclose(coeffs.upper, 0.5 * (1.0 - y * y) / dy**2, rtol=1e-14, atol=0.0)
-    assert np.all(coeffs.upper > 0.0)
+    assert np.array_equal(upper, lower)
+    assert np.allclose(upper, 0.5 * (1.0 - y * y) / dy**2, rtol=1e-14, atol=0.0)
+    assert np.all(upper > 0.0)
 
 
 def _chang_cooper_rates(lam, m, y, dy):
@@ -88,25 +89,25 @@ def _chang_cooper_rates(lam, m, y, dy):
 
 def test_assemble_coefficients_values():
     g = build_grid(200)
-    coeffs = assemble_coefficients(KineticParams(0.5, 0.2), g)
+    upper, lower = assemble_coefficients(KineticParams(0.5, 0.2), g)
     i_mid = np.where(g.interior_interfaces == 0.0)[0][0]
     # the middle interface (B = -m, D = lam/2) and the one nearest the left boundary
     for i, y in ((i_mid, 0.0), (0, -0.99)):
-        upper, lower = _chang_cooper_rates(0.5, 0.2, y, g.cell_width)
-        assert coeffs.upper[i] == pytest.approx(upper, rel=1e-12)
-        assert coeffs.lower[i] == pytest.approx(lower, rel=1e-12)
+        want_upper, want_lower = _chang_cooper_rates(0.5, 0.2, y, g.cell_width)
+        assert upper[i] == pytest.approx(want_upper, rel=1e-12)
+        assert lower[i] == pytest.approx(want_lower, rel=1e-12)
     # the interface nearest the left boundary stays strictly diffusive
-    assert coeffs.upper[0] > 0.0 and coeffs.lower[0] > 0.0
+    assert upper[0] > 0.0 and lower[0] > 0.0
 
 
 def test_operator_columns_sum_to_zero():
     # zero column sums are what makes the implicit step conserve mass
     g = build_grid(50)
-    coeffs = assemble_coefficients(KineticParams(0.8, -0.3), g)
-    colsum = coeffs.diag.copy()
-    colsum[:-1] += coeffs.lower
-    colsum[1:] += coeffs.upper
-    scale = max(coeffs.upper.max(), coeffs.lower.max())
+    upper, lower = assemble_coefficients(KineticParams(0.8, -0.3), g)
+    colsum = solver_module._diagonal(upper, lower)
+    colsum[:-1] += lower
+    colsum[1:] += upper
+    scale = max(upper.max(), lower.max())
     assert np.max(np.abs(colsum)) <= 1e-13 * scale
 
 
@@ -126,9 +127,9 @@ def test_discrete_equilibrium_kernel_property():
     # is a residual within a few ulps of the operator scale
     g = build_grid(200)
     eq = discretize_equilibrium(p, g)
-    coeffs = assemble_coefficients(p, g)
-    res = _apply_bands(coeffs, eq.values.copy())
-    scale = max(coeffs.upper.max(), coeffs.lower.max()) * eq.values.max()
+    upper, lower = assemble_coefficients(p, g)
+    res = _apply_bands((upper, lower), eq.values.copy())
+    scale = max(upper.max(), lower.max()) * eq.values.max()
     assert np.max(np.abs(res)) <= 20 * np.finfo(float).eps * scale
 
 
@@ -267,11 +268,11 @@ def test_solve_matches_banded_reference_bitwise(lam, m, n, dt, t_end):
     p = KineticParams(lam, m)
     g = build_grid(n)
     v0 = bimodal_density(g)
-    coeffs = assemble_coefficients(p, g)
+    upper, lower = assemble_coefficients(p, g)
     bands = np.zeros((3, n))
-    bands[0, 1:] = -dt * coeffs.upper
-    bands[1, :] = 1.0 - dt * coeffs.diag
-    bands[2, :-1] = -dt * coeffs.lower
+    bands[0, 1:] = -dt * upper
+    bands[1, :] = 1.0 - dt * solver_module._diagonal(upper, lower)
+    bands[2, :-1] = -dt * lower
     eq = discretize_equilibrium(p, g).values
     dy = g.cell_width
     n_steps, every = int(round(t_end / dt)), 7

@@ -251,3 +251,26 @@ def test_import_leaves_slow_scipy_modules_unloaded(module):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["False", "True"]
+
+
+def test_runs_leave_slow_scipy_modules_unloaded(tmp_path):
+    # the guard above covers the import; this one covers a solve, a Monte
+    # Carlo run and the log-Sobolev battery at tiny sizes
+    code = f"""
+import sys
+from opinion_kinetics.config import parse_config_text
+from opinion_kinetics.runners import run_mc, run_solve, verify_ls
+cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\ndt = 1e-2\\nt_end = 0.2\\n"
+                        "mc.n = 100\\nmc.t_end = 0.04\\nmc.hist_n = 8\\n")
+run_solve(cfg, {str(tmp_path / "solve")!r})
+run_mc(cfg, {str(tmp_path / "mc")!r})
+verify_ls(points=[(0.5, 0.0), (1.0, 0.0)], n=16, n_samples=2, out_dir={str(tmp_path / "ls")!r})
+slow = ("scipy.interpolate", "scipy.special", "scipy.linalg", "scipy._lib._array_api")
+print([m for m in slow if m in sys.modules])
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split("\n") == ["[]", ""]
+    assert (tmp_path / "ls" / "ls_report.csv").exists()
