@@ -49,7 +49,6 @@ from .solver import (
     SolverState,
     Trajectory,
     assemble_coefficients,
-    chang_cooper_delta,
     discretize_equilibrium,
     make_solver_state,
     solve,

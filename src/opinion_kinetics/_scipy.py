@@ -1,9 +1,9 @@
-"""xlogy, dgttrf and dgttrs, loaded without scipy's array-API layer.
+"""xlogy, exprel, dgttrf and dgttrs, loaded without scipy's array-API layer.
 
 `from scipy.special import xlogy` and `from scipy.linalg.lapack import ...`
 run the inits of scipy.special and scipy.linalg, which import
 scipy._lib._array_api and with it numpy.testing and numpy.f2py: about
-0.3 s of a 0.5 s package import.  The three functions live in two
+0.3 s of a 0.5 s package import.  The four functions live in two
 extension files, scipy/special/_special_ufuncs*.so and
 scipy/linalg/_flapack*.so, which load by file location in a few ms.  Each
 module is registered under its dotted name, so a later scipy.special or
@@ -48,5 +48,5 @@ def load(module: str, names: tuple, public: str) -> tuple:
                           f" or from {public}: {exc}") from exc
 
 
-(xlogy,) = load("scipy.special._special_ufuncs", ("xlogy",), "scipy.special")
+xlogy, exprel = load("scipy.special._special_ufuncs", ("xlogy", "exprel"), "scipy.special")
 dgttrf, dgttrs = load("scipy.linalg._flapack", ("dgttrf", "dgttrs"), "scipy.linalg.lapack")

@@ -6,12 +6,13 @@ The flux is split as F = D(y) v' + B(y) v with
     D(y) = (lam/2)(1 - y^2),   B(y) = (1 - lam) y - m,
 
 which is the expansion of (lam/2)((1-y^2) v)'' + ((y-m) v)' into divergence
-form.  Interfaces carry Chang-Cooper weights, so the scheme is positivity
-preserving for any time step, conserves mass exactly (zero column sums),
-dissipates the discrete relative entropy, and holds the discrete Beta
-steady state to machine precision.  The operator A is held as its two
-off-diagonal rates per interior interface (assemble_coefficients); its
-diagonal is built from them only where I - dt A is factored.  Time
+form.  Interfaces carry the Chang-Cooper rates in their closed Bernoulli
+(Scharfetter-Gummel) form, so the scheme is positivity preserving for any
+time step, conserves mass exactly (zero column sums), dissipates the
+discrete relative entropy, and holds the discrete Beta steady state (a
+log-space sum of the rate ratios) to roundoff.  The operator A is held as
+its two off-diagonal rates per interior interface (assemble_coefficients);
+its diagonal is built from them only where I - dt A is factored.  Time
 stepping is backward Euler: the tridiagonal I - dt A is factored once per
 run (LAPACK dgttrf), and each step is one dgttrs solve on a raw array.
 march, the one stepping loop, runs from the initial state and hands the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._scipy import dgttrf, dgttrs
+from ._scipy import dgttrf, dgttrs, exprel
 from .config import whole_steps
 from .functionals import _l1_distance, _weighted_fisher, _weighted_l2, entropy_gap
 from .grid import DensityField, Grid, _mean
@@ -39,42 +40,35 @@ from .params import KineticParams
 
 
 class SolverError(RuntimeError):
-    """Numerical failure of the scheme: a steady state or a time step that
-    floating point cannot represent."""
-
-
-def chang_cooper_delta(w):
-    """Chang-Cooper interface weight delta(w) = 1/w - 1/(e^w - 1).
-
-    w is the cell Peclet number dy*B/D.  delta(0) = 1/2 recovers centered
-    differencing; delta -> 0 (w -> +inf) and delta -> 1 (w -> -inf) are the
-    upwind limits.  The removable singularity at 0 is handled by series.
-    """
-    w_arr = np.asarray(w, dtype=float)
-    small = np.abs(w_arr) < 1e-4
-    safe = np.where(small, 1.0, w_arr)
-    with np.errstate(over="ignore"):
-        main = 1.0 / safe - 1.0 / np.expm1(safe)
-    series = 0.5 - w_arr / 12.0 + w_arr**3 / 720.0
-    out = np.where(small, series, main)
-    if np.ndim(w) == 0:
-        return float(out)
-    return out
+    """Numerical failure of the scheme: rates, a steady state or a time step
+    that floating point cannot represent."""
 
 
 def assemble_coefficients(p: KineticParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The off-diagonal rates of A, upper[i] = A[i, i+1] and lower[i] =
     A[i+1, i], one per interior interface (the boundary fluxes are hard
-    zero), from the drift B, the diffusion D and the Chang-Cooper weights."""
+    zero), from the drift B and the diffusion D.
+
+    These are the Chang-Cooper rates in closed Bernoulli form: with the cell
+    Peclet number w = dy B / D, upper, lower = (D/dy^2) / exprel(-+w), so
+    lower/upper = e^-w and neither rate is a difference that can cancel.
+    SolverError, naming max |w|, when a rate is not a positive finite float
+    (it underflows at tiny lam, exprel overflows at large |w|), so whenever
+    this returns I - dt A is an M-matrix.
+    """
     y = grid.interior_interfaces
     dy = grid.cell_width
     drift = (1.0 - p.lam) * y - p.m
     diffusion = 0.5 * p.lam * (1.0 - y * y)
-    delta = chang_cooper_delta(dy * drift / diffusion)
-    d_over = diffusion / dy
-    # the coefficient of v_{i+1} in F_{i+1/2}, and minus that of v_i, over dy
-    upper = (drift * (1.0 - delta) + d_over) / dy
-    lower = (d_over - drift * delta) / dy
+    with np.errstate(all="ignore"):
+        w = dy * drift / diffusion
+        rate = diffusion / dy**2
+        upper = rate / exprel(-w)
+        lower = rate / exprel(w)
+    rates = np.concatenate((upper, lower))
+    if not np.all(np.isfinite(rates) & (rates > 0.0)):
+        raise SolverError(f"the Chang-Cooper rates are not positive finite floats "
+                          f"(max cell Peclet number |w| {np.abs(w).max():.3e})")
     return upper, lower
 
 
@@ -86,31 +80,25 @@ def _diagonal(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return diag
 
 
-def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
-    """The positive unit-mass kernel vector of the discrete operator.
-
-    Zero flux at every interface gives the two-term recurrence
-    v_{i+1} = v_i * lower_i / upper_i, solved cell by cell and normalized.
-    This is the steady state the scheme holds exactly; it converges to the
-    analytic Beta density as the grid is refined.  SolverError when floating
-    point cannot represent it (at small lam, lower cancels below zero).
-    """
+def _log_kernel(p: KineticParams, grid: Grid) -> np.ndarray:
+    """log of the unnormalized kernel: zero flux at every interface gives
+    v_{i+1} = v_i * lower_i / upper_i, summed in log space from log v_0 = 0."""
     upper, lower = assemble_coefficients(p, grid)
-    with np.errstate(all="ignore"):
-        q = lower / upper
-        v = np.concatenate(([1.0], np.cumprod(q)))
-        if not np.all(np.isfinite(v)):
-            # extreme exponents: rebuild in log space, losing the exact kernel
-            # property but staying finite
-            logv = np.concatenate(([0.0], np.cumsum(np.log(q))))
-            v = np.exp(logv - logv.max())
-        v /= v.sum() * grid.cell_width
-    # the checks of DensityField, which would reject this kernel as bad input
-    if not (np.all(np.isfinite(v)) and v.min() >= 0.0):
-        raise SolverError(
-            f"the discrete steady state is not representable in floating point "
-            f"(minimum off-diagonal rate {min(upper.min(), lower.min()):.3e})")
-    return DensityField(grid, v)
+    return np.concatenate(([0.0], np.cumsum(np.log(lower) - np.log(upper))))
+
+
+def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
+    """The nonnegative unit-mass kernel vector of the discrete operator.
+
+    This is the steady state the scheme holds to roundoff; it converges to
+    the analytic Beta density as the grid is refined.  It is exponentiated
+    from its maximum, so it is finite for every lam the rates accept, but
+    cells more than ~745 below the maximum in log underflow to 0.
+    """
+    log_g = _log_kernel(p, grid)
+    g = np.exp(log_g - log_g.max())
+    g /= g.sum() * grid.cell_width
+    return DensityField(grid, g)
 
 
 @dataclass(frozen=True)
@@ -237,6 +225,13 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     n_steps = whole_steps(t_end, dt)
     eq_field = discretize_equilibrium(p, v0.grid)
     g = eq_field.values
+    # the distances to g divide by it: an underflowed cell (0 or subnormal)
+    # turns f/g infinite
+    tiny = g < np.finfo(float).tiny
+    if tiny.any():
+        span = np.ptp(_log_kernel(p, v0.grid))
+        raise SolverError(f"the discrete steady state underflows on {tiny.sum()} of "
+                          f"{g.size} cells (its log spans {span:.1f})")
     dy = v0.grid.cell_width
 
     start, start_mass = v0.values[None, :], v0.mass()

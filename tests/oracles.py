@@ -1,12 +1,14 @@
-"""Independent continuum oracles used by the tests.
+"""Independent oracles used by the tests.
 
-Everything here goes through adaptive quadrature on the closed-form
-integrands; none of it reuses the package's evaluation paths (the Beta
-normalization, for instance, comes from quadrature, not log-gamma).
+The continuum ones go through adaptive quadrature on the closed-form
+integrands; the discrete kernel is evaluated in mpmath at 50 digits.  None
+of it reuses the package's evaluation paths (the Beta normalization, for
+instance, comes from quadrature, not log-gamma).
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -93,3 +95,23 @@ class SmoothRatioCase:
 
 def centered_difference(fn, z, h=1e-5):
     return (fn(z + h) - fn(z - h)) / (2.0 * h)
+
+
+def zero_flux_kernel(lam, m, interfaces, dy, dps=50):
+    """The unit-mass kernel of the Chang-Cooper rates at dps digits.
+
+    Zero flux at every interface gives g_{i+1} = g_i e^{-w_i}, with the cell
+    Peclet number w = dy B / D, B = (1 - lam) y - m and D = (lam/2)(1 - y^2),
+    so g_i is exp(-sum of the w before it).  The float interfaces and cell
+    width are taken exactly; the result is rounded to floats once, at the end.
+    """
+    with mpmath.workdps(dps):
+        lam, m, dy = mpmath.mpf(lam), mpmath.mpf(m), mpmath.mpf(dy)
+        log_g = [mpmath.mpf(0)]
+        for y in map(mpmath.mpf, interfaces):
+            w = dy * ((1 - lam) * y - m) / (lam / 2 * (1 - y * y))
+            log_g.append(log_g[-1] - w)
+        top = max(log_g)
+        g = [mpmath.exp(x - top) for x in log_g]
+        mass = mpmath.fsum(g) * dy
+        return np.array([float(x / mass) for x in g])

@@ -1,25 +1,34 @@
 """Regime corners: configs the parser accepts at the edges of the parameter
 ranges.  Each must end in exit 0, 2 or 3 with a stated reason: never exit 1,
-a traceback or a warning (pytest turns warnings into errors, and main does
-not catch them)."""
+a traceback, a warning (pytest turns warnings into errors, and main does
+not catch them) or a `nan` on stdout."""
+
+import itertools
+import re
 
 import pytest
 
 from opinion_kinetics.cli import main
 
-_UNREPRESENTABLE = "the discrete steady state is not representable in floating point"
+_RATES = "the Chang-Cooper rates are not positive finite floats"
+_UNDERFLOW = "the discrete steady state underflows on"
+# sample times that are whole dt steps, and a histogram grid that divides n
+_MC = "mc.n = 2000\nmc.t_end = 0.2\nmc.hist_n = 50\n"
+
+
+def _run(command, lam, m, n, t_end, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"lambda = {lam!r}\nm = {m!r}\nn = {n}\ndt = 1e-2\nt_end = {t_end}\n"
+                   + (_MC if command == "mc" else ""), encoding="utf-8")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr()
 
 
 @pytest.mark.parametrize("command, lam, m, n, reason", [
-    # at small lambda the rate lower cancels to about -1e-15, so the kernel
-    # recurrence turns negative (or overflows)
-    pytest.param("equilibrium", 0.005, 0.0, 200, _UNREPRESENTABLE, id="equilibrium-0.005-0-200"),
-    pytest.param("solve", 0.005, 0.0, 200, _UNREPRESENTABLE, id="solve-0.005-0-200"),
-    pytest.param("equilibrium", 0.02, 0.0, 200, _UNREPRESENTABLE, id="equilibrium-0.02-0-200"),
-    pytest.param("solve", 0.02, 0.0, 200, _UNREPRESENTABLE, id="solve-0.02-0-200"),
-    pytest.param("equilibrium", 0.01, 0.5, 2000, _UNREPRESENTABLE,
-                 id="equilibrium-0.01-0.5-2000"),
-    pytest.param("solve", 0.01, 0.5, 2000, _UNREPRESENTABLE, id="solve-0.01-0.5-2000"),
+    # the log of the kernel spans more than the float range (894 and 1108),
+    # so it underflows on edge cells where the bimodal start is positive
+    pytest.param("solve", 0.005, 0.0, 200, _UNDERFLOW, id="solve-0.005-0-200"),
+    pytest.param("solve", 0.01, 0.5, 2000, _UNDERFLOW, id="solve-0.01-0.5-2000"),
     # the Beta normalization overflows: in lgamma, or to an infinite exponent
     pytest.param("equilibrium", 1e-308, 0.0, 200, "math range error",
                  id="equilibrium-1e-308-0-200"),
@@ -29,14 +38,52 @@ _UNREPRESENTABLE = "the discrete steady state is not representable in floating p
                  id="equilibrium-1e-320-0-200"),
     pytest.param("transform-check", 1e-320, 0.0, 200, "normalization constant overflowed",
                  id="transform_check-1e-320-0-200"),
+    # the rate lower underflows to 0 (and w to infinity at 1e-320)
+    pytest.param("solve", 1e-308, 0.0, 200, _RATES, id="solve-1e-308-0-200"),
+    pytest.param("mc", 1e-308, 0.0, 200, _RATES, id="mc-1e-308-0-200"),
+    pytest.param("solve", 1e-320, 0.0, 200, _RATES, id="solve-1e-320-0-200"),
+    pytest.param("mc", 1e-320, 0.0, 200, _RATES, id="mc-1e-320-0-200"),
 ])
 def test_corner_is_a_numerical_failure(command, lam, m, n, reason, capsys, tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"lambda = {lam!r}\nm = {m!r}\nn = {n}\ndt = 1e-2\nt_end = 0.1\n",
-                   encoding="utf-8")
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
-    captured = capsys.readouterr()
+    code, captured = _run(command, lam, m, n, 0.1, tmp_path, capsys)
     assert code == 2
     assert captured.err.startswith(f"numerical failure: {reason}")
     assert captured.err.count("\n") == 1
     assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("command, lam, m, n, want", [
+    # the closed-form rates stay positive where lower = D/dy - B delta
+    # cancelled below zero, so the kernel is a density
+    pytest.param("equilibrium", 0.005, 0.0, 200, 0, id="equilibrium-0.005-0-200"),
+    pytest.param("equilibrium", 0.02, 0.0, 200, 0, id="equilibrium-0.02-0-200"),
+    pytest.param("equilibrium", 0.01, 0.5, 2000, 0, id="equilibrium-0.01-0.5-2000"),
+    # the run completes; ten steps are too few to fit the decay rates
+    pytest.param("solve", 0.02, 0.0, 200, 3, id="solve-0.02-0-200"),
+])
+def test_corner_runs_to_a_verdict(command, lam, m, n, want, capsys, tmp_path):
+    code, captured = _run(command, lam, m, n, 0.1, tmp_path, capsys)
+    assert code == want
+    assert captured.err == ""
+    assert list(tmp_path.rglob("*.csv"))
+
+
+_LAMBDAS = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 5, 20, 50)
+_MATRIX = [
+    *itertools.product(("equilibrium", "transform-check", "solve"), _LAMBDAS,
+                       (0.0, 0.5, -0.9, 0.99), (4, 7, 200)),
+    *itertools.product(("equilibrium", "transform-check", "solve", "mc"), (1e-308, 1e-320),
+                       (0.0,), (200,)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, lam, m, n", _MATRIX,
+                         ids=["-".join(map(str, row)) for row in _MATRIX])
+def test_corner_matrix_ends_in_a_verdict(command, lam, m, n, capsys, tmp_path):
+    code, captured = _run(command, lam, m, n, 0.5, tmp_path, capsys)
+    assert code in (0, 2, 3), captured.err
+    assert not re.search(r"\bnan\b", captured.out, re.IGNORECASE)
+    if code == 2:
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
