@@ -28,6 +28,17 @@ def _scalar_or_array(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _exp_density(log_values, what: str):
+    """exp of log density values; OverflowError naming the count of points
+    where a value overflows, instead of inf and a RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        out = np.exp(log_values)
+    over = np.isinf(out)
+    if over.any():
+        raise OverflowError(f"{what} overflows on {over.sum()} of {over.size} points")
+    return _scalar_or_array(out)
+
+
 def log_normalization(p: KineticParams) -> float:
     """log C with C = 1 / (2^(a+b-1) B(a, b)), via log-gamma.
 
@@ -74,14 +85,19 @@ class BetaEquilibrium:
 
     def value(self, y):
         """Pointwise density v(y), |y| < 1."""
-        return _scalar_or_array(np.exp(self.log_value(y)))
+        return _exp_density(self.log_value(y), "the Beta steady state")
 
     def on_grid(self, grid: Grid) -> DensityField:
         """Center-sampled equilibrium as a DensityField, rescaled to unit
         discrete mass, which keeps the discrete entropy functionals
-        nonnegative by Jensen's inequality."""
+        nonnegative by Jensen's inequality.  FloatingPointError when every
+        cell underflows to 0 (at tiny lam the peak falls between centers)."""
         v = self.value(grid.centers)
-        return DensityField(grid, v / (v.sum() * grid.cell_width))
+        mass = v.sum() * grid.cell_width
+        if mass == 0.0:
+            raise FloatingPointError(
+                f"the analytic steady state underflows to 0 on all {v.size} cells")
+        return DensityField(grid, v / mass)
 
     def mean(self) -> float:
         """First moment; equals m for every admissible pair."""

@@ -14,9 +14,10 @@ log-Sobolev battery and solver.solve for the sampled rows of each block.
 Row i of a stack gives bit for bit what the one-row call gives for row i.
 entropy_gap and uniform_ls_slack take a stack as well as one row.
 
-xlogy is scipy.special's own ufunc, loaded from its extension file by
-_scipy: importing scipy.special would load scipy's array-API layer, the
-larger part of the package's import time.
+The entropy kernel and the log ratio take numpy's vectorised log.  xlogy,
+scipy.special's own ufunc, remains only in uniform_ls_slack; it is loaded
+from its extension file by _scipy: importing scipy.special would load
+scipy's array-API layer, the larger part of the package's import time.
 """
 
 from __future__ import annotations
@@ -53,17 +54,23 @@ def _entropy_series(u: np.ndarray) -> np.ndarray:
 def _entropy_core(r: np.ndarray) -> np.ndarray:
     """r log r - r + 1, elementwise, accurate through r = 1.
 
-    The direct formula loses all significant digits once r - 1 falls below
-    sqrt(eps); a short Taylor series takes over on those cells (|r - 1| <
-    0.01) so entropies as small as ~1e-30 remain meaningful.  Each formula
-    is evaluated only on the cells that use it.
+    The direct formula, r * log(r) - (r - 1) with numpy's log, loses all
+    significant digits once r - 1 falls below sqrt(eps); a short Taylor
+    series takes over on those cells (|r - 1| < 0.01) so entropies as small
+    as ~1e-30 remain meaningful.  Each formula is evaluated only on the
+    cells that use it.  0 log 0 = 0, so r = 0 gives exactly 1; r < 0 and
+    NaN give NaN without a warning, as scipy's xlogy does.
     """
     r = np.asarray(r, dtype=float)
     u = r - 1.0
     near = np.abs(u) < 0.01
     if near.all():
         return _entropy_series(u)
-    out = xlogy(r, r) - u
+    # log 1 = 0 on the r = 0 cells; the log of r < 0 is a quiet NaN
+    with np.errstate(invalid="ignore"):
+        out = np.log(r + (r == 0.0))
+    out *= r
+    out -= u
     if near.any():
         out[near] = _entropy_series(u[near])
     return out

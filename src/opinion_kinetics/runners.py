@@ -384,6 +384,13 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
         rho = bakry_emery_rho(p)
         _, rho_min = minimize_potential_second(p)
         ref = BetaEquilibrium.from_params(p).on_grid(grid)
+        # the log ratio and the entropy divide by it: an underflowed cell (0
+        # or subnormal) has no finite log or turns f/ref infinite
+        tiny = ref.values < np.finfo(float).tiny
+        if tiny.any():
+            raise FloatingPointError(
+                f"the analytic steady state underflows on {tiny.sum()} of {n} cells "
+                f"at lambda={lv}, m={mv}")
         min_slack = min(
             float(ls_slack_rows(random_smooth_densities(grid, rng, r), p, ref).min())
             for r in block_rows)

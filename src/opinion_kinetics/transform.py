@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import BetaEquilibrium, _scalar_or_array, log_normalization
+from .equilibrium import BetaEquilibrium, _scalar_or_array, _exp_density, log_normalization
 from .functionals import PositivityError
 from .grid import DensityField, Grid
 from .params import KineticParams, _require_l2
@@ -93,8 +93,8 @@ def angular_equilibrium(p: KineticParams, z):
     """g(z) = v(sin z) cos z, the steady state in the angular coordinate."""
     z_arr = _check_angle(z)
     eq = BetaEquilibrium.from_params(p)
-    out = np.exp(eq.log_value(np.sin(z_arr)) + np.log(np.cos(z_arr)))
-    return _scalar_or_array(out)
+    return _exp_density(eq.log_value(np.sin(z_arr)) + np.log(np.cos(z_arr)),
+                       "the angular steady state")
 
 
 def angular_equilibrium_explicit(p: KineticParams, z):
@@ -111,8 +111,7 @@ def angular_equilibrium_explicit(p: KineticParams, z):
         + (2.0 / p.lam - 1.0) * np.log(np.cos(z_arr))
         + (2.0 * p.m / p.lam) * (np.log1p(t) - np.log1p(-t))
     )
-    out = np.exp(log_g)
-    return _scalar_or_array(out)
+    return _exp_density(log_g, "the explicit angular steady state")
 
 
 def boundary_exponents(p: KineticParams):

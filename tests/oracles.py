@@ -115,3 +115,15 @@ def zero_flux_kernel(lam, m, interfaces, dy, dps=50):
         g = [mpmath.exp(x - top) for x in log_g]
         mass = mpmath.fsum(g) * dy
         return np.array([float(x / mass) for x in g])
+
+
+def entropy_kernel(r, dps=50):
+    """r log r - r + 1 for each float r at dps digits, with 0 log 0 = 0.
+
+    The float is taken exactly and the result rounded to a float once."""
+    def h(x):
+        x = mpmath.mpf(x)
+        return 1 - x + (x * mpmath.log(x) if x else 0)
+
+    with mpmath.workdps(dps):
+        return np.array([float(h(float(x))) for x in np.ravel(r)]).reshape(np.shape(r))

@@ -12,6 +12,7 @@ from opinion_kinetics.cli import main
 
 _RATES = "the Chang-Cooper rates are not positive finite floats"
 _UNDERFLOW = "the discrete steady state underflows on"
+_ANALYTIC_UNDERFLOW = "the analytic steady state underflows"
 # sample times that are whole dt steps, and a histogram grid that divides n
 _MC = "mc.n = 2000\nmc.t_end = 0.2\nmc.hist_n = 50\n"
 
@@ -38,6 +39,18 @@ def _run(command, lam, m, n, t_end, tmp_path, capsys):
                  id="equilibrium-1e-320-0-200"),
     pytest.param("transform-check", 1e-320, 0.0, 200, "normalization constant overflowed",
                  id="transform_check-1e-320-0-200"),
+    # the peak of the Beta state falls between the cell centres, and every
+    # centre underflows to 0 (the Beta normalization has no correct digit
+    # at 1e-300 and overflows on the centre cell at n = 7)
+    pytest.param("equilibrium", 1e-10, 0.0, 200, _ANALYTIC_UNDERFLOW,
+                 id="equilibrium-1e-10-0-200"),
+    pytest.param("equilibrium", 1e-300, 0.5, 200, _ANALYTIC_UNDERFLOW,
+                 id="equilibrium-1e-300-0.5-200"),
+    pytest.param("equilibrium", 1e-300, 0.0, 7, "the Beta steady state overflows on 1 of 7",
+                 id="equilibrium-1e-300-0-7"),
+    *(pytest.param("transform-check", 1e-300, 0.0, n,
+                   "the Beta steady state overflows on 1 of 2001 points",
+                   id=f"transform_check-1e-300-0-{n}") for n in (4, 7, 200)),
     # the rate lower underflows to 0 (and w to infinity at 1e-320)
     pytest.param("solve", 1e-308, 0.0, 200, _RATES, id="solve-1e-308-0-200"),
     pytest.param("mc", 1e-308, 0.0, 200, _RATES, id="mc-1e-308-0-200"),
@@ -68,7 +81,8 @@ def test_corner_runs_to_a_verdict(command, lam, m, n, want, capsys, tmp_path):
     assert list(tmp_path.rglob("*.csv"))
 
 
-_LAMBDAS = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 5, 20, 50)
+_LAMBDAS = (1e-300, 1e-100, 1e-10, 1e-4,
+            0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 5, 20, 50)
 _MATRIX = [
     *itertools.product(("equilibrium", "transform-check", "solve"), _LAMBDAS,
                        (0.0, 0.5, -0.9, 0.99), (4, 7, 200)),
@@ -87,3 +101,37 @@ def test_corner_matrix_ends_in_a_verdict(command, lam, m, n, capsys, tmp_path):
     if code == 2:
         assert captured.err.startswith("numerical failure: ")
         assert captured.err.count("\n") == 1
+
+
+_LS_LAMBDAS = (1e-300, 1e-10, 1e-4, 1e-3, 0.005, 0.01, 0.02, 0.05, 1, 1.8)
+# where the analytic steady state underflows on some cell centre, at some
+# (lambda, m) point of the battery
+_LS_UNDERFLOW = {(1e-300, 4), (1e-300, 400), (1e-10, 4), (1e-10, 400), (1e-4, 4), (1e-4, 400),
+                 (1e-3, 4), (1e-3, 400), (0.005, 400), (0.01, 400)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", _LS_LAMBDAS)
+@pytest.mark.parametrize("n", [4, 400])
+def test_verify_ls_corner_ends_in_a_verdict(lam, n, capsys, tmp_path):
+    code = main(["verify-ls", "--lambdas", repr(lam), "--samples", "2", "--n", str(n),
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    if (lam, n) in _LS_UNDERFLOW:
+        assert code == 2
+        assert captured.err.startswith(f"numerical failure: {_ANALYTIC_UNDERFLOW}")
+        assert captured.err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
+    else:
+        assert code in (0, 3), captured.err
+        assert captured.err == ""
+        assert not re.search(r"\bnan\b", captured.out, re.IGNORECASE)
+        assert list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("lam", [2.0, 5.0])
+def test_verify_ls_outside_the_l2_regime_stays_a_usage_error(lam, capsys, tmp_path):
+    code = main(["verify-ls", "--lambdas", repr(lam), "--samples", "2", "--n", "4",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: lambda = {lam} admits no")

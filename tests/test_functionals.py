@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,11 +27,12 @@ from opinion_kinetics import (
 )
 
 from opinion_kinetics.functionals import (
+    _entropy_core,
     entropy_gap,
     ls_slack_rows,
 )
 
-from oracles import SmoothRatioCase
+from oracles import SmoothRatioCase, entropy_kernel
 
 
 def _field_from(fn, grid):
@@ -88,6 +90,35 @@ def test_relative_entropy_nonnegative_on_random_pairs():
         f = random_smooth_density(g, rng)
         h = random_smooth_density(g, rng)
         assert relative_entropy(f, h) >= -1e-12
+
+
+@pytest.mark.parametrize("kind", ["far", "near", "special"])
+def test_entropy_kernel_matches_a_50_digit_oracle(kind):
+    # the cells the direct formula takes (|r - 1| >= 0.01) cancel r log r
+    # against r - 1 near the switch; the series cells keep a few ulp
+    rng = np.random.default_rng(0)
+    r = {
+        "far": np.concatenate([rng.uniform(0.0, 3.0, 1000),
+                               np.exp(rng.uniform(-30.0, 30.0, 1000))]),
+        "near": np.concatenate([1.0 + rng.uniform(-0.011, 0.011, 1000),
+                                1.0 + rng.uniform(-1e-8, 1e-8, 1000)]),
+        "special": np.array([0.0, 1e-300, 1e300]),
+    }[kind]
+    want = entropy_kernel(r)
+    rel = np.abs(_entropy_core(r) - want) / want
+    series = np.abs(r - 1.0) < 0.01
+    assert np.all(rel[~series] <= 6e-14)
+    assert np.all(rel[series] <= 6e-16)
+
+
+def test_entropy_kernel_edge_cells():
+    r = np.array([0.0, -0.5, -1.0, np.nan, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = _entropy_core(r)
+    assert h[0] == 1.0
+    assert np.isnan(h[1:4]).all()
+    assert h[4] == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-15)
 
 
 def test_weighted_fisher_zero_at_equilibrium():

@@ -13,6 +13,7 @@ from opinion_kinetics import (
 from opinion_kinetics.grid import (
     TRIG_DEGREE,
     _trig_basis,
+    _trig_series,
     random_grid_functions,
     random_smooth_densities,
 )
@@ -81,41 +82,62 @@ def test_random_density_positive_normalized():
         assert abs(f.mass() - 1.0) <= 1e-12
 
 
-def _trig_series_loop(out, y, coef):
-    """The trig series with cos and sin evaluated afresh for every k."""
+def _trig_series_rows(y, coef):
+    """The trig series one row at a time: cos and sin evaluated afresh,
+    interleaved by k, then one einsum per row."""
+    basis = []
     for k in range(1, coef.shape[1] + 1):
         arg = 0.5 * np.pi * k * y
-        out += coef[:, k - 1, 0:1] * np.cos(arg) + coef[:, k - 1, 1:2] * np.sin(arg)
-    return out
+        basis += [np.cos(arg), np.sin(arg)]
+    return np.concatenate([np.einsum("rk,kn->rn", c.reshape(1, -1), np.array(basis))
+                           for c in coef])
+
+
+def _trig_series_loop(out, y, coef):
+    """The per-k loop the einsum replaced, and the sum of |terms| per cell."""
+    size = np.abs(out)
+    for k in range(1, coef.shape[1] + 1):
+        arg = 0.5 * np.pi * k * y
+        a, b = coef[:, k - 1, 0:1] * np.cos(arg), coef[:, k - 1, 1:2] * np.sin(arg)
+        out += a + b
+        size += np.abs(a) + np.abs(b)
+    return out, size
 
 
 @pytest.mark.parametrize("n", [4, 400])
 @pytest.mark.parametrize("degree", [4])  # the generators' TRIG_DEGREE, pinned
 def test_random_stacks_equal_per_k_trig_loop(n, degree):
+    # bit for bit against a fresh basis and one row at a time; within 4 ulp
+    # of sum |terms| of the old per-k loop, which added the terms in another order
     assert TRIG_DEGREE == degree
     g = build_grid(n)
     rows, ks = 25, np.arange(1, degree + 1)[:, None]
 
     rng = np.random.default_rng(7)
     coef = rng.normal(size=(rows, degree, 2)) * 0.6 / ks
-    want = np.exp(_trig_series_loop(np.zeros((rows, n)), g.centers, coef))
+    series = _trig_series_rows(g.centers, coef)
+    want = np.exp(series)
     want /= want.sum(axis=-1, keepdims=True) * g.cell_width
     got = random_smooth_densities(g, np.random.default_rng(7), rows)
     assert np.array_equal(got, want)
+    old, size = _trig_series_loop(np.zeros((rows, n)), g.centers, coef)
+    assert np.array_equal(_trig_series(g, coef), series)
+    assert np.all(np.abs(series - old) <= 4 * np.spacing(size))
 
     draws = np.random.default_rng(8).normal(size=(rows, 1 + 2 * degree))
     coef = draws[:, 1:].reshape(rows, degree, 2) / ks
-    want = _trig_series_loop(np.repeat(draws[:, :1], n, axis=1), g.centers, coef)
+    want = draws[:, :1] + _trig_series_rows(g.centers, coef)
     got = random_grid_functions(g, np.random.default_rng(8), rows)
     assert np.array_equal(got, want)
+    old, size = _trig_series_loop(np.repeat(draws[:, :1], n, axis=1), g.centers, coef)
+    assert np.all(np.abs(got - old) <= 4 * np.spacing(size))
 
 
 def test_trig_basis_is_read_only():
-    cos, sin = _trig_basis(build_grid(400))
-    assert cos.shape == sin.shape == (4, 400)
-    for a in (cos, sin):
-        with pytest.raises(ValueError):
-            a[0, 0] = 0.0
+    basis = _trig_basis(build_grid(400))
+    assert basis.shape == (2 * TRIG_DEGREE, 400)
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
 
 
 def test_grid_mismatch_raises():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrs
-from scipy.special import xlogy
 
 from opinion_kinetics import (
     BetaEquilibrium,
@@ -268,7 +267,7 @@ def _reference_entropy(f, g, dy):
     # the direct and series formulas on every cell, chosen per cell afterwards
     r = f / g
     u = r - 1.0
-    direct = xlogy(r, r) - u
+    direct = r * np.log(r, out=np.zeros_like(r), where=r > 0.0) - u
     acc = np.zeros_like(u)
     for k in range(10, 1, -1):
         acc = acc * u + (1.0 if k % 2 == 0 else -1.0) / (k * (k - 1))
