@@ -5,9 +5,9 @@ Each subcommand takes only the flags its handler reads (see _COMMANDS); any
 other flag is a usage error.  --n, --dt, --t-end and sweep's --lambdas
 override config entries and are checked by the config parser exactly as
 the same value in the file would be.
-Each handler parses and dispatches to runners.  Exit codes: 0 success,
-1 usage/config error, 2 numerical failure (overflow included),
-3 acceptance-check failure.
+Each handler parses, dispatches to runners and returns whether every
+acceptance check it ran passed.  Exit codes: 0 success, 1 usage/config
+error, 2 numerical failure (overflow included), 3 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def _out_dir(args, cfg: ExperimentConfig) -> Path:
     return args.out if args.out is not None else Path(cfg.out)
 
 
-def _cmd_equilibrium(args) -> int:
+def _cmd_equilibrium(args) -> bool:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -61,54 +61,51 @@ def _cmd_equilibrium(args) -> int:
     path = write_equilibrium_csv(out, p, cfg.grid())
     print(f"wrote {path} (lambda={p.lam:g}, m={p.m:g}, "
           f"regime={classify_params(p).name})")
-    return 0
+    return True
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> bool:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     report = run_solve(cfg, out)
     print((out / "summary.txt").read_text(encoding="utf-8"), end="")
-    return 0 if all(report.verdicts().values()) else CHECK_FAILED
+    return all(report.verdicts().values())
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> bool:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    reports = run_sweep(cfg, out)
-    ok = True
-    for lv, report in reports.items():
-        verdict = all(report.verdicts().values())
-        ok = ok and verdict
-        print(f"lambda = {lv:g}: {'PASS' if verdict else 'FAIL'} "
+    passed = {lv: all(r.verdicts().values()) for lv, r in run_sweep(cfg, out).items()}
+    for lv, ok in passed.items():
+        print(f"lambda = {lv:g}: {'PASS' if ok else 'FAIL'} "
               f"(outputs in {out / f'lambda_{lv:g}'})")
-    return 0 if ok else CHECK_FAILED
+    return all(passed.values())
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> bool:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     result = run_mc(cfg, out, seed=args.seed)
     print((out / "mc_summary.txt").read_text(encoding="utf-8"), end="")
-    return 0 if result["pass"] else CHECK_FAILED
+    return result["pass"]
 
 
-def _cmd_verify_ls(args) -> int:
+def _cmd_verify_ls(args) -> bool:
     # a flag the user left out takes verify_ls's default
     given = {"n": args.n, "n_samples": args.samples, "seed": args.seed}
     report = verify_ls(points=default_ls_grid(args.lambdas), out_dir=args.out,
                        **{key: v for key, v in given.items() if v is not None})
     print(format_ls_table(report))
-    return 0 if report.all_pass else CHECK_FAILED
+    return report.all_pass
 
 
-def _cmd_transform_check(args) -> int:
+def _cmd_transform_check(args) -> bool:
     text, ok = run_transform_check(_load_config(args), args.out)
     print(text)
-    return 0 if ok else CHECK_FAILED
+    return ok
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> bool:
     rows = Path(args.csv).read_text(encoding="utf-8").strip().splitlines()
     if len(rows) < 2:
         raise ConfigError(f"{args.csv} holds no data rows")
@@ -125,7 +122,7 @@ def _cmd_fit(args) -> int:
     print(f"intercept = {fit.intercept:.12e}")
     print(f"r_squared = {fit.r_squared:.12f}")
     print(f"points = {fit.n_points}, window = [{fit.window[0]:g}, {fit.window[1]:g}]")
-    return 0
+    return True
 
 
 def _seed(text: str) -> int:
@@ -200,7 +197,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return 0 if args.func(args) else CHECK_FAILED
     # numerical first: LinAlgError is a ValueError
     except (SolverError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -89,32 +89,21 @@ def build_initial_density(spec: str, grid: Grid, width: float) -> DensityField:
     raise ConfigError(f"unknown initial condition {spec!r}")
 
 
-_FLOAT_KEYS = {"lambda", "m", "dt", "t_end", "bimodal_width",
-               "mc.epsilon", "mc.gamma", "mc.t_end"}
-_INT_KEYS = {"n", "sample_every", "mc.n", "mc.seed", "mc.hist_n"}
-_STR_KEYS = {"initial", "out"}
-_LIST_KEYS = {"sweep_lambdas"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
-# keys whose dataclass field has another name; other mc.* keys drop the prefix
-_FIELD_NAMES = {"lambda": "lam", "mc.n": "n_agents"}
-
-
 def lambda_list(text: str) -> tuple:
     """Comma- or space-separated lambda values, as `sweep_lambdas` and --lambdas take them."""
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
-def _parse_value(key: str, raw: str, lineno: int):
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _LIST_KEYS:
-            return lambda_list(raw)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {raw!r}") from exc
-    return raw
+# key -> the parser of its value; the mc.* keys fill McConfig
+_KEYS = {
+    "lambda": float, "m": float, "n": int, "dt": float, "t_end": float,
+    "sample_every": int, "initial": str, "bimodal_width": float, "out": str,
+    "sweep_lambdas": lambda_list,
+    "mc.n": int, "mc.epsilon": float, "mc.gamma": float, "mc.seed": int,
+    "mc.hist_n": int, "mc.t_end": float,
+}
+# keys whose dataclass field has another name; other mc.* keys drop the prefix
+_FIELD_NAMES = {"lambda": "lam", "mc.n": "n_agents"}
 
 
 def parse_config_text(text: str, source: str = "<config>", **overrides) -> ExperimentConfig:
@@ -132,12 +121,15 @@ def parse_config_text(text: str, source: str = "<config>", **overrides) -> Exper
         if "=" not in body:
             raise ConfigError(f"{source}, line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}, line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"{source}, line {lineno}: duplicate key {key!r}")
-        entries[key] = _parse_value(key, raw, lineno)
-    unknown = sorted(overrides.keys() - _ALL_KEYS)
+        try:
+            entries[key] = _KEYS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: cannot parse value for '{key}': {raw!r}") from exc
+    unknown = sorted(overrides.keys() - _KEYS.keys())
     if unknown:
         raise ConfigError(f"unknown override keys {unknown}")
     entries.update(overrides)

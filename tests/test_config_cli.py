@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from opinion_kinetics import ConfigError, parse_config
 from opinion_kinetics.cli import main
 from opinion_kinetics.config import parse_config_text
-from opinion_kinetics.runners import default_ls_grid, run_mc, run_solve, verify_ls
+from opinion_kinetics.runners import Check, default_ls_grid, run_mc, run_solve, verify_ls
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -456,9 +457,9 @@ def test_cli_unfitted_decay_rate_fails(command, tmp_path):
     summary = next((tmp_path / "o").rglob("summary.txt")).read_text()
     assert "entropy_slope = not fitted" in summary
     assert "weighted_l2_slope = not fitted" in summary
-    assert "entropy_rate_bound = " in summary and "weighted_l2_rate_bound = " in summary
+    assert "entropy_rate = " in summary and "weighted_l2_rate = " in summary
     for line in summary.splitlines():
-        if line.startswith(("entropy_rate_bound", "weighted_l2_rate_bound")):
+        if line.startswith(("entropy_rate = ", "weighted_l2_rate = ")):
             assert line.endswith("-> FAIL")
 
 
@@ -475,3 +476,46 @@ def test_unfitted_rate_verdicts_are_false(tmp_path):
                                           "t_end = 0.1\nsample_every = 100\n"), tmp_path)
     assert "entropy_rate" not in general.verdicts()
     assert general.verdicts()["weighted_l2_rate"] is False
+
+
+# uniform start on six cells: K*I - H dips to -0.27 on a row, a check that
+# once decided the exit code without a line in summary.txt
+_LS_ROWS_FAIL = ("lambda = 0.1\nm = 0\nn = 6\ndt = 1e-2\nt_end = 10\n"
+                 "sample_every = 1\ninitial = uniform\n")
+_README = ("lambda = 0.5\nm = 0.0\nn = 200\ndt = 1e-3\nt_end = 10\n"
+           "sample_every = 10\nbimodal_width = 0.15\n")
+
+
+def test_cli_solve_prints_the_check_that_fails(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_LS_ROWS_FAIL, encoding="utf-8")
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 3
+    summary = (tmp_path / "o" / "summary.txt").read_text(encoding="utf-8")
+    assert re.search(r"^ls_rows = \S+ \(bound \S+\) -> FAIL$", summary, re.MULTILINE)
+    assert capsys.readouterr().out == summary
+
+
+@pytest.mark.parametrize("text", [_LS_ROWS_FAIL, _README], ids=["ls_rows_fail", "readme"])
+def test_every_verdict_has_one_summary_line(text, tmp_path):
+    report = run_solve(parse_config_text(text), tmp_path)
+    verdicts = report.verdicts()
+    lines = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    for name, passed in verdicts.items():
+        mine = [line for line in lines if line.startswith(f"{name} = ")]
+        assert len(mine) == 1, name
+        assert mine[0].endswith("-> PASS") == passed, mine[0]
+    verdict_lines = [line for line in lines if line.endswith(("-> PASS", "-> FAIL"))]
+    assert len(verdict_lines) == len(verdicts)
+
+
+@pytest.mark.parametrize("value, want", [
+    (0.5, "x = 5.0000000000000000e-01 (bound 1.0000000000000000e+00) -> PASS"),
+    (2.0, "x = 2.0000000000000000e+00 (bound 1.0000000000000000e+00) -> FAIL"),
+    (math.inf, "x = inf (bound 1.0000000000000000e+00) -> FAIL"),
+    (None, "x = not measured (bound 1.0000000000000000e+00) -> FAIL"),
+])
+def test_check_renders_value_bound_and_verdict(value, want):
+    check = Check.at_most("x", value, 1.0)
+    assert str(check) == want
+    assert check.passed is want.endswith("PASS")

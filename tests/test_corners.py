@@ -51,6 +51,10 @@ def _run(command, lam, m, n, t_end, tmp_path, capsys):
     *(pytest.param("transform-check", 1e-300, 0.0, n,
                    "the Beta steady state overflows on 1 of 2001 points",
                    id=f"transform_check-1e-300-0-{n}") for n in (4, 7, 200)),
+    # v(sin z) cos z underflows to 0 at every sampled angle: nothing to compare
+    *(pytest.param("transform-check", lam, m, n, "v(sin z) cos z underflows to 0 on all 2001",
+                   id=f"transform_check-{lam!r}-{m}-{n}")
+      for lam, m, n in ((1e-10, 0.5, 200), (1e-100, 0.0, 4), (1e-300, 0.5, 7))),
     # the rate lower underflows to 0 (and w to infinity at 1e-320)
     pytest.param("solve", 1e-308, 0.0, 200, _RATES, id="solve-1e-308-0-200"),
     pytest.param("mc", 1e-308, 0.0, 200, _RATES, id="mc-1e-308-0-200"),
@@ -98,6 +102,8 @@ def test_corner_matrix_ends_in_a_verdict(command, lam, m, n, capsys, tmp_path):
     code, captured = _run(command, lam, m, n, 0.5, tmp_path, capsys)
     assert code in (0, 2, 3), captured.err
     assert not re.search(r"\bnan\b", captured.out, re.IGNORECASE)
+    # every check that can cause exit 3 prints its own verdict line
+    assert (code == 3) == bool(re.search(r"-> FAIL$", captured.out, re.MULTILINE))
     if code == 2:
         assert captured.err.startswith("numerical failure: ")
         assert captured.err.count("\n") == 1
