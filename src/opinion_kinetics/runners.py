@@ -440,15 +440,20 @@ def run_transform_check(cfg: ExperimentConfig, out_dir=None) -> tuple[str, bool]
     cos z and the explicit formula at 2001 angles, the boundary exponents
     and the roundtrip of a positive density through the angular grid.
     Returns the report text and whether every check passed; the text also
-    goes to out_dir/transform_report.txt when out_dir is given."""
+    goes to out_dir/transform_report.txt when out_dir is given.
+    FloatingPointError when v(sin z) cos z is positive at fewer than
+    MIN_POINTS angles, the least the decay fits accept too."""
     p = cfg.params()
     z = np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 2001)
     eq = BetaEquilibrium.from_params(p)
     direct = eq.value(np.sin(z)) * np.cos(z)
-    if not np.any(direct > 0.0):
+    # the relative errors compare only where v(sin z) cos z is positive
+    positive = int(np.count_nonzero(direct > 0.0))
+    if positive < MIN_POINTS:
+        where = "all" if positive == 0 else f"{z.size - positive} of"
         raise FloatingPointError(
-            f"v(sin z) cos z underflows to 0 on all {z.size} angles at lambda={p.lam!r}, "
-            f"m={p.m!r}: nothing to compare")
+            f"v(sin z) cos z underflows to 0 on {where} {z.size} angles at lambda={p.lam!r}, "
+            f"m={p.m!r}: {positive} left to compare, fewer than {MIN_POINTS}")
     via_identity = angular_equilibrium(p, z)
     explicit = angular_equilibrium_explicit(p, z)
 

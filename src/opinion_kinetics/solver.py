@@ -16,13 +16,15 @@ its diagonal is built from them only where I - dt A is factored.  Time
 stepping is backward Euler: the tridiagonal I - dt A is factored once per
 run (LAPACK dgttrf), and each step is one dgttrs solve on a raw array.
 march, the one stepping loop, runs from the initial state and hands the
-steps out in blocks of consecutive rows.  solve scores each block once:
-the per-step checks (finiteness, nonnegativity, mass drift, entropy
-monotonicity) over every row, and the sampled rows as one (rows, n) stack
-through the last-axis kernels of the functionals module, the same kernels
-its one-row functionals use.  Every step is still checked.  dgttrf and
-dgttrs are scipy's LAPACK wrappers, loaded from their extension file by
-_scipy, since importing scipy.linalg would load scipy's array-API layer.
+steps out in blocks of consecutive rows, each step solved in place in its
+block row.  solve checks each block once: finiteness, nonnegativity, mass
+drift and entropy monotonicity over every row.  It buffers the sampled
+rows across blocks and scores them in chunks of about one block's values,
+each chunk one (rows, n) stack through the last-axis kernels of the
+functionals module, the same kernels its one-row functionals use.  Every
+step is still checked.  dgttrf and dgttrs are scipy's LAPACK wrappers,
+loaded from their extension file by _scipy, since importing scipy.linalg
+would load scipy's array-API layer.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ def march(s: SolverState, n_steps: int):
 
     A block is (steps, times, values, mass): the range of its step numbers
     (1 to n_steps over the run), their times (t += dt per step from
-    t = 0), a fresh (rows, n) array whose row i is
-    the density after step steps[i], and the per-row masses.  Each step is
-    one dgttrs solve.  I - dt A is an M-matrix, so each solve keeps
+    t = 0), a fresh (rows, n) array whose row i is the density after step
+    steps[i], and the per-row masses.  Each step is one dgttrs solve in
+    place: the previous state is copied into row i and solved there, so a
+    step allocates no array.  I - dt A is an M-matrix, so each solve keeps
     nonnegativity and mass for any dt; every step is still checked, once per
     block, and the first non-finite or negative row raises SolverError
     naming its step (non-finite first when a row is both).
@@ -151,11 +154,16 @@ def march(s: SolverState, n_steps: int):
         times = np.empty(len(steps))
         values = np.empty((len(steps), grid.n_cells))
         info = np.empty(len(steps), dtype=int)
-        for i in range(len(steps)):
-            v, info[i] = dgttrs(dl, d, du, du2, ipiv, v)
+        for i, row in enumerate(values):
+            row[:] = v
+            # overwrite_b positionally (the keyword form is slower); f2py
+            # solves in the row and returns it
+            x, info[i] = dgttrs(dl, d, du, du2, ipiv, row, "N", 1)
+            if x is not row:
+                row[:] = x
+            v = row
             t += s.dt
             times[i] = t
-            values[i] = v
         mass = values.sum(axis=1) * grid.cell_width
         # a NaN or infinity anywhere in a row makes its sum non-finite
         non_finite = (info != 0) | ~np.isfinite(mass)
@@ -206,16 +214,32 @@ def _score_rows(times, values, mass, entropy, eq_field: DensityField, lam: float
     return times, entropy, fisher, l1, wl2, mass, _mean(values, eq_field.grid)
 
 
+def _entropies(values: np.ndarray, g: np.ndarray, dy: float, first_step: int) -> np.ndarray:
+    """entropy_gap of each row of a stack whose row 0 is step first_step.
+
+    r log r overflows where g is small but normal and f is not, so a
+    non-finite entropy raises SolverError naming its first step.
+    """
+    with np.errstate(all="ignore"):
+        h = entropy_gap(values, g, dy)
+    bad = ~np.isfinite(h)
+    if bad.any():
+        raise SolverError(f"the relative entropy at step {first_step + int(bad.argmax())} "
+                          f"is not finite (min of the steady state {g.min():.3e})")
+    return h
+
+
 def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
           sample_every: int = 10) -> Trajectory:
     """Integrate to t_end, sampling functional rows every sample_every steps.
 
     t_end must be a whole number of dt steps.  Each block of march is
-    scored in one pass: the entropy of every step, its increase over the
-    step before (the previous block's last value carried over), the mass
-    drift, and the functionals of the block's sampled rows.  v0 is scored
-    as a one-row block, and the final density is the only DensityField
-    built.
+    checked in one pass: the entropy of every step (SolverError when one is
+    not finite), its increase over the step before (the previous block's
+    last value carried over) and the mass drift.  The sampled rows, v0
+    first, wait across blocks until at least max(1, 10_000 // n) are
+    pending (and at the last block), and each such chunk is scored as one
+    stack.  The final density is the only DensityField built.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -233,21 +257,30 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
         raise SolverError(f"the discrete steady state underflows on {tiny.sum()} of "
                           f"{g.size} cells (its log spans {span:.1f})")
     dy = v0.grid.cell_width
+    chunk = max(1, _BLOCK_VALUES // v0.grid.n_cells)
 
     start, start_mass = v0.values[None, :], v0.mass()
-    h_prev = entropy_gap(start, g, dy)
+    h = _entropies(start, g, dy, 0)
     max_increase = 0.0
     max_mass_drift = abs(start_mass - 1.0)
-    scored = [_score_rows(np.zeros(1), start, np.array([start_mass]), h_prev, eq_field, p.lam)]
+    # a chunk's stack stays about one block in size: collecting every
+    # sampled row would cost memory in proportion to the run
+    pending, n_pending = [(np.zeros(1), start, np.array([start_mass]), h)], 1
+    scored = []
     for steps, times, values, mass in march(state, n_steps):
-        h = entropy_gap(values, g, dy)
-        max_increase = max(max_increase, float(np.diff(h, prepend=h_prev[-1]).max()))
-        h_prev = h
+        h_last = h[-1]
+        h = _entropies(values, g, dy, steps.start)
+        max_increase = max(max_increase, float((h[1:] - h[:-1]).max(initial=h[0] - h_last)))
         max_mass_drift = max(max_mass_drift, float(np.abs(mass - 1.0).max()))
         k = np.arange(steps.start, steps.stop)
         keep = (k % sample_every == 0) | (k == n_steps)
-        scored.append(_score_rows(times[keep], values[keep], mass[keep], h[keep],
-                                  eq_field, p.lam))
+        rows = values[keep]
+        pending.append((times[keep], rows, mass[keep], h[keep]))
+        n_pending += len(rows)
+        if n_pending >= chunk or steps.stop > n_steps:
+            stack = [np.concatenate(c) for c in zip(*pending)]
+            pending, n_pending = [], 0
+            scored.append(_score_rows(*stack, eq_field, p.lam))
 
     times, entropy, fisher, l1, wl2, mass, mean = (np.concatenate(c) for c in zip(*scored))
     return Trajectory(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from opinion_kinetics import (
 )
 from opinion_kinetics import solver as solver_module
 from opinion_kinetics.cli import main
-from opinion_kinetics.functionals import entropy_gap
+from opinion_kinetics.functionals import _l1_distance, _weighted_fisher, _weighted_l2, entropy_gap
+from opinion_kinetics.grid import _mean
 from oracles import zero_flux_kernel
 
 
@@ -434,3 +436,82 @@ def test_entropy_increase_across_a_block_boundary_is_seen(monkeypatch):
     monkeypatch.setattr(solver_module, "dgttrs", restart)
     traj = solve(p, v0, 1e-3, 0.1)
     assert traj.max_entropy_increase == traj.entropy[0] - h_50 > 0.0
+
+
+def _solve_scoring_each_block(p, v0, dt, t_end, every):
+    """solve as a per-block loop: each march block's sampled rows scored as
+    their own stack, the entropy increase through np.diff."""
+    eq = discretize_equilibrium(p, v0.grid)
+    dy = v0.grid.cell_width
+    n_steps = int(round(t_end / dt))
+    h_prev = entropy_gap(v0.values[None, :], eq.values, dy)
+    max_increase, max_drift = 0.0, abs(v0.mass() - 1.0)
+    pieces = [(np.zeros(1), v0.values[None, :], np.array([v0.mass()]), h_prev)]
+    for steps, times, values, mass in solver_module.march(make_solver_state(p, v0, dt), n_steps):
+        h = entropy_gap(values, eq.values, dy)
+        max_increase = max(max_increase, float(np.diff(h, prepend=h_prev[-1]).max()))
+        h_prev = h
+        max_drift = max(max_drift, float(np.abs(mass - 1.0).max()))
+        k = np.arange(steps.start, steps.stop)
+        keep = (k % every == 0) | (k == n_steps)
+        pieces.append((times[keep], values[keep], mass[keep], h[keep]))
+    columns = {"times": [], "entropy": [], "fisher": [], "l1_dist": [], "wl2_dist": [],
+               "mass": [], "mean": []}
+    for times, rows, mass, h in pieces:
+        fisher = np.full(len(rows), math.inf)
+        positive = (rows > 0.0).all(axis=-1)
+        if positive.any():
+            fisher[positive] = _weighted_fisher(rows[positive], eq, p.lam)
+        for name, col in zip(columns, (times, h, fisher, _l1_distance(rows, eq),
+                                       _weighted_l2(rows, eq), mass, _mean(rows, v0.grid))):
+            columns[name].append(col)
+    return ({name: np.concatenate(cols) for name, cols in columns.items()},
+            max_increase, max_drift, values[-1])
+
+
+@pytest.mark.parametrize("block_values, rows", [(200, 1), (1400, 7), (10_000, 50)])
+@pytest.mark.parametrize("every", [1, 7, 123])
+@pytest.mark.parametrize("start", ["bimodal", "equilibrium"])
+def test_solve_chunks_equal_per_block_scoring_bitwise(monkeypatch, block_values, rows,
+                                                      every, start):
+    # 123 steps at n = 200: the last block is partial for 7- and 50-row blocks
+    p = KineticParams(0.8, 0.3)
+    g = build_grid(200)
+    v0 = bimodal_density(g) if start == "bimodal" else discretize_equilibrium(p, g)
+    monkeypatch.setattr(solver_module, "_BLOCK_VALUES", block_values)
+    assert len(next(solver_module.march(make_solver_state(p, v0, 1e-2), 123))[0]) == rows
+    columns, max_increase, max_drift, final = _solve_scoring_each_block(p, v0, 1e-2, 1.23,
+                                                                         every)
+    traj = solve(p, v0, 1e-2, 1.23, sample_every=every)
+    for name, want in columns.items():
+        assert np.array_equal(getattr(traj, name), want), name
+    assert traj.max_entropy_increase == max_increase
+    assert traj.max_mass_drift == max_drift
+    assert np.array_equal(traj.final.values, final)
+
+
+def test_solve_memory_stays_bounded_after_the_first_block(monkeypatch):
+    # 10^4 steps at n = 200 sample 1 001 rows: 1.6 MB, 20 blocks of 80 kB,
+    # if all were kept.  The bound allows one block in march, two of pending
+    # rows and their stack, and about five of kernel temporaries on a stack
+    # (entropy_gap's alone are 0.41 MB).
+    march = solver_module.march
+    after_first = []
+
+    def traced_march(s, n_steps):
+        blocks = march(s, n_steps)
+        yield next(blocks)
+        after_first.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        yield from blocks
+
+    monkeypatch.setattr(solver_module, "march", traced_march)
+    v0 = bimodal_density(build_grid(200))
+    tracemalloc.start()
+    try:
+        traj = solve(KineticParams(0.5, 0.0), v0, 1e-3, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 1001
+    assert peak - after_first[0] < 10 * 80e3
