@@ -21,15 +21,11 @@ from .grid import (
     Grid,
     GridMismatchError,
     bimodal_density,
-    build_grid,
-    random_grid_function,
-    random_smooth_density,
     uniform_density,
 )
 from .montecarlo import (
     Ensemble,
     InteractionParams,
-    binary_interact,
     histogram,
     initial_ensemble,
     mc_sweeps,

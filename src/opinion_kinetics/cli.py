@@ -75,11 +75,11 @@ def _cmd_solve(args) -> bool:
 def _cmd_sweep(args) -> bool:
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
-    passed = {lv: all(r.verdicts().values()) for lv, r in run_sweep(cfg, out).items()}
-    for lv, ok in passed.items():
-        print(f"lambda = {lv:g}: {'PASS' if ok else 'FAIL'} "
-              f"(outputs in {out / f'lambda_{lv:g}'})")
-    return all(passed.values())
+    passed = []
+    for lv, (sub, report) in run_sweep(cfg, out).items():
+        passed.append(all(report.verdicts().values()))
+        print(f"lambda = {lv:g}: {'PASS' if passed[-1] else 'FAIL'} (outputs in {sub})")
+    return all(passed)
 
 
 def _cmd_mc(args) -> bool:

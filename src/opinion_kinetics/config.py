@@ -89,6 +89,11 @@ def build_initial_density(spec: str, grid: Grid, width: float) -> DensityField:
     raise ConfigError(f"unknown initial condition {spec!r}")
 
 
+def sweep_dir_name(lam: float) -> str:
+    """The subdirectory of a sweep's output directory that holds the run at lam."""
+    return f"lambda_{lam:g}"
+
+
 def lambda_list(text: str) -> tuple:
     """Comma- or space-separated lambda values, as `sweep_lambdas` and --lambdas take them."""
     return tuple(float(tok) for tok in text.replace(",", " ").split())
@@ -189,8 +194,14 @@ def _validate(cfg: ExperimentConfig):
     _check("lambda", KineticParams, cfg.lam, 0.0)
     p = _check("m", KineticParams, cfg.lam, cfg.m)
     _check("n", Grid, cfg.n)
+    dirs = {}
     for lv in cfg.sweep_lambdas:
         _check("sweep_lambdas", KineticParams, lv, cfg.m)
+        name = sweep_dir_name(lv)
+        if name in dirs:
+            raise ConfigError(f"field 'sweep_lambdas': {dirs[name]!r} and {lv!r} "
+                              f"would both write to the output directory {name}")
+        dirs[name] = lv
     for name in ("dt", "t_end", "bimodal_width"):
         _check(name, _finite_positive, getattr(cfg, name))
     _check("t_end", whole_steps, cfg.t_end, cfg.dt)

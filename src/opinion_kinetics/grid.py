@@ -61,11 +61,6 @@ class Grid:
         return e
 
 
-def build_grid(n: int) -> Grid:
-    """Uniform grid with n >= 4 cells on (-1, 1)."""
-    return Grid(n)
-
-
 @dataclass(frozen=True)
 class DensityField:
     """Nonnegative cell values of a density on a Grid.
@@ -182,9 +177,10 @@ def random_smooth_densities(grid: Grid, rng: np.random.Generator, rows: int) -> 
     """(rows, n) stack of strictly positive smooth random densities.
 
     Each row is exp of a trig series of degree TRIG_DEGREE, normalized to
-    unit discrete mass.  The coefficients are drawn as one block in row
-    order, so row i equals the values of the i-th of `rows` successive
-    random_smooth_density calls on the same generator.
+    unit discrete mass; smoothness keeps the discretization error of the
+    inequality batteries' functionals at second order.  The coefficients are
+    drawn in row order, so one call with k rows equals k successive one-row
+    calls on the same generator.
     """
     k = np.arange(1, TRIG_DEGREE + 1)[:, None]
     coef = rng.normal(size=(rows, TRIG_DEGREE, 2)) * 0.6 / k
@@ -193,27 +189,14 @@ def random_smooth_densities(grid: Grid, rng: np.random.Generator, rows: int) -> 
     return v
 
 
-def random_smooth_density(grid: Grid, rng: np.random.Generator) -> DensityField:
-    """Strictly positive smooth random density: exp of a low-order trig series.
-
-    Used by the inequality property batteries; smoothness keeps the
-    discretization error of the functionals at second order.
-    """
-    return DensityField(grid, random_smooth_densities(grid, rng, 1)[0])
-
-
 def random_grid_functions(grid: Grid, rng: np.random.Generator, rows: int) -> np.ndarray:
-    """(rows, n) stack of sign-changing smooth random functions.
+    """(rows, n) stack of sign-changing smooth random functions, for the L2
+    form of the inequality.
 
-    Row i equals the i-th of `rows` successive random_grid_function calls
-    on the same generator: per row, a constant term then TRIG_DEGREE
-    (cos, sin) coefficient pairs, drawn as one block in row order.
+    Per row, a constant term then TRIG_DEGREE (cos, sin) coefficient pairs
+    are drawn; rows are drawn in order, so one call with k rows equals k
+    successive one-row calls on the same generator.
     """
     draws = rng.normal(size=(rows, 1 + 2 * TRIG_DEGREE))
     coef = draws[:, 1:].reshape(rows, TRIG_DEGREE, 2) / np.arange(1, TRIG_DEGREE + 1)[:, None]
     return draws[:, :1] + _trig_series(grid, coef)
-
-
-def random_grid_function(grid: Grid, rng: np.random.Generator) -> np.ndarray:
-    """Sign-changing smooth random function for the L2 form of the inequality."""
-    return random_grid_functions(grid, rng, 1)[0]

@@ -146,18 +146,15 @@ def sample_noise(rng: np.random.Generator, sigma2_scaled: float, out: np.ndarray
     return out
 
 
-def _interact(x, xs, g_s, eta, eta_s, out=None):
-    """The interaction rule on arrays of pairs (x, xs): the post-interaction
-    opinions and whether both stay in [-1, 1].
+def _interact(x, xs, g_s, eta, eta_s, out):
+    """The interaction rule on arrays of pairs (x, xs), written into
+    out = (x_new, xs_new, ok, ok_s): the new opinions and, in ok, whether both
+    stay in [-1, 1] (a pair that would not keeps its states).
 
-    The results go into out = (x_new, xs_new, ok, ok_s) when it is given,
-    into new arrays otherwise; eta and eta_s are overwritten as scratch.
-    Each new opinion is x + g_s (xs - x) + sqrt(1 - x^2) eta, rounded as
-    that expression evaluates left to right.
+    eta and eta_s are overwritten as scratch, and ok_s too.  Each new opinion
+    is x + g_s (xs - x) + sqrt(1 - x^2) eta, rounded as that expression
+    evaluates left to right; zero-mean noise conserves the expected pair sum.
     """
-    if out is None:
-        out = (np.empty_like(x), np.empty_like(x),
-               np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool))
     x_new, xs_new, ok, ok_s = out
     for new, own, partner, noise, inside in ((x_new, x, xs, eta, ok),
                                              (xs_new, xs, x, eta_s, ok_s)):
@@ -171,19 +168,6 @@ def _interact(x, xs, g_s, eta, eta_s, out=None):
         new += noise
         np.less_equal(np.abs(new, out=noise), 1.0, out=inside)
     ok &= ok_s
-    return x_new, xs_new, ok
-
-
-def binary_interact(x: float, x_star: float, gamma_scaled: float,
-                    eta: float, eta_star: float):
-    """Post-interaction opinions, or None when either would leave [-1, 1].
-
-    Rejection is a value, not an error: the pair simply keeps its states.
-    The expected pair sum is conserved because the noise has zero mean.
-    """
-    x_new, xs_new, ok = _interact(np.array([x]), np.array([x_star]), gamma_scaled,
-                                  np.array([eta]), np.array([eta_star]))
-    return (float(x_new[0]), float(xs_new[0])) if ok[0] else None
 
 
 def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):

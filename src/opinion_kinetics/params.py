@@ -78,22 +78,18 @@ def bakry_emery_rho(p: KineticParams) -> float:
     """Uniform convexity bound of the transformed log-density potential.
 
     With c = 1 - lam/2, the minimum of the potential's second derivative
-    over the angular interval is c for m = 0 and (c + sqrt(c^2 - m^2))/2
-    for m != 0; both are covered by the single expression below.  Strictly
-    positive on the admissible set and never larger than 1.
+    over the angular interval is (c + sqrt(c^2 - m^2))/2, which is c for
+    m = 0.  Strictly positive on the admissible set and never larger than 1.
     """
     c = _require_l2(p, "bakry_emery_rho")
-    if p.m == 0.0:
-        return c
     return 0.5 * (c + math.sqrt(max(c * c - p.m * p.m, 0.0)))
 
 
 def log_sobolev_constant(p: KineticParams) -> float:
-    """Constant K relating relative entropy to weighted Fisher information.
+    """Constant K = 1/(2 rho), rho = bakry_emery_rho(p), relating relative
+    entropy to weighted Fisher information.
 
-    K = (c + sqrt(c^2 - m^2))^{-1} with c = 1 - lam/2; identical to
-    1/(2 rho) for rho = bakry_emery_rho(p).  Entropy along the flow decays
-    at least like exp(-t/K).
+    K = (c + sqrt(c^2 - m^2))^{-1} with c = 1 - lam/2.  Entropy along the
+    flow decays at least like exp(-t/K).
     """
-    c = _require_l2(p, "log_sobolev_constant")
-    return 1.0 / (c + math.sqrt(max(c * c - p.m * p.m, 0.0)))
+    return 1.0 / (2.0 * bakry_emery_rho(p))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, whole_steps
+from .config import ConfigError, ExperimentConfig, sweep_dir_name, whole_steps
 from .equilibrium import BetaEquilibrium
 from .fitting import MIN_POINTS, DecayFit, fit_decay_rate
 from .functionals import l1_distance, ls_slack_rows, uniform_ls_slack
@@ -197,14 +197,15 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
-    """One run_solve per sweep_lambdas value, each in its own subdirectory."""
+    """One run_solve per sweep_lambdas value, each in its own subdirectory:
+    {lambda: (that subdirectory, its DecayReport)}."""
     if not cfg.sweep_lambdas:
         raise ConfigError("sweep requires sweep_lambdas in the config or --lambdas")
-    out = Path(out_dir)
-    reports = {}
+    runs = {}
     for lv in cfg.sweep_lambdas:
-        reports[lv] = run_solve(replace(cfg, lam=lv), out / f"lambda_{lv:g}")
-    return reports
+        sub = Path(out_dir) / sweep_dir_name(lv)
+        runs[lv] = sub, run_solve(replace(cfg, lam=lv), sub)
+    return runs
 
 
 def coarsen_density(f: DensityField, coarse: Grid) -> DensityField:

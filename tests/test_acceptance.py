@@ -12,11 +12,11 @@ from opinion_kinetics import (
     BetaEquilibrium,
     DensityField,
     Ensemble,
+    Grid,
     InteractionParams,
     KineticParams,
     bakry_emery_rho,
     bimodal_density,
-    build_grid,
     ckp_slack,
     discretize_equilibrium,
     histogram,
@@ -27,14 +27,13 @@ from opinion_kinetics import (
     make_solver_state,
     mc_sweeps,
     minimize_potential_second,
-    random_grid_function,
-    random_smooth_density,
     solve,
     uniform_ls_slack,
     weighted_fisher,
 )
 from opinion_kinetics.functionals import entropy_gap
 from opinion_kinetics.fitting import fit_decay_rate
+from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
 from opinion_kinetics.montecarlo import sweeps_for_time
 from opinion_kinetics.solver import march
 from opinion_kinetics.transform import (
@@ -70,7 +69,7 @@ def _swept(e, ip, n_sweeps):
 def decay_runs():
     """Bimodal decay runs shared by criteria 3, 4 and 5."""
     runs = {}
-    grid = build_grid(200)
+    grid = Grid(200)
     v0 = bimodal_density(grid)
     for lam in (0.2, 0.4, 0.6, 0.8):
         runs[(lam, 0.0)] = solve(KineticParams(lam, 0.0), v0, 1e-3, 10.0, 10)
@@ -105,7 +104,7 @@ def test_criterion_1_closed_form_constants():
 def test_criterion_2_steady_state_preservation():
     t0 = time.time()
     p = KineticParams(0.5, 0.0)
-    grid = build_grid(200)
+    grid = Grid(200)
     eq = discretize_equilibrium(p, grid)
     final = _last_row(make_solver_state(p, eq, 1e-3), 10_000)
     drift = float(np.max(np.abs(final.values - eq.values)))
@@ -118,7 +117,7 @@ def test_criterion_2_steady_state_preservation():
         errs = []
         ns = (100, 200, 400, 800)
         for n in ns:
-            g = build_grid(n)
+            g = Grid(n)
             errs.append(l1_distance(discretize_equilibrium(pv, g),
                                     BetaEquilibrium.from_params(pv).on_grid(g)))
         l1_at_200[lam] = errs[1]
@@ -144,7 +143,7 @@ def test_criterion_3_conservation(decay_runs):
     drifts = []
     ns = (50, 100, 200, 400)
     for n in ns:
-        g = build_grid(n)
+        g = Grid(n)
         y = g.centers
         v0 = DensityField(g, (1.0 - y * y) * (1.0 + y)).normalized()
         traj = solve(p, v0, 1e-3, 2.0, 40)
@@ -186,14 +185,13 @@ def test_criterion_6_inequality_property_suites():
     t0 = time.time()
     rng = np.random.default_rng(2024)
 
-    g100 = build_grid(100)
+    g100 = Grid(100)
     ckp_min = math.inf
     for _ in range(1000):
-        f = random_smooth_density(g100, rng)
-        h = random_smooth_density(g100, rng)
+        f, h = (DensityField(g100, v) for v in random_smooth_densities(g100, rng, 2))
         ckp_min = min(ckp_min, ckp_slack(f, h))
 
-    g400 = build_grid(400)
+    g400 = Grid(400)
     ls_min = math.inf
     n_points = 0
     for lam in np.round(np.arange(0.2, 1.81, 0.2), 10):
@@ -201,13 +199,13 @@ def test_criterion_6_inequality_property_suites():
         for frac in (0.0, 0.5, -0.5, 0.9, -0.9):
             p = KineticParams(float(lam), float(frac * c))
             for _ in range(200):
-                phi = random_smooth_density(g400, rng)
+                phi = DensityField(g400, random_smooth_densities(g400, rng, 1)[0])
                 ls_min = min(ls_min, ls_slack(phi, p))
             n_points += 1
 
     uni_min = math.inf
     for _ in range(200):
-        w = random_grid_function(g400, rng)
+        w = random_grid_functions(g400, rng, 1)[0]
         uni_min = min(uni_min, uniform_ls_slack(g400, w))
 
     elapsed = time.time() - t0
@@ -226,10 +224,10 @@ def test_criterion_7_micro_macro_consistency():
     # (a) histogram vs solver at t_fp = 2
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.01)
     ens = initial_ensemble(100_000, seed=42, kind="bimodal")
-    hist_grid = build_grid(50)
+    hist_grid = Grid(50)
     ens = _swept(ens, ip, sweeps_for_time(ip, 2.0))
     hist = histogram(ens.opinions, hist_grid)
-    fine = build_grid(200)
+    fine = Grid(200)
     final = _last_row(make_solver_state(p, bimodal_density(fine), 1e-3), 2000)
     fp = DensityField(hist_grid, final.values.reshape(50, -1).mean(axis=1))
     l1_mc_fp = l1_distance(hist, fp)
@@ -300,7 +298,7 @@ def test_criterion_9_entropy_production_identity():
     levels = [(100, 8e-3), (200, 4e-3), (400, 2e-3), (800, 1e-3)]
     errs = []
     for n, dt in levels:
-        grid = build_grid(n)
+        grid = Grid(n)
         eq = discretize_equilibrium(p, grid)
         state = make_solver_state(p, bimodal_density(grid), dt)
         dy = grid.cell_width

@@ -96,9 +96,9 @@ def test_run_solve_outputs_and_rerun_identical(tmp_path):
 
 def test_run_solve_equilibrium_start_all_zero(tmp_path):
     # start exactly at the scheme's steady state via the file: mechanism
-    from opinion_kinetics import KineticParams, build_grid, discretize_equilibrium
+    from opinion_kinetics import Grid, KineticParams, discretize_equilibrium
 
-    eqv = discretize_equilibrium(KineticParams(1.0, 0.0), build_grid(64)).values
+    eqv = discretize_equilibrium(KineticParams(1.0, 0.0), Grid(64)).values
     ic = tmp_path / "eq.txt"
     np.savetxt(ic, eqv, fmt="%.17e")
     cfg = parse_config_text(
@@ -288,7 +288,7 @@ def test_run_mc_pair_counters_match_rejection_stats_and_summary(tmp_path):
     assert f"rejection_fraction = {fraction:.16e}\n" in summary
 
 
-def test_cli_sweep(tmp_path):
+def test_cli_sweep(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "lambda = 0.5\nm = 0\nn = 64\ndt = 2e-3\nt_end = 4.0\nsample_every = 20\n",
@@ -299,6 +299,12 @@ def test_cli_sweep(tmp_path):
     assert code == 0
     assert (tmp_path / "sw" / "lambda_0.4" / "decay.csv").exists()
     assert (tmp_path / "sw" / "lambda_0.6" / "decay.csv").exists()
+    # each printed path is the directory that holds that run's outputs
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["lambda = 0.4", "lambda = 0.6"]
+    printed = [Path(line.split("(outputs in ", 1)[1].rstrip(")")) for line in lines]
+    assert printed == [tmp_path / "sw" / "lambda_0.4", tmp_path / "sw" / "lambda_0.6"]
+    assert all((p / "decay.csv").is_file() for p in printed)
 
 
 def test_cli_fit_header_only_csv_exits_1(tmp_path, capsys):
@@ -357,6 +363,12 @@ def test_module_help_lists_every_subcommand():
     pytest.param("solve", "", ["--dt", "nan"], "dt", id="flag_dt_nan"),
     pytest.param("solve", "", ["--n", "2"], "n", id="flag_n_2"),
     pytest.param("sweep", "", ["--lambdas", "nan"], "sweep_lambdas", id="flag_lambdas_nan"),
+    pytest.param("sweep", "sweep_lambdas = 0.1, 0.10000001\n", [], "sweep_lambdas",
+                 id="file_sweep_lambdas_same_directory"),
+    pytest.param("sweep", "", ["--lambdas", "0.4,0.4"], "sweep_lambdas",
+                 id="flag_lambdas_repeated"),
+    pytest.param("sweep", "", ["--lambdas", "0.5,5e-1"], "sweep_lambdas",
+                 id="flag_lambdas_same_value_spelled_twice"),
     pytest.param("mc", "n = 100\nmc.n = 100\nmc.hist_n = 30\n", [], "mc.hist_n",
                  id="file_hist_n_not_dividing_n"),
     pytest.param("mc", "mc.n = 100\nmc.hist_n = 40\n", ["--n", "100"], "mc.hist_n",
@@ -382,6 +394,13 @@ def test_cli_bad_setting_exits_1_naming_the_field(command, lines, flags, field,
     assert code == 1
     assert f"error: field '{field}'" in err and "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_sweep_lambdas_sharing_a_directory_error_names_both():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("lambda = 0.5\nm = 0\nsweep_lambdas = 0.1, 0.2, 0.10000001\n")
+    assert str(exc.value) == ("field 'sweep_lambdas': 0.1 and 0.10000001 would both "
+                              "write to the output directory lambda_0.1")
 
 
 @pytest.mark.parametrize("lines, message", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from opinion_kinetics import BetaEquilibrium, KineticParams, build_grid, log_normalization
+from opinion_kinetics import BetaEquilibrium, Grid, KineticParams, log_normalization
 
 from oracles import QUAD_OPTS, beta_density, quad_mass
 
@@ -68,7 +68,7 @@ def test_moments_against_quadrature():
 
 def test_on_grid_normalization_flag():
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.2))
-    g = build_grid(200)
+    g = Grid(200)
     assert eq.on_grid(g).is_normalized(tol=1e-12)
     raw_mass = eq.value(g.centers).sum() * g.cell_width  # the samples before rescaling
     assert abs(raw_mass - 1.0) < 1e-3  # close, but not flagged exact

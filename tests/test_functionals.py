@@ -8,17 +8,15 @@ from opinion_kinetics import (
     AbsoluteContinuityError,
     BetaEquilibrium,
     DensityField,
+    Grid,
     KineticParams,
     PositivityError,
     RegimeError,
     bimodal_density,
-    build_grid,
     ckp_slack,
     discretize_equilibrium,
     l1_distance,
     ls_slack,
-    random_grid_function,
-    random_smooth_density,
     relative_entropy,
     uniform_density,
     uniform_ls_slack,
@@ -31,6 +29,7 @@ from opinion_kinetics.functionals import (
     entropy_gap,
     ls_slack_rows,
 )
+from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
 
 from oracles import SmoothRatioCase, entropy_kernel
 
@@ -40,7 +39,7 @@ def _field_from(fn, grid):
 
 
 def test_relative_entropy_identity():
-    g = build_grid(100)
+    g = Grid(100)
     f = bimodal_density(g)
     assert relative_entropy(f, f) == 0.0
 
@@ -54,7 +53,7 @@ def test_relative_entropy_boundary_singular_reference():
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0))
     gaps = []
     for n in (200, 400, 800):
-        g = build_grid(n)
+        g = Grid(n)
         h = relative_entropy(uniform_density(g), eq.on_grid(g))
         assert h > 0.0
         gaps.append(abs(h - exact))
@@ -65,14 +64,14 @@ def test_relative_entropy_boundary_singular_reference():
 
 def test_relative_entropy_smooth_ratio_oracle():
     case = SmoothRatioCase(0.5, 0.0)
-    g = build_grid(400)
+    g = Grid(400)
     f = _field_from(case.f, g)
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
     assert relative_entropy(f, eq) == pytest.approx(case.entropy(), abs=1e-4)
 
 
 def test_relative_entropy_absolute_continuity():
-    g = build_grid(10)
+    g = Grid(10)
     f = uniform_density(g)
     gv = np.full(10, 1.0 / 1.8)
     gv[0] = 0.0
@@ -85,10 +84,9 @@ def test_relative_entropy_absolute_continuity():
 
 def test_relative_entropy_nonnegative_on_random_pairs():
     rng = np.random.default_rng(5)
-    g = build_grid(100)
+    g = Grid(100)
     for _ in range(200):
-        f = random_smooth_density(g, rng)
-        h = random_smooth_density(g, rng)
+        f, h = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
         assert relative_entropy(f, h) >= -1e-12
 
 
@@ -123,30 +121,30 @@ def test_entropy_kernel_edge_cells():
 
 def test_weighted_fisher_zero_at_equilibrium():
     p = KineticParams(0.5, 0.2)
-    g = build_grid(300)
+    g = Grid(300)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
     assert weighted_fisher(eq, eq, p.lam) <= 1e-20
 
 
 def test_weighted_fisher_smooth_ratio_oracle():
     case = SmoothRatioCase(0.5, 0.0)
-    g = build_grid(400)
+    g = Grid(400)
     f = _field_from(case.f, g)
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
     assert weighted_fisher(f, eq, 0.5) == pytest.approx(case.fisher(), rel=1e-3)
 
 
 def test_weighted_fisher_linear_in_prefactor():
-    g = build_grid(200)
+    g = Grid(200)
     rng = np.random.default_rng(3)
-    f = random_smooth_density(g, rng)
+    f = DensityField(g, random_smooth_densities(g, rng, 1)[0])
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
     assert weighted_fisher(f, eq, 1.0) == pytest.approx(
         2.0 * weighted_fisher(f, eq, 0.5), rel=1e-15)
 
 
 def test_weighted_fisher_positivity_error():
-    g = build_grid(10)
+    g = Grid(10)
     f = DensityField(g, np.where(np.arange(10) == 4, 0.0, 1.0)).normalized()
     eq = BetaEquilibrium.from_params(KineticParams(1.0, 0.0)).on_grid(g)
     with pytest.raises(PositivityError):
@@ -161,7 +159,7 @@ def test_divergent_continuum_cases_grow_under_refinement():
     eq = BetaEquilibrium.from_params(p)
     fishers, wl2s = [], []
     for n in (100, 400, 1600):
-        g = build_grid(n)
+        g = Grid(n)
         u = uniform_density(g)
         fishers.append(weighted_fisher(u, eq.on_grid(g), p.lam))
         wl2s.append(weighted_l2(u, eq.on_grid(g)))
@@ -172,7 +170,7 @@ def test_divergent_continuum_cases_grow_under_refinement():
 
 def test_weighted_l2_zero_at_equilibrium():
     p = KineticParams(0.7, 0.1)
-    g = build_grid(128)
+    g = Grid(128)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
     assert weighted_l2(eq, eq) == 0.0
 
@@ -180,7 +178,7 @@ def test_weighted_l2_zero_at_equilibrium():
 def test_weighted_l2_polynomial_case():
     # f = Beta(0.5, 0) against the uniform state: integrand is a polynomial
     # with exact integral 1/5.
-    g = build_grid(400)
+    g = Grid(400)
     f = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
     uni = BetaEquilibrium.from_params(KineticParams(1.0, 0.0)).on_grid(g)
     assert weighted_l2(f, uni) == pytest.approx(0.2, abs=1e-4)
@@ -188,7 +186,7 @@ def test_weighted_l2_polynomial_case():
 
 def test_weighted_l2_smooth_ratio_oracle():
     case = SmoothRatioCase(0.5, 0.0)
-    g = build_grid(400)
+    g = Grid(400)
     f = _field_from(case.f, g)
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
     assert weighted_l2(f, eq) == pytest.approx(case.weighted_l2(), abs=1e-4)
@@ -197,15 +195,15 @@ def test_weighted_l2_smooth_ratio_oracle():
 def test_cauchy_schwarz_chain():
     rng = np.random.default_rng(11)
     p = KineticParams(0.5, 0.0)
-    g = build_grid(200)
+    g = Grid(200)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
     for _ in range(100):
-        f = random_smooth_density(g, rng)
+        f = DensityField(g, random_smooth_densities(g, rng, 1)[0])
         assert l1_distance(f, eq) ** 2 <= weighted_l2(f, eq) * (1.0 + 1e-12)
 
 
 def test_l1_examples():
-    g = build_grid(100)
+    g = Grid(100)
     f = bimodal_density(g)
     assert l1_distance(f, f) == 0.0
     left = np.where(g.centers < 0.0, 1.0, 0.0)
@@ -217,22 +215,20 @@ def test_l1_examples():
 
 def test_l1_brute_force_oracle():
     rng = np.random.default_rng(2)
-    g = build_grid(64)
-    f = random_smooth_density(g, rng)
-    h = random_smooth_density(g, rng)
+    g = Grid(64)
+    f, h = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
     brute = math.fsum(abs(a - b) for a, b in zip(f.values, h.values)) * g.cell_width
     # summation order differs (pairwise vs exact), so agreement is ulp-scale
     assert l1_distance(f, h) == pytest.approx(brute, rel=5e-16)
 
 
 def test_ckp_slack():
-    g = build_grid(100)
+    g = Grid(100)
     f = bimodal_density(g)
     assert ckp_slack(f, f) == 0.0
     rng = np.random.default_rng(17)
     for _ in range(300):
-        a = random_smooth_density(g, rng)
-        b = random_smooth_density(g, rng)
+        a, b = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
         assert ckp_slack(a, b) >= -1e-10
     left = DensityField(g, np.where(g.centers < 0.0, 1.0, 0.0)).normalized()
     right = DensityField(g, np.where(g.centers > 0.0, 1.0, 0.0)).normalized()
@@ -241,47 +237,47 @@ def test_ckp_slack():
 
 def test_ls_slack_zero_at_equilibrium():
     p = KineticParams(0.5, 0.0)
-    g = build_grid(400)
+    g = Grid(400)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
     assert ls_slack(eq, p) == 0.0
 
 
 def test_ls_slack_bimodal_positive():
     p = KineticParams(0.5, 0.0)
-    phi = bimodal_density(build_grid(400))
+    phi = bimodal_density(Grid(400))
     assert ls_slack(phi, p) > 0.0
 
 
 def test_ls_slack_regime_error():
-    phi = bimodal_density(build_grid(100))
+    phi = bimodal_density(Grid(100))
     with pytest.raises(RegimeError):
         ls_slack(phi, KineticParams(1.9, 0.5))
 
 
 def test_uniform_ls_slack_equality_case():
-    g = build_grid(256)
+    g = Grid(256)
     w = np.full(g.n_cells, 1.0 / math.sqrt(2.0))
     assert uniform_ls_slack(g, w) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_uniform_ls_slack_linear_case():
     # w = (1+x)/sqrt(8/3) has unit norm; slack is 5/3 - log 3 exactly.
-    g = build_grid(400)
+    g = Grid(400)
     w = (1.0 + g.centers) / math.sqrt(8.0 / 3.0)
     assert uniform_ls_slack(g, w) == pytest.approx(5.0 / 3.0 - math.log(3.0), abs=1e-4)
 
 
 def test_uniform_ls_slack_quadratic_scaling():
-    g = build_grid(200)
+    g = Grid(200)
     rng = np.random.default_rng(23)
     for _ in range(10):
-        w = random_grid_function(g, rng)
+        w = random_grid_functions(g, rng, 1)[0]
         assert uniform_ls_slack(g, 2.0 * w) == pytest.approx(
             4.0 * uniform_ls_slack(g, w), rel=1e-11, abs=1e-11)
 
 
 def test_uniform_ls_slack_zero_function_error():
-    g = build_grid(64)
+    g = Grid(64)
     with pytest.raises(ValueError):
         uniform_ls_slack(g, np.zeros(64))
 
@@ -300,7 +296,7 @@ def test_refinement_convergence_order():
     ns = (100, 200, 400, 800)
     errs = {k: [] for k in exact}
     for n in ns:
-        g = build_grid(n)
+        g = Grid(n)
         f = _field_from(case.f, g)
         ref = eq.on_grid(g)
         errs["H"].append(abs(relative_entropy(f, ref) - exact["H"]))
@@ -322,14 +318,14 @@ def _stack_near_and_far(g, ref, rng, rows):
     # rows far from the reference, plus the reference itself and a small
     # perturbation of it, so the entropy series branch runs on whole rows
     # and on part of a stack
-    far = [random_smooth_density(g, rng).values for _ in range(rows)]
+    far = list(random_smooth_densities(g, rng, rows))
     near = ref.values * (1.0 + 1e-3 * np.sin(np.pi * g.centers))
     return np.stack(far + [ref.values, near / (near.sum() * g.cell_width)])
 
 
 @pytest.mark.parametrize("n", [64, 400])
 def test_row_functionals_equal_one_row_calls_bitwise(n):
-    g = build_grid(n)
+    g = Grid(n)
     rng = np.random.default_rng(n)
     p = KineticParams(0.6, 0.2)
     ref = BetaEquilibrium.from_params(p).on_grid(g)
@@ -342,7 +338,7 @@ def test_row_functionals_equal_one_row_calls_bitwise(n):
     disc = discretize_equilibrium(p, g)
     assert np.array_equal(ls_slack_rows(stack, p, disc),
                           [ls_slack(f, p, disc) for f in fields])
-    ws = np.stack([random_grid_function(g, rng) for _ in range(9)])
+    ws = random_grid_functions(g, rng, 9)
     assert np.array_equal(uniform_ls_slack(g, ws), [uniform_ls_slack(g, w) for w in ws])
 
 
@@ -351,7 +347,7 @@ def test_row_functionals_equal_one_row_calls_bitwise(n):
     (0.0, PositivityError),
 ])
 def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
-    g = build_grid(64)
+    g = Grid(64)
     p = KineticParams(0.6, 0.2)
     ref = BetaEquilibrium.from_params(p).on_grid(g)
     stack = _stack_near_and_far(g, ref, np.random.default_rng(1), 4)
@@ -364,7 +360,7 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
     assert _raised_type(lambda: ls_slack_rows(stack, p, ref)) is error
     if error is ValueError:
         assert _raised_type(one_row(lambda f: relative_entropy(f, ref))) is error
-    ws = np.stack([random_grid_function(g, np.random.default_rng(2)) for _ in range(3)])
+    ws = random_grid_functions(g, np.random.default_rng(2), 3)
     ws[1] = 0.0
     assert _raised_type(lambda: uniform_ls_slack(g, ws[1])) is ValueError
     assert _raised_type(lambda: uniform_ls_slack(g, ws)) is ValueError

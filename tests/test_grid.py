@@ -3,11 +3,10 @@ import pytest
 
 from opinion_kinetics import (
     DensityField,
+    Grid,
     GridMismatchError,
     bimodal_density,
-    build_grid,
     l1_distance,
-    random_smooth_density,
     uniform_density,
 )
 from opinion_kinetics.grid import (
@@ -19,20 +18,20 @@ from opinion_kinetics.grid import (
 )
 
 
-def test_build_grid_examples():
-    g = build_grid(4)
+def test_grid_examples():
+    g = Grid(4)
     assert g.cell_width == 0.5
     assert np.allclose(g.centers, [-0.75, -0.25, 0.25, 0.75], atol=1e-15)
-    g200 = build_grid(200)
+    g200 = Grid(200)
     assert g200.cell_width == pytest.approx(0.01)
     assert g200.centers[0] == pytest.approx(-0.995, abs=1e-15)
     with pytest.raises(ValueError):
-        build_grid(3)
+        Grid(3)
 
 
 def test_grid_symmetry_and_interior():
     for n in (4, 7, 200):
-        g = build_grid(n)
+        g = Grid(n)
         assert np.array_equal(g.centers, -g.centers[::-1])
         assert np.all(np.abs(g.centers) < 1.0)
         d = np.diff(g.centers)
@@ -42,7 +41,7 @@ def test_grid_symmetry_and_interior():
 
 
 def test_density_field_validation():
-    g = build_grid(8)
+    g = Grid(8)
     with pytest.raises(ValueError):
         DensityField(g, np.full(7, 0.125))
     with pytest.raises(ValueError):
@@ -56,7 +55,7 @@ def test_density_field_validation():
 
 
 def test_normalization_and_mean():
-    g = build_grid(100)
+    g = Grid(100)
     f = DensityField(g, 1.0 + g.centers**2).normalized()
     assert f.mass() == pytest.approx(1.0, abs=1e-14)
     u = uniform_density(g)
@@ -64,7 +63,7 @@ def test_normalization_and_mean():
 
 
 def test_bimodal_density_mass_and_symmetry():
-    g = build_grid(200)
+    g = Grid(200)
     f = bimodal_density(g, width=0.15)
     assert abs(f.mass() - 1.0) <= 1e-12
     assert np.array_equal(f.values, f.values[::-1])
@@ -74,10 +73,10 @@ def test_bimodal_density_mass_and_symmetry():
 
 
 def test_random_density_positive_normalized():
-    g = build_grid(128)
+    g = Grid(128)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        f = random_smooth_density(g, rng)
+        f = DensityField(g, random_smooth_densities(g, rng, 1)[0])
         assert np.all(f.values > 0.0)
         assert abs(f.mass() - 1.0) <= 1e-12
 
@@ -110,7 +109,7 @@ def test_random_stacks_equal_per_k_trig_loop(n, degree):
     # bit for bit against a fresh basis and one row at a time; within 4 ulp
     # of sum |terms| of the old per-k loop, which added the terms in another order
     assert TRIG_DEGREE == degree
-    g = build_grid(n)
+    g = Grid(n)
     rows, ks = 25, np.arange(1, degree + 1)[:, None]
 
     rng = np.random.default_rng(7)
@@ -134,14 +133,14 @@ def test_random_stacks_equal_per_k_trig_loop(n, degree):
 
 
 def test_trig_basis_is_read_only():
-    basis = _trig_basis(build_grid(400))
+    basis = _trig_basis(Grid(400))
     assert basis.shape == (2 * TRIG_DEGREE, 400)
     with pytest.raises(ValueError):
         basis[0, 0] = 0.0
 
 
 def test_grid_mismatch_raises():
-    f = uniform_density(build_grid(8))
-    h = uniform_density(build_grid(16))
+    f = uniform_density(Grid(8))
+    h = uniform_density(Grid(16))
     with pytest.raises(GridMismatchError):
         l1_distance(f, h)

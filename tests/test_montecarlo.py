@@ -7,10 +7,9 @@ import pytest
 from opinion_kinetics import (
     BetaEquilibrium,
     Ensemble,
+    Grid,
     InteractionParams,
     KineticParams,
-    binary_interact,
-    build_grid,
     histogram,
     initial_ensemble,
     l1_distance,
@@ -18,7 +17,7 @@ from opinion_kinetics import (
     moments,
     sample_noise,
 )
-from opinion_kinetics.montecarlo import sample_from_density, sweeps_for_time
+from opinion_kinetics.montecarlo import _interact, sample_from_density, sweeps_for_time
 
 
 def _swept(e, ip, n_sweeps):
@@ -58,31 +57,40 @@ def test_sample_noise_moments_and_support():
     assert draws.var() == pytest.approx(s2, rel=0.01)
 
 
-def test_binary_interact_examples():
+def _interact_pairs(x, xs, g_s, eta, eta_s):
+    """_interact on copies of the given pairs, into new output arrays:
+    (x_new, xs_new, ok)."""
+    x, xs, eta, eta_s = (np.array(a, dtype=float, ndmin=1) for a in (x, xs, eta, eta_s))
+    out = (np.empty_like(x), np.empty_like(x),
+           np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool))
+    _interact(x, xs, g_s, eta, eta_s, out)
+    return out[:3]
+
+
+def test_interact_examples():
     # fixed point: identical opinions, no noise
-    assert binary_interact(0.4, 0.4, 0.3, 0.0, 0.0) == (0.4, 0.4)
+    x, xs, ok = _interact_pairs(0.4, 0.4, 0.3, 0.0, 0.0)
+    assert ok[0] and (x[0], xs[0]) == (0.4, 0.4)
     # extremes attract each other; D kills the noise there
-    assert binary_interact(1.0, -1.0, 0.1, 0.7, -0.7) == pytest.approx((0.8, -0.8))
+    x, xs, ok = _interact_pairs(1.0, -1.0, 0.1, 0.7, -0.7)
+    assert ok[0] and (x[0], xs[0]) == pytest.approx((0.8, -0.8))
     # zero-noise interactions conserve the pair sum exactly
-    x, xs = binary_interact(0.3, -0.8, 0.25, 0.0, 0.0)
-    assert x + xs == pytest.approx(0.3 - 0.8, abs=1e-15)
+    x, xs, ok = _interact_pairs(0.3, -0.8, 0.25, 0.0, 0.0)
+    assert ok[0] and x[0] + xs[0] == pytest.approx(0.3 - 0.8, abs=1e-15)
 
 
-def test_binary_interact_rejection():
+def test_interact_rejection():
     # strong positive noise at an opinion near the boundary leaves the range
-    assert binary_interact(0.999, 0.0, 0.01, 0.9, 0.0) is None
+    _, _, ok = _interact_pairs(0.999, 0.0, 0.01, 0.9, 0.0)
+    assert not ok[0]
 
 
-def test_binary_interact_mean_conserved_in_expectation():
+def test_interact_mean_conserved_in_expectation():
+    # rng.random fills in stream order: row i holds the i-th pair's (eta, eta_s)
     rng = np.random.default_rng(7)
-    s2 = 0.02
-    sums = []
-    for _ in range(20000):
-        eta, eta_s = sample_noise(rng, s2, np.empty(2))
-        out = binary_interact(0.2, -0.5, 0.05, eta, eta_s)
-        if out is not None:
-            sums.append(out[0] + out[1])
-    sums = np.array(sums)
+    eta, eta_s = sample_noise(rng, 0.02, np.empty((20000, 2))).T
+    x, xs, ok = _interact_pairs(np.full(20000, 0.2), np.full(20000, -0.5), 0.05, eta, eta_s)
+    sums = (x + xs)[ok]
     se = sums.std(ddof=1) / math.sqrt(sums.size)
     assert abs(sums.mean() - (0.2 - 0.5)) <= 3.0 * se
 
@@ -202,7 +210,7 @@ def test_mc_sweeps_allocates_nothing_per_sweep():
 
 
 def test_histogram_point_mass_and_mass():
-    g = build_grid(4)
+    g = Grid(4)
     h = histogram(np.zeros(100), g)
     assert h.mass() == pytest.approx(1.0, abs=1e-15)
     # all mass in the cell containing 0 (0 falls in the third cell [0, 0.5))
@@ -214,7 +222,7 @@ def test_histogram_point_mass_and_mass():
 
 def test_histogram_uniform_multinomial():
     e = initial_ensemble(1_000_000, seed=3, kind="uniform")
-    g = build_grid(50)
+    g = Grid(50)
     h = histogram(e.opinions, g)
     p_cell = g.cell_width / 2.0
     sd = math.sqrt(p_cell * (1 - p_cell) / e.size) / g.cell_width
@@ -258,7 +266,7 @@ def test_long_run_reaches_beta_equilibrium():
     p = KineticParams(0.5, 0.0)
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.02)
     e = initial_ensemble(50_000, seed=31, kind="bimodal")
-    g = build_grid(25)
+    g = Grid(25)
     e = _swept(e, ip, sweeps_for_time(ip, 20.0))
     h = histogram(e.opinions, g)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
@@ -270,7 +278,7 @@ def test_long_run_reaches_beta_equilibrium():
 
 
 def test_sample_from_density_matches_shape():
-    g = build_grid(40)
+    g = Grid(40)
     target = BetaEquilibrium.from_params(KineticParams(0.5, 0.2)).on_grid(g)
     e = sample_from_density(target, 200_000, seed=8)
     h = histogram(e.opinions, g)

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from opinion_kinetics import (
+    DensityField,
     Grid,
     KineticParams,
     ls_slack,
-    random_grid_function,
-    random_smooth_density,
     runners,
     uniform_ls_slack,
 )
 from opinion_kinetics.config import ConfigError, McConfig, parse_config_text
+from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
 from opinion_kinetics.runners import run_sweep, verify_ls, write_csv
 
 
@@ -57,10 +57,11 @@ def _scalar_battery(points, n, n_samples, seed):
     out = []
     for lv, mv in points:
         p = KineticParams(lv, mv)
-        ls_min = min(ls_slack(random_smooth_density(grid, rng), p) for _ in range(n_samples))
+        ls_min = min(ls_slack(DensityField(grid, random_smooth_densities(grid, rng, 1)[0]), p)
+                     for _ in range(n_samples))
         uni_min = math.nan
         if (lv, mv) == (1.0, 0.0):
-            uni_min = min(uniform_ls_slack(grid, random_grid_function(grid, rng))
+            uni_min = min(uniform_ls_slack(grid, random_grid_functions(grid, rng, 1)[0])
                           for _ in range(n_samples))
         out.append((ls_min, uni_min))
     return out

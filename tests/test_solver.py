@@ -11,11 +11,11 @@ from scipy.linalg.lapack import dgttrs
 from opinion_kinetics import (
     BetaEquilibrium,
     DensityField,
+    Grid,
     KineticParams,
     SolverError,
     assemble_coefficients,
     bimodal_density,
-    build_grid,
     discretize_equilibrium,
     l1_distance,
     make_solver_state,
@@ -48,7 +48,7 @@ def _rows(s, n_steps):
 
 def test_assemble_coefficients_pure_diffusion():
     # lam = 1, m = 0: drift vanishes identically, so both rates are D/dy^2
-    g = build_grid(64)
+    g = Grid(64)
     upper, lower = assemble_coefficients(KineticParams(1.0, 0.0), g)
     y, dy = g.interior_interfaces, g.cell_width
     assert np.array_equal(upper, lower)
@@ -68,7 +68,7 @@ def _chang_cooper_rates(lam, m, y, dy):
 
 
 def test_assemble_coefficients_values():
-    g = build_grid(200)
+    g = Grid(200)
     upper, lower = assemble_coefficients(KineticParams(0.5, 0.2), g)
     i_mid = np.where(g.interior_interfaces == 0.0)[0][0]
     # the middle interface (B = -m, D = lam/2) and the one nearest the left boundary
@@ -82,7 +82,7 @@ def test_assemble_coefficients_values():
 
 def test_operator_columns_sum_to_zero():
     # zero column sums are what makes the implicit step conserve mass
-    g = build_grid(50)
+    g = Grid(50)
     upper, lower = assemble_coefficients(KineticParams(0.8, -0.3), g)
     colsum = solver_module._diagonal(upper, lower)
     colsum[:-1] += lower
@@ -92,20 +92,20 @@ def test_operator_columns_sum_to_zero():
 
 
 def test_discrete_equilibrium_uniform_case():
-    field = discretize_equilibrium(KineticParams(1.0, 0.0), build_grid(64))
+    field = discretize_equilibrium(KineticParams(1.0, 0.0), Grid(64))
     assert np.all(field.values == 0.5)
 
 
 def test_discrete_equilibrium_kernel_property():
     # small grid: the residual is at absolute machine scale
     p = KineticParams(0.5, 0.2)
-    g = build_grid(8)
+    g = Grid(8)
     eq = discretize_equilibrium(p, g)
     res = _apply_bands(assemble_coefficients(p, g), eq.values.copy())
     assert np.max(np.abs(res)) <= 1e-14
     # production grid: the bands scale like 1/dy^2, so the honest statement
     # is a residual within a few ulps of the operator scale
-    g = build_grid(200)
+    g = Grid(200)
     eq = discretize_equilibrium(p, g)
     upper, lower = assemble_coefficients(p, g)
     res = _apply_bands((upper, lower), eq.values.copy())
@@ -125,7 +125,7 @@ def test_discrete_equilibrium_matches_zero_flux_oracle(lam, m, n, rel):
     # the log-space sum rounds each of its n terms, so each bound follows n
     # and the span of log g (1108 at (0.01, 0.5, 2000)), about twice the
     # measured error
-    g = build_grid(n)
+    g = Grid(n)
     disc = discretize_equilibrium(KineticParams(lam, m), g).values
     want = zero_flux_kernel(lam, m, g.interior_interfaces, g.cell_width)
     cells = want > 1e-300
@@ -139,7 +139,7 @@ def test_discrete_equilibrium_matches_zero_flux_oracle(lam, m, n, rel):
 @given(lam=st.floats(1e-3, 50.0), m=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
        n=st.integers(4, 2000))
 def test_rates_are_positive_or_raise_and_the_kernel_is_a_density(lam, m, n):
-    p, g = KineticParams(lam, m), build_grid(n)
+    p, g = KineticParams(lam, m), Grid(n)
     try:
         upper, lower = assemble_coefficients(p, g)
     except SolverError:
@@ -154,7 +154,7 @@ def test_rates_are_positive_or_raise_and_the_kernel_is_a_density(lam, m, n):
 @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
 def test_discrete_equilibrium_matches_beta(lam):
     p = KineticParams(lam, 0.0)
-    g = build_grid(200)
+    g = Grid(200)
     disc = discretize_equilibrium(p, g)
     ana = BetaEquilibrium.from_params(p).on_grid(g)
     assert l1_distance(disc, ana) <= 2e-3
@@ -165,7 +165,7 @@ def test_discrete_equilibrium_refinement_order():
     errs = []
     ns = (100, 200, 400, 800)
     for n in ns:
-        g = build_grid(n)
+        g = Grid(n)
         errs.append(l1_distance(discretize_equilibrium(p, g),
                                 BetaEquilibrium.from_params(p).on_grid(g)))
     order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
@@ -174,7 +174,7 @@ def test_discrete_equilibrium_refinement_order():
 
 def test_step_holds_equilibrium():
     p = KineticParams(0.5, 0.2)
-    g = build_grid(200)
+    g = Grid(200)
     eq = discretize_equilibrium(p, g)
     v = _rows(make_solver_state(p, eq, 1e-3), 1)[0]
     assert np.max(np.abs(v - eq.values)) <= 1e-13
@@ -182,7 +182,7 @@ def test_step_holds_equilibrium():
 
 def test_step_conserves_mass_and_positivity():
     p = KineticParams(0.5, 0.0)
-    g = build_grid(200)
+    g = Grid(200)
     rng = np.random.default_rng(4)
     v0 = DensityField(g, rng.uniform(0.0, 1.0, 200)).normalized()
     before = v0
@@ -197,7 +197,7 @@ def test_step_conserves_mass_and_positivity():
 def test_step_from_point_mass_spreads_positively():
     # a single loaded cell becomes strictly positive after one implicit step
     p = KineticParams(1.0, 0.0)
-    g = build_grid(64)
+    g = Grid(64)
     v = np.zeros(64)
     v[32] = 1.0 / g.cell_width
     assert np.all(_rows(make_solver_state(p, DensityField(g, v), 0.1), 1)[0] > 0.0)
@@ -205,7 +205,7 @@ def test_step_from_point_mass_spreads_positively():
 
 def test_step_decreases_entropy():
     p = KineticParams(0.5, 0.0)
-    g = build_grid(200)
+    g = Grid(200)
     eq = discretize_equilibrium(p, g)
     s = make_solver_state(p, bimodal_density(g), 1e-3)
     h0 = relative_entropy(s.density, eq)
@@ -214,7 +214,7 @@ def test_step_decreases_entropy():
 
 def test_solve_from_equilibrium_is_flat():
     p = KineticParams(1.0, 0.0)
-    g = build_grid(100)
+    g = Grid(100)
     eq = discretize_equilibrium(p, g)
     traj = solve(p, eq, 1e-3, 0.5, sample_every=50)
     assert np.all(traj.entropy <= 1e-12)
@@ -224,7 +224,7 @@ def test_solve_from_equilibrium_is_flat():
 
 def test_solve_trajectory_invariants():
     p = KineticParams(0.6, 0.0)
-    g = build_grid(128)
+    g = Grid(128)
     traj = solve(p, bimodal_density(g), 2e-3, 3.0, sample_every=25)
     assert traj.max_entropy_increase <= 1e-12
     assert np.all(np.diff(traj.entropy) <= 1e-12)
@@ -237,7 +237,7 @@ def test_solve_trajectory_invariants():
 
 def test_solve_input_validation():
     p = KineticParams(0.5, 0.0)
-    g = build_grid(64)
+    g = Grid(64)
     with pytest.raises(ValueError):
         solve(p, DensityField(g, np.full(64, 1.0)), 1e-3, 1.0)  # mass 2
     with pytest.raises(ValueError):
@@ -249,7 +249,7 @@ def test_solve_input_validation():
 def test_solve_ends_at_t_end_or_raises():
     # the library call keeps the config rule: t_end is a whole number of dt steps
     p = KineticParams(0.5, 0.0)
-    v0 = uniform_density(build_grid(64))
+    v0 = uniform_density(Grid(64))
     for dt, t_end in ((0.5, 0.1), (0.03, 0.1)):
         with pytest.raises(ValueError, match="must be a whole number of dt steps"):
             solve(p, v0, dt, t_end)
@@ -259,7 +259,7 @@ def test_solve_ends_at_t_end_or_raises():
 def test_solver_runs_outside_l2_regime():
     # degenerate-parameter run: the scheme itself has no regime gate
     p = KineticParams(2.4, 0.3)
-    g = build_grid(100)
+    g = Grid(100)
     traj = solve(p, uniform_density(g), 1e-3, 0.5, sample_every=100)
     assert traj.max_mass_drift <= 1e-12
     assert np.all(traj.final.values >= 0.0)
@@ -284,7 +284,7 @@ def _reference_entropy(f, g, dy):
 def test_solve_matches_banded_reference_bitwise(lam, m, n, dt, t_end):
     # reference: a fresh banded solve of (I - dt A) v_new = v_old every step
     p = KineticParams(lam, m)
-    g = build_grid(n)
+    g = Grid(n)
     v0 = bimodal_density(g)
     upper, lower = assemble_coefficients(p, g)
     bands = np.zeros((3, n))
@@ -318,7 +318,7 @@ def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
     # reference: a per-step dgttrs loop, each sampled row scored alone as a
     # DensityField by the public one-row functionals
     p = KineticParams(0.8, 0.3)
-    g = build_grid(n)
+    g = Grid(n)
     if start == "bimodal":
         v0 = bimodal_density(g)
     else:
@@ -362,7 +362,7 @@ def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
 ])
 def test_march_blocks_equal_a_per_step_dgttrs_loop(n, n_steps):
     p = KineticParams(0.8, 0.3)
-    g = build_grid(n)
+    g = Grid(n)
     s = make_solver_state(p, bimodal_density(g), 1e-2)
     dy = g.cell_width
     v, t = s.density.values, 0.0
@@ -405,27 +405,27 @@ def test_non_finite_or_negative_step_is_a_solver_error(monkeypatch, tmp_path, ba
     _poison_steps(monkeypatch, lambda k: bad)
     p = KineticParams(0.5, 0.0)
     with pytest.raises(SolverError, match=f"implicit step 1 produced {kind} values"):
-        solve(p, bimodal_density(build_grid(64)), 1e-3, 0.1)
+        solve(p, bimodal_density(Grid(64)), 1e-3, 0.1)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("lambda = 0.5\nm = 0\nn = 64\nt_end = 0.1\n", encoding="utf-8")
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     # poison only step 7, inside the first 50-step block at n = 200
     _poison_steps(monkeypatch, lambda k: bad if k == 7 else None)
     with pytest.raises(SolverError, match=f"implicit step 7 produced {kind} values"):
-        solve(p, bimodal_density(build_grid(200)), 1e-3, 0.1)
+        solve(p, bimodal_density(Grid(200)), 1e-3, 0.1)
 
 
 def test_first_bad_step_of_a_block_is_reported(monkeypatch):
     # a negative value at step 3 comes before a NaN at step 5 in one block
     _poison_steps(monkeypatch, {3: -1e-3, 5: math.nan}.get)
     with pytest.raises(SolverError, match="implicit step 3 produced negative values"):
-        solve(KineticParams(0.5, 0.0), bimodal_density(build_grid(200)), 1e-3, 0.1)
+        solve(KineticParams(0.5, 0.0), bimodal_density(Grid(200)), 1e-3, 0.1)
 
 
 def test_entropy_increase_across_a_block_boundary_is_seen(monkeypatch):
     # step 51 opens the second 50-step block at n = 200; it restarts from v0
     p = KineticParams(0.5, 0.0)
-    v0 = bimodal_density(build_grid(200))
+    v0 = bimodal_density(Grid(200))
     h_50 = solve(p, v0, 1e-3, 0.05, sample_every=50).entropy[-1]
     calls = itertools.count(1)
 
@@ -476,7 +476,7 @@ def test_solve_chunks_equal_per_block_scoring_bitwise(monkeypatch, block_values,
                                                       every, start):
     # 123 steps at n = 200: the last block is partial for 7- and 50-row blocks
     p = KineticParams(0.8, 0.3)
-    g = build_grid(200)
+    g = Grid(200)
     v0 = bimodal_density(g) if start == "bimodal" else discretize_equilibrium(p, g)
     monkeypatch.setattr(solver_module, "_BLOCK_VALUES", block_values)
     assert len(next(solver_module.march(make_solver_state(p, v0, 1e-2), 123))[0]) == rows
@@ -506,7 +506,7 @@ def test_solve_memory_stays_bounded_after_the_first_block(monkeypatch):
         yield from blocks
 
     monkeypatch.setattr(solver_module, "march", traced_march)
-    v0 = bimodal_density(build_grid(200))
+    v0 = bimodal_density(Grid(200))
     tracemalloc.start()
     try:
         traj = solve(KineticParams(0.5, 0.0), v0, 1e-3, 10.0)

@@ -9,6 +9,7 @@ import pytest
 
 from opinion_kinetics import (
     BetaEquilibrium,
+    Grid,
     KineticParams,
     PositivityError,
     RegimeError,
@@ -17,7 +18,6 @@ from opinion_kinetics import (
     bakry_emery_rho,
     bimodal_density,
     boundary_exponents,
-    build_grid,
     minimize_potential_second,
     potential_prime,
     potential_second,
@@ -207,13 +207,13 @@ def test_boundary_asymptotics():
 
 
 def test_pushforward_constant_density():
-    g = build_grid(128)
+    g = Grid(128)
     ang = pushforward_density(uniform_density(g))
     assert np.allclose(ang.values, 0.5 * np.cos(ang.z), rtol=1e-12)
 
 
 def test_pushforward_requires_positivity():
-    g = build_grid(16)
+    g = Grid(16)
     from opinion_kinetics import DensityField
     f = DensityField(g, np.where(np.arange(16) == 0, 0.0, 1.0)).normalized()
     with pytest.raises(PositivityError):
@@ -222,7 +222,7 @@ def test_pushforward_requires_positivity():
 
 def test_roundtrip_and_mass():
     p = KineticParams(0.5, 0.0)
-    g = build_grid(400)
+    g = Grid(400)
     smooth = BetaEquilibrium.from_params(p).on_grid(g)
     ang = pushforward_density(smooth)
     back = pullback_density(ang, g)
@@ -231,7 +231,7 @@ def test_roundtrip_and_mass():
     # interpolation (monotone cubic in log space) caps the mass defect near 1e-6
     assert abs(ang.mass() - 1.0) <= 1e-5
 
-    bim = bimodal_density(build_grid(800))
+    bim = bimodal_density(Grid(800))
     ang2 = pushforward_density(bim)
     back2 = pullback_density(ang2, bim.grid)
     assert np.abs(back2.values - bim.values).sum() * bim.grid.cell_width <= 2e-6
