@@ -40,39 +40,48 @@ class PositivityError(ValueError):
     """An operation needed a strictly positive density."""
 
 
-def _entropy_series(u: np.ndarray) -> np.ndarray:
-    """sum_{k=2}^{10} (-1)^k u^k / (k(k-1)), Horner in u, in a new array."""
-    acc = np.full_like(u, 1.0 / 90.0)
+def _entropy_series(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_{k=2}^{10} (-1)^k u^k / (k(k-1)), Horner in u, written into out
+    (shaped like u) and returned."""
+    out.fill(1.0 / 90.0)
     for k in range(9, 1, -1):
-        acc *= u
-        acc += (1.0 if k % 2 == 0 else -1.0) / (k * (k - 1))
-    acc *= u
-    acc *= u
-    return acc
+        out *= u
+        out += (1.0 if k % 2 == 0 else -1.0) / (k * (k - 1))
+    out *= u
+    out *= u
+    return out
 
 
 def _entropy_core(r: np.ndarray) -> np.ndarray:
-    """r log r - r + 1, elementwise, accurate through r = 1.
+    """r log r - r + 1, elementwise, accurate through r = 1, in a new array.
 
     The direct formula, r * log(r) - (r - 1) with numpy's log, loses all
     significant digits once r - 1 falls below sqrt(eps); a short Taylor
     series takes over on those cells (|r - 1| < 0.01) so entropies as small
     as ~1e-30 remain meaningful.  Each formula is evaluated only on the
     cells that use it.  0 log 0 = 0, so r = 0 gives exactly 1; r < 0 and
-    NaN give NaN without a warning, as scipy's xlogy does.
+    NaN give NaN without a warning, as scipy's xlogy does.  Besides r it
+    holds two arrays of its size, u = r - 1 and the result, the masks, and
+    a copy of u on the series cells.
     """
     r = np.asarray(r, dtype=float)
     u = r - 1.0
-    near = np.abs(u) < 0.01
+    out = np.abs(u)
+    near = out < 0.01
     if near.all():
-        return _entropy_series(u)
-    # log 1 = 0 on the r = 0 cells; the log of r < 0 is a quiet NaN
+        return _entropy_series(u, out)
+    # log 1 = 0 on the r = 0 cells; the log of r < 0 is a quiet NaN.  (Not
+    # r + (r == 0): adding the mask casts it through a 64 kB buffer.)
+    np.copyto(out, r)
+    np.copyto(out, 1.0, where=r == 0.0)
     with np.errstate(invalid="ignore"):
-        out = np.log(r + (r == 0.0))
+        np.log(out, out=out)
     out *= r
     out -= u
     if near.any():
-        out[near] = _entropy_series(u[near])
+        # u is needed only on the series cells now: its front takes their series
+        u_near = u[near]
+        out[near] = _entropy_series(u_near, u.reshape(-1)[:u_near.size])
     return out
 
 
@@ -91,7 +100,9 @@ def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float 
         if np.any(f[..., ~pos] > 0.0):
             raise AbsoluteContinuityError("f > 0 on a cell where the reference vanishes")
         g, f = g[pos], f[..., pos]
-    gap = (g * _entropy_core(f / g)).sum(axis=-1) * dy
+    terms = _entropy_core(f / g)
+    terms *= g
+    gap = terms.sum(axis=-1) * dy
     return float(gap) if gap.ndim == 0 else gap
 
 

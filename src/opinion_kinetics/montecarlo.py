@@ -13,11 +13,19 @@ One Nanbu sweep pairs all agents disjointly at random and lets every pair
 interact once; interactions that would leave [-1, 1] are rejected (both
 agents keep their states), which preserves the range invariant at a bias
 of the order of the rejection fraction (counted and reported).
+
+Drawing a sweep's permutation and noise costs about twice its arithmetic,
+and neither draw depends on the opinions.  So when the process may run on
+more than one CPU, mc_sweeps draws the whole random stream of sweep k + 1
+on one worker thread while the caller's thread computes sweep k; the
+stream and every result are the serial schedule's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,15 +178,109 @@ def _interact(x, xs, g_s, eta, eta_s, out):
     ok &= ok_s
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+class _DrawAhead:
+    """The random draws of sweeps 1..n_sweeps, made on a worker thread.
+
+    Per sweep, in the serial schedule's stream order, the worker resets
+    perm to the identity and shuffles it (rng.shuffle draws the same for
+    any array of the same length, so perm is the permutation that
+    shuffling the opinions would apply), then fills noise.  Each buffer is
+    handed over through a (free, ready) pair of semaphores: the worker owns
+    it from free to ready, the caller from ready to free.  So the worker
+    runs at most one sweep ahead and never draws past sweep n_sweeps.  An
+    exception in the worker is raised again on the caller's next wait.
+    """
+
+    def __init__(self, rng: np.random.Generator, sigma2_scaled: float,
+                 noise: np.ndarray, n_sweeps: int):
+        n = noise.size
+        self._identity = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
+        self._perm, self._noise = np.empty(n, dtype=np.intp), noise
+        self._perm_free, self._noise_free = threading.Semaphore(1), threading.Semaphore(1)
+        self._perm_ready, self._noise_ready = threading.Semaphore(0), threading.Semaphore(0)
+        self._stop = False
+        self._error = None
+        self._thread = threading.Thread(target=self._draw, daemon=True,
+                                        args=(rng, sigma2_scaled, n_sweeps))
+        self._thread.start()
+
+    def _draw(self, rng, sigma2_scaled, n_sweeps):
+        try:
+            for _ in range(n_sweeps):
+                self._perm_free.acquire()
+                if self._stop:
+                    return
+                np.copyto(self._perm, self._identity)
+                rng.shuffle(self._perm)
+                self._perm_ready.release()
+                self._noise_free.acquire()
+                if self._stop:
+                    return
+                sample_noise(rng, sigma2_scaled, out=self._noise)
+                self._noise_ready.release()
+        except BaseException as exc:  # raised again by the caller's _wait
+            self._error = exc
+            self._perm_ready.release()
+            self._noise_ready.release()
+
+    def _wait(self, ready: threading.Semaphore) -> None:
+        ready.acquire()
+        if self._error is not None:
+            raise self._error
+
+    def shuffle_into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out = x shuffled by the next sweep's permutation."""
+        self._wait(self._perm_ready)
+        # mode="raise" would buffer out: an array of N floats per sweep
+        np.take(x, self._perm, out=out, mode="clip")
+        self._perm_free.release()
+
+    def wait_noise(self) -> None:
+        """Wait until noise holds the next sweep's draws."""
+        self._wait(self._noise_ready)
+
+    def release_noise(self) -> None:
+        """Hand noise back to the worker for the sweep after."""
+        self._noise_free.release()
+
+    def close(self) -> None:
+        """Stop the worker after its current draw and join it."""
+        self._stop = True
+        self._perm_free.release()
+        self._noise_free.release()
+        self._thread.join()
+
+
 def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     """Run n_sweeps Nanbu sweeps from e in place, allocating nothing per sweep.
 
-    Yields (k, opinions, rejected) after sweep k = 1..n_sweeps: the live
-    buffer, which the next sweep overwrites, and the pairs rejected in
-    sweep k.  e.opinions is never changed; e.rng advances.  Each sweep
-    checks the buffer's range (the caller may have written to it), shuffles
-    it and pairs its two halves: the agents are exchangeable, so that is a
-    uniform random perfect matching.  One sweep is one unit of kinetic time.
+    Yields (k, opinions, rejected, scratch) after sweep k = 1..n_sweeps:
+    the live state, the pairs rejected in sweep k, and a buffer shaped like
+    it that the caller may use as scratch.  Both buffers are the caller's
+    until the next next(), which checks the state's range (the caller may
+    have written to it) and may overwrite either.  Each sweep shuffles the
+    state and pairs its two halves: the agents are exchangeable, so that is
+    a uniform random perfect matching.  One sweep is one unit of kinetic
+    time.  e.opinions is never changed.
+
+    e.rng advances by each sweep's permutation, then its noise, and after
+    the last sweep stands where drawing them all in turn leaves it.  With
+    more than one usable CPU a worker thread (_DrawAhead) owns the
+    permutation and noise buffers and draws one sweep ahead, so a run that
+    stops early, by close() or by an exception, may leave e.rng up to one
+    sweep further on.  The worker is joined when the generator finishes,
+    is closed or raises; a caller that stops early should close() it, as
+    one left suspended keeps its worker waiting until it is collected.
+    With one CPU, or a single sweep, the state is shuffled in place and
+    nothing is drawn ahead.
     """
     n = e.size
     if n % 2 != 0:
@@ -186,18 +288,36 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     half = n // 2
     g_s = p.epsilon * p.gamma
     s2_s = p.epsilon * p.sigma2
+    # x: the state; old: the shuffled state the sweep starts from
     x = e.opinions.copy()
-    noise, new = np.empty(n), np.empty(n)
+    old, noise = np.empty(n), np.empty(n)
     ok, ok_s = np.empty(half, dtype=bool), np.empty(half, dtype=bool)
-    # the two contiguous halves as the rows of (2, half) views
-    pairs, new_pairs, noise_pairs = (a.reshape(2, half) for a in (x, new, noise))
-    for k in range(1, n_sweeps + 1):
-        _check_range(x, scratch=noise)
-        e.rng.shuffle(x)
-        sample_noise(e.rng, s2_s, out=noise)
-        _interact(*pairs, g_s, *noise_pairs, out=(*new_pairs, ok, ok_s))
-        np.copyto(pairs, new_pairs, where=ok)
-        yield k, x, half - int(np.count_nonzero(ok))
+    noise_pairs = noise.reshape(2, half)
+    # one sweep has nothing to overlap its draws with
+    ahead = None
+    if n_sweeps > 1 and _usable_cpus() > 1:
+        ahead = _DrawAhead(e.rng, s2_s, noise, n_sweeps)
+    try:
+        for k in range(1, n_sweeps + 1):
+            _check_range(x, scratch=old)
+            if ahead is None:
+                e.rng.shuffle(x)
+                sample_noise(e.rng, s2_s, out=noise)
+                x, old = old, x
+            else:
+                ahead.shuffle_into(x, out=old)
+                ahead.wait_noise()
+            # the two contiguous halves as the rows of (2, half) views
+            pairs, old_pairs = x.reshape(2, half), old.reshape(2, half)
+            _interact(*old_pairs, g_s, *noise_pairs, out=(*pairs, ok, ok_s))
+            if ahead is not None:
+                ahead.release_noise()
+            rejected = np.logical_not(ok, out=ok)
+            np.copyto(pairs, old_pairs, where=rejected)
+            yield k, x, int(np.count_nonzero(rejected)), old
+    finally:
+        if ahead is not None:
+            ahead.close()
 
 
 def sweeps_for_time(p: InteractionParams, t_fp: float) -> int:

@@ -6,6 +6,7 @@ recomputable from the CSVs)."""
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -267,21 +268,21 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
     mean_col, var_col = np.empty(total_sweeps + 1), np.empty(total_sweeps + 1)
     rej_col = np.zeros(total_sweeps + 1)  # pairs rejected up to sweep k
     header, cols, l1_rows = ["y"], [hist_grid.centers], []
-    scratch = np.empty(ens.size)
     x = ens.opinions  # the state after sweep 0, kept when there are no sweeps
-    mean_col[0], var_col[0] = moments(x, scratch)
+    mean_col[0], var_col[0] = moments(x)
     rejected = 0
-    for k, x, rejected_k in mc_sweeps(ens, ip, total_sweeps):
-        rejected += rejected_k
-        rej_col[k] = rejected
-        mean_col[k], var_col[k] = moments(x, scratch)
-        if k in sweep_of_sample:
-            t = sweep_of_sample[k]
-            hist = montecarlo.histogram(x, hist_grid)
-            ref = coarsen_density(fp[t], hist_grid)
-            header += [f"hist_t{t:g}", f"fp_t{t:g}"]
-            cols += [hist.values, ref.values]
-            l1_rows.append((t, l1_distance(hist, ref)))
+    with closing(mc_sweeps(ens, ip, total_sweeps)) as run:
+        for k, x, rejected_k, scratch in run:
+            rejected += rejected_k
+            rej_col[k] = rejected
+            mean_col[k], var_col[k] = moments(x, scratch)
+            if k in sweep_of_sample:
+                t = sweep_of_sample[k]
+                hist = montecarlo.histogram(x, hist_grid)
+                ref = coarsen_density(fp[t], hist_grid)
+                header += [f"hist_t{t:g}", f"fp_t{t:g}"]
+                cols += [hist.values, ref.values]
+                l1_rows.append((t, l1_distance(hist, ref)))
     # the buffer of the finished sweeps; the Ensemble checks its range
     ens = Ensemble(x, ens.rng, attempted_pairs=total_sweeps * half, rejected_pairs=rejected)
 
@@ -308,6 +309,9 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
             f"seed = {use_seed}",
             f"sweeps = {total_sweeps}",
             f"rejection_fraction = {_fmt(ens.rejection_fraction)}",
+            # the noise can leave [-1, 1] within 6 eps sigma2 of an endpoint
+            f"rejection_layer_width = {_fmt(6.0 * ip.epsilon * ip.sigma2)}",
+            f"hist_bin_width = {_fmt(hist_grid.cell_width)}",
             str(check),
         ]) + "\n",
         encoding="utf-8",

@@ -58,7 +58,7 @@ def _last_row(state, n_steps):
 
 def _swept(e, ip, n_sweeps):
     """The ensemble after n_sweeps Monte Carlo sweeps from e."""
-    for _, x, _ in mc_sweeps(e, ip, n_sweeps):
+    for _, x, _, _ in mc_sweeps(e, ip, n_sweeps):
         pass
     return Ensemble(opinions=x, rng=e.rng)
 

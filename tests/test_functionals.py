@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -117,6 +118,29 @@ def test_entropy_kernel_edge_cells():
     assert h[0] == 1.0
     assert np.isnan(h[1:4]).all()
     assert h[4] == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-15)
+
+
+def test_entropy_gap_temporaries_on_a_block():
+    # a 50-row block at n = 200 as the solver scores it late in a decay:
+    # 98% of the cells within 1% of the steady state, where the series
+    # takes over.  Besides the ratio, the kernel keeps u = r - 1, the
+    # result and a copy of u on the series cells (about 4.1 blocks of
+    # 80 kB); r log r - r + 1 with a temporary per operation took 5.1.
+    g = Grid(200)
+    eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
+    rng = np.random.default_rng(3)
+    ratio = 1.0 + rng.uniform(-0.009, 0.009, (50, g.n_cells))
+    ratio[rng.random(ratio.shape) < 0.02] = 1.5
+    block = eq.values * ratio
+    entropy_gap(block, eq.values, g.cell_width)
+    tracemalloc.start()
+    try:
+        gap = entropy_gap(block, eq.values, g.cell_width)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gap.shape == (50,) and np.all(gap > 0.0)
+    assert peak < 4.5 * block.nbytes
 
 
 def test_weighted_fisher_zero_at_equilibrium():

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,12 +19,13 @@ from opinion_kinetics import (
     moments,
     sample_noise,
 )
+from opinion_kinetics import montecarlo
 from opinion_kinetics.montecarlo import _interact, sample_from_density, sweeps_for_time
 
 
 def _swept(e, ip, n_sweeps):
     """The ensemble after n_sweeps sweeps from e."""
-    for _, x, _ in mc_sweeps(e, ip, n_sweeps):
+    for _, x, _, _ in mc_sweeps(e, ip, n_sweeps):
         pass
     return Ensemble(opinions=x, rng=e.rng)
 
@@ -99,7 +102,7 @@ def test_mc_step_pure_compromise_midpoint():
     # eps*gamma = 1/2 with no noise sends both agents to the midpoint
     ip = InteractionParams(gamma=0.5, sigma2=0.0, epsilon=1.0)
     e = Ensemble(opinions=np.array([0.9, -0.3]), rng=np.random.default_rng(0))
-    [(k, x, rejected)] = mc_sweeps(e, ip, 1)
+    [(k, x, rejected, _)] = mc_sweeps(e, ip, 1)
     assert np.allclose(np.sort(x), [0.3, 0.3], atol=1e-15)
     assert k == 1 and rejected == 0
 
@@ -115,7 +118,7 @@ def test_mc_step_range_invariant_and_rejections():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     e = initial_ensemble(20_000, seed=5, kind="bimodal")
     rejected = 0
-    for _, x, rejected_k in mc_sweeps(e, ip, 50):
+    for _, x, rejected_k, _ in mc_sweeps(e, ip, 50):
         assert np.all(np.abs(x) <= 1.0)
         rejected += rejected_k
     assert rejected / (50 * e.size // 2) < 1e-3
@@ -147,7 +150,7 @@ def test_mc_sweeps_matches_a_plain_reference_loop():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     e = initial_ensemble(1000, seed=21, kind="bimodal")
     x0 = e.opinions.copy()
-    swept = [(k, x.copy(), rejected) for k, x, rejected in mc_sweeps(e, ip, 25)]
+    swept = [(k, x.copy(), rejected) for k, x, rejected, _ in mc_sweeps(e, ip, 25)]
     assert np.array_equal(e.opinions, x0)  # the caller's ensemble is unchanged
 
     rng = initial_ensemble(1000, seed=21, kind="bimodal").rng
@@ -170,7 +173,7 @@ def test_mc_sweeps_matches_a_plain_reference_loop():
 def test_mc_sweeps_rejects_a_buffer_written_out_of_range(bad):
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     sweeps = mc_sweeps(initial_ensemble(100, seed=3, kind="bimodal"), ip, 3)
-    _, x, _ = next(sweeps)
+    _, x, _, _ = next(sweeps)
     x[17] = bad
     with pytest.raises(ValueError, match=r"opinions must lie in \[-1, 1\]"):
         next(sweeps)
@@ -186,7 +189,7 @@ def test_mc_sweeps_pairs_by_a_uniform_perfect_matching():
     counts = dict.fromkeys(matching.values(), 0)
     n_runs = 3000
     for _ in range(n_runs):
-        [(_, x, _)] = mc_sweeps(e, ip, 1)
+        [(_, x, _, _)] = mc_sweeps(e, ip, 1)
         counts[matching[round(float(x.min()), 9)]] += 1
     se = math.sqrt(n_runs * (1 / 3) * (2 / 3))
     for count in counts.values():
@@ -207,6 +210,124 @@ def test_mc_sweeps_allocates_nothing_per_sweep():
     finally:
         tracemalloc.stop()
     assert peak - after_first < 0.1e6
+
+
+def _reference_sweeps(x, rng, ip, n_sweeps):
+    """The states and rejection counts of n_sweeps sweeps from x, by the
+    plain reference loop of test_mc_sweeps_matches_a_plain_reference_loop."""
+    g_s, half = ip.epsilon * ip.gamma, x.size // 2
+    for _ in range(n_sweeps):
+        rng.shuffle(x)
+        eta = sample_noise(rng, ip.epsilon * ip.sigma2, np.empty(x.size))
+        a, b = x[:half], x[half:]
+        a_new = a + g_s * (b - a) + np.sqrt(1.0 - a * a) * eta[:half]
+        b_new = b + g_s * (a - b) + np.sqrt(1.0 - b * b) * eta[half:]
+        ok = (np.abs(a_new) <= 1.0) & (np.abs(b_new) <= 1.0)
+        x = np.concatenate([np.where(ok, a_new, a), np.where(ok, b_new, b)])
+        yield x, int((~ok).sum())
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_place", "drawn_ahead"])
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_both_schedules_match_the_reference_loop(monkeypatch, cpus, lam):
+    # at lambda = 3 about 7% of the pairs are rejected
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    ip = InteractionParams.from_kinetic(KineticParams(lam, 0.0), gamma=0.5, epsilon=0.01)
+    e = initial_ensemble(1000, seed=21, kind="bimodal")
+    ref = initial_ensemble(1000, seed=21, kind="bimodal")
+    threads = threading.active_count()
+    rejected_total = 0
+    sweeps = zip(mc_sweeps(e, ip, 25), _reference_sweeps(ref.opinions, ref.rng, ip, 25),
+                 strict=True)
+    for (k, got, rejected, scratch), (want, want_rejected) in sweeps:
+        if k == 1:
+            assert threading.active_count() == threads + (cpus > 1)
+        assert np.array_equal(got, want)
+        assert rejected == want_rejected
+        assert scratch.shape == got.shape and not np.shares_memory(scratch, got)
+        rejected_total += rejected
+    assert threading.active_count() == threads
+    if lam == 3.0:
+        assert rejected_total > 0.01 * 25 * 500
+    # the stream ends where the serial draws leave it
+    assert e.rng.random() == ref.rng.random()
+
+
+def test_interleaved_runs_under_fast_thread_switching(monkeypatch):
+    # four runs at once, each with its own worker, on fewer cores, with the
+    # interpreter switching threads every microsecond: a lost hand-over
+    # would change a state or hang, so the consumer gets a deadline
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    ip = InteractionParams.from_kinetic(KineticParams(3.0, 0.0), gamma=0.5, epsilon=0.01)
+    finals, errors = [], []
+
+    def consume():
+        try:
+            runs = [mc_sweeps(initial_ensemble(1000, seed=s, kind="bimodal"), ip, 20)
+                    for s in range(4)]
+            for states in zip(*runs):
+                last = [x.copy() for _, x, _, _ in states]
+            finals.extend(last)
+        except BaseException as exc:  # reported by the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive() and errors == []
+    for seed, got in enumerate(finals):
+        ref = initial_ensemble(1000, seed=seed, kind="bimodal")
+        *_, (want, _) = _reference_sweeps(ref.opinions, ref.rng, ip, 20)
+        assert np.array_equal(got, want)
+
+
+def test_closing_mc_sweeps_early_joins_the_worker(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    threads = threading.active_count()
+    sweeps = mc_sweeps(initial_ensemble(1000, seed=4, kind="bimodal"), ip, 50)
+    next(sweeps)
+    assert threading.active_count() == threads + 1
+    sweeps.close()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_place", "drawn_ahead"])
+def test_a_noise_error_comes_out_of_next(monkeypatch, cpus):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    calls = []
+
+    def failing_noise(rng, s2, out):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("noise source failed")
+        return sample_noise(rng, s2, out)
+
+    monkeypatch.setattr(montecarlo, "sample_noise", failing_noise)
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    threads = threading.active_count()
+    sweeps = mc_sweeps(initial_ensemble(1000, seed=4, kind="bimodal"), ip, 10)
+    assert [next(sweeps)[0] for _ in range(2)] == [1, 2]
+    with pytest.raises(RuntimeError, match="noise source failed"):
+        next(sweeps)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("n_sweeps", [0, 1])
+def test_mc_sweeps_with_nothing_to_overlap_starts_no_thread(monkeypatch, n_sweeps):
+    def no_worker(*args):
+        raise AssertionError(f"a worker was started for {n_sweeps} sweeps")
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_DrawAhead", no_worker)
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    sweeps = mc_sweeps(initial_ensemble(1000, seed=4, kind="bimodal"), ip, n_sweeps)
+    assert [k for k, _, _, _ in sweeps] == list(range(1, n_sweeps + 1))
 
 
 def test_histogram_point_mass_and_mass():
@@ -255,7 +376,7 @@ def test_pure_compromise_variance_contracts():
     ip = InteractionParams(gamma=0.5, sigma2=0.0, epsilon=0.05)
     e = initial_ensemble(10_000, seed=13, kind="uniform")
     variances = [moments(e.opinions)[1]]
-    for _, x, _ in mc_sweeps(e, ip, 30):
+    for _, x, _, _ in mc_sweeps(e, ip, 30):
         variances.append(moments(x)[1])
     assert all(v2 < v1 for v1, v2 in zip(variances, variances[1:]))
 

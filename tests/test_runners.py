@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,12 +10,13 @@ from opinion_kinetics import (
     Grid,
     KineticParams,
     ls_slack,
+    montecarlo,
     runners,
     uniform_ls_slack,
 )
 from opinion_kinetics.config import ConfigError, McConfig, parse_config_text
 from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
-from opinion_kinetics.runners import run_sweep, verify_ls, write_csv
+from opinion_kinetics.runners import run_mc, run_sweep, verify_ls, write_csv
 
 
 def test_write_csv_pins_edge_values(tmp_path):
@@ -80,3 +82,37 @@ def test_verify_ls_rows_equal_scalar_loop(seed):
 def test_verify_ls_rejects_empty_points():
     with pytest.raises(ConfigError, match="at least one"):
         verify_ls(points=[], n=16, n_samples=1)
+
+
+_SMALL_MC = ("lambda = {lam}\nm = 0\nn = 100\ndt = 5e-3\ninitial = uniform\n"
+             "mc.n = 2000\nmc.hist_n = {hist_n}\nmc.t_end = 0.2\n")
+
+
+def test_run_mc_leaves_no_thread_when_it_returns_or_raises(monkeypatch, tmp_path):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    cfg = parse_config_text(_SMALL_MC.format(lam=0.5, hist_n=20))
+    threads = threading.active_count()
+    run_mc(cfg, tmp_path / "ok")
+    assert threading.active_count() == threads
+
+    def failing_histogram(x, grid):
+        assert threading.active_count() == threads + 1  # the worker is drawing
+        raise RuntimeError("histogram failed")
+
+    monkeypatch.setattr(montecarlo, "histogram", failing_histogram)
+    with pytest.raises(RuntimeError, match="histogram failed"):
+        run_mc(cfg, tmp_path / "raised")
+    assert threading.active_count() == threads
+
+
+def test_mc_summary_reports_the_rejection_layer_against_the_bin(tmp_path):
+    # the noise leaves [-1, 1] within 6 eps lambda gamma of an endpoint:
+    # 0.09 at lambda = 3, wider than a 0.04 bin of hist_n = 50
+    cfg = parse_config_text(_SMALL_MC.format(lam=3, hist_n=50))
+    run_mc(cfg, tmp_path)
+    lines = (tmp_path / "mc_summary.txt").read_text(encoding="utf-8").splitlines()
+    health = dict(line.split(" = ") for line in lines
+                  if line.startswith(("rejection_layer_width", "hist_bin_width")))
+    assert float(health["rejection_layer_width"]) == pytest.approx(0.09, rel=1e-15)
+    assert float(health["hist_bin_width"]) == pytest.approx(0.04, rel=1e-15)
+    assert not any("->" in value for value in health.values())  # no verdict lines

@@ -494,7 +494,7 @@ def test_solve_memory_stays_bounded_after_the_first_block(monkeypatch):
     # 10^4 steps at n = 200 sample 1 001 rows: 1.6 MB, 20 blocks of 80 kB,
     # if all were kept.  The bound allows one block in march, two of pending
     # rows and their stack, and about five of kernel temporaries on a stack
-    # (entropy_gap's alone are 0.41 MB).
+    # (entropy_gap's alone are 0.33 MB).
     march = solver_module.march
     after_first = []
 
