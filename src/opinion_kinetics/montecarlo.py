@@ -17,15 +17,16 @@ of the order of the rejection fraction (counted and reported).
 Drawing a sweep's permutation and noise costs about twice its arithmetic,
 and neither draw depends on the opinions.  So when the process may run on
 more than one CPU, mc_sweeps draws the whole random stream of sweep k + 1
-on one worker thread while the caller's thread computes sweep k; the
-stream and every result are the serial schedule's bit for bit.
+on the one worker of a ThreadPoolExecutor while the caller's thread
+computes sweep k; the worker takes its jobs in stream order, so the stream
+and every result are the serial schedule's bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,77 +187,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _DrawAhead:
-    """The random draws of sweeps 1..n_sweeps, made on a worker thread.
-
-    Per sweep, in the serial schedule's stream order, the worker resets
-    perm to the identity and shuffles it (rng.shuffle draws the same for
-    any array of the same length, so perm is the permutation that
-    shuffling the opinions would apply), then fills noise.  Each buffer is
-    handed over through a (free, ready) pair of semaphores: the worker owns
-    it from free to ready, the caller from ready to free.  So the worker
-    runs at most one sweep ahead and never draws past sweep n_sweeps.  An
-    exception in the worker is raised again on the caller's next wait.
-    """
-
-    def __init__(self, rng: np.random.Generator, sigma2_scaled: float,
-                 noise: np.ndarray, n_sweeps: int):
-        n = noise.size
-        self._identity = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
-        self._perm, self._noise = np.empty(n, dtype=np.intp), noise
-        self._perm_free, self._noise_free = threading.Semaphore(1), threading.Semaphore(1)
-        self._perm_ready, self._noise_ready = threading.Semaphore(0), threading.Semaphore(0)
-        self._stop = False
-        self._error = None
-        self._thread = threading.Thread(target=self._draw, daemon=True,
-                                        args=(rng, sigma2_scaled, n_sweeps))
-        self._thread.start()
-
-    def _draw(self, rng, sigma2_scaled, n_sweeps):
-        try:
-            for _ in range(n_sweeps):
-                self._perm_free.acquire()
-                if self._stop:
-                    return
-                np.copyto(self._perm, self._identity)
-                rng.shuffle(self._perm)
-                self._perm_ready.release()
-                self._noise_free.acquire()
-                if self._stop:
-                    return
-                sample_noise(rng, sigma2_scaled, out=self._noise)
-                self._noise_ready.release()
-        except BaseException as exc:  # raised again by the caller's _wait
-            self._error = exc
-            self._perm_ready.release()
-            self._noise_ready.release()
-
-    def _wait(self, ready: threading.Semaphore) -> None:
-        ready.acquire()
-        if self._error is not None:
-            raise self._error
-
-    def shuffle_into(self, x: np.ndarray, out: np.ndarray) -> None:
-        """out = x shuffled by the next sweep's permutation."""
-        self._wait(self._perm_ready)
-        # mode="raise" would buffer out: an array of N floats per sweep
-        np.take(x, self._perm, out=out, mode="clip")
-        self._perm_free.release()
-
-    def wait_noise(self) -> None:
-        """Wait until noise holds the next sweep's draws."""
-        self._wait(self._noise_ready)
-
-    def release_noise(self) -> None:
-        """Hand noise back to the worker for the sweep after."""
-        self._noise_free.release()
-
-    def close(self) -> None:
-        """Stop the worker after its current draw and join it."""
-        self._stop = True
-        self._perm_free.release()
-        self._noise_free.release()
-        self._thread.join()
+def _shuffle_identity(rng: np.random.Generator, identity: np.ndarray,
+                      perm: np.ndarray) -> None:
+    """perm = identity shuffled by rng: the permutation rng.shuffle applies
+    to any array of that length, as it draws the same for each."""
+    np.copyto(perm, identity)
+    rng.shuffle(perm)
 
 
 def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
@@ -273,14 +209,17 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
 
     e.rng advances by each sweep's permutation, then its noise, and after
     the last sweep stands where drawing them all in turn leaves it.  With
-    more than one usable CPU a worker thread (_DrawAhead) owns the
-    permutation and noise buffers and draws one sweep ahead, so a run that
-    stops early, by close() or by an exception, may leave e.rng up to one
-    sweep further on.  The worker is joined when the generator finishes,
-    is closed or raises; a caller that stops early should close() it, as
-    one left suspended keeps its worker waiting until it is collected.
-    With one CPU, or a single sweep, the state is shuffled in place and
-    nothing is drawn ahead.
+    more than one usable CPU, a one-worker ThreadPoolExecutor draws sweep
+    k + 1's permutation into an index buffer once sweep k has gathered
+    through it, and its noise once sweep k's pairs have read the noise
+    buffer; the worker runs its jobs in the order they were submitted,
+    which is the serial stream order.  The worker is joined, its queued
+    draws done, when the generator finishes, is closed or raises: a run
+    stopped after sweep k < n_sweeps leaves e.rng exactly k + 1 sweeps on.
+    A caller that stops early should close() it, as one left suspended
+    keeps its worker waiting until it is collected.  With one CPU, or a
+    single sweep, the state is shuffled in place, no thread is started,
+    and a run stopped after sweep k leaves e.rng k sweeps on.
     """
     n = e.size
     if n % 2 != 0:
@@ -293,31 +232,39 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     old, noise = np.empty(n), np.empty(n)
     ok, ok_s = np.empty(half, dtype=bool), np.empty(half, dtype=bool)
     noise_pairs = noise.reshape(2, half)
-    # one sweep has nothing to overlap its draws with
-    ahead = None
+    # one sweep, or one CPU, has nothing to overlap the draws with
+    executor = contextlib.nullcontext()
     if n_sweeps > 1 and _usable_cpus() > 1:
-        ahead = _DrawAhead(e.rng, s2_s, noise, n_sweeps)
-    try:
+        # deferred: concurrent.futures loads logging, which in-place runs never need
+        from concurrent.futures import ThreadPoolExecutor
+        executor = ThreadPoolExecutor(max_workers=1)
+        identity = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
+        perm = np.empty(n, dtype=np.intp)
+    with executor as worker:  # None on the in-place branch
+        if worker is not None:
+            perm_drawn = worker.submit(_shuffle_identity, e.rng, identity, perm)
+            noise_drawn = worker.submit(sample_noise, e.rng, s2_s, noise)
         for k in range(1, n_sweeps + 1):
             _check_range(x, scratch=old)
-            if ahead is None:
+            if worker is None:
                 e.rng.shuffle(x)
                 sample_noise(e.rng, s2_s, out=noise)
                 x, old = old, x
             else:
-                ahead.shuffle_into(x, out=old)
-                ahead.wait_noise()
+                perm_drawn.result()
+                # mode="raise" would buffer out: an array of N floats per sweep
+                np.take(x, perm, out=old, mode="clip")
+                if k < n_sweeps:
+                    perm_drawn = worker.submit(_shuffle_identity, e.rng, identity, perm)
+                noise_drawn.result()
             # the two contiguous halves as the rows of (2, half) views
             pairs, old_pairs = x.reshape(2, half), old.reshape(2, half)
             _interact(*old_pairs, g_s, *noise_pairs, out=(*pairs, ok, ok_s))
-            if ahead is not None:
-                ahead.release_noise()
+            if worker is not None and k < n_sweeps:
+                noise_drawn = worker.submit(sample_noise, e.rng, s2_s, noise)
             rejected = np.logical_not(ok, out=ok)
             np.copyto(pairs, old_pairs, where=rejected)
             yield k, x, int(np.count_nonzero(rejected)), old
-    finally:
-        if ahead is not None:
-            ahead.close()
 
 
 def sweeps_for_time(p: InteractionParams, t_fp: float) -> int:

@@ -271,6 +271,7 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
     x = ens.opinions  # the state after sweep 0, kept when there are no sweeps
     mean_col[0], var_col[0] = moments(x)
     rejected = 0
+    edge_deficit = math.nan  # at the last sample time
     with closing(mc_sweeps(ens, ip, total_sweeps)) as run:
         for k, x, rejected_k, scratch in run:
             rejected += rejected_k
@@ -283,6 +284,9 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
                 header += [f"hist_t{t:g}", f"fp_t{t:g}"]
                 cols += [hist.values, ref.values]
                 l1_rows.append((t, l1_distance(hist, ref)))
+                # the two bins have one width, so their densities weigh as masses
+                mc_edges, ref_edges = (f.values[0] + f.values[-1] for f in (hist, ref))
+                edge_deficit = 1.0 - mc_edges / ref_edges if ref_edges > 0.0 else math.nan
     # the buffer of the finished sweeps; the Ensemble checks its range
     ens = Ensemble(x, ens.rng, attempted_pairs=total_sweeps * half, rejected_pairs=rejected)
 
@@ -312,6 +316,8 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
             # the noise can leave [-1, 1] within 6 eps sigma2 of an endpoint
             f"rejection_layer_width = {_fmt(6.0 * ip.epsilon * ip.sigma2)}",
             f"hist_bin_width = {_fmt(hist_grid.cell_width)}",
+            # the share of the reference's edge-bin mass the Monte Carlo misses
+            f"edge_bin_deficit = {_fmt(edge_deficit)}",
             str(check),
         ]) + "\n",
         encoding="utf-8",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import sys
 import threading
@@ -318,13 +319,32 @@ def test_a_noise_error_comes_out_of_next(monkeypatch, cpus):
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in_place", "drawn_ahead"])
+def test_closing_mc_sweeps_early_leaves_a_whole_number_of_sweeps_drawn(monkeypatch, cpus):
+    # the worker's queued draws, sweep k + 1's permutation and noise, are
+    # finished on close; the in-place schedule has drawn exactly k sweeps
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    e = initial_ensemble(100_000, seed=8, kind="bimodal")
+    ref = initial_ensemble(100_000, seed=8, kind="bimodal")
+    sweeps = mc_sweeps(e, ip, 10)
+    for _ in range(3):
+        next(sweeps)
+    sweeps.close()
+    x, noise = np.empty(ref.size), np.empty(ref.size)
+    for _ in range(3 + (cpus > 1)):
+        ref.rng.shuffle(x)
+        sample_noise(ref.rng, ip.epsilon * ip.sigma2, out=noise)
+    assert e.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
 @pytest.mark.parametrize("n_sweeps", [0, 1])
 def test_mc_sweeps_with_nothing_to_overlap_starts_no_thread(monkeypatch, n_sweeps):
-    def no_worker(*args):
+    def no_worker(*args, **kwargs):
         raise AssertionError(f"a worker was started for {n_sweeps} sweeps")
 
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(montecarlo, "_DrawAhead", no_worker)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_worker)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     sweeps = mc_sweeps(initial_ensemble(1000, seed=4, kind="bimodal"), ip, n_sweeps)
     assert [k for k, _, _, _ in sweeps] == list(range(1, n_sweeps + 1))

@@ -116,3 +116,34 @@ def test_mc_summary_reports_the_rejection_layer_against_the_bin(tmp_path):
     assert float(health["rejection_layer_width"]) == pytest.approx(0.09, rel=1e-15)
     assert float(health["hist_bin_width"]) == pytest.approx(0.04, rel=1e-15)
     assert not any("->" in value for value in health.values())  # no verdict lines
+
+
+def test_mc_summary_edge_bin_deficit_recomputes_from_the_last_histogram(tmp_path):
+    # 1 - (MC mass on the two edge bins) / (reference mass on them), from
+    # the last hist_t* and fp_t* columns of mc_hist.csv
+    cfg = parse_config_text(_SMALL_MC.format(lam=3, hist_n=50))
+    run_mc(cfg, tmp_path)
+    header = (tmp_path / "mc_hist.csv").read_text(encoding="utf-8").split("\n", 1)[0]
+    assert header.split(",")[-2:] == ["hist_t0.2", "fp_t0.2"]
+    hist = np.loadtxt(tmp_path / "mc_hist.csv", delimiter=",", skiprows=1)
+    mc_edges, ref_edges = hist[[0, -1], -2].sum(), hist[[0, -1], -1].sum()
+    lines = (tmp_path / "mc_summary.txt").read_text(encoding="utf-8").splitlines()
+    [line] = [line for line in lines if line.startswith("edge_bin_deficit = ")]
+    assert ref_edges > 0.0 and "->" not in line
+    assert float(line.split(" = ")[1]) == 1.0 - mc_edges / ref_edges
+
+
+def test_mc_summary_edge_bin_deficit_is_nan_without_reference_edge_mass(tmp_path):
+    # a narrow central bump at lambda = 0.005 has not reached the edge bins
+    # of the solver by t = 0.02: both hold exactly 0, so there is no ratio
+    bump = np.zeros(200)
+    bump[99:101] = 1.0
+    np.savetxt(tmp_path / "bump.txt", bump)
+    cfg = parse_config_text(f"lambda = 0.005\nm = 0\nn = 200\ndt = 1e-3\n"
+                            f"initial = file:{tmp_path / 'bump.txt'}\n"
+                            "mc.n = 1000\nmc.hist_n = 50\nmc.t_end = 0.02\n")
+    run_mc(cfg, tmp_path / "mc")
+    hist = np.loadtxt(tmp_path / "mc" / "mc_hist.csv", delimiter=",", skiprows=1)
+    assert np.all(hist[[0, -1], -2:] == 0.0)
+    summary = (tmp_path / "mc" / "mc_summary.txt").read_text(encoding="utf-8")
+    assert "edge_bin_deficit = nan\n" in summary
