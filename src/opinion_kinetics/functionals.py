@@ -2,17 +2,17 @@
 
 All functionals are midpoint sums over cell centers; derivative terms use
 interface-centered differences so they mirror the flux structure of the
-finite-volume solver.  Every reference density is a DensityField on the
-same grid: the solver's own discrete steady state, or the analytic one
-sampled on the grid by BetaEquilibrium.on_grid (ls_slack's default).
+finite-volume solver.
 
-Every sum runs along the last axis.  Each functional has one private
-kernel on raw values (_relative_entropy, _weighted_fisher, _weighted_l2,
-_l1_distance) that its public one-row function calls and that the stacked
-callers call on a (rows, n) stack in a single pass: ls_slack_rows for the
-log-Sobolev battery and solver.solve for the sampled rows of each block.
-Row i of a stack gives bit for bit what the one-row call gives for row i.
-entropy_gap and uniform_ls_slack take a stack as well as one row.
+Each functional is one function with one convention.  Its first argument
+is density values, one row (n,) or a (rows, n) stack, summed along the
+last axis; its second is the reference DensityField (the solver's discrete
+steady state, or the analytic one sampled on the grid by
+BetaEquilibrium.on_grid), or the Grid for uniform_ls_slack.  Values of
+another width raise GridMismatchError.  A row gives a float and a stack one
+value per row, bit for bit what that row alone gives.  Only ls_slack checks
+the values themselves (finite, nonnegative): the solver's march has already
+checked every row it scores.
 
 The entropy kernel and the log ratio take numpy's vectorised log.  xlogy,
 scipy.special's own ufunc, remains only in uniform_ls_slack; it is loaded
@@ -27,8 +27,7 @@ import math
 import numpy as np
 
 from ._scipy import xlogy
-from .equilibrium import BetaEquilibrium
-from .grid import DensityField, Grid, GridMismatchError, check_density_values, require_same_grid
+from .grid import DensityField, Grid, GridMismatchError, check_density_values
 from .params import KineticParams, log_sobolev_constant
 
 
@@ -38,6 +37,22 @@ class AbsoluteContinuityError(ValueError):
 
 class PositivityError(ValueError):
     """An operation needed a strictly positive density."""
+
+
+def _check_width(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """values as a float array, GridMismatchError unless its rows have one
+    value per cell of grid."""
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1:] != (grid.n_cells,):
+        raise GridMismatchError(
+            f"values of shape {v.shape} do not fit a grid with {grid.n_cells} cells"
+        )
+    return v
+
+
+def _result(x: np.ndarray) -> float | np.ndarray:
+    """A float for one row's value, the array for a stack's."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _entropy_series(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -85,16 +100,16 @@ def _entropy_core(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float | np.ndarray:
+def entropy_gap(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """sum g * (r log r - r + 1) dy with r = f/g, over cells with g > 0.
 
     Nonnegative term by term; coincides with the relative entropy when both
     fields carry unit mass, but stays accurate down to roundoff-level
     discrepancies (no mass-cancellation noise), which matters when fitting
-    entropy decay over many orders of magnitude.  A float for one row of
-    f_values; an array with one value per row for a (rows, n) stack.
+    entropy decay over many orders of magnitude.  Raises
+    AbsoluteContinuityError if f puts mass on a cell where g vanishes.
     """
-    g, f = g_values, f_values
+    f, g = _check_width(values, ref.grid), ref.values
     pos = g > 0.0
     if not pos.all():
         if np.any(f[..., ~pos] > 0.0):
@@ -102,24 +117,19 @@ def entropy_gap(f_values: np.ndarray, g_values: np.ndarray, dy: float) -> float 
         g, f = g[pos], f[..., pos]
     terms = _entropy_core(f / g)
     terms *= g
-    gap = terms.sum(axis=-1) * dy
-    return float(gap) if gap.ndim == 0 else gap
+    return _result(terms.sum(axis=-1) * ref.grid.cell_width)
 
 
-def _relative_entropy(f_values: np.ndarray, g: DensityField) -> np.ndarray:
-    dy = g.grid.cell_width
-    return entropy_gap(f_values, g.values, dy) + (f_values.sum(axis=-1) - g.values.sum()) * dy
-
-
-def relative_entropy(f: DensityField, g: DensityField) -> float:
+def relative_entropy(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """Relative Shannon entropy sum f log(f/g) dy, with 0 log 0 = 0.
 
     Nonnegative (within roundoff) whenever both fields carry unit discrete
     mass.  Raises AbsoluteContinuityError if f puts mass on a cell where g
     vanishes.
     """
-    require_same_grid(f, g)
-    return float(_relative_entropy(f.values, g))
+    f = _check_width(values, ref.grid)
+    return _result(entropy_gap(f, ref)
+                   + (f.sum(axis=-1) - ref.values.sum()) * ref.grid.cell_width)
 
 
 def _log_ratio(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
@@ -131,106 +141,78 @@ def _log_ratio(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
     return np.log(f_values) - np.log(ref.values)
 
 
-def _weighted_fisher(f_values: np.ndarray, ref: DensityField, lam: float) -> np.ndarray:
-    grid = ref.grid
-    dy = grid.cell_width
-    dlogr = np.diff(_log_ratio(f_values, ref), axis=-1) / dy
-    weight = 0.5 * lam * (1.0 - grid.interior_interfaces**2)
-    f_mid = 0.5 * (f_values[..., :-1] + f_values[..., 1:])
-    return (weight * dlogr * dlogr * f_mid).sum(axis=-1) * dy
-
-
-def weighted_fisher(f: DensityField, eq: DensityField, lam: float) -> float:
+def weighted_fisher(values: np.ndarray, ref: DensityField, lam: float) -> float | np.ndarray:
     """Weighted Fisher information with diffusion weight (lam/2)(1 - y^2).
 
-    Interface-centered differences of log(f/eq) with arithmetic-mean density
+    Interface-centered differences of log(f/ref) with arithmetic-mean density
     weights: sum over interior interfaces of
         (lam/2)(1 - y_if^2) * ((dlog r)/dy)^2 * (f_i + f_{i+1})/2 * dy.
     Zero when f is proportional to the reference.
     """
-    require_same_grid(f, eq)
-    return float(_weighted_fisher(f.values, eq, lam))
+    f = _check_width(values, ref.grid)
+    grid = ref.grid
+    dy = grid.cell_width
+    dlogr = np.diff(_log_ratio(f, ref), axis=-1) / dy
+    weight = 0.5 * lam * (1.0 - grid.interior_interfaces**2)
+    f_mid = 0.5 * (f[..., :-1] + f[..., 1:])
+    return _result((weight * dlogr * dlogr * f_mid).sum(axis=-1) * dy)
 
 
-def _weighted_l2(f_values: np.ndarray, ref: DensityField) -> np.ndarray:
-    v = ref.values
+def weighted_l2(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
+    """Equilibrium-weighted L2 distance sum (f - v)^2 / v dy."""
+    f, v = _check_width(values, ref.grid), ref.values
     if np.any(v <= 0.0):
         raise PositivityError("weighted L2 needs a strictly positive reference")
-    d = f_values - v
-    return (d * d / v).sum(axis=-1) * ref.grid.cell_width
+    d = f - v
+    return _result((d * d / v).sum(axis=-1) * ref.grid.cell_width)
 
 
-def weighted_l2(f: DensityField, eq: DensityField) -> float:
-    """Equilibrium-weighted L2 distance sum (f - v)^2 / v dy."""
-    require_same_grid(f, eq)
-    return float(_weighted_l2(f.values, eq))
-
-
-def _l1_distance(f_values: np.ndarray, g: DensityField) -> np.ndarray:
-    return np.abs(f_values - g.values).sum(axis=-1) * g.grid.cell_width
-
-
-def l1_distance(f: DensityField, g: DensityField) -> float:
+def l1_distance(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """L1 distance sum |f - g| dy (total variation times two at most)."""
-    require_same_grid(f, g)
-    return float(_l1_distance(f.values, g))
+    f = _check_width(values, ref.grid)
+    return _result(np.abs(f - ref.values).sum(axis=-1) * ref.grid.cell_width)
 
 
-def ckp_slack(f: DensityField, g: DensityField) -> float:
+def ckp_slack(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """Csiszar-Kullback-Pinsker slack 2 H(f,g) - ||f-g||_1^2.
 
     Nonnegative for every pair of unit-mass fields; +inf when absolute
-    continuity fails (the entropy side is then infinite).
+    continuity fails (the entropy side is then infinite), row by row.
     """
     try:
-        h = relative_entropy(f, g)
+        h = relative_entropy(values, ref)
     except AbsoluteContinuityError:
-        return math.inf
-    return 2.0 * h - l1_distance(f, g) ** 2
+        if np.ndim(values) == 1:
+            return math.inf
+        return np.array([ckp_slack(row, ref) for row in values])
+    return 2.0 * h - l1_distance(values, ref) ** 2
 
 
-def ls_slack(phi: DensityField, p: KineticParams, eq: DensityField | None = None) -> float:
-    """Slack of the weighted log-Sobolev inequality: K * I(phi, v) - H(phi, v).
+def ls_slack(values: np.ndarray, ref: DensityField, p: KineticParams) -> float | np.ndarray:
+    """Slack of the weighted log-Sobolev inequality: K * I(f, ref) - H(f, ref).
 
     Requires the square-integrable-equilibrium regime.  Nonnegative up to a
-    discretization allowance (~1e-6 for smooth positive phi at n >= 400).
-    An explicit reference field may be supplied; the default is the
-    center-sampled analytic equilibrium on phi's grid.
-    """
-    if eq is None:
-        eq = BetaEquilibrium.from_params(p).on_grid(phi.grid)
-    return float(ls_slack_rows(phi.values, p, eq))
-
-
-def ls_slack_rows(values: np.ndarray, p: KineticParams, ref: DensityField) -> np.ndarray:
-    """ls_slack of each row of a (rows, n) stack of density values.
-
-    The rows are checked once, as a DensityField and the log ratio check
-    one field: finite, nonnegative, and strictly positive.
+    discretization allowance (~1e-6 for smooth positive f at n >= 400)
+    against the center-sampled analytic equilibrium.  The values must be
+    finite and nonnegative, as a DensityField's are, and strictly positive,
+    as the log ratio needs.
     """
     k = log_sobolev_constant(p)
-    v = np.asarray(values, dtype=float)
-    if v.shape[-1:] != (ref.grid.n_cells,):
-        raise GridMismatchError(
-            f"values of shape {v.shape} do not fit a grid with {ref.grid.n_cells} cells"
-        )
-    check_density_values(v)
-    return k * _weighted_fisher(v, ref, p.lam) - _relative_entropy(v, ref)
+    f = _check_width(values, ref.grid)
+    check_density_values(f)
+    return _result(k * weighted_fisher(f, ref, p.lam) - relative_entropy(f, ref))
 
 
-def uniform_ls_slack(grid: Grid, w: np.ndarray) -> float | np.ndarray:
+def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:
     """Slack of the unconstrained log-Sobolev inequality for the uniform state.
 
     For any square-integrable w:
         2 sum (1-x^2) (w')^2 dy  >=  sum w^2 log w^2 dy - ||w||^2 log(||w||^2 / 2)
     with the same interface-difference stencil as weighted_fisher.  Returns
-    left minus right; scales exactly quadratically under w -> alpha w.  A
-    float for one function w; one value per row for a (rows, n) stack, where
-    no row may be identically zero.
+    left minus right; scales exactly quadratically under w -> alpha w.  No
+    row of w may be identically zero.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1:] != (grid.n_cells,):
-        raise ValueError("w must have one value per grid cell")
+    w = _check_width(w, grid)
     dy = grid.cell_width
     wsq = w * w
     norm2 = wsq.sum(axis=-1) * dy
@@ -241,5 +223,4 @@ def uniform_ls_slack(grid: Grid, w: np.ndarray) -> float | np.ndarray:
     # xlogy(x, y) is x * log(y) with the C library's log, bit for bit what
     # math.log gives; numpy's log can differ from it in the last place
     rhs = xlogy(wsq, wsq).sum(axis=-1) * dy - xlogy(norm2, norm2 / 2.0)
-    slack = lhs - rhs
-    return float(slack) if slack.ndim == 0 else slack
+    return _result(lhs - rhs)

@@ -14,7 +14,8 @@ TRIG_DEGREE = 4
 
 
 class GridMismatchError(ValueError):
-    """Raised when two fields that must share a grid do not."""
+    """Raised when density values do not have one value per cell of the grid
+    they are scored on."""
 
 
 @dataclass(frozen=True)
@@ -115,16 +116,6 @@ def check_density_values(values: np.ndarray) -> None:
         raise ValueError("density values must be finite")
     if np.any(values < 0.0):
         raise ValueError(f"density values must be nonnegative (min {values.min()})")
-
-
-def require_same_grid(*fields: DensityField) -> Grid:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if f.grid.n_cells != g.n_cells:
-            raise GridMismatchError(
-                f"grids differ: {g.n_cells} vs {f.grid.n_cells} cells"
-            )
-    return g
 
 
 def uniform_density(grid: Grid) -> DensityField:

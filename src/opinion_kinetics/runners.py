@@ -15,7 +15,7 @@ import numpy as np
 from .config import ConfigError, ExperimentConfig, sweep_dir_name, whole_steps
 from .equilibrium import BetaEquilibrium
 from .fitting import MIN_POINTS, DecayFit, fit_decay_rate
-from .functionals import l1_distance, ls_slack_rows, uniform_ls_slack
+from .functionals import l1_distance, ls_slack, uniform_ls_slack
 from .grid import DensityField, Grid, random_grid_functions, random_smooth_densities
 from .montecarlo import (
     Ensemble,
@@ -283,7 +283,7 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
                 ref = coarsen_density(fp[t], hist_grid)
                 header += [f"hist_t{t:g}", f"fp_t{t:g}"]
                 cols += [hist.values, ref.values]
-                l1_rows.append((t, l1_distance(hist, ref)))
+                l1_rows.append((t, l1_distance(hist.values, ref)))
                 # the two bins have one width, so their densities weigh as masses
                 mc_edges, ref_edges = (f.values[0] + f.values[-1] for f in (hist, ref))
                 edge_deficit = 1.0 - mc_edges / ref_edges if ref_edges > 0.0 else math.nan
@@ -381,6 +381,9 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
         raise RegimeError("inadmissible grid points: " + ", ".join(bad))
 
     grid = Grid(n)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_VALUES // n)  # the solver's budget: a block stays in L2 cache
     block_rows = [min(block, n_samples - i) for i in range(0, n_samples, block)]
@@ -399,12 +402,12 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
                 f"the analytic steady state underflows on {tiny.sum()} of {n} cells "
                 f"at lambda={lv}, m={mv}")
         min_slack = min(
-            float(ls_slack_rows(random_smooth_densities(grid, rng, r), p, ref).min())
+            float(ls_slack(random_smooth_densities(grid, rng, r), ref, p).min())
             for r in block_rows)
         uni_slack = math.nan
         if lv == 1.0 and mv == 0.0:
             uni_slack = min(
-                float(uniform_ls_slack(grid, random_grid_functions(grid, rng, r)).min())
+                float(uniform_ls_slack(random_grid_functions(grid, rng, r), grid).min())
                 for r in block_rows)
         ok = (min_slack >= -1e-6 and abs(rho_min - rho) <= 1e-10
               and (math.isnan(uni_slack) or uni_slack >= -1e-6))
@@ -413,9 +416,7 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
             "min_ls_slack": min_slack, "min_uniform_slack": uni_slack, "pass": ok,
         })
     report = LsVerification(rows, all(r["pass"] for r in rows))
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         # one column per row key; a verdict is written as 1.0 or 0.0
         write_csv(out / "ls_report.csv",
                   ["passed" if key == "pass" else key for key in rows[0]],

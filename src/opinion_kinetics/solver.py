@@ -20,11 +20,10 @@ steps out in blocks of consecutive rows, each step solved in place in its
 block row.  solve checks each block once: finiteness, nonnegativity, mass
 drift and entropy monotonicity over every row.  It buffers the sampled
 rows across blocks and scores them in chunks of about one block's values,
-each chunk one (rows, n) stack through the last-axis kernels of the
-functionals module, the same kernels its one-row functionals use.  Every
-step is still checked.  dgttrf and dgttrs are scipy's LAPACK wrappers,
-loaded from their extension file by _scipy, since importing scipy.linalg
-would load scipy's array-API layer.
+each chunk one (rows, n) stack through the functionals.  Every step is
+still checked.  dgttrf and dgttrs are scipy's LAPACK wrappers, loaded from
+their extension file by _scipy, since importing scipy.linalg would load
+scipy's array-API layer.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from ._scipy import dgttrf, dgttrs, exprel
 from .config import whole_steps
-from .functionals import _l1_distance, _weighted_fisher, _weighted_l2, entropy_gap
+from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
 from .grid import DensityField, Grid, _mean
 from .params import KineticParams
 
@@ -201,31 +200,30 @@ class Trajectory:
 def _score_rows(times, values, mass, entropy, eq_field: DensityField, lam: float):
     """The Trajectory columns of a (rows, n) stack of sampled rows.
 
-    Each functional is one pass over the stack through the kernel its
-    one-row function uses; a row with a cell <= 0 has infinite Fisher
-    information.
+    Each functional is one pass over the stack; a row with a cell <= 0 has
+    infinite Fisher information.
     """
-    l1 = _l1_distance(values, eq_field)
-    wl2 = _weighted_l2(values, eq_field)
+    l1 = l1_distance(values, eq_field)
+    wl2 = weighted_l2(values, eq_field)
     fisher = np.full(len(values), math.inf)
     positive = (values > 0.0).all(axis=-1)
     if positive.any():
-        fisher[positive] = _weighted_fisher(values[positive], eq_field, lam)
+        fisher[positive] = weighted_fisher(values[positive], eq_field, lam)
     return times, entropy, fisher, l1, wl2, mass, _mean(values, eq_field.grid)
 
 
-def _entropies(values: np.ndarray, g: np.ndarray, dy: float, first_step: int) -> np.ndarray:
+def _entropies(values: np.ndarray, eq_field: DensityField, first_step: int) -> np.ndarray:
     """entropy_gap of each row of a stack whose row 0 is step first_step.
 
     r log r overflows where g is small but normal and f is not, so a
     non-finite entropy raises SolverError naming its first step.
     """
     with np.errstate(all="ignore"):
-        h = entropy_gap(values, g, dy)
+        h = entropy_gap(values, eq_field)
     bad = ~np.isfinite(h)
     if bad.any():
         raise SolverError(f"the relative entropy at step {first_step + int(bad.argmax())} "
-                          f"is not finite (min of the steady state {g.min():.3e})")
+                          f"is not finite (min of the steady state {eq_field.values.min():.3e})")
     return h
 
 
@@ -256,11 +254,10 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
         span = np.ptp(_log_kernel(p, v0.grid))
         raise SolverError(f"the discrete steady state underflows on {tiny.sum()} of "
                           f"{g.size} cells (its log spans {span:.1f})")
-    dy = v0.grid.cell_width
     chunk = max(1, _BLOCK_VALUES // v0.grid.n_cells)
 
     start, start_mass = v0.values[None, :], v0.mass()
-    h = _entropies(start, g, dy, 0)
+    h = _entropies(start, eq_field, 0)
     max_increase = 0.0
     max_mass_drift = abs(start_mass - 1.0)
     # a chunk's stack stays about one block in size: collecting every
@@ -269,7 +266,7 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     scored = []
     for steps, times, values, mass in march(state, n_steps):
         h_last = h[-1]
-        h = _entropies(values, g, dy, steps.start)
+        h = _entropies(values, eq_field, steps.start)
         max_increase = max(max_increase, float((h[1:] - h[:-1]).max(initial=h[0] - h_last)))
         max_mass_drift = max(max_mass_drift, float(np.abs(mass - 1.0).max()))
         k = np.arange(steps.start, steps.stop)

@@ -342,6 +342,23 @@ def test_cli_missing_setting_exits_1_before_any_output(command, message, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fit", "--csv", "{tmp}"], id="fit_csv_is_a_directory"),
+    pytest.param(["solve", "--config", "{tmp}/exp.cfg", "--out", "{tmp}/file/o"],
+                 id="solve_out_below_a_file"),
+    pytest.param(["verify-ls", "--lambdas", "1.0", "--n", "8", "--samples", "1",
+                  "--out", "{tmp}/file/o"], id="verify_ls_out_below_a_file"),
+])
+def test_cli_os_error_exits_1_with_one_error_line(argv, capsys, tmp_path):
+    (tmp_path / "exp.cfg").write_text("lambda = 0.5\nm = 0\nn = 16\n", encoding="utf-8")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_module_help_lists_every_subcommand():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}

@@ -10,6 +10,7 @@ from opinion_kinetics import (
     BetaEquilibrium,
     DensityField,
     Grid,
+    GridMismatchError,
     KineticParams,
     PositivityError,
     RegimeError,
@@ -25,11 +26,7 @@ from opinion_kinetics import (
     weighted_l2,
 )
 
-from opinion_kinetics.functionals import (
-    _entropy_core,
-    entropy_gap,
-    ls_slack_rows,
-)
+from opinion_kinetics.functionals import _entropy_core, entropy_gap
 from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
 
 from oracles import SmoothRatioCase, entropy_kernel
@@ -42,7 +39,7 @@ def _field_from(fn, grid):
 def test_relative_entropy_identity():
     g = Grid(100)
     f = bimodal_density(g)
-    assert relative_entropy(f, f) == 0.0
+    assert relative_entropy(f.values, f) == 0.0
 
 
 def test_relative_entropy_boundary_singular_reference():
@@ -55,7 +52,7 @@ def test_relative_entropy_boundary_singular_reference():
     gaps = []
     for n in (200, 400, 800):
         g = Grid(n)
-        h = relative_entropy(uniform_density(g), eq.on_grid(g))
+        h = relative_entropy(uniform_density(g).values, eq.on_grid(g))
         assert h > 0.0
         gaps.append(abs(h - exact))
     assert gaps[1] <= 2.5e-3
@@ -68,7 +65,7 @@ def test_relative_entropy_smooth_ratio_oracle():
     g = Grid(400)
     f = _field_from(case.f, g)
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
-    assert relative_entropy(f, eq) == pytest.approx(case.entropy(), abs=1e-4)
+    assert relative_entropy(f.values, eq) == pytest.approx(case.entropy(), abs=1e-4)
 
 
 def test_relative_entropy_absolute_continuity():
@@ -77,10 +74,10 @@ def test_relative_entropy_absolute_continuity():
     gv = np.full(10, 1.0 / 1.8)
     gv[0] = 0.0
     with pytest.raises(AbsoluteContinuityError):
-        relative_entropy(f, DensityField(g, gv))
+        relative_entropy(f.values, DensityField(g, gv))
     # but f may vanish where g does
     fv = np.where(np.arange(10) == 0, 0.0, 0.5)
-    relative_entropy(DensityField(g, fv).normalized(), DensityField(g, gv).normalized())
+    relative_entropy(DensityField(g, fv).normalized().values, DensityField(g, gv).normalized())
 
 
 def test_relative_entropy_nonnegative_on_random_pairs():
@@ -88,7 +85,7 @@ def test_relative_entropy_nonnegative_on_random_pairs():
     g = Grid(100)
     for _ in range(200):
         f, h = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
-        assert relative_entropy(f, h) >= -1e-12
+        assert relative_entropy(f.values, h) >= -1e-12
 
 
 @pytest.mark.parametrize("kind", ["far", "near", "special"])
@@ -132,10 +129,10 @@ def test_entropy_gap_temporaries_on_a_block():
     ratio = 1.0 + rng.uniform(-0.009, 0.009, (50, g.n_cells))
     ratio[rng.random(ratio.shape) < 0.02] = 1.5
     block = eq.values * ratio
-    entropy_gap(block, eq.values, g.cell_width)
+    entropy_gap(block, eq)
     tracemalloc.start()
     try:
-        gap = entropy_gap(block, eq.values, g.cell_width)
+        gap = entropy_gap(block, eq)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -147,7 +144,7 @@ def test_weighted_fisher_zero_at_equilibrium():
     p = KineticParams(0.5, 0.2)
     g = Grid(300)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
-    assert weighted_fisher(eq, eq, p.lam) <= 1e-20
+    assert weighted_fisher(eq.values, eq, p.lam) <= 1e-20
 
 
 def test_weighted_fisher_smooth_ratio_oracle():
@@ -155,7 +152,7 @@ def test_weighted_fisher_smooth_ratio_oracle():
     g = Grid(400)
     f = _field_from(case.f, g)
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
-    assert weighted_fisher(f, eq, 0.5) == pytest.approx(case.fisher(), rel=1e-3)
+    assert weighted_fisher(f.values, eq, 0.5) == pytest.approx(case.fisher(), rel=1e-3)
 
 
 def test_weighted_fisher_linear_in_prefactor():
@@ -163,8 +160,8 @@ def test_weighted_fisher_linear_in_prefactor():
     rng = np.random.default_rng(3)
     f = DensityField(g, random_smooth_densities(g, rng, 1)[0])
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
-    assert weighted_fisher(f, eq, 1.0) == pytest.approx(
-        2.0 * weighted_fisher(f, eq, 0.5), rel=1e-15)
+    assert weighted_fisher(f.values, eq, 1.0) == pytest.approx(
+        2.0 * weighted_fisher(f.values, eq, 0.5), rel=1e-15)
 
 
 def test_weighted_fisher_positivity_error():
@@ -172,7 +169,7 @@ def test_weighted_fisher_positivity_error():
     f = DensityField(g, np.where(np.arange(10) == 4, 0.0, 1.0)).normalized()
     eq = BetaEquilibrium.from_params(KineticParams(1.0, 0.0)).on_grid(g)
     with pytest.raises(PositivityError):
-        weighted_fisher(f, eq, 1.0)
+        weighted_fisher(f.values, eq, 1.0)
 
 
 def test_divergent_continuum_cases_grow_under_refinement():
@@ -185,8 +182,8 @@ def test_divergent_continuum_cases_grow_under_refinement():
     for n in (100, 400, 1600):
         g = Grid(n)
         u = uniform_density(g)
-        fishers.append(weighted_fisher(u, eq.on_grid(g), p.lam))
-        wl2s.append(weighted_l2(u, eq.on_grid(g)))
+        fishers.append(weighted_fisher(u.values, eq.on_grid(g), p.lam))
+        wl2s.append(weighted_l2(u.values, eq.on_grid(g)))
     assert all(math.isfinite(x) for x in fishers + wl2s)
     assert fishers[0] < fishers[1] < fishers[2]
     assert wl2s[0] < wl2s[1] < wl2s[2]
@@ -196,7 +193,7 @@ def test_weighted_l2_zero_at_equilibrium():
     p = KineticParams(0.7, 0.1)
     g = Grid(128)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
-    assert weighted_l2(eq, eq) == 0.0
+    assert weighted_l2(eq.values, eq) == 0.0
 
 
 def test_weighted_l2_polynomial_case():
@@ -205,7 +202,7 @@ def test_weighted_l2_polynomial_case():
     g = Grid(400)
     f = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
     uni = BetaEquilibrium.from_params(KineticParams(1.0, 0.0)).on_grid(g)
-    assert weighted_l2(f, uni) == pytest.approx(0.2, abs=1e-4)
+    assert weighted_l2(f.values, uni) == pytest.approx(0.2, abs=1e-4)
 
 
 def test_weighted_l2_smooth_ratio_oracle():
@@ -213,7 +210,7 @@ def test_weighted_l2_smooth_ratio_oracle():
     g = Grid(400)
     f = _field_from(case.f, g)
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
-    assert weighted_l2(f, eq) == pytest.approx(case.weighted_l2(), abs=1e-4)
+    assert weighted_l2(f.values, eq) == pytest.approx(case.weighted_l2(), abs=1e-4)
 
 
 def test_cauchy_schwarz_chain():
@@ -223,18 +220,18 @@ def test_cauchy_schwarz_chain():
     eq = BetaEquilibrium.from_params(p).on_grid(g)
     for _ in range(100):
         f = DensityField(g, random_smooth_densities(g, rng, 1)[0])
-        assert l1_distance(f, eq) ** 2 <= weighted_l2(f, eq) * (1.0 + 1e-12)
+        assert l1_distance(f.values, eq) ** 2 <= weighted_l2(f.values, eq) * (1.0 + 1e-12)
 
 
 def test_l1_examples():
     g = Grid(100)
     f = bimodal_density(g)
-    assert l1_distance(f, f) == 0.0
+    assert l1_distance(f.values, f) == 0.0
     left = np.where(g.centers < 0.0, 1.0, 0.0)
     right = np.where(g.centers > 0.0, 1.0, 0.0)
     fl = DensityField(g, left).normalized()
     fr = DensityField(g, right).normalized()
-    assert l1_distance(fl, fr) == pytest.approx(2.0, abs=1e-12)
+    assert l1_distance(fl.values, fr) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_l1_brute_force_oracle():
@@ -243,52 +240,55 @@ def test_l1_brute_force_oracle():
     f, h = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
     brute = math.fsum(abs(a - b) for a, b in zip(f.values, h.values)) * g.cell_width
     # summation order differs (pairwise vs exact), so agreement is ulp-scale
-    assert l1_distance(f, h) == pytest.approx(brute, rel=5e-16)
+    assert l1_distance(f.values, h) == pytest.approx(brute, rel=5e-16)
 
 
 def test_ckp_slack():
     g = Grid(100)
     f = bimodal_density(g)
-    assert ckp_slack(f, f) == 0.0
+    assert ckp_slack(f.values, f) == 0.0
     rng = np.random.default_rng(17)
     for _ in range(300):
         a, b = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
-        assert ckp_slack(a, b) >= -1e-10
+        assert ckp_slack(a.values, b) >= -1e-10
     left = DensityField(g, np.where(g.centers < 0.0, 1.0, 0.0)).normalized()
     right = DensityField(g, np.where(g.centers > 0.0, 1.0, 0.0)).normalized()
-    assert ckp_slack(left, right) == math.inf
+    assert ckp_slack(left.values, right) == math.inf
+    # a stack: +inf only on the rows that put mass where the reference vanishes
+    pair = np.stack([left.values, f.values])
+    assert np.array_equal(ckp_slack(pair, right), [math.inf, ckp_slack(f.values, right)])
 
 
 def test_ls_slack_zero_at_equilibrium():
     p = KineticParams(0.5, 0.0)
     g = Grid(400)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
-    assert ls_slack(eq, p) == 0.0
+    assert ls_slack(eq.values, eq, p) == 0.0
 
 
 def test_ls_slack_bimodal_positive():
     p = KineticParams(0.5, 0.0)
     phi = bimodal_density(Grid(400))
-    assert ls_slack(phi, p) > 0.0
+    assert ls_slack(phi.values, BetaEquilibrium.from_params(p).on_grid(phi.grid), p) > 0.0
 
 
 def test_ls_slack_regime_error():
     phi = bimodal_density(Grid(100))
     with pytest.raises(RegimeError):
-        ls_slack(phi, KineticParams(1.9, 0.5))
+        ls_slack(phi.values, uniform_density(phi.grid), KineticParams(1.9, 0.5))
 
 
 def test_uniform_ls_slack_equality_case():
     g = Grid(256)
     w = np.full(g.n_cells, 1.0 / math.sqrt(2.0))
-    assert uniform_ls_slack(g, w) == pytest.approx(0.0, abs=1e-15)
+    assert uniform_ls_slack(w, g) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_uniform_ls_slack_linear_case():
     # w = (1+x)/sqrt(8/3) has unit norm; slack is 5/3 - log 3 exactly.
     g = Grid(400)
     w = (1.0 + g.centers) / math.sqrt(8.0 / 3.0)
-    assert uniform_ls_slack(g, w) == pytest.approx(5.0 / 3.0 - math.log(3.0), abs=1e-4)
+    assert uniform_ls_slack(w, g) == pytest.approx(5.0 / 3.0 - math.log(3.0), abs=1e-4)
 
 
 def test_uniform_ls_slack_quadratic_scaling():
@@ -296,14 +296,14 @@ def test_uniform_ls_slack_quadratic_scaling():
     rng = np.random.default_rng(23)
     for _ in range(10):
         w = random_grid_functions(g, rng, 1)[0]
-        assert uniform_ls_slack(g, 2.0 * w) == pytest.approx(
-            4.0 * uniform_ls_slack(g, w), rel=1e-11, abs=1e-11)
+        assert uniform_ls_slack(2.0 * w, g) == pytest.approx(
+            4.0 * uniform_ls_slack(w, g), rel=1e-11, abs=1e-11)
 
 
 def test_uniform_ls_slack_zero_function_error():
     g = Grid(64)
     with pytest.raises(ValueError):
-        uniform_ls_slack(g, np.zeros(64))
+        uniform_ls_slack(np.zeros(64), g)
 
 
 def test_refinement_convergence_order():
@@ -323,10 +323,10 @@ def test_refinement_convergence_order():
         g = Grid(n)
         f = _field_from(case.f, g)
         ref = eq.on_grid(g)
-        errs["H"].append(abs(relative_entropy(f, ref) - exact["H"]))
-        errs["I"].append(abs(weighted_fisher(f, ref, p.lam) - exact["I"]))
-        errs["W"].append(abs(weighted_l2(f, ref) - exact["W"]))
-        errs["L1"].append(abs(l1_distance(f, ref) - exact["L1"]))
+        errs["H"].append(abs(relative_entropy(f.values, ref) - exact["H"]))
+        errs["I"].append(abs(weighted_fisher(f.values, ref, p.lam) - exact["I"]))
+        errs["W"].append(abs(weighted_l2(f.values, ref) - exact["W"]))
+        errs["L1"].append(abs(l1_distance(f.values, ref) - exact["L1"]))
     for name, e in errs.items():
         order = -np.polyfit(np.log(ns), np.log(e), 1)[0]
         assert order >= 0.9, f"{name}: errors {e} give order {order:.2f}"
@@ -354,16 +354,17 @@ def test_row_functionals_equal_one_row_calls_bitwise(n):
     p = KineticParams(0.6, 0.2)
     ref = BetaEquilibrium.from_params(p).on_grid(g)
     stack = _stack_near_and_far(g, ref, rng, 9)
-    fields = [DensityField(g, row) for row in stack]
-    assert np.array_equal(entropy_gap(stack, ref.values, g.cell_width),
-                          [entropy_gap(row, ref.values, g.cell_width) for row in stack])
-    assert np.array_equal(ls_slack_rows(stack, p, ref), [ls_slack(f, p) for f in fields])
-    # an explicit reference other than the analytic one
-    disc = discretize_equilibrium(p, g)
-    assert np.array_equal(ls_slack_rows(stack, p, disc),
-                          [ls_slack(f, p, disc) for f in fields])
+    # the analytic reference and the discrete one
+    for r in (ref, discretize_equilibrium(p, g)):
+        for fn in (entropy_gap, relative_entropy, weighted_l2, l1_distance, ckp_slack,
+                   lambda v, r: weighted_fisher(v, r, p.lam), lambda v, r: ls_slack(v, r, p)):
+            got = fn(stack, r)
+            assert got.shape == (len(stack),)
+            rows = [fn(row, r) for row in stack]
+            assert all(type(x) is float for x in rows)
+            assert np.array_equal(got, rows)
     ws = random_grid_functions(g, rng, 9)
-    assert np.array_equal(uniform_ls_slack(g, ws), [uniform_ls_slack(g, w) for w in ws])
+    assert np.array_equal(uniform_ls_slack(ws, g), [uniform_ls_slack(w, g) for w in ws])
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -380,11 +381,25 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
     def one_row(fn):
         return lambda: fn(DensityField(g, stack[2]))
 
-    assert _raised_type(one_row(lambda f: ls_slack(f, p, ref))) is error
-    assert _raised_type(lambda: ls_slack_rows(stack, p, ref)) is error
+    assert _raised_type(one_row(lambda f: ls_slack(f.values, ref, p))) is error
+    assert _raised_type(lambda: ls_slack(stack, ref, p)) is error
     if error is ValueError:
-        assert _raised_type(one_row(lambda f: relative_entropy(f, ref))) is error
+        assert _raised_type(one_row(lambda f: relative_entropy(f.values, ref))) is error
     ws = random_grid_functions(g, np.random.default_rng(2), 3)
     ws[1] = 0.0
-    assert _raised_type(lambda: uniform_ls_slack(g, ws[1])) is ValueError
-    assert _raised_type(lambda: uniform_ls_slack(g, ws)) is ValueError
+    assert _raised_type(lambda: uniform_ls_slack(ws[1], g)) is ValueError
+    assert _raised_type(lambda: uniform_ls_slack(ws, g)) is ValueError
+
+
+@pytest.mark.parametrize("fn", [
+    entropy_gap, relative_entropy, weighted_l2, l1_distance, ckp_slack,
+    lambda v, ref: weighted_fisher(v, ref, 0.6),
+    lambda v, ref: ls_slack(v, ref, KineticParams(0.6, 0.2)),
+    lambda v, ref: uniform_ls_slack(v, ref.grid),
+], ids=["entropy_gap", "relative_entropy", "weighted_l2", "l1_distance", "ckp_slack",
+        "weighted_fisher", "ls_slack", "uniform_ls_slack"])
+@pytest.mark.parametrize("shape", [(63,), (65,), (3, 63)])
+def test_each_functional_rejects_values_of_another_width(fn, shape):
+    ref = BetaEquilibrium.from_params(KineticParams(0.6, 0.2)).on_grid(Grid(64))
+    with pytest.raises(GridMismatchError):
+        fn(np.full(shape, 0.5), ref)

@@ -143,4 +143,4 @@ def test_grid_mismatch_raises():
     f = uniform_density(Grid(8))
     h = uniform_density(Grid(16))
     with pytest.raises(GridMismatchError):
-        l1_distance(f, h)
+        l1_distance(f.values, h)

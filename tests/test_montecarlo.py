@@ -411,7 +411,7 @@ def test_long_run_reaches_beta_equilibrium():
     e = _swept(e, ip, sweeps_for_time(ip, 20.0))
     h = histogram(e.opinions, g)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
-    assert l1_distance(h, eq) <= 0.05
+    assert l1_distance(h.values, eq) <= 0.05
     # matching moments: variance lam (1-m^2)/(lam+2)
     mean, var = moments(e.opinions)
     assert abs(mean) <= 0.02
@@ -423,4 +423,4 @@ def test_sample_from_density_matches_shape():
     target = BetaEquilibrium.from_params(KineticParams(0.5, 0.2)).on_grid(g)
     e = sample_from_density(target, 200_000, seed=8)
     h = histogram(e.opinions, g)
-    assert l1_distance(h, target) <= 0.03
+    assert l1_distance(h.values, target) <= 0.03

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opinion_kinetics import (
-    DensityField,
+    BetaEquilibrium,
     Grid,
     KineticParams,
     ls_slack,
@@ -59,14 +59,26 @@ def _scalar_battery(points, n, n_samples, seed):
     out = []
     for lv, mv in points:
         p = KineticParams(lv, mv)
-        ls_min = min(ls_slack(DensityField(grid, random_smooth_densities(grid, rng, 1)[0]), p)
+        ref = BetaEquilibrium.from_params(p).on_grid(grid)
+        ls_min = min(ls_slack(random_smooth_densities(grid, rng, 1)[0], ref, p)
                      for _ in range(n_samples))
         uni_min = math.nan
         if (lv, mv) == (1.0, 0.0):
-            uni_min = min(uniform_ls_slack(grid, random_grid_functions(grid, rng, 1)[0])
+            uni_min = min(uniform_ls_slack(random_grid_functions(grid, rng, 1)[0], grid)
                           for _ in range(n_samples))
         out.append((ls_min, uni_min))
     return out
+
+
+def test_verify_ls_makes_its_output_directory_before_the_battery(monkeypatch, tmp_path):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+
+    def battery(*args):
+        raise AssertionError("the battery ran before the output directory was made")
+
+    monkeypatch.setattr(runners, "minimize_potential_second", battery)
+    with pytest.raises(NotADirectoryError):
+        verify_ls(points=[(0.5, 0.0)], n=8, n_samples=1, out_dir=tmp_path / "file" / "o")
 
 
 @pytest.mark.parametrize("seed", [3, 2024])

@@ -27,7 +27,7 @@ from opinion_kinetics import (
 )
 from opinion_kinetics import solver as solver_module
 from opinion_kinetics.cli import main
-from opinion_kinetics.functionals import _l1_distance, _weighted_fisher, _weighted_l2, entropy_gap
+from opinion_kinetics.functionals import entropy_gap
 from opinion_kinetics.grid import _mean
 from oracles import zero_flux_kernel
 
@@ -157,7 +157,7 @@ def test_discrete_equilibrium_matches_beta(lam):
     g = Grid(200)
     disc = discretize_equilibrium(p, g)
     ana = BetaEquilibrium.from_params(p).on_grid(g)
-    assert l1_distance(disc, ana) <= 2e-3
+    assert l1_distance(disc.values, ana) <= 2e-3
 
 
 def test_discrete_equilibrium_refinement_order():
@@ -166,7 +166,7 @@ def test_discrete_equilibrium_refinement_order():
     ns = (100, 200, 400, 800)
     for n in ns:
         g = Grid(n)
-        errs.append(l1_distance(discretize_equilibrium(p, g),
+        errs.append(l1_distance(discretize_equilibrium(p, g).values,
                                 BetaEquilibrium.from_params(p).on_grid(g)))
     order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert order >= 1.0
@@ -208,8 +208,8 @@ def test_step_decreases_entropy():
     g = Grid(200)
     eq = discretize_equilibrium(p, g)
     s = make_solver_state(p, bimodal_density(g), 1e-3)
-    h0 = relative_entropy(s.density, eq)
-    assert relative_entropy(DensityField(g, _rows(s, 1)[0]), eq) < h0
+    h0 = relative_entropy(s.density.values, eq)
+    assert relative_entropy(_rows(s, 1)[0], eq) < h0
 
 
 def test_solve_from_equilibrium_is_flat():
@@ -341,15 +341,15 @@ def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
             fields.append(DensityField(g, v))
 
     traj = solve(p, v0, dt, t_end, sample_every=every)
-    fisher = [weighted_fisher(f, eq, p.lam) if np.all(f.values > 0.0) else math.inf
+    fisher = [weighted_fisher(f.values, eq, p.lam) if np.all(f.values > 0.0) else math.inf
               for f in fields]
     assert math.isinf(fisher[0]) == (start == "point_mass")
     assert np.array_equal(traj.times, times)
     assert np.array_equal(traj.entropy,
-                          [entropy_gap(f.values, eq.values, g.cell_width) for f in fields])
+                          [entropy_gap(f.values, eq) for f in fields])
     assert np.array_equal(traj.fisher, fisher)
-    assert np.array_equal(traj.l1_dist, [l1_distance(f, eq) for f in fields])
-    assert np.array_equal(traj.wl2_dist, [weighted_l2(f, eq) for f in fields])
+    assert np.array_equal(traj.l1_dist, [l1_distance(f.values, eq) for f in fields])
+    assert np.array_equal(traj.wl2_dist, [weighted_l2(f.values, eq) for f in fields])
     assert np.array_equal(traj.mass, [f.mass() for f in fields])
     assert np.array_equal(traj.mean, [f.mean() for f in fields])
     assert np.array_equal(traj.final.values, fields[-1].values)
@@ -442,13 +442,12 @@ def _solve_scoring_each_block(p, v0, dt, t_end, every):
     """solve as a per-block loop: each march block's sampled rows scored as
     their own stack, the entropy increase through np.diff."""
     eq = discretize_equilibrium(p, v0.grid)
-    dy = v0.grid.cell_width
     n_steps = int(round(t_end / dt))
-    h_prev = entropy_gap(v0.values[None, :], eq.values, dy)
+    h_prev = entropy_gap(v0.values[None, :], eq)
     max_increase, max_drift = 0.0, abs(v0.mass() - 1.0)
     pieces = [(np.zeros(1), v0.values[None, :], np.array([v0.mass()]), h_prev)]
     for steps, times, values, mass in solver_module.march(make_solver_state(p, v0, dt), n_steps):
-        h = entropy_gap(values, eq.values, dy)
+        h = entropy_gap(values, eq)
         max_increase = max(max_increase, float(np.diff(h, prepend=h_prev[-1]).max()))
         h_prev = h
         max_drift = max(max_drift, float(np.abs(mass - 1.0).max()))
@@ -461,9 +460,9 @@ def _solve_scoring_each_block(p, v0, dt, t_end, every):
         fisher = np.full(len(rows), math.inf)
         positive = (rows > 0.0).all(axis=-1)
         if positive.any():
-            fisher[positive] = _weighted_fisher(rows[positive], eq, p.lam)
-        for name, col in zip(columns, (times, h, fisher, _l1_distance(rows, eq),
-                                       _weighted_l2(rows, eq), mass, _mean(rows, v0.grid))):
+            fisher[positive] = weighted_fisher(rows[positive], eq, p.lam)
+        for name, col in zip(columns, (times, h, fisher, l1_distance(rows, eq),
+                                       weighted_l2(rows, eq), mass, _mean(rows, v0.grid))):
             columns[name].append(col)
     return ({name: np.concatenate(cols) for name, cols in columns.items()},
             max_increase, max_drift, values[-1])
