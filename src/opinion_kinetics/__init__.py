@@ -8,7 +8,6 @@ from .fitting import DecayFit, fit_decay_rate
 from .functionals import (
     AbsoluteContinuityError,
     PositivityError,
-    ckp_slack,
     l1_distance,
     ls_slack,
     relative_entropy,
@@ -50,13 +49,10 @@ from .solver import (
     solve,
 )
 from .transform import (
-    AngularDensity,
     angular_equilibrium,
     angular_equilibrium_explicit,
     boundary_exponents,
     minimize_potential_second,
-    potential_prime,
-    potential_second,
     pullback_density,
     pushforward_density,
 )

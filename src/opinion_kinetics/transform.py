@@ -8,9 +8,9 @@ In the angular coordinate the equilibrium becomes g(z) = v(sin z) cos z on
 Its second derivative P'' = ((1 - lam/2) - m sin z) / cos^2 z is uniformly
 convex exactly on the admissible set 1 - lam/2 >= |m|, and its minimum is
 the convexity bound behind the log-Sobolev constant.  This module provides
-the potential, an independent numerical minimization of P'', the angular
-equilibrium in both its defining and explicit closed forms, and density
-transport between the y- and z-grids.
+P'' (private, from sin z and cos z), an independent numerical minimization
+of it, the angular equilibrium in both its defining and explicit closed
+forms, and density transport between the y- and z-grids.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import BetaEquilibrium, _scalar_or_array, _exp_density, log_normalization
+from .equilibrium import BetaEquilibrium, _exp_density, log_normalization
 from .functionals import PositivityError
 from .grid import DensityField, Grid
 from .params import KineticParams, _require_l2
@@ -35,23 +35,10 @@ def _check_angle(z):
     return z_arr
 
 
-def potential_prime(p: KineticParams, z):
-    """P'(z) = ((1 - lam/2) sin z - m) / cos z on (-pi/2, pi/2)."""
-    z_arr = _check_angle(z)
-    out = ((1.0 - 0.5 * p.lam) * np.sin(z_arr) - p.m) / np.cos(z_arr)
-    return _scalar_or_array(out)
-
-
 def _second(p: KineticParams, sin_z, cos_z):
-    """P'' from sin z and cos z, given as arrays or as plain floats."""
+    """P''(z) = ((1 - lam/2) - m sin z) / cos^2 z from sin z and cos z, given as
+    arrays or as plain floats: the exact derivative of P'."""
     return ((1.0 - 0.5 * p.lam) - p.m * sin_z) / (cos_z * cos_z)
-
-
-def potential_second(p: KineticParams, z):
-    """P''(z) = ((1 - lam/2) - m sin z) / cos^2 z, the exact derivative of
-    potential_prime (validated against finite differences in the tests)."""
-    z_arr = _check_angle(z)
-    return _scalar_or_array(_second(p, np.sin(z_arr), np.cos(z_arr)))
 
 
 def minimize_potential_second(p: KineticParams):

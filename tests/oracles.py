@@ -127,3 +127,38 @@ def entropy_kernel(r, dps=50):
 
     with mpmath.workdps(dps):
         return np.array([float(h(float(x))) for x in np.ravel(r)]).reshape(np.shape(r))
+
+
+def _mp_fisher(f, g, interfaces, dy, lam):
+    log_r = [mpmath.log(mpmath.mpf(float(a)) / mpmath.mpf(float(b))) for a, b in zip(f, g)]
+    lam, dy = mpmath.mpf(float(lam)), mpmath.mpf(float(dy))
+    return mpmath.fsum(
+        lam / 2 * (1 - mpmath.mpf(float(y)) ** 2) * ((log_r[i + 1] - log_r[i]) / dy) ** 2
+        * (mpmath.mpf(float(f[i])) + mpmath.mpf(float(f[i + 1]))) / 2 * dy
+        for i, y in enumerate(interfaces))
+
+
+def _mp_relative_entropy(f, g, dy):
+    return mpmath.fsum(mpmath.mpf(float(a)) * mpmath.log(mpmath.mpf(float(a)) / mpmath.mpf(float(b)))
+                       for a, b in zip(f, g)) * mpmath.mpf(float(dy))
+
+
+def discrete_weighted_fisher(f, g, interfaces, dy, lam, dps=50):
+    """weighted_fisher's interface sum for one strictly positive row f
+    against g, at dps digits: the sum over interior interfaces of
+
+        (lam/2)(1 - y_if^2) * ((log(f_{i+1}/g_{i+1}) - log(f_i/g_i))/dy)^2
+        * (f_i + f_{i+1})/2 * dy.
+
+    Every float input is taken exactly and the result rounded to a float once.
+    """
+    with mpmath.workdps(dps):
+        return float(_mp_fisher(f, g, interfaces, dy, lam))
+
+
+def discrete_ls_slack(f, g, interfaces, dy, lam, k, dps=50):
+    """k * discrete_weighted_fisher - sum f log(f/g) dy at dps digits, the
+    discrete log-Sobolev slack of one strictly positive row, rounded once."""
+    with mpmath.workdps(dps):
+        return float(mpmath.mpf(float(k)) * _mp_fisher(f, g, interfaces, dy, lam)
+                     - _mp_relative_entropy(f, g, dy))

@@ -15,8 +15,8 @@ from opinion_kinetics import (
     PositivityError,
     RegimeError,
     bimodal_density,
-    ckp_slack,
     discretize_equilibrium,
+    log_sobolev_constant,
     l1_distance,
     ls_slack,
     relative_entropy,
@@ -29,7 +29,7 @@ from opinion_kinetics import (
 from opinion_kinetics.functionals import _entropy_core, entropy_gap
 from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
 
-from oracles import SmoothRatioCase, entropy_kernel
+from oracles import SmoothRatioCase, discrete_ls_slack, discrete_weighted_fisher, entropy_kernel
 
 
 def _field_from(fn, grid):
@@ -172,6 +172,64 @@ def test_weighted_fisher_positivity_error():
         weighted_fisher(f.values, eq, 1.0)
 
 
+def _near_row(ref):
+    v = ref.values * (1.0 + 1e-6 * np.sin(3.0 * ref.grid.centers))
+    return v / (v.sum() * ref.grid.cell_width)
+
+
+def _oracle_cases(kind):
+    """(params, reference, far rows, near rows) at n = 400."""
+    g = Grid(400)
+    if kind == "near":
+        for lam, m in ((0.6, 0.2), (1.0, 0.0), (0.3, -0.4), (1.5, 0.1)):
+            ref = BetaEquilibrium.from_params(KineticParams(lam, m)).on_grid(g)
+            yield KineticParams(lam, m), ref, np.empty((0, 400)), _near_row(ref)[None, :]
+        return
+    p = KineticParams(0.6, 0.2) if kind == "far" else KineticParams(0.02, -0.5)
+    ref = BetaEquilibrium.from_params(p).on_grid(g)
+    rng = np.random.default_rng(21 if kind == "far" else 22)
+    near = _near_row(ref)[None, :] if kind == "small_lambda" else np.empty((0, 400))
+    yield p, ref, random_smooth_densities(g, rng, 6), near
+
+
+@pytest.mark.parametrize("kind", ["far", "near", "small_lambda"])
+def test_weighted_fisher_and_ls_slack_match_a_50_digit_oracle(kind):
+    # Far rows keep about 1e-15 relative in I and in the slack.  Near the
+    # steady state (f = g (1 + 1e-6 sin 3y)) the log ratio's interface
+    # differences are ~1e-8, so its last-bit rounding gives 1e-12 to
+    # 1.2e-10 relative in I (the larger at lam = 0.02), whether it is
+    # log(f/g) or log f - log g; there the slack, ~1e-13 for H ~ 1e-13,
+    # carries the rounding of the entropy's mass term, under one ulp of
+    # the unit mass.
+    for p, ref, far, near in _oracle_cases(kind):
+        g, k = ref.grid, log_sobolev_constant(p)
+        for rows, fisher_rel, slack_bound in ((far, 4e-15, None), (near, 2.5e-10, 2.2e-16)):
+            if not len(rows):
+                continue
+            fisher, slack = weighted_fisher(rows, ref, p.lam), ls_slack(rows, ref, p)
+            for f, got_i, got_s in zip(rows, fisher, slack):
+                want_i = discrete_weighted_fisher(f, ref.values, g.interior_interfaces,
+                                                  g.cell_width, p.lam)
+                want_s = discrete_ls_slack(f, ref.values, g.interior_interfaces,
+                                           g.cell_width, p.lam, k)
+                assert abs(got_i - want_i) <= fisher_rel * want_i
+                bound = 4e-15 * abs(want_s) if slack_bound is None else slack_bound
+                assert abs(got_s - want_s) <= bound
+
+
+@pytest.mark.parametrize("n", [64, 400])
+def test_ls_slack_is_k_fisher_minus_relative_entropy_bitwise(n):
+    g = Grid(n)
+    p = KineticParams(0.6, 0.2)
+    k = log_sobolev_constant(p)
+    ref = BetaEquilibrium.from_params(p).on_grid(g)
+    stack = _stack_near_and_far(g, ref, np.random.default_rng(n + 1), 9)
+    for r in (ref, discretize_equilibrium(p, g)):
+        for f in [*stack, stack]:
+            assert np.array_equal(ls_slack(f, r, p),
+                                  k * weighted_fisher(f, r, p.lam) - relative_entropy(f, r))
+
+
 def test_divergent_continuum_cases_grow_under_refinement():
     # Uniform data against a boundary-vanishing state has infinite continuum
     # Fisher information and weighted L2; the discrete values must be finite
@@ -243,20 +301,29 @@ def test_l1_brute_force_oracle():
     assert l1_distance(f.values, h) == pytest.approx(brute, rel=5e-16)
 
 
+def _ckp_slack(values, ref):
+    """The Csiszar-Kullback-Pinsker slack 2 H(f, g) - ||f - g||_1^2."""
+    return 2.0 * relative_entropy(values, ref) - l1_distance(values, ref) ** 2
+
+
 def test_ckp_slack():
+    # Pinsker: nonnegative for every pair of unit-mass fields
     g = Grid(100)
     f = bimodal_density(g)
-    assert ckp_slack(f.values, f) == 0.0
+    assert _ckp_slack(f.values, f) == 0.0
     rng = np.random.default_rng(17)
     for _ in range(300):
         a, b = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
-        assert ckp_slack(a.values, b) >= -1e-10
+        assert _ckp_slack(a.values, b) >= -1e-10
+    # without absolute continuity the entropy side, and so the slack, is
+    # infinite: the entropy raises, for a row and for a stack holding one
     left = DensityField(g, np.where(g.centers < 0.0, 1.0, 0.0)).normalized()
     right = DensityField(g, np.where(g.centers > 0.0, 1.0, 0.0)).normalized()
-    assert ckp_slack(left.values, right) == math.inf
-    # a stack: +inf only on the rows that put mass where the reference vanishes
-    pair = np.stack([left.values, f.values])
-    assert np.array_equal(ckp_slack(pair, right), [math.inf, ckp_slack(f.values, right)])
+    with pytest.raises(AbsoluteContinuityError):
+        _ckp_slack(left.values, right)
+    with pytest.raises(AbsoluteContinuityError):
+        _ckp_slack(np.stack([right.values, left.values]), right)
+    assert np.all(_ckp_slack(np.stack([right.values, left.values]), f) >= -1e-10)
 
 
 def test_ls_slack_zero_at_equilibrium():
@@ -356,7 +423,7 @@ def test_row_functionals_equal_one_row_calls_bitwise(n):
     stack = _stack_near_and_far(g, ref, rng, 9)
     # the analytic reference and the discrete one
     for r in (ref, discretize_equilibrium(p, g)):
-        for fn in (entropy_gap, relative_entropy, weighted_l2, l1_distance, ckp_slack,
+        for fn in (entropy_gap, relative_entropy, weighted_l2, l1_distance, _ckp_slack,
                    lambda v, r: weighted_fisher(v, r, p.lam), lambda v, r: ls_slack(v, r, p)):
             got = fn(stack, r)
             assert got.shape == (len(stack),)
@@ -383,6 +450,8 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
 
     assert _raised_type(one_row(lambda f: ls_slack(f.values, ref, p))) is error
     assert _raised_type(lambda: ls_slack(stack, ref, p)) is error
+    assert _raised_type(one_row(lambda f: weighted_fisher(f.values, ref, p.lam))) is error
+    assert _raised_type(lambda: weighted_fisher(stack, ref, p.lam)) is error
     if error is ValueError:
         assert _raised_type(one_row(lambda f: relative_entropy(f.values, ref))) is error
     ws = random_grid_functions(g, np.random.default_rng(2), 3)
@@ -391,8 +460,19 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
     assert _raised_type(lambda: uniform_ls_slack(ws, g)) is ValueError
 
 
+def test_each_functional_takes_an_empty_stack():
+    p = KineticParams(0.6, 0.2)
+    ref = BetaEquilibrium.from_params(p).on_grid(Grid(64))
+    empty = np.empty((0, 64))
+    for fn in (entropy_gap, relative_entropy, weighted_l2, l1_distance,
+               lambda v, r: weighted_fisher(v, r, p.lam), lambda v, r: ls_slack(v, r, p),
+               lambda v, r: uniform_ls_slack(v, r.grid)):
+        got = fn(empty, ref)
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
 @pytest.mark.parametrize("fn", [
-    entropy_gap, relative_entropy, weighted_l2, l1_distance, ckp_slack,
+    entropy_gap, relative_entropy, weighted_l2, l1_distance, _ckp_slack,
     lambda v, ref: weighted_fisher(v, ref, 0.6),
     lambda v, ref: ls_slack(v, ref, KineticParams(0.6, 0.2)),
     lambda v, ref: uniform_ls_slack(v, ref.grid),

@@ -19,46 +19,55 @@ from opinion_kinetics import (
     bimodal_density,
     boundary_exponents,
     minimize_potential_second,
-    potential_prime,
-    potential_second,
     pullback_density,
     pushforward_density,
     uniform_density,
 )
 
 from opinion_kinetics.runners import default_ls_grid
+from opinion_kinetics.transform import _second
 
 from oracles import centered_difference
 
 
-def test_potential_prime_examples():
-    assert potential_prime(KineticParams(0.5, 0.3), 0.0) == pytest.approx(-0.3, abs=1e-15)
-    assert potential_prime(KineticParams(1.0, 0.0), math.pi / 4) == pytest.approx(0.5, abs=1e-15)
-    p = KineticParams(0.7, 0.0)
-    z = np.linspace(-1.5, 1.5, 101)
-    assert np.allclose(potential_prime(p, -z), -potential_prime(p, z), atol=1e-15)
-    with pytest.raises(ValueError):
-        potential_prime(p, math.pi / 2)
+def _prime(p, z):
+    """P'(z) = ((1 - lam/2) sin z - m) / cos z, written out independently."""
+    return ((1.0 - 0.5 * p.lam) * np.sin(z) - p.m) / np.cos(z)
+
+
+def _second_at(p, z):
+    return _second(p, np.sin(z), np.cos(z))
 
 
 def test_potential_second_examples():
     for lam in (0.4, 1.0, 1.6):
-        assert potential_second(KineticParams(lam, 0.0), 0.0) == pytest.approx(
+        assert _second_at(KineticParams(lam, 0.0), 0.0) == pytest.approx(
             1.0 - lam / 2.0, abs=1e-15)
+    assert _second_at(KineticParams(0.5, 0.3), 0.0) == pytest.approx(0.75, abs=1e-15)
+    assert _second_at(KineticParams(1.0, 0.0), math.pi / 4) == pytest.approx(1.0, abs=1e-15)
+    # even in z at m = 0; z -> -z is m -> -m otherwise
+    z = np.linspace(-1.5, 1.5, 101)
+    p = KineticParams(0.7, 0.0)
+    assert np.allclose(_second_at(p, -z), _second_at(p, z), atol=1e-15, rtol=0.0)
+    assert np.allclose(_second_at(KineticParams(0.7, 0.2), -z),
+                       _second_at(KineticParams(0.7, -0.2), z), atol=1e-15, rtol=0.0)
+    # angles outside (-pi/2, pi/2) are rejected where an angle is taken
     with pytest.raises(ValueError):
-        potential_second(KineticParams(1.0, 0.0), -2.0)
+        angular_equilibrium(p, math.pi / 2)
+    with pytest.raises(ValueError):
+        angular_equilibrium_explicit(KineticParams(1.0, 0.0), -2.0)
 
 
 @pytest.mark.parametrize("lam,m", [(0.5, 0.25), (1.0, 0.0), (1.5, -0.2), (0.3, 0.6)])
 def test_potential_second_is_derivative_of_prime(lam, m):
     p = KineticParams(lam, m)
     for z in np.linspace(-1.2, 1.2, 25):
-        fd = centered_difference(lambda s: potential_prime(p, s), z, h=1e-5)
-        assert potential_second(p, z) == pytest.approx(fd, abs=1e-8)
+        fd = centered_difference(lambda s: _prime(p, s), z, h=1e-5)
+        assert _second_at(p, z) == pytest.approx(fd, abs=1e-8)
     # close to the boundary both sides blow up; agreement stays relative
     for z in (-1.45, 1.45):
-        fd = centered_difference(lambda s: potential_prime(p, s), z, h=1e-5)
-        assert potential_second(p, z) == pytest.approx(fd, rel=1e-7)
+        fd = centered_difference(lambda s: _prime(p, s), z, h=1e-5)
+        assert _second_at(p, z) == pytest.approx(fd, rel=1e-7)
 
 
 def test_minimize_examples():
@@ -89,15 +98,12 @@ def test_minimizer_stationarity_quadratic():
 def test_potential_scalar_and_array_calls_agree():
     p = KineticParams(0.6, 0.1)
     zs = np.array([-0.4, 0.2])
-    for fn in (potential_prime, potential_second):
-        assert isinstance(fn(p, 0.2), float)
-        assert fn(p, 0.2) == fn(p, zs)[1]
+    assert isinstance(_second(p, math.sin(0.2), math.cos(0.2)), float)
+    assert _second_at(p, 0.2) == _second_at(p, zs)[1]
     assert minimize_potential_second(p)[1] == pytest.approx(bakry_emery_rho(p), abs=1e-10)
 
 
 _POINTWISE = {
-    "potential_prime": lambda z: potential_prime(KineticParams(0.6, 0.1), z),
-    "potential_second": lambda z: potential_second(KineticParams(0.6, 0.1), z),
     "angular_equilibrium": lambda z: angular_equilibrium(KineticParams(0.6, 0.1), z),
     "angular_equilibrium_explicit":
         lambda z: angular_equilibrium_explicit(KineticParams(0.6, 0.1), z),
@@ -119,36 +125,37 @@ def test_pointwise_0d_input_gives_float_else_array(name):
         assert np.array_equal(got, want)
 
 
-def _golden_section_on_public_second(p, tol=1e-12):
+def _golden_section_on_numpy_second(p, tol=1e-12):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = -math.pi / 2 + 1e-6, math.pi / 2 - 1e-6
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = potential_second(p, c), potential_second(p, d)
+    fc, fd = _second_at(p, c), _second_at(p, d)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = potential_second(p, c)
+            fc = _second_at(p, c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = potential_second(p, d)
+            fd = _second_at(p, d)
     z_bar = 0.5 * (a + b)
-    return z_bar, potential_second(p, z_bar)
+    return z_bar, _second_at(p, z_bar)
 
 
-def test_minimize_equals_golden_section_on_public_potential_second():
+def test_minimize_equals_golden_section_on_numpy_second():
+    # minimize evaluates P'' on math.sin and math.cos of plain floats
     for lam, m in default_ls_grid():
         p = KineticParams(lam, m)
-        assert minimize_potential_second(p) == _golden_section_on_public_second(p)
+        assert minimize_potential_second(p) == _golden_section_on_numpy_second(p)
 
 
 def test_convexity_on_admissible_grid():
     zs = np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 10_000)
     cases = [(0.5, 0.0), (1.0, 0.3), (1.8, 0.1), (1.5, 0.25)]  # last: equality case
     for lam, m in cases:
-        assert np.all(potential_second(KineticParams(lam, m), zs) > 0.0)
+        assert np.all(_second_at(KineticParams(lam, m), zs) > 0.0)
 
 
 def test_closed_form_matches_minimization_on_grid():
