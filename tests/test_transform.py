@@ -39,6 +39,23 @@ def _second_at(p, z):
     return _second(p, np.sin(z), np.cos(z))
 
 
+def test_potential_prime_examples():
+    assert _prime(KineticParams(0.5, 0.3), 0.0) == pytest.approx(-0.3, abs=1e-15)
+    assert _prime(KineticParams(1.0, 0.0), math.pi / 4) == pytest.approx(0.5, abs=1e-15)
+    p = KineticParams(0.7, 0.0)
+    z = np.linspace(-1.5, 1.5, 101)
+    assert np.allclose(_prime(p, -z), -_prime(p, z), atol=1e-15, rtol=0.0)
+    # g = C exp(-(2/lam) P), so P' = -(lam/2) (log g)' for both forms of g
+    for lam, m in [(0.5, 0.3), (1.0, 0.0), (0.7, 0.0), (1.2, -0.2)]:
+        q = KineticParams(lam, m)
+        for g in (angular_equilibrium, angular_equilibrium_explicit):
+            for s in np.linspace(-1.2, 1.2, 13):
+                fd = -0.5 * lam * centered_difference(lambda t: math.log(g(q, t)), s)
+                assert _prime(q, s) == pytest.approx(fd, abs=1e-8)
+    with pytest.raises(ValueError):
+        angular_equilibrium(p, math.pi / 2)
+
+
 def test_potential_second_examples():
     for lam in (0.4, 1.0, 1.6):
         assert _second_at(KineticParams(lam, 0.0), 0.0) == pytest.approx(
@@ -51,9 +68,6 @@ def test_potential_second_examples():
     assert np.allclose(_second_at(p, -z), _second_at(p, z), atol=1e-15, rtol=0.0)
     assert np.allclose(_second_at(KineticParams(0.7, 0.2), -z),
                        _second_at(KineticParams(0.7, -0.2), z), atol=1e-15, rtol=0.0)
-    # angles outside (-pi/2, pi/2) are rejected where an angle is taken
-    with pytest.raises(ValueError):
-        angular_equilibrium(p, math.pi / 2)
     with pytest.raises(ValueError):
         angular_equilibrium_explicit(KineticParams(1.0, 0.0), -2.0)
 
