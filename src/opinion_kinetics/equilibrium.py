@@ -39,17 +39,54 @@ def _exp_density(log_values, what: str):
     return _scalar_or_array(out)
 
 
+# min(a, b) from which log C takes the asymptotic log-Beta: lam < 5e-4 at
+# most; every lam from 5e-4 up keeps the log-gamma path and its bits
+STIRLING_MIN = 2000.0
+
+
+def _stirling_tail(x: float) -> float:
+    """lgamma(x) - [(x - 1/2) log x - x + log(2 pi)/2] for x >= STIRLING_MIN,
+    where the next term, 1/(1260 x^5), is below 3e-20."""
+    return (1.0 / 12.0 - 1.0 / (360.0 * x * x)) / x
+
+
+def _log_normalization_stirling(lam: float, m: float, a: float, b: float) -> float:
+    """log C from Stirling's series in 1/a and 1/b.
+
+    With s = a + b, p = (1 - m)/2 = a/s and q = (1 + m)/2 = b/s,
+        log C = -s [p log(2p) + q log(2q)] + log(2ab/(pi s))/2
+                - tail(a) - tail(b) + tail(s),
+    the (a + b - 1) log 2 term merged into the first bracket before any
+    rounding; log-gamma at a ~ 1e300 would cancel it at that magnitude.
+    s [.] = (1/lam) [(1 - m) log1p(-m) + (1 + m) log1p(m)], which cancels
+    to m^2/lam for small m; there it is (1/lam) [log1p(-m^2) + 2 m atanh m].
+    """
+    if abs(m) < 0.5:
+        bracket = (math.log1p(-m * m) + 2.0 * m * math.atanh(m)) / lam
+    else:
+        bracket = a * math.log1p(-m) + b * math.log1p(m)
+    # 2ab/(pi s) = (1 - m)(1 + m)/(pi lam), in logs: a * b overflows at 1e300
+    log_prefactor = 0.5 * (math.log1p(-m) + math.log1p(m) - math.log(math.pi) - math.log(lam))
+    return -bracket + log_prefactor - _stirling_tail(a) - _stirling_tail(b) + _stirling_tail(a + b)
+
+
 def log_normalization(p: KineticParams) -> float:
     """log C with C = 1 / (2^(a+b-1) B(a, b)), via log-gamma.
 
     Direct quadrature of the unnormalized density is ill-conditioned when
     the exponents approach 0; the Euler Beta function in log space is not.
+    Once min(a, b) >= STIRLING_MIN, log-gamma's terms would cancel against
+    the log 2 term (at lam = 1e-300 no digit is left), so an asymptotic
+    log-Beta takes over.
     """
     a = (1.0 - p.m) / p.lam
     b = (1.0 + p.m) / p.lam
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    log_c = -((a + b - 1.0) * math.log(2.0) + log_beta)
-    if not math.isfinite(log_c):
+    if min(a, b) >= STIRLING_MIN:
+        log_c = _log_normalization_stirling(p.lam, p.m, a, b)
+    else:
+        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        log_c = -((a + b - 1.0) * math.log(2.0) + log_beta)
+    if not math.isfinite(log_c) or math.isinf(max(a, b)):
         raise OverflowError(
             f"normalization constant overflowed for exponents a={a}, b={b}"
         )
@@ -76,11 +113,14 @@ class BetaEquilibrium:
         y_arr = np.asarray(y, dtype=float)
         if np.any(np.abs(y_arr) >= 1.0):
             raise ValueError("equilibrium is defined on the open interval (-1, 1)")
-        # grouping keeps the m <-> -m mirror symmetry exact in floating point
-        out = self.log_norm_constant + (
-            (self.exponent_minus - 1.0) * np.log1p(-y_arr)
-            + (self.exponent_plus - 1.0) * np.log1p(y_arr)
-        )
+        # grouping keeps the m <-> -m mirror symmetry exact in floating point;
+        # at exponents near 1e308 a negative term overflows to -inf, where v
+        # is 0 (a positive one is at most exponent * log 2, which cannot)
+        with np.errstate(over="ignore"):
+            out = self.log_norm_constant + (
+                (self.exponent_minus - 1.0) * np.log1p(-y_arr)
+                + (self.exponent_plus - 1.0) * np.log1p(y_arr)
+            )
         return _scalar_or_array(out)
 
     def value(self, y):

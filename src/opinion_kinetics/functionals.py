@@ -16,14 +16,22 @@ One private kernel, _log_ratio, checks the values and takes the log:
 weighted_fisher and ls_slack call it once per row or stack.  It validates
 with two reductions, min >= 0 and max < inf (else the DensityField
 invariant's ValueError, non-finite before negative), then min > 0
-(PositivityError), and forms r = f/ref and log r once each.
-weighted_fisher differences that log r across the interfaces; ls_slack
-also hands the same r and log r to the entropy's direct-formula cells, so
-it takes one log per value, and it equals K * weighted_fisher -
-relative_entropy bit for bit.  entropy_gap, relative_entropy, weighted_l2
-and l1_distance do not check the values (the solver's march has already
-checked every row it scores); entropy_gap and relative_entropy take their
-own ratio and log, with 0 log 0 = 0 where f vanishes.
+(PositivityError), and forms log r = log(f/ref) once, in place.
+weighted_fisher differences that log r across the interfaces.
+entropy_gap, relative_entropy, weighted_l2 and l1_distance do not check
+the values (the solver's march has already checked every row it scores).
+
+Two sums give the relative entropy.  relative_entropy and ls_slack take
+the direct one, sum f log r dy: one multiply and one row sum on the log r
+ls_slack already holds, with 0 log 0 = 0 where f vanishes, so ls_slack is
+K * weighted_fisher - relative_entropy bit for bit.  It equals the
+Bregman sum below plus the mass term (sum f - sum g) dy, and near the
+steady state it is the more accurate, since that mass term rounds at
+1e-17 to 1e-16.  entropy_gap, which the solver scores every step with,
+keeps the Bregman form sum g (r log r - r + 1) dy, nonnegative term by
+term: the direct sum would add the march's mass drift, about 1e-16 per
+step, to entropies that fall to 1e-25, and swamp the monotone check and
+the decay fit.
 
 The entropy kernel and the log ratio take numpy's vectorised log.  xlogy,
 scipy.special's own ufunc, remains only in uniform_ls_slack; it is loaded
@@ -78,7 +86,17 @@ def _entropy_series(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_core(r: np.ndarray, log_r: np.ndarray | None = None) -> np.ndarray:
+def _log_in_place(x: np.ndarray) -> np.ndarray:
+    """x <- log x in place, returned, with numpy's log: log 0 is taken as 0,
+    so f log r is 0 where r = 0; x < 0 and NaN give a quiet NaN."""
+    # (Not x + (x == 0): adding the mask casts it through a 64 kB buffer.)
+    np.copyto(x, 1.0, where=x == 0.0)
+    with np.errstate(invalid="ignore"):
+        np.log(x, out=x)
+    return x
+
+
+def _entropy_core(r: np.ndarray) -> np.ndarray:
     """r log r - r + 1, elementwise, accurate through r = 1, in a new array.
 
     The direct formula, r * log(r) - (r - 1) with numpy's log, loses all
@@ -88,9 +106,7 @@ def _entropy_core(r: np.ndarray, log_r: np.ndarray | None = None) -> np.ndarray:
     cells that use it.  0 log 0 = 0, so r = 0 gives exactly 1; r < 0 and
     NaN give NaN without a warning, as scipy's xlogy does.  Besides r it
     holds two arrays of its size, u = r - 1 and the result, the masks, and
-    a copy of u on the series cells.  log_r, when given, is np.log(r) of a
-    strictly positive r, as _log_ratio returns it; the direct formula then
-    takes no log of its own, and the result has the same bits.
+    a copy of u on the series cells.
     """
     r = np.asarray(r, dtype=float)
     u = r - 1.0
@@ -98,16 +114,9 @@ def _entropy_core(r: np.ndarray, log_r: np.ndarray | None = None) -> np.ndarray:
     near = out < 0.01
     if near.all():
         return _entropy_series(u, out)
-    if log_r is None:
-        # log 1 = 0 on the r = 0 cells; the log of r < 0 is a quiet NaN.
-        # (Not r + (r == 0): adding the mask casts it through a 64 kB buffer.)
-        np.copyto(out, r)
-        np.copyto(out, 1.0, where=r == 0.0)
-        with np.errstate(invalid="ignore"):
-            np.log(out, out=out)
-        out *= r
-    else:
-        np.multiply(log_r, r, out=out)
+    np.copyto(out, r)
+    _log_in_place(out)
+    out *= r
     out -= u
     if near.any():
         # u is needed only on the series cells now: its front takes their series
@@ -116,12 +125,24 @@ def _entropy_core(r: np.ndarray, log_r: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _gap(r: np.ndarray, g: np.ndarray, dy: float,
-         log_r: np.ndarray | None = None) -> np.ndarray:
-    """sum g * (r log r - r + 1) dy along the last axis (log_r as in _entropy_core)."""
-    terms = _entropy_core(r, log_r)
-    terms *= g
-    return terms.sum(axis=-1) * dy
+def _continuous_part(f: np.ndarray, ref: DensityField) -> tuple[np.ndarray, np.ndarray]:
+    """f and the reference values on the cells where the reference is
+    positive; AbsoluteContinuityError if f > 0 on a cell where it vanishes."""
+    g = ref.values
+    pos = g > 0.0
+    if pos.all():
+        return f, g
+    if np.any(f[..., ~pos] > 0.0):
+        raise AbsoluteContinuityError("f > 0 on a cell where the reference vanishes")
+    # compress keeps a stack C-ordered (f[..., pos] does not), so each row
+    # sums as it does alone
+    return f.compress(pos, axis=-1), g[pos]
+
+
+def _entropy_sum(f: np.ndarray, log_r: np.ndarray, dy: float) -> np.ndarray:
+    """sum f log r dy along the last axis; log_r is overwritten."""
+    log_r *= f
+    return log_r.sum(axis=-1) * dy
 
 
 def entropy_gap(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
@@ -133,29 +154,25 @@ def entropy_gap(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     entropy decay over many orders of magnitude.  Raises
     AbsoluteContinuityError if f puts mass on a cell where g vanishes.
     """
-    f, g = _check_width(values, ref.grid), ref.values
-    pos = g > 0.0
-    if not pos.all():
-        if np.any(f[..., ~pos] > 0.0):
-            raise AbsoluteContinuityError("f > 0 on a cell where the reference vanishes")
-        g, f = g[pos], f[..., pos]
-    return _result(_gap(f / g, g, ref.grid.cell_width))
+    f, g = _continuous_part(_check_width(values, ref.grid), ref)
+    terms = _entropy_core(f / g)
+    terms *= g
+    return _result(terms.sum(axis=-1) * ref.grid.cell_width)
 
 
 def relative_entropy(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """Relative Shannon entropy sum f log(f/g) dy, with 0 log 0 = 0.
 
     Nonnegative (within roundoff) whenever both fields carry unit discrete
-    mass.  Raises AbsoluteContinuityError if f puts mass on a cell where g
-    vanishes.
+    mass.  A negative value gives NaN, without a warning.  Raises
+    AbsoluteContinuityError if f puts mass on a cell where g vanishes.
     """
-    f = _check_width(values, ref.grid)
-    return _result(entropy_gap(f, ref)
-                   + (f.sum(axis=-1) - ref.values.sum()) * ref.grid.cell_width)
+    f, g = _continuous_part(_check_width(values, ref.grid), ref)
+    return _result(_entropy_sum(f, _log_in_place(f / g), ref.grid.cell_width))
 
 
-def _log_ratio(f: np.ndarray, ref: DensityField) -> tuple[np.ndarray, np.ndarray]:
-    """r = f/ref and log r, each computed once, for a row or a stack.
+def _log_ratio(f: np.ndarray, ref: DensityField) -> np.ndarray:
+    """log(f/ref) in a new array, for a row or a stack.
 
     f is validated in two reductions: min >= 0 and max < inf, else
     check_density_values raises its ValueError (non-finite before
@@ -170,8 +187,8 @@ def _log_ratio(f: np.ndarray, ref: DensityField) -> tuple[np.ndarray, np.ndarray
             raise PositivityError("log ratio needs strictly positive f")
     if not ref.values.min() > 0.0:
         raise PositivityError("log ratio needs a strictly positive reference")
-    r = f / ref.values
-    return r, np.log(r)
+    log_r = f / ref.values
+    return np.log(log_r, out=log_r)
 
 
 def _neighbours(op, x: np.ndarray) -> np.ndarray:
@@ -215,8 +232,7 @@ def weighted_fisher(values: np.ndarray, ref: DensityField, lam: float) -> float 
     PositivityError for a zero).
     """
     f = _check_width(values, ref.grid)
-    log_r = _log_ratio(f, ref)[1]  # r is freed here, before the sums' two arrays
-    return _result(_fisher(f, log_r, ref.grid, lam))
+    return _result(_fisher(f, _log_ratio(f, ref), ref.grid, lam))
 
 
 def weighted_l2(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
@@ -246,11 +262,9 @@ def ls_slack(values: np.ndarray, ref: DensityField, p: KineticParams) -> float |
     """
     k = log_sobolev_constant(p)
     f = _check_width(values, ref.grid)
-    r, log_r = _log_ratio(f, ref)
-    dy = ref.grid.cell_width
-    # relative_entropy's terms, in its order
-    h = _gap(r, ref.values, dy, log_r) + (f.sum(axis=-1) - ref.values.sum()) * dy
-    return _result(k * _fisher(f, log_r, ref.grid, p.lam) - h)
+    log_r = _log_ratio(f, ref)
+    fisher = _fisher(f, log_r, ref.grid, p.lam)
+    return _result(k * fisher - _entropy_sum(f, log_r, ref.grid.cell_width))
 
 
 def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:

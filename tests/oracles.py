@@ -3,7 +3,8 @@
 The continuum ones go through adaptive quadrature on the closed-form
 integrands; the discrete kernel is evaluated in mpmath at 50 digits.  None
 of it reuses the package's evaluation paths (the Beta normalization, for
-instance, comes from quadrature, not log-gamma).
+instance, comes from quadrature, or from mpmath's log-gamma at 400 digits,
+not from log-gamma in floats or Stirling's series).
 """
 
 import math
@@ -25,6 +26,18 @@ def beta_density(lam, m):
 
     z, _ = quad(unnorm, -1.0, 1.0, **QUAD_OPTS)
     return lambda y: unnorm(y) / z
+
+
+def log_normalization(lam, m, dps=400):
+    """log C = -((a + b - 1) log 2 + log B(a, b)) with a = (1 - m)/lam and
+    b = (1 + m)/lam, from the floats lam and m taken exactly, at dps digits
+    and rounded once: at lam = 1e-300 the terms reach 1e303 and cancel to
+    about 344, so dps must exceed 303 plus the digits wanted."""
+    with mpmath.workdps(dps):
+        lam, m = mpmath.mpf(lam), mpmath.mpf(m)
+        a, b = (1 - m) / lam, (1 + m) / lam
+        return float(-((a + b - 1) * mpmath.log(2)
+                       + mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)))
 
 
 def quad_mass(f):
@@ -139,8 +152,11 @@ def _mp_fisher(f, g, interfaces, dy, lam):
 
 
 def _mp_relative_entropy(f, g, dy):
-    return mpmath.fsum(mpmath.mpf(float(a)) * mpmath.log(mpmath.mpf(float(a)) / mpmath.mpf(float(b)))
-                       for a, b in zip(f, g)) * mpmath.mpf(float(dy))
+    def term(a, b):
+        a = mpmath.mpf(float(a))
+        return a * mpmath.log(a / mpmath.mpf(float(b))) if a else a
+
+    return mpmath.fsum(term(a, b) for a, b in zip(f, g)) * mpmath.mpf(float(dy))
 
 
 def discrete_weighted_fisher(f, g, interfaces, dy, lam, dps=50):
@@ -154,6 +170,14 @@ def discrete_weighted_fisher(f, g, interfaces, dy, lam, dps=50):
     """
     with mpmath.workdps(dps):
         return float(_mp_fisher(f, g, interfaces, dy, lam))
+
+
+def discrete_relative_entropy(f, g, dy, dps=50):
+    """sum f log(f/g) dy for one nonnegative row f against g > 0, with
+    0 log 0 = 0, at dps digits: every float input is taken exactly and the
+    result rounded to a float once."""
+    with mpmath.workdps(dps):
+        return float(_mp_relative_entropy(f, g, dy))
 
 
 def discrete_ls_slack(f, g, interfaces, dy, lam, k, dps=50):

@@ -31,35 +31,34 @@ def _run(command, lam, m, n, t_end, tmp_path, capsys, initial="bimodal"):
     # so it underflows on edge cells where the bimodal start is positive
     pytest.param("solve", 0.005, 0.0, 200, _UNDERFLOW, id="solve-0.005-0-200"),
     pytest.param("solve", 0.01, 0.5, 2000, _UNDERFLOW, id="solve-0.01-0.5-2000"),
-    # the Beta normalization overflows: in lgamma, or to an infinite exponent
-    pytest.param("equilibrium", 1e-308, 0.0, 200, "math range error",
-                 id="equilibrium-1e-308-0-200"),
-    pytest.param("transform-check", 1e-308, 0.0, 200, "math range error",
-                 id="transform_check-1e-308-0-200"),
+    # the exponents a = b = 1/lam overflow, and the Beta normalization with them
     pytest.param("equilibrium", 1e-320, 0.0, 200, "normalization constant overflowed",
                  id="equilibrium-1e-320-0-200"),
     pytest.param("transform-check", 1e-320, 0.0, 200, "normalization constant overflowed",
                  id="transform_check-1e-320-0-200"),
     # the peak of the Beta state falls between the cell centres, and every
-    # centre underflows to 0 (the Beta normalization has no correct digit
-    # at 1e-300 and overflows on the centre cell at n = 7)
+    # centre underflows to 0
     pytest.param("equilibrium", 1e-10, 0.0, 200, _ANALYTIC_UNDERFLOW,
                  id="equilibrium-1e-10-0-200"),
     pytest.param("equilibrium", 1e-300, 0.5, 200, _ANALYTIC_UNDERFLOW,
                  id="equilibrium-1e-300-0.5-200"),
-    pytest.param("equilibrium", 1e-300, 0.0, 7, "the Beta steady state overflows on 1 of 7",
-                 id="equilibrium-1e-300-0-7"),
-    *(pytest.param("transform-check", 1e-300, 0.0, n,
-                   "the Beta steady state overflows on 1 of 2001 points",
-                   id=f"transform_check-1e-300-0-{n}") for n in (4, 7, 200)),
+    pytest.param("equilibrium", 1e-308, 0.0, 200, _ANALYTIC_UNDERFLOW,
+                 id="equilibrium-1e-308-0-200"),
+    # the centre cell at n = 7 keeps the Beta peak, about e^344 (log C has
+    # all its digits there), and the discrete steady state's rates fail
+    pytest.param("equilibrium", 1e-300, 0.0, 7, _RATES, id="equilibrium-1e-300-0-7"),
     # v(sin z) cos z underflows to 0 at every sampled angle: nothing to compare
     *(pytest.param("transform-check", lam, m, n, "v(sin z) cos z underflows to 0 on all 2001",
                    id=f"transform_check-{lam!r}-{m}-{n}")
-      for lam, m, n in ((1e-10, 0.5, 200), (1e-100, 0.0, 4), (1e-300, 0.5, 7))),
+      for lam, m, n in ((1e-10, 0.5, 200), (1e-300, 0.5, 7))),
     # it stays positive only at z = 0: one sample is too few to compare
-    *(pytest.param("transform-check", 1e-10, 0.0, n,
-                   "v(sin z) cos z underflows to 0 on 2000 of 2001 angles",
-                   id=f"transform_check-1e-10-0-{n}") for n in (4, 7, 200)),
+    *(pytest.param("transform-check", lam, m, n,
+                   "v(sin z) cos z underflows to 0 on 2000 of 2001 angles", id=row_id)
+      for lam, m, n, row_id in (
+          *((1e-10, 0.0, n, f"transform_check-1e-10-0-{n}") for n in (4, 7, 200)),
+          *((1e-300, 0.0, n, f"transform_check-1e-300-0-{n}") for n in (4, 7, 200)),
+          (1e-100, 0.0, 4, "transform_check-1e-100-0.0-4"),
+          (1e-308, 0.0, 200, "transform_check-1e-308-0-200"))),
     # the rate lower underflows to 0 (and w to infinity at 1e-320)
     pytest.param("solve", 1e-308, 0.0, 200, _RATES, id="solve-1e-308-0-200"),
     pytest.param("mc", 1e-308, 0.0, 200, _RATES, id="mc-1e-308-0-200"),

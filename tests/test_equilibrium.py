@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from opinion_kinetics import BetaEquilibrium, Grid, KineticParams, log_normalization
+from opinion_kinetics.equilibrium import STIRLING_MIN
 
+import oracles
 from oracles import QUAD_OPTS, beta_density, quad_mass
 
 
@@ -30,6 +33,41 @@ def test_log_normalization_quadrature_oracle(lam, m):
     z, _ = quad(lambda y: (1.0 - y) ** (a - 1.0) * (1.0 + y) ** (b - 1.0),
                 -1.0, 1.0, **QUAD_OPTS)
     assert log_normalization(p) == pytest.approx(-math.log(z), rel=1e-10)
+
+
+def _assert_rel(got, want, rel):
+    # no absolute floor: pytest.approx would add 1e-12
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, -0.9, 1e-10])
+@pytest.mark.parametrize("lam", [1e-300, 1e-100, 1e-8, 1e-4])
+def test_log_normalization_at_tiny_lambda_matches_a_400_digit_oracle(lam, m):
+    # lgamma(a) + lgamma(b) - lgamma(a + b) cancels against (a + b - 1) log 2:
+    # at lam = 1e-300, m = 0 it gave 2.41e287 for about 344.8, and at 1e-4
+    # it kept 11 digits; Stirling's series with the log 2 term merged keeps
+    # all but the last bit or two (at m = 1e-10 only through the small-m
+    # form of its leading bracket)
+    want = oracles.log_normalization(lam, m)
+    _assert_rel(log_normalization(KineticParams(lam, m)), want, 2e-15)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.5, -0.9])
+def test_log_normalization_paths_meet_at_the_threshold(m):
+    # two lambdas a relative 2e-12 apart, with min(a, b) just below
+    # STIRLING_MIN (log-gamma) and at or above it (Stirling); log C moves
+    # between them as the oracle does, up to the rounding of the log-gamma
+    # path's terms, whose magnitudes sum to about 6e4 (m = 0) to 8e5 (m = -0.9)
+    lam0 = (1.0 - abs(m)) / STIRLING_MIN
+    below, above = KineticParams(lam0 * (1.0 + 1e-12), m), KineticParams(lam0 * (1.0 - 1e-12), m)
+    exponents = [((1.0 - p.m) / p.lam, (1.0 + p.m) / p.lam) for p in (below, above)]
+    assert min(exponents[0]) < STIRLING_MIN <= min(exponents[1])
+    a, b = exponents[0]
+    lgamma_scale = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
+    jump = log_normalization(above) - log_normalization(below)
+    want = oracles.log_normalization(above.lam, m) - oracles.log_normalization(below.lam, m)
+    assert abs(jump - want) <= 4.0 * sys.float_info.epsilon * lgamma_scale
+    _assert_rel(log_normalization(above), oracles.log_normalization(above.lam, m), 2e-15)
 
 
 def test_equilibrium_value_examples():

@@ -29,7 +29,13 @@ from opinion_kinetics import (
 from opinion_kinetics.functionals import _entropy_core, entropy_gap
 from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
 
-from oracles import SmoothRatioCase, discrete_ls_slack, discrete_weighted_fisher, entropy_kernel
+from oracles import (
+    SmoothRatioCase,
+    discrete_ls_slack,
+    discrete_relative_entropy,
+    discrete_weighted_fisher,
+    entropy_kernel,
+)
 
 
 def _field_from(fn, grid):
@@ -199,8 +205,8 @@ def test_weighted_fisher_and_ls_slack_match_a_50_digit_oracle(kind):
     # differences are ~1e-8, so its last-bit rounding gives 1e-12 to
     # 1.2e-10 relative in I (the larger at lam = 0.02), whether it is
     # log(f/g) or log f - log g; there the slack, ~1e-13 for H ~ 1e-13,
-    # carries the rounding of the entropy's mass term, under one ulp of
-    # the unit mass.
+    # is held to one ulp of the unit mass (the entropy's own bound is in
+    # test_relative_entropy_matches_a_50_digit_oracle).
     for p, ref, far, near in _oracle_cases(kind):
         g, k = ref.grid, log_sobolev_constant(p)
         for rows, fisher_rel, slack_bound in ((far, 4e-15, None), (near, 2.5e-10, 2.2e-16)):
@@ -215,6 +221,64 @@ def test_weighted_fisher_and_ls_slack_match_a_50_digit_oracle(kind):
                 assert abs(got_i - want_i) <= fisher_rel * want_i
                 bound = 4e-15 * abs(want_s) if slack_bound is None else slack_bound
                 assert abs(got_s - want_s) <= bound
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 0.0), (0.5, 0.3), (1.6, 0.0)])
+def test_relative_entropy_matches_a_50_digit_oracle(lam, m):
+    # Near the steady state (f = g (1 + 1e-6 sin 3y), H ~ 2e-13) the direct
+    # sum f log(f/g) dy is off by 2e-24 to 7.5e-18; the Bregman sum plus
+    # the mass term (sum f - sum g) dy was off by 2.2e-18, 3.4e-17 and
+    # 1.4e-16, the mass term's rounding.  K * weighted_fisher - ls_slack
+    # recovers the same H.  Far rows keep 4e-15 relative in both (3.4e-15
+    # for K I - slack at lam = 1.6, where K I is 3 H).
+    g = Grid(400)
+    p = KineticParams(lam, m)
+    k = log_sobolev_constant(p)
+    ref = BetaEquilibrium.from_params(p).on_grid(g)
+    far = random_smooth_densities(g, np.random.default_rng(21), 6)
+    rows = np.vstack([_near_row(ref), far])
+    h = relative_entropy(rows, ref)
+    h_from_slack = k * weighted_fisher(rows, ref, lam) - ls_slack(rows, ref, p)
+    for i, f in enumerate(rows):
+        want = discrete_relative_entropy(f, ref.values, g.cell_width)
+        bound = 2e-17 if i == 0 else 4e-15 * want
+        assert abs(h[i] - want) <= bound
+        assert abs(h_from_slack[i] - want) <= bound
+
+
+def test_relative_entropy_contract_on_rows_and_stacks():
+    g = Grid(64)
+    ref = BetaEquilibrium.from_params(KineticParams(0.6, 0.2)).on_grid(g)
+    far = random_smooth_densities(g, np.random.default_rng(4), 3)
+    zeros, negative = far[0].copy(), far[1].copy()
+    zeros[[0, 7, 63]] = 0.0
+    negative[5] = -1e-3
+    stack = np.vstack([ref.values, zeros, negative, far[2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = relative_entropy(stack, ref)
+        rows = [relative_entropy(row, ref) for row in stack]
+    assert all(type(x) is float for x in rows)
+    assert np.array_equal(h, rows, equal_nan=True)
+    # f == ref is exactly 0; a zero cell adds 0 log 0 = 0; a negative value is NaN
+    assert rows[0] == 0.0
+    assert relative_entropy(np.vstack([ref.values] * 2), ref).tolist() == [0.0, 0.0]
+    want = discrete_relative_entropy(zeros, ref.values, g.cell_width)
+    assert abs(rows[1] - want) <= 2e-15 * want
+    assert math.isnan(rows[2]) and math.isfinite(rows[3])
+    # mass where the reference vanishes, and zeros where it does
+    gv = ref.values.copy()
+    gv[[0, 7]] = 0.0
+    vanishing = DensityField(g, gv)
+    with pytest.raises(AbsoluteContinuityError):
+        relative_entropy(far[2], vanishing)
+    with pytest.raises(AbsoluteContinuityError):
+        relative_entropy(stack[[1, 3]], vanishing)
+    # on the cells left, each stack row sums as that row alone (entropy_gap
+    # takes the same cells)
+    both = np.vstack([zeros, zeros * 0.5])
+    for fn in (relative_entropy, entropy_gap):
+        assert np.array_equal(fn(both, vanishing), [fn(row, vanishing) for row in both])
 
 
 @pytest.mark.parametrize("n", [64, 400])
