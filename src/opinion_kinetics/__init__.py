@@ -53,8 +53,6 @@ from .transform import (
     angular_equilibrium_explicit,
     boundary_exponents,
     minimize_potential_second,
-    pullback_density,
-    pushforward_density,
 )
 
 __version__ = "0.1.0"

@@ -162,7 +162,7 @@ _COMMANDS = [
     ("sweep", _cmd_sweep, "run a lambda sweep of decay experiments",
      ("--config", "--out", "--n", "--dt", "--t-end", "--lambdas")),
     ("transform-check", _cmd_transform_check, "verify the angular change of variables",
-     ("--config", "--out", "--n")),
+     ("--config", "--out")),
     ("verify-ls", _cmd_verify_ls, "run the log-Sobolev inequality battery",
      ("--out", "--n", "--seed", "--lambdas", "--samples")),
 ]

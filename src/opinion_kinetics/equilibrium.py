@@ -138,12 +138,3 @@ class BetaEquilibrium:
             raise FloatingPointError(
                 f"the analytic steady state underflows to 0 on all {v.size} cells")
         return DensityField(grid, v / mass)
-
-    def mean(self) -> float:
-        """First moment; equals m for every admissible pair."""
-        return self.params.m
-
-    def variance(self) -> float:
-        """Second central moment: lam (1 - m^2) / (lam + 2)."""
-        p = self.params
-        return p.lam * (1.0 - p.m * p.m) / (p.lam + 2.0)

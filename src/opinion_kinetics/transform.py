@@ -10,19 +10,16 @@ convex exactly on the admissible set 1 - lam/2 >= |m|, and its minimum is
 the convexity bound behind the log-Sobolev constant.  This module provides
 P'' (private, from sin z and cos z), an independent numerical minimization
 of it, the angular equilibrium in both its defining and explicit closed
-forms, and density transport between the y- and z-grids.
+forms, and its power-law exponents at the boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .equilibrium import BetaEquilibrium, _exp_density, log_normalization
-from .functionals import PositivityError
-from .grid import DensityField, Grid
 from .params import KineticParams, _require_l2
 
 _HALF_PI = 0.5 * math.pi
@@ -104,52 +101,3 @@ def angular_equilibrium_explicit(p: KineticParams, z):
 def boundary_exponents(p: KineticParams):
     """Power-law exponents of g at z -> -pi/2 and z -> +pi/2."""
     return 2.0 / p.lam - 1.0 + 2.0 * p.m / p.lam, 2.0 / p.lam - 1.0 - 2.0 * p.m / p.lam
-
-
-@dataclass(frozen=True)
-class AngularDensity:
-    """Density samples on a uniform cell-centered grid over (-pi/2, pi/2)."""
-
-    z: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    @property
-    def cell_width(self) -> float:
-        return math.pi / self.z.size
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.cell_width)
-
-
-def _angular_grid(n: int) -> np.ndarray:
-    z = -_HALF_PI + (np.arange(n) + 0.5) * (math.pi / n)
-    return 0.5 * (z - z[::-1])
-
-
-def pushforward_density(f: DensityField) -> AngularDensity:
-    """Transport a strictly positive y-density to the angular coordinate.
-
-    g(z) = f(sin z) cos z on an angular grid with as many cells as f's,
-    with f interpolated between grids by a monotone cubic through log f
-    (positivity survives interpolation and the short extrapolation beyond
-    the outermost cell centers).
-    """
-    # deferred: scipy.interpolate is slow to import and only the transports use it
-    from scipy.interpolate import PchipInterpolator
-    if np.any(f.values <= 0.0):
-        raise PositivityError("pushforward needs a strictly positive density")
-    z = _angular_grid(f.grid.n_cells)
-    log_f = PchipInterpolator(f.grid.centers, np.log(f.values), extrapolate=True)
-    g = np.exp(log_f(np.sin(z)) + np.log(np.cos(z)))
-    return AngularDensity(z=z, values=g)
-
-
-def pullback_density(ang: AngularDensity, grid: Grid) -> DensityField:
-    """Inverse transport: f(y) = g(arcsin y) / sqrt(1 - y^2)."""
-    from scipy.interpolate import PchipInterpolator
-    if np.any(ang.values <= 0.0):
-        raise PositivityError("pullback needs a strictly positive density")
-    log_g = PchipInterpolator(ang.z, np.log(ang.values), extrapolate=True)
-    y = grid.centers
-    f = np.exp(log_g(np.arcsin(y)) - 0.5 * np.log1p(-y * y))
-    return DensityField(grid, f)

@@ -468,6 +468,7 @@ def test_override_gets_the_checks_and_message_of_the_file_value(key, raw, value)
     pytest.param(["solve", "--seed", "9"], id="solve_seed"),
     pytest.param(["equilibrium", "--dt", "-5"], id="equilibrium_dt"),
     pytest.param(["transform-check", "--t-end", "1"], id="transform_check_t_end"),
+    pytest.param(["transform-check", "--n", "16"], id="transform_check_n"),
     pytest.param(["mc", "--t-end", "9"], id="mc_t_end"),
     pytest.param(["verify-ls", "--lambdas", "0.5", "--samples", "2", "--n", "16"],
                  id="verify_ls_config"),

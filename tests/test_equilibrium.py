@@ -9,7 +9,7 @@ from opinion_kinetics import BetaEquilibrium, Grid, KineticParams, log_normaliza
 from opinion_kinetics.equilibrium import STIRLING_MIN
 
 import oracles
-from oracles import QUAD_OPTS, beta_density, quad_mass
+from oracles import QUAD_OPTS, quad_mass
 
 
 def test_log_normalization_uniform():
@@ -22,7 +22,7 @@ def test_log_normalization_arcsine():
     p = KineticParams(2.0, 0.0)
     assert log_normalization(p) == pytest.approx(-math.log(math.pi), abs=1e-13)
     val, _ = quad(lambda y: (1.0 - y * y) ** -0.5, -1.0, 1.0, **QUAD_OPTS)
-    assert val == pytest.approx(math.pi, rel=1e-9)
+    assert val == pytest.approx(math.pi, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("lam,m", [(0.5, 0.5), (0.5, 0.2), (1.0, 0.3), (1.7, 0.1), (0.25, -0.6)])
@@ -32,7 +32,7 @@ def test_log_normalization_quadrature_oracle(lam, m):
     b = (1.0 + m) / lam
     z, _ = quad(lambda y: (1.0 - y) ** (a - 1.0) * (1.0 + y) ** (b - 1.0),
                 -1.0, 1.0, **QUAD_OPTS)
-    assert log_normalization(p) == pytest.approx(-math.log(z), rel=1e-10)
+    assert log_normalization(p) == pytest.approx(-math.log(z), rel=1e-10, abs=0)
 
 
 def _assert_rel(got, want, rel):
@@ -74,7 +74,7 @@ def test_equilibrium_value_examples():
     eq = BetaEquilibrium.from_params(KineticParams(1.0, 0.0))
     assert eq.value(0.3) == pytest.approx(0.5, abs=1e-15)
     eq2 = BetaEquilibrium.from_params(KineticParams(2.0, 0.0))
-    assert eq2.value(0.0) == pytest.approx(1.0 / math.pi, rel=1e-13)
+    assert eq2.value(0.0) == pytest.approx(1.0 / math.pi, rel=1e-13, abs=0)
     with pytest.raises(ValueError):
         eq.value(1.0)
     with pytest.raises(ValueError):
@@ -92,16 +92,6 @@ def test_mirror_symmetry_exact_in_log_space():
     eq_plus = BetaEquilibrium.from_params(KineticParams(0.7, 0.35))
     eq_minus = BetaEquilibrium.from_params(KineticParams(0.7, -0.35))
     assert np.array_equal(eq_plus.log_value(y), eq_minus.log_value(-y))
-
-
-def test_moments_against_quadrature():
-    p = KineticParams(0.8, 0.3)
-    eq = BetaEquilibrium.from_params(p)
-    v = beta_density(p.lam, p.m)
-    mean, _ = quad(lambda y: y * v(y), -1.0, 1.0, **QUAD_OPTS)
-    second, _ = quad(lambda y: y * y * v(y), -1.0, 1.0, **QUAD_OPTS)
-    assert eq.mean() == pytest.approx(mean, abs=1e-10)
-    assert eq.variance() == pytest.approx(second - mean**2, abs=1e-10)
 
 
 def test_on_grid_normalization_flag():

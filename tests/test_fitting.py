@@ -26,7 +26,7 @@ def test_noisy_exponential_within_five_percent():
     t = np.linspace(0.0, 4.0, 400)
     values = 5.0 * np.exp(-1.3 * t) * np.exp(rng.normal(0.0, 0.05, t.size))
     fit = fit_decay_rate(t, values)
-    assert fit.slope == pytest.approx(-1.3, rel=0.05)
+    assert fit.slope == pytest.approx(-1.3, rel=0.05, abs=0)
 
 
 def test_window_selection():

@@ -120,7 +120,7 @@ def test_entropy_kernel_edge_cells():
         h = _entropy_core(r)
     assert h[0] == 1.0
     assert np.isnan(h[1:4]).all()
-    assert h[4] == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-15)
+    assert h[4] == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-15, abs=0)
 
 
 def test_entropy_gap_temporaries_on_a_block():
@@ -158,7 +158,7 @@ def test_weighted_fisher_smooth_ratio_oracle():
     g = Grid(400)
     f = _field_from(case.f, g)
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
-    assert weighted_fisher(f.values, eq, 0.5) == pytest.approx(case.fisher(), rel=1e-3)
+    assert weighted_fisher(f.values, eq, 0.5) == pytest.approx(case.fisher(), rel=1e-3, abs=0)
 
 
 def test_weighted_fisher_linear_in_prefactor():
@@ -167,7 +167,7 @@ def test_weighted_fisher_linear_in_prefactor():
     f = DensityField(g, random_smooth_densities(g, rng, 1)[0])
     eq = BetaEquilibrium.from_params(KineticParams(0.5, 0.0)).on_grid(g)
     assert weighted_fisher(f.values, eq, 1.0) == pytest.approx(
-        2.0 * weighted_fisher(f.values, eq, 0.5), rel=1e-15)
+        2.0 * weighted_fisher(f.values, eq, 0.5), rel=1e-15, abs=0)
 
 
 def test_weighted_fisher_positivity_error():
@@ -362,7 +362,7 @@ def test_l1_brute_force_oracle():
     f, h = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
     brute = math.fsum(abs(a - b) for a, b in zip(f.values, h.values)) * g.cell_width
     # summation order differs (pairwise vs exact), so agreement is ulp-scale
-    assert l1_distance(f.values, h) == pytest.approx(brute, rel=5e-16)
+    assert l1_distance(f.values, h) == pytest.approx(brute, rel=5e-16, abs=0)
 
 
 def _ckp_slack(values, ref):

@@ -58,7 +58,7 @@ def test_sample_noise_moments_and_support():
     assert np.all(np.abs(draws) <= math.sqrt(3 * s2) + 1e-15)
     # mean within 3 sigma/sqrt(N), variance within 1%
     assert abs(draws.mean()) <= 3.0 * math.sqrt(s2 / 1e6)
-    assert draws.var() == pytest.approx(s2, rel=0.01)
+    assert draws.var() == pytest.approx(s2, rel=0.01, abs=0)
 
 
 def _interact_pairs(x, xs, g_s, eta, eta_s):
@@ -415,7 +415,7 @@ def test_long_run_reaches_beta_equilibrium():
     # matching moments: variance lam (1-m^2)/(lam+2)
     mean, var = moments(e.opinions)
     assert abs(mean) <= 0.02
-    assert var == pytest.approx(p.lam / (p.lam + 2.0), rel=0.05)
+    assert var == pytest.approx(p.lam / (p.lam + 2.0), rel=0.05, abs=0)
 
 
 def test_sample_from_density_matches_shape():

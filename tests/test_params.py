@@ -60,7 +60,7 @@ def test_log_sobolev_constant_examples():
 
 def test_log_sobolev_constant_equality_case():
     # square root term vanishes when 1 - lam/2 = |m|
-    assert log_sobolev_constant(KineticParams(1.5, 0.25)) == pytest.approx(4.0, rel=1e-14)
+    assert log_sobolev_constant(KineticParams(1.5, 0.25)) == pytest.approx(4.0, rel=1e-14, abs=0)
 
 
 def test_bakry_emery_rho_examples():

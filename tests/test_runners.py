@@ -125,8 +125,8 @@ def test_mc_summary_reports_the_rejection_layer_against_the_bin(tmp_path):
     lines = (tmp_path / "mc_summary.txt").read_text(encoding="utf-8").splitlines()
     health = dict(line.split(" = ") for line in lines
                   if line.startswith(("rejection_layer_width", "hist_bin_width")))
-    assert float(health["rejection_layer_width"]) == pytest.approx(0.09, rel=1e-15)
-    assert float(health["hist_bin_width"]) == pytest.approx(0.04, rel=1e-15)
+    assert float(health["rejection_layer_width"]) == pytest.approx(0.09, rel=1e-15, abs=0)
+    assert float(health["hist_bin_width"]) == pytest.approx(0.04, rel=1e-15, abs=0)
     assert not any("->" in value for value in health.values())  # no verdict lines
 
 

@@ -74,8 +74,8 @@ def test_assemble_coefficients_values():
     # the middle interface (B = -m, D = lam/2) and the one nearest the left boundary
     for i, y in ((i_mid, 0.0), (0, -0.99)):
         want_upper, want_lower = _chang_cooper_rates(0.5, 0.2, y, g.cell_width)
-        assert upper[i] == pytest.approx(want_upper, rel=1e-12)
-        assert lower[i] == pytest.approx(want_lower, rel=1e-12)
+        assert upper[i] == pytest.approx(want_upper, rel=1e-12, abs=0)
+        assert lower[i] == pytest.approx(want_lower, rel=1e-12, abs=0)
     # the interface nearest the left boundary stays strictly diffusive
     assert upper[0] > 0.0 and lower[0] > 0.0
 
@@ -253,7 +253,7 @@ def test_solve_ends_at_t_end_or_raises():
     for dt, t_end in ((0.5, 0.1), (0.03, 0.1)):
         with pytest.raises(ValueError, match="must be a whole number of dt steps"):
             solve(p, v0, dt, t_end)
-    assert solve(p, v0, 0.05, 0.1).times[-1] == pytest.approx(0.1, rel=1e-12)
+    assert solve(p, v0, 0.05, 0.1).times[-1] == pytest.approx(0.1, rel=1e-12, abs=0)
 
 
 def test_solver_runs_outside_l2_regime():

@@ -9,19 +9,13 @@ import pytest
 
 from opinion_kinetics import (
     BetaEquilibrium,
-    Grid,
     KineticParams,
-    PositivityError,
     RegimeError,
     angular_equilibrium,
     angular_equilibrium_explicit,
     bakry_emery_rho,
-    bimodal_density,
     boundary_exponents,
     minimize_potential_second,
-    pullback_density,
-    pushforward_density,
-    uniform_density,
 )
 
 from opinion_kinetics.runners import default_ls_grid
@@ -81,7 +75,7 @@ def test_potential_second_is_derivative_of_prime(lam, m):
     # close to the boundary both sides blow up; agreement stays relative
     for z in (-1.45, 1.45):
         fd = centered_difference(lambda s: _prime(p, s), z, h=1e-5)
-        assert _second_at(p, z) == pytest.approx(fd, rel=1e-7)
+        assert _second_at(p, z) == pytest.approx(fd, rel=1e-7, abs=0)
 
 
 def test_minimize_examples():
@@ -227,42 +221,10 @@ def test_boundary_asymptotics():
         assert abs(slope_minus - exp_minus) <= 0.02 * abs(exp_minus)
 
 
-def test_pushforward_constant_density():
-    g = Grid(128)
-    ang = pushforward_density(uniform_density(g))
-    assert np.allclose(ang.values, 0.5 * np.cos(ang.z), rtol=1e-12)
-
-
-def test_pushforward_requires_positivity():
-    g = Grid(16)
-    from opinion_kinetics import DensityField
-    f = DensityField(g, np.where(np.arange(16) == 0, 0.0, 1.0)).normalized()
-    with pytest.raises(PositivityError):
-        pushforward_density(f)
-
-
-def test_roundtrip_and_mass():
-    p = KineticParams(0.5, 0.0)
-    g = Grid(400)
-    smooth = BetaEquilibrium.from_params(p).on_grid(g)
-    ang = pushforward_density(smooth)
-    back = pullback_density(ang, g)
-    l1 = np.abs(back.values - smooth.values).sum() * g.cell_width
-    assert l1 <= 1e-6
-    # interpolation (monotone cubic in log space) caps the mass defect near 1e-6
-    assert abs(ang.mass() - 1.0) <= 1e-5
-
-    bim = bimodal_density(Grid(800))
-    ang2 = pushforward_density(bim)
-    back2 = pullback_density(ang2, bim.grid)
-    assert np.abs(back2.values - bim.values).sum() * bim.grid.cell_width <= 2e-6
-    assert abs(ang2.mass() - 1.0) <= 1e-5
-
-
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.special", "scipy.linalg",
                                     "scipy._lib._array_api", "concurrent.futures"])
 def test_import_leaves_slow_scipy_modules_unloaded(module):
-    # the transports import scipy.interpolate on first use, and xlogy and the
+    # nothing in the package imports scipy.interpolate, and xlogy and the
     # LAPACK routines load from their extension files; the Monte Carlo sweeps
     # import concurrent.futures, which loads logging, only to draw ahead.  So
     # a fresh package import loads none of these; it does load scipy itself,
@@ -277,16 +239,17 @@ def test_import_leaves_slow_scipy_modules_unloaded(module):
 
 def test_runs_leave_slow_scipy_modules_unloaded(tmp_path):
     # the guard above covers the import; this one covers a solve, a Monte
-    # Carlo run and the log-Sobolev battery at tiny sizes
+    # Carlo run, the log-Sobolev battery and the transform check at tiny sizes
     code = f"""
 import sys
 from opinion_kinetics.config import parse_config_text
-from opinion_kinetics.runners import run_mc, run_solve, verify_ls
+from opinion_kinetics.runners import run_mc, run_solve, run_transform_check, verify_ls
 cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\ndt = 1e-2\\nt_end = 0.2\\n"
                         "mc.n = 100\\nmc.t_end = 0.04\\nmc.hist_n = 8\\n")
 run_solve(cfg, {str(tmp_path / "solve")!r})
 run_mc(cfg, {str(tmp_path / "mc")!r})
 verify_ls(points=[(0.5, 0.0), (1.0, 0.0)], n=16, n_samples=2, out_dir={str(tmp_path / "ls")!r})
+run_transform_check(cfg, {str(tmp_path / "tc")!r})
 slow = ("scipy.interpolate", "scipy.special", "scipy.linalg", "scipy._lib._array_api")
 print([m for m in slow if m in sys.modules])
 """
@@ -296,3 +259,4 @@ print([m for m in slow if m in sys.modules])
                          text=True, check=True, timeout=120)
     assert out.stdout.split("\n") == ["[]", ""]
     assert (tmp_path / "ls" / "ls_report.csv").exists()
+    assert (tmp_path / "tc" / "transform_report.txt").exists()
