@@ -6,7 +6,6 @@ from .config import ConfigError, ExperimentConfig, McConfig, parse_config
 from .equilibrium import BetaEquilibrium, log_normalization
 from .fitting import DecayFit, fit_decay_rate
 from .functionals import (
-    AbsoluteContinuityError,
     PositivityError,
     l1_distance,
     ls_slack,

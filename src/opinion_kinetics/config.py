@@ -1,12 +1,14 @@
 """Experiment configuration: line-oriented `key = value` files with defaults.
 
 This is the one place where a run setting is checked, whether it comes from
-a config line or a command-line override.
+a config line, a command-line override or code: ExperimentConfig checks
+every setting when it is built, dataclasses.replace included.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,6 +53,9 @@ class ExperimentConfig:
     sweep_lambdas: tuple = ()
     mc: McConfig | None = None
 
+    def __post_init__(self):
+        _validate(self)
+
     def params(self) -> KineticParams:
         return KineticParams(self.lam, self.m)
 
@@ -75,9 +80,15 @@ def build_initial_density(spec: str, grid: Grid, width: float) -> DensityField:
     if spec.startswith("file:"):
         path = Path(spec[5:])
         try:
-            raw = np.loadtxt(path, dtype=float, ndmin=1)
+            with warnings.catch_warnings():
+                # an empty file is reported below, as holding 0 values
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                raw = np.loadtxt(path, dtype=float, ndmin=1)
         except OSError as exc:
             raise ConfigError(f"cannot read initial-condition file {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"initial-condition file {path} holds a value that is "
+                              f"not a number: {exc}") from exc
         if raw.ndim != 1 or raw.size != grid.n_cells:
             raise ConfigError(
                 f"initial-condition file {path} holds {raw.size} values, "
@@ -85,6 +96,11 @@ def build_initial_density(spec: str, grid: Grid, width: float) -> DensityField:
             )
         if np.any(raw < 0.0) or not np.all(np.isfinite(raw)):
             raise ConfigError(f"initial-condition file {path} must be nonnegative and finite")
+        with np.errstate(over="ignore"):
+            mass = raw.sum() * grid.cell_width
+        if not 0.0 < mass < math.inf:
+            raise ConfigError(f"initial-condition file {path} must have a positive finite "
+                              f"mass, got {mass}")
         return DensityField(grid, raw).normalized()
     raise ConfigError(f"unknown initial condition {spec!r}")
 
@@ -144,9 +160,7 @@ def parse_config_text(text: str, source: str = "<config>", **overrides) -> Exper
             raise ConfigError(f"{source}: missing required key '{key}'")
     top = {_FIELD_NAMES.get(k, k): v for k, v in entries.items() if not k.startswith("mc.")}
     mc = {_FIELD_NAMES.get(k, k[3:]): v for k, v in entries.items() if k.startswith("mc.")}
-    cfg = ExperimentConfig(**top, mc=McConfig(**mc) if mc else None)
-    _validate(cfg)
-    return cfg
+    return ExperimentConfig(**top, mc=McConfig(**mc) if mc else None)
 
 
 def parse_config(path, **overrides) -> ExperimentConfig:
@@ -167,8 +181,9 @@ def whole_steps(t_end: float, dt: float) -> int:
     """The number of dt steps that ends at t_end (to 1e-9 relative).
 
     Raises ValueError when t_end is not a whole number of dt steps, so that
-    a run never ends short of or past t_end.  solver.solve applies the same
-    rule to a library call.
+    a run never ends short of or past t_end.  It is the one rule from a time
+    to a count: solver.solve applies it to a library call, and run_mc counts
+    its sweeps with it, at dt = epsilon * gamma.
     """
     n_steps = round(t_end / dt)
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DensityField, Grid
+from .grid import DensityField, Grid, _scalar_or_array
 from .params import KineticParams
-
-
-def _scalar_or_array(values):
-    """A pointwise result as callers get it: a float for 0-d input, the
-    ndarray for anything else (a list included)."""
-    return float(values) if np.ndim(values) == 0 else values
 
 
 def _exp_density(log_values, what: str):

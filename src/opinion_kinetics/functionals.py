@@ -12,6 +12,9 @@ BetaEquilibrium.on_grid), or the Grid for uniform_ls_slack.  Values of
 another width raise GridMismatchError.  A row gives a float and a stack one
 value per row, bit for bit what that row alone gives.
 
+Every functional but l1_distance divides by the reference: one private
+check, _reference, raises PositivityError unless it is > 0 on every cell.
+
 One private kernel, _log_ratio, checks the values and takes the log:
 weighted_fisher and ls_slack call it once per row or stack.  It validates
 with two reductions, min >= 0 and max < inf (else the DensityField
@@ -46,12 +49,8 @@ import math
 import numpy as np
 
 from ._scipy import xlogy
-from .grid import DensityField, Grid, GridMismatchError, check_density_values
+from .grid import DensityField, Grid, GridMismatchError, _scalar_or_array, check_density_values
 from .params import KineticParams, log_sobolev_constant
-
-
-class AbsoluteContinuityError(ValueError):
-    """f puts mass where the reference density vanishes."""
 
 
 class PositivityError(ValueError):
@@ -69,9 +68,12 @@ def _check_width(values: np.ndarray, grid: Grid) -> np.ndarray:
     return v
 
 
-def _result(x: np.ndarray) -> float | np.ndarray:
-    """A float for one row's value, the array for a stack's."""
-    return float(x) if np.ndim(x) == 0 else x
+def _reference(ref: DensityField) -> np.ndarray:
+    """ref's values; PositivityError unless every cell is > 0."""
+    g = ref.values
+    if not g.min() > 0.0:
+        raise PositivityError("the reference density must be strictly positive")
+    return g
 
 
 def _entropy_series(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -125,20 +127,6 @@ def _entropy_core(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _continuous_part(f: np.ndarray, ref: DensityField) -> tuple[np.ndarray, np.ndarray]:
-    """f and the reference values on the cells where the reference is
-    positive; AbsoluteContinuityError if f > 0 on a cell where it vanishes."""
-    g = ref.values
-    pos = g > 0.0
-    if pos.all():
-        return f, g
-    if np.any(f[..., ~pos] > 0.0):
-        raise AbsoluteContinuityError("f > 0 on a cell where the reference vanishes")
-    # compress keeps a stack C-ordered (f[..., pos] does not), so each row
-    # sums as it does alone
-    return f.compress(pos, axis=-1), g[pos]
-
-
 def _entropy_sum(f: np.ndarray, log_r: np.ndarray, dy: float) -> np.ndarray:
     """sum f log r dy along the last axis; log_r is overwritten."""
     log_r *= f
@@ -146,29 +134,27 @@ def _entropy_sum(f: np.ndarray, log_r: np.ndarray, dy: float) -> np.ndarray:
 
 
 def entropy_gap(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
-    """sum g * (r log r - r + 1) dy with r = f/g, over cells with g > 0.
+    """sum g * (r log r - r + 1) dy with r = f/g.
 
     Nonnegative term by term; coincides with the relative entropy when both
     fields carry unit mass, but stays accurate down to roundoff-level
     discrepancies (no mass-cancellation noise), which matters when fitting
-    entropy decay over many orders of magnitude.  Raises
-    AbsoluteContinuityError if f puts mass on a cell where g vanishes.
+    entropy decay over many orders of magnitude.
     """
-    f, g = _continuous_part(_check_width(values, ref.grid), ref)
+    f, g = _check_width(values, ref.grid), _reference(ref)
     terms = _entropy_core(f / g)
     terms *= g
-    return _result(terms.sum(axis=-1) * ref.grid.cell_width)
+    return _scalar_or_array(terms.sum(axis=-1) * ref.grid.cell_width)
 
 
 def relative_entropy(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """Relative Shannon entropy sum f log(f/g) dy, with 0 log 0 = 0.
 
     Nonnegative (within roundoff) whenever both fields carry unit discrete
-    mass.  A negative value gives NaN, without a warning.  Raises
-    AbsoluteContinuityError if f puts mass on a cell where g vanishes.
+    mass.  A negative value gives NaN, without a warning.
     """
-    f, g = _continuous_part(_check_width(values, ref.grid), ref)
-    return _result(_entropy_sum(f, _log_in_place(f / g), ref.grid.cell_width))
+    f, g = _check_width(values, ref.grid), _reference(ref)
+    return _scalar_or_array(_entropy_sum(f, _log_in_place(f / g), ref.grid.cell_width))
 
 
 def _log_ratio(f: np.ndarray, ref: DensityField) -> np.ndarray:
@@ -185,9 +171,7 @@ def _log_ratio(f: np.ndarray, ref: DensityField) -> np.ndarray:
             check_density_values(f)
         if lo == 0.0:
             raise PositivityError("log ratio needs strictly positive f")
-    if not ref.values.min() > 0.0:
-        raise PositivityError("log ratio needs a strictly positive reference")
-    log_r = f / ref.values
+    log_r = f / _reference(ref)
     return np.log(log_r, out=log_r)
 
 
@@ -232,22 +216,20 @@ def weighted_fisher(values: np.ndarray, ref: DensityField, lam: float) -> float 
     PositivityError for a zero).
     """
     f = _check_width(values, ref.grid)
-    return _result(_fisher(f, _log_ratio(f, ref), ref.grid, lam))
+    return _scalar_or_array(_fisher(f, _log_ratio(f, ref), ref.grid, lam))
 
 
 def weighted_l2(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """Equilibrium-weighted L2 distance sum (f - v)^2 / v dy."""
-    f, v = _check_width(values, ref.grid), ref.values
-    if np.any(v <= 0.0):
-        raise PositivityError("weighted L2 needs a strictly positive reference")
+    f, v = _check_width(values, ref.grid), _reference(ref)
     d = f - v
-    return _result((d * d / v).sum(axis=-1) * ref.grid.cell_width)
+    return _scalar_or_array((d * d / v).sum(axis=-1) * ref.grid.cell_width)
 
 
 def l1_distance(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     """L1 distance sum |f - g| dy (total variation times two at most)."""
     f = _check_width(values, ref.grid)
-    return _result(np.abs(f - ref.values).sum(axis=-1) * ref.grid.cell_width)
+    return _scalar_or_array(np.abs(f - ref.values).sum(axis=-1) * ref.grid.cell_width)
 
 
 def ls_slack(values: np.ndarray, ref: DensityField, p: KineticParams) -> float | np.ndarray:
@@ -264,7 +246,7 @@ def ls_slack(values: np.ndarray, ref: DensityField, p: KineticParams) -> float |
     f = _check_width(values, ref.grid)
     log_r = _log_ratio(f, ref)
     fisher = _fisher(f, log_r, ref.grid, p.lam)
-    return _result(k * fisher - _entropy_sum(f, log_r, ref.grid.cell_width))
+    return _scalar_or_array(k * fisher - _entropy_sum(f, log_r, ref.grid.cell_width))
 
 
 def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:
@@ -287,4 +269,4 @@ def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:
     # xlogy(x, y) is x * log(y) with the C library's log, bit for bit what
     # math.log gives; numpy's log can differ from it in the last place
     rhs = xlogy(wsq, wsq).sum(axis=-1) * dy - xlogy(norm2, norm2 / 2.0)
-    return _result(lhs - rhs)
+    return _scalar_or_array(lhs - rhs)

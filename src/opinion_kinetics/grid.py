@@ -106,6 +106,12 @@ def _mean(values: np.ndarray, grid: Grid) -> np.ndarray:
     return (grid.centers * values).sum(axis=-1) * grid.cell_width
 
 
+def _scalar_or_array(values):
+    """A result as callers get it: a float for 0-d input (one point, or one
+    row's value), the ndarray for anything else (a list of points, a stack)."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def check_density_values(values: np.ndarray) -> None:
     """Raise ValueError unless every value is finite and nonnegative.
 

@@ -42,6 +42,11 @@ class InteractionParams:
 
     lam = sigma2/gamma is the only combination surviving the quasi-invariant
     limit; epsilon controls how close the simulation sits to that limit.
+
+    One unit of Fokker-Planck time is 1/(epsilon*gamma) sweeps: the
+    macroscopic equation has unit drift coefficient, and the per-interaction
+    drift is epsilon*gamma*(partner - self).  With that clock the histogram
+    limit depends on (lam, m) only.
     """
 
     gamma: float
@@ -265,18 +270,6 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
             rejected = np.logical_not(ok, out=ok)
             np.copyto(pairs, old_pairs, where=rejected)
             yield k, x, int(np.count_nonzero(rejected)), old
-
-
-def sweeps_for_time(p: InteractionParams, t_fp: float) -> int:
-    """Number of sweeps matching macroscopic time t_fp.
-
-    The macroscopic equation has unit drift coefficient, so one unit of its
-    time corresponds to 1/(epsilon*gamma) interactions per agent: the
-    per-interaction drift is epsilon*gamma*(partner - self), and the clock
-    absorbs gamma together with epsilon.  With that mapping the histogram
-    limit depends on (lam, m) only.
-    """
-    return max(0, int(round(t_fp / (p.epsilon * p.gamma))))
 
 
 def histogram(x: np.ndarray, grid: Grid) -> DensityField:

@@ -24,7 +24,6 @@ from .montecarlo import (
     mc_sweeps,
     moments,
     sample_from_density,
-    sweeps_for_time,
 )
 from .params import (
     KineticParams,
@@ -34,7 +33,7 @@ from .params import (
     classify_params,
     log_sobolev_constant,
 )
-from .solver import _BLOCK_VALUES, Trajectory, discretize_equilibrium, make_solver_state, march
+from .solver import Trajectory, discretize_equilibrium, make_solver_state, march, rows_per_block
 from .solver import solve
 from .transform import (
     angular_equilibrium,
@@ -209,15 +208,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
 
 def coarsen_density(f: DensityField, coarse: Grid) -> DensityField:
     """Project onto a coarser nested grid by cell averaging (exact for
-    uniform nested grids, mass preserving)."""
-    factor, rem = divmod(f.grid.n_cells, coarse.n_cells)
-    if rem != 0:
-        raise ConfigError(
-            f"histogram grid with {coarse.n_cells} cells must divide "
-            f"the solver grid with {f.grid.n_cells} cells"
-        )
-    vals = f.values.reshape(coarse.n_cells, factor).mean(axis=1)
-    return DensityField(coarse, vals)
+    uniform nested grids, mass preserving); the config checks that
+    coarse.n_cells divides f's."""
+    return DensityField(coarse, f.values.reshape(coarse.n_cells, -1).mean(axis=1))
 
 
 def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
@@ -258,8 +251,8 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
             if k in time_of_step:
                 fp[time_of_step[k]] = DensityField(fp_state.density.grid, values[i])
 
-    total_sweeps = sweeps_for_time(ip, mc_cfg.t_end)
-    sweep_of_sample = {sweeps_for_time(ip, t): t for t in t_samples}
+    total_sweeps = whole_steps(mc_cfg.t_end, ip.epsilon * ip.gamma)
+    sweep_of_sample = {whole_steps(t, ip.epsilon * ip.gamma): t for t in t_samples}
     half = ens.size // 2
     # row k: the state after sweep k = 0..total_sweeps
     sweeps = np.arange(total_sweeps + 1)
@@ -383,7 +376,7 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    block = max(1, _BLOCK_VALUES // n)  # the solver's budget: a block stays in L2 cache
+    block = rows_per_block(n)  # the solver's budget: a block stays in L2 cache
     block_rows = [min(block, n_samples - i) for i in range(0, n_samples, block)]
     rows = []
     for lv, mv in pts:

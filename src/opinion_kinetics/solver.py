@@ -129,10 +129,15 @@ def make_solver_state(p: KineticParams, v0: DensityField, dt: float) -> SolverSt
 _BLOCK_VALUES = 10_000
 
 
+def rows_per_block(n: int) -> int:
+    """The rows of n values in one block: max(1, 10_000 // n)."""
+    return max(1, divmod(_BLOCK_VALUES, n)[0])
+
+
 def march(s: SolverState, n_steps: int):
     """Take n_steps backward-Euler steps (I - dt A) v_new = v_old from the
     initial density of s, and yield them in blocks of up to
-    max(1, 10_000 // n) consecutive steps.
+    rows_per_block(n) consecutive steps.
 
     A block is (steps, times, values, mass): the range of its step numbers
     (1 to n_steps over the run), their times (t += dt per step from
@@ -146,7 +151,7 @@ def march(s: SolverState, n_steps: int):
     """
     dl, d, du, du2, ipiv = s.lu
     grid = s.density.grid
-    block = max(1, _BLOCK_VALUES // grid.n_cells)
+    block = rows_per_block(grid.n_cells)
     v, t = s.density.values, 0.0
     for first in range(1, n_steps + 1, block):
         steps = range(first, min(first + block, n_steps + 1))
@@ -235,7 +240,7 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     checked in one pass: the entropy of every step (SolverError when one is
     not finite), its increase over the step before (the previous block's
     last value carried over) and the mass drift.  The sampled rows, v0
-    first, wait across blocks until at least max(1, 10_000 // n) are
+    first, wait across blocks until at least rows_per_block(n) are
     pending (and at the last block), and each such chunk is scored as one
     stack.  The final density is the only DensityField built.
     """
@@ -254,7 +259,7 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
         span = np.ptp(_log_kernel(p, v0.grid))
         raise SolverError(f"the discrete steady state underflows on {tiny.sum()} of "
                           f"{g.size} cells (its log spans {span:.1f})")
-    chunk = max(1, _BLOCK_VALUES // v0.grid.n_cells)
+    chunk = rows_per_block(v0.grid.n_cells)
 
     start, start_mass = v0.values[None, :], v0.mass()
     h = _entropies(start, eq_field, 0)

@@ -31,10 +31,10 @@ from opinion_kinetics import (
     uniform_ls_slack,
     weighted_fisher,
 )
+from opinion_kinetics.config import whole_steps
 from opinion_kinetics.functionals import entropy_gap
 from opinion_kinetics.fitting import fit_decay_rate
 from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
-from opinion_kinetics.montecarlo import sweeps_for_time
 from opinion_kinetics.solver import march
 from opinion_kinetics.transform import (
     angular_equilibrium,
@@ -226,7 +226,7 @@ def test_criterion_7_micro_macro_consistency():
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.01)
     ens = initial_ensemble(100_000, seed=42, kind="bimodal")
     hist_grid = Grid(50)
-    ens = _swept(ens, ip, sweeps_for_time(ip, 2.0))
+    ens = _swept(ens, ip, whole_steps(2.0, ip.epsilon * ip.gamma))
     hist = histogram(ens.opinions, hist_grid)
     fine = Grid(200)
     final = _last_row(make_solver_state(p, bimodal_density(fine), 1e-3), 2000)
@@ -238,7 +238,7 @@ def test_criterion_7_micro_macro_consistency():
     for seed in range(50):
         e = initial_ensemble(5000, seed=100 + seed, kind="bimodal")
         m0 = float(e.opinions.mean())
-        e = _swept(e, ip, sweeps_for_time(ip, 1.0))
+        e = _swept(e, ip, whole_steps(1.0, ip.epsilon * ip.gamma))
         drifts.append(float(e.opinions.mean()) - m0)
     drifts = np.array(drifts)
     se = drifts.std(ddof=1) / math.sqrt(drifts.size)
@@ -249,7 +249,7 @@ def test_criterion_7_micro_macro_consistency():
     for gamma in (0.4, 0.8):
         ipg = InteractionParams(gamma=gamma, sigma2=p.lam * gamma, epsilon=0.01)
         e = initial_ensemble(100_000, seed=11, kind="bimodal")
-        e = _swept(e, ipg, sweeps_for_time(ipg, 2.0))
+        e = _swept(e, ipg, whole_steps(2.0, ipg.epsilon * ipg.gamma))
         hists.append(histogram(e.opinions, hist_grid))
     l1_invariance = l1_distance(hists[0].values, hists[1])
     budget = 2.0 * math.sqrt(2.0 * hist_grid.n_cells / 100_000)  # ~2x expected noise

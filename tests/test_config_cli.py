@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -72,12 +73,39 @@ def test_file_initial_condition(tmp_path):
     cfg = parse_config_text(f"lambda = 0.5\nm = 0\nn = 64\ninitial = file:{ic}\n")
     f = cfg.initial_density()
     assert abs(f.mass() - 1.0) <= 1e-12
-    # shape preserved up to normalization
-    ratio = f.values / values
-    assert np.allclose(ratio, ratio[0])
+    # shape preserved up to normalization, bit for bit
+    assert np.array_equal(f.values, values / (values.sum() * cfg.grid().cell_width))
     bad = parse_config_text(f"lambda = 0.5\nm = 0\nn = 32\ninitial = file:{ic}\n")
     with pytest.raises(ConfigError, match="values"):
         bad.initial_density()
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param("1\nx\n2\n3\n", id="non_numeric"),
+    pytest.param("", id="empty"),
+    pytest.param("0\n0\n0\n0\n", id="zero_mass"),
+    pytest.param("1e308\n1e308\n1\n1\n", id="mass_overflows"),
+])
+def test_cli_bad_initial_file_exits_1_naming_the_file(content, capsys, tmp_path):
+    ic = tmp_path / "init.txt"
+    ic.write_text(content, encoding="utf-8")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"lambda = 0.5\nm = 0\nn = 4\ndt = 1e-2\nt_end = 0.1\n"
+                   f"initial = file:{ic}\n", encoding="utf-8")
+    code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: initial-condition file {ic} ")
+
+
+@pytest.mark.parametrize("change, field", [
+    pytest.param({"n": 30}, "mc.hist_n", id="n_not_divided_by_hist_n"),
+    pytest.param({"dt": -1.0}, "dt", id="dt_negative"),
+])
+def test_replaced_config_is_checked_as_a_parsed_one(change, field):
+    cfg = parse_config_text("lambda = 0.5\nm = 0\nmc.n = 100\nmc.hist_n = 50\n")
+    with pytest.raises(ConfigError, match=f"^field '{field}'"):
+        dataclasses.replace(cfg, **change)
 
 
 def test_run_solve_outputs_and_rerun_identical(tmp_path):

@@ -157,3 +157,45 @@ def test_verify_ls_outside_the_l2_regime_stays_a_usage_error(lam, capsys, tmp_pa
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: lambda = {lam} admits no")
+
+
+# ROADMAP item 3's verdict map: `solve` at n = 200, dt = 1e-3, t_end = 5
+# from the bimodal start, over every (lambda, m) cell
+_MAP_LAMBDAS = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 5, 20, 50)
+_MAP_MS = (0.0, 0.5, -0.9, 0.99)
+# cells that do not exit 0 -> (exit code, sorted FAIL check names); a fix
+# that flips a cell edits its entry here
+_MAP_NOT_PASSING = {
+    # the kernel's log spans more than the float range (item 6)
+    **{(0.005, m): (2, []) for m in _MAP_MS},
+    **{(0.01, m): (2, []) for m in (0.5, -0.9, 0.99)},
+    # mass drift above 1e-12 from the LU solve (item 8)
+    **{cell: (3, ["mass_conserved"]) for cell in ((5, 0.0), (5, -0.9), (20, -0.9),
+                                                  (20, 0.99))},
+    # ... and the weighted L2 fit reaches its roundoff floor (item 7)
+    **{cell: (3, ["mass_conserved", "weighted_l2_rate"])
+       for cell in ((20, 0.0), *((50, m) for m in _MAP_MS))},
+}
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_verdict_map(capsys, tmp_path):
+    got, reasons = {}, {}
+    for lam, m in itertools.product(_MAP_LAMBDAS, _MAP_MS):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"lambda = {lam!r}\nm = {m!r}\nn = 200\ndt = 1e-3\nt_end = 5\n"
+                       "initial = bimodal\n", encoding="utf-8")
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        fails = sorted(re.findall(r"^(\w+) = .* -> FAIL$", captured.out, re.MULTILINE))
+        got[lam, m] = (code, fails)
+        if code == 2:
+            reasons[lam, m] = captured.err
+        else:
+            assert captured.err == "", (lam, m, captured.err)
+    want = {cell: _MAP_NOT_PASSING.get(cell, (0, [])) for cell in got}
+    assert got == want
+    assert len(reasons) == 7
+    for cell, err in reasons.items():
+        assert err.startswith(f"numerical failure: {_UNDERFLOW}"), (cell, err)
+        assert err.count("\n") == 1

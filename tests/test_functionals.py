@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from opinion_kinetics import (
-    AbsoluteContinuityError,
     BetaEquilibrium,
     DensityField,
     Grid,
@@ -79,11 +78,23 @@ def test_relative_entropy_absolute_continuity():
     f = uniform_density(g)
     gv = np.full(10, 1.0 / 1.8)
     gv[0] = 0.0
-    with pytest.raises(AbsoluteContinuityError):
+    with pytest.raises(PositivityError):
         relative_entropy(f.values, DensityField(g, gv))
-    # but f may vanish where g does
-    fv = np.where(np.arange(10) == 0, 0.0, 0.5)
-    relative_entropy(DensityField(g, fv).normalized().values, DensityField(g, gv).normalized())
+
+
+@pytest.mark.parametrize("fn", [entropy_gap, relative_entropy])
+def test_entropy_functionals_need_a_strictly_positive_reference(fn):
+    # a zero cell of the reference raises, for a row and for a stack, even
+    # where f vanishes with it
+    g = Grid(10)
+    gv = np.full(10, 1.0 / 1.8)
+    gv[0] = 0.0
+    ref = DensityField(g, gv)
+    same_support = gv.copy()
+    for values in (uniform_density(g).values, same_support,
+                   np.stack([uniform_density(g).values, same_support])):
+        with pytest.raises(PositivityError):
+            fn(values, ref)
 
 
 def test_relative_entropy_nonnegative_on_random_pairs():
@@ -266,19 +277,14 @@ def test_relative_entropy_contract_on_rows_and_stacks():
     want = discrete_relative_entropy(zeros, ref.values, g.cell_width)
     assert abs(rows[1] - want) <= 2e-15 * want
     assert math.isnan(rows[2]) and math.isfinite(rows[3])
-    # mass where the reference vanishes, and zeros where it does
+    # a reference that vanishes on a cell raises, for a row and a stack
     gv = ref.values.copy()
     gv[[0, 7]] = 0.0
     vanishing = DensityField(g, gv)
-    with pytest.raises(AbsoluteContinuityError):
+    with pytest.raises(PositivityError):
         relative_entropy(far[2], vanishing)
-    with pytest.raises(AbsoluteContinuityError):
+    with pytest.raises(PositivityError):
         relative_entropy(stack[[1, 3]], vanishing)
-    # on the cells left, each stack row sums as that row alone (entropy_gap
-    # takes the same cells)
-    both = np.vstack([zeros, zeros * 0.5])
-    for fn in (relative_entropy, entropy_gap):
-        assert np.array_equal(fn(both, vanishing), [fn(row, vanishing) for row in both])
 
 
 @pytest.mark.parametrize("n", [64, 400])
@@ -379,13 +385,13 @@ def test_ckp_slack():
     for _ in range(300):
         a, b = (DensityField(g, v) for v in random_smooth_densities(g, rng, 2))
         assert _ckp_slack(a.values, b) >= -1e-10
-    # without absolute continuity the entropy side, and so the slack, is
-    # infinite: the entropy raises, for a row and for a stack holding one
+    # against a reference that vanishes on some cells the entropy side
+    # raises, for a row and for a stack
     left = DensityField(g, np.where(g.centers < 0.0, 1.0, 0.0)).normalized()
     right = DensityField(g, np.where(g.centers > 0.0, 1.0, 0.0)).normalized()
-    with pytest.raises(AbsoluteContinuityError):
+    with pytest.raises(PositivityError):
         _ckp_slack(left.values, right)
-    with pytest.raises(AbsoluteContinuityError):
+    with pytest.raises(PositivityError):
         _ckp_slack(np.stack([right.values, left.values]), right)
     assert np.all(_ckp_slack(np.stack([right.values, left.values]), f) >= -1e-10)
 

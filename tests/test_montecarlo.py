@@ -21,7 +21,8 @@ from opinion_kinetics import (
     sample_noise,
 )
 from opinion_kinetics import montecarlo
-from opinion_kinetics.montecarlo import _interact, sample_from_density, sweeps_for_time
+from opinion_kinetics.config import whole_steps
+from opinion_kinetics.montecarlo import _interact, sample_from_density
 
 
 def _swept(e, ip, n_sweeps):
@@ -388,8 +389,8 @@ def test_moments_match_numpy_var_bit_for_bit():
 
 def test_quasi_invariant_time_mapping():
     ip = InteractionParams(gamma=0.5, sigma2=0.25, epsilon=0.01)
-    assert sweeps_for_time(ip, 2.0) == 400
-    assert sweeps_for_time(ip, 0.0) == 0
+    assert whole_steps(2.0, ip.epsilon * ip.gamma) == 400
+    assert whole_steps(0.0, ip.epsilon * ip.gamma) == 0
 
 
 def test_pure_compromise_variance_contracts():
@@ -408,7 +409,7 @@ def test_long_run_reaches_beta_equilibrium():
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.02)
     e = initial_ensemble(50_000, seed=31, kind="bimodal")
     g = Grid(25)
-    e = _swept(e, ip, sweeps_for_time(ip, 20.0))
+    e = _swept(e, ip, whole_steps(20.0, ip.epsilon * ip.gamma))
     h = histogram(e.opinions, g)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
     assert l1_distance(h.values, eq) <= 0.05
