@@ -40,11 +40,9 @@ from .params import (
 )
 from .solver import (
     SolverError,
-    SolverState,
     Trajectory,
     assemble_coefficients,
     discretize_equilibrium,
-    make_solver_state,
     solve,
 )
 from .transform import (

@@ -149,6 +149,10 @@ _FLAGS = {
     "--seed": dict(type=_seed, help="random seed override (>= 0)"),
     "--lambdas": dict(type=_lambdas, help="comma-separated lambda values"),
     "--samples": dict(type=int, help="random densities per point"),
+    "--csv": dict(type=Path, required=True, help="CSV file with a header row"),
+    "--column": dict(default="entropy", help="column to fit (default entropy)"),
+    "--t-column": dict(default="t", help="time column (default t)"),
+    "--window": dict(nargs=2, type=float, metavar=("T0", "T1"), help="fit window in t"),
 }
 
 # subcommand, handler, help, the flags the handler reads
@@ -165,6 +169,8 @@ _COMMANDS = [
      ("--config", "--out")),
     ("verify-ls", _cmd_verify_ls, "run the log-Sobolev inequality battery",
      ("--out", "--n", "--seed", "--lambdas", "--samples")),
+    ("fit", _cmd_fit, "fit an exponential rate to a CSV column",
+     ("--csv", "--column", "--t-column", "--window")),
 ]
 
 
@@ -180,13 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(func=fn)
-
-    sp = sub.add_parser("fit", help="fit an exponential rate to a CSV column")
-    sp.add_argument("--csv", required=True, type=Path)
-    sp.add_argument("--column", default="entropy")
-    sp.add_argument("--t-column", dest="t_column", default="t")
-    sp.add_argument("--window", nargs=2, type=float, metavar=("T0", "T1"))
-    sp.set_defaults(func=_cmd_fit)
     return ap
 
 

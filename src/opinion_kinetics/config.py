@@ -89,11 +89,12 @@ def build_initial_density(spec: str, grid: Grid, width: float) -> DensityField:
         except ValueError as exc:
             raise ConfigError(f"initial-condition file {path} holds a value that is "
                               f"not a number: {exc}") from exc
-        if raw.ndim != 1 or raw.size != grid.n_cells:
-            raise ConfigError(
-                f"initial-condition file {path} holds {raw.size} values, "
-                f"grid has {grid.n_cells} cells"
-            )
+        if raw.ndim != 1:
+            raise ConfigError(f"initial-condition file {path} holds a {raw.shape[0]} x "
+                              f"{raw.shape[1]} table, not one row or one column of values")
+        if raw.size != grid.n_cells:
+            raise ConfigError(f"initial-condition file {path} holds {raw.size} values, "
+                              f"grid has {grid.n_cells} cells")
         if np.any(raw < 0.0) or not np.all(np.isfinite(raw)):
             raise ConfigError(f"initial-condition file {path} must be nonnegative and finite")
         with np.errstate(over="ignore"):
@@ -180,11 +181,13 @@ def _finite_positive(x: float):
 def whole_steps(t_end: float, dt: float) -> int:
     """The number of dt steps that ends at t_end (to 1e-9 relative).
 
-    Raises ValueError when t_end is not a whole number of dt steps, so that
-    a run never ends short of or past t_end.  It is the one rule from a time
-    to a count: solver.solve applies it to a library call, and run_mc counts
-    its sweeps with it, at dt = epsilon * gamma.
+    Raises ValueError when dt <= 0 or t_end is not a whole number of dt
+    steps, so a run never ends short of or past t_end.  It is the one rule
+    from a time to a count: solver.solve applies it to a library call, and
+    run_mc counts its sweeps with it, at dt = epsilon * gamma.
     """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     n_steps = round(t_end / dt)
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"must be a whole number of dt steps, "

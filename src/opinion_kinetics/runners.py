@@ -33,7 +33,7 @@ from .params import (
     classify_params,
     log_sobolev_constant,
 )
-from .solver import Trajectory, discretize_equilibrium, make_solver_state, march, rows_per_block
+from .solver import Trajectory, discretize_equilibrium, march, rows_per_block
 from .solver import solve
 from .transform import (
     angular_equilibrium,
@@ -243,13 +243,12 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
     hist_grid = Grid(mc_cfg.hist_n)
     t_samples = mc_cfg.sample_times
     # Fokker-Planck reference densities at the sample times (whole dt steps)
-    fp_state = make_solver_state(p, v0, cfg.dt)
     time_of_step = {whole_steps(t, cfg.dt): t for t in t_samples}
     fp = {}
-    for steps, _, values, _ in march(fp_state, max(time_of_step)):
+    for steps, _, values, _ in march(p, v0, cfg.dt, max(time_of_step)):
         for i, k in enumerate(steps):
             if k in time_of_step:
-                fp[time_of_step[k]] = DensityField(fp_state.density.grid, values[i])
+                fp[time_of_step[k]] = DensityField(v0.grid, values[i])
 
     total_sweeps = whole_steps(mc_cfg.t_end, ip.epsilon * ip.gamma)
     sweep_of_sample = {whole_steps(t, ip.epsilon * ip.gamma): t for t in t_samples}

@@ -13,12 +13,12 @@ discrete relative entropy, and holds the discrete Beta steady state (a
 log-space sum of the rate ratios) to roundoff.  The operator A is held as
 its two off-diagonal rates per interior interface (assemble_coefficients);
 its diagonal is built from them only where I - dt A is factored.  Time
-stepping is backward Euler: the tridiagonal I - dt A is factored once per
-run (LAPACK dgttrf), and each step is one dgttrs solve on a raw array.
-march, the one stepping loop, runs from the initial state and hands the
-steps out in blocks of consecutive rows, each step solved in place in its
-block row.  solve checks each block once: finiteness, nonnegativity, mass
-drift and entropy monotonicity over every row.  It buffers the sampled
+stepping is backward Euler in march(p, v0, dt, n_steps), the one entry
+point: it checks dt and the initial mass, factors the tridiagonal I - dt A
+once per run (LAPACK dgttrf), and hands the steps out in blocks of
+consecutive rows, each step one dgttrs solve in place in its block row.
+solve checks each block once: finiteness, nonnegativity, mass drift and
+entropy monotonicity over every row.  It buffers the sampled
 rows across blocks and scores them in chunks of about one block's values,
 each chunk one (rows, n) stack through the functionals.  Every step is
 still checked.  dgttrf and dgttrs are scipy's LAPACK wrappers, loaded from
@@ -29,7 +29,7 @@ scipy's array-API layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,28 +102,6 @@ def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
     return DensityField(grid, g)
 
 
-@dataclass(frozen=True)
-class SolverState:
-    """The initial density of a run and the factored I - dt A it steps with."""
-
-    density: DensityField
-    dt: float
-    lu: tuple = field(repr=False)   # dgttrf factors of I - dt A
-
-
-def make_solver_state(p: KineticParams, v0: DensityField, dt: float) -> SolverState:
-    """Validate the initial density and factor I - dt A once."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not v0.is_normalized(tol=1e-8):
-        raise ValueError(f"initial density must have unit mass, got {v0.mass()}")
-    upper, lower = assemble_coefficients(p, v0.grid)
-    *lu, info = dgttrf(-dt * lower, 1.0 - dt * _diagonal(upper, lower), -dt * upper)
-    if info != 0:
-        raise SolverError(f"LU factorization of I - dt A failed (dgttrf info {info})")
-    return SolverState(v0, dt, tuple(lu))
-
-
 # Values per block of march: a block's arrays stay in L2 cache, and its
 # checks and entropies are one array pass.
 _BLOCK_VALUES = 10_000
@@ -134,13 +112,14 @@ def rows_per_block(n: int) -> int:
     return max(1, divmod(_BLOCK_VALUES, n)[0])
 
 
-def march(s: SolverState, n_steps: int):
-    """Take n_steps backward-Euler steps (I - dt A) v_new = v_old from the
-    initial density of s, and yield them in blocks of up to
-    rows_per_block(n) consecutive steps.
+def march(p: KineticParams, v0: DensityField, dt: float, n_steps: int):
+    """Take n_steps backward-Euler steps (I - dt A) v_new = v_old from v0,
+    and yield them in blocks of up to rows_per_block(n) consecutive steps.
 
-    A block is (steps, times, values, mass): the range of its step numbers
-    (1 to n_steps over the run), their times (t += dt per step from
+    At the first next() it checks dt > 0 and that v0 has unit mass to 1e-8
+    (ValueError), and factors I - dt A once (dgttrf; SolverError when that
+    fails).  A block is (steps, times, values, mass): the range of its step
+    numbers (1 to n_steps over the run), their times (t += dt per step from
     t = 0), a fresh (rows, n) array whose row i is the density after step
     steps[i], and the per-row masses.  Each step is one dgttrs solve in
     place: the previous state is copied into row i and solved there, so a
@@ -149,10 +128,18 @@ def march(s: SolverState, n_steps: int):
     block, and the first non-finite or negative row raises SolverError
     naming its step (non-finite first when a row is both).
     """
-    dl, d, du, du2, ipiv = s.lu
-    grid = s.density.grid
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if not v0.is_normalized(tol=1e-8):
+        raise ValueError(f"initial density must have unit mass, got {v0.mass()}")
+    grid = v0.grid
+    upper, lower = assemble_coefficients(p, grid)
+    dl, d, du, du2, ipiv, info = dgttrf(-dt * lower, 1.0 - dt * _diagonal(upper, lower),
+                                        -dt * upper)
+    if info != 0:
+        raise SolverError(f"LU factorization of I - dt A failed (dgttrf info {info})")
     block = rows_per_block(grid.n_cells)
-    v, t = s.density.values, 0.0
+    v, t = v0.values, 0.0
     for first in range(1, n_steps + 1, block):
         steps = range(first, min(first + block, n_steps + 1))
         times = np.empty(len(steps))
@@ -166,7 +153,7 @@ def march(s: SolverState, n_steps: int):
             if x is not row:
                 row[:] = x
             v = row
-            t += s.dt
+            t += dt
             times[i] = t
         mass = values.sum(axis=1) * grid.cell_width
         # a NaN or infinity anywhere in a row makes its sum non-finite
@@ -248,7 +235,6 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
         raise ValueError("t_end must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
-    state = make_solver_state(p, v0, dt)
     n_steps = whole_steps(t_end, dt)
     eq_field = discretize_equilibrium(p, v0.grid)
     g = eq_field.values
@@ -269,7 +255,7 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     # sampled row would cost memory in proportion to the run
     pending, n_pending = [(np.zeros(1), start, np.array([start_mass]), h)], 1
     scored = []
-    for steps, times, values, mass in march(state, n_steps):
+    for steps, times, values, mass in march(p, v0, dt, n_steps):
         h_last = h[-1]
         h = _entropies(values, eq_field, steps.start)
         max_increase = max(max_increase, float((h[1:] - h[:-1]).max(initial=h[0] - h_last)))

@@ -75,27 +75,35 @@ def test_file_initial_condition(tmp_path):
     assert abs(f.mass() - 1.0) <= 1e-12
     # shape preserved up to normalization, bit for bit
     assert np.array_equal(f.values, values / (values.sum() * cfg.grid().cell_width))
+    one_row = tmp_path / "row.txt"
+    np.savetxt(one_row, values[None, :])
+    row_cfg = parse_config_text(f"lambda = 0.5\nm = 0\nn = 64\ninitial = file:{one_row}\n")
+    assert np.array_equal(row_cfg.initial_density().values, f.values)
     bad = parse_config_text(f"lambda = 0.5\nm = 0\nn = 32\ninitial = file:{ic}\n")
     with pytest.raises(ConfigError, match="values"):
         bad.initial_density()
 
 
-@pytest.mark.parametrize("content", [
-    pytest.param("1\nx\n2\n3\n", id="non_numeric"),
-    pytest.param("", id="empty"),
-    pytest.param("0\n0\n0\n0\n", id="zero_mass"),
-    pytest.param("1e308\n1e308\n1\n1\n", id="mass_overflows"),
+@pytest.mark.parametrize("content, detail", [
+    pytest.param("1\nx\n2\n3\n", "not a number", id="non_numeric"),
+    pytest.param("", "holds 0 values", id="empty"),
+    pytest.param("0\n0\n0\n0\n", "positive finite mass", id="zero_mass"),
+    pytest.param("1e308\n1e308\n1\n1\n", "positive finite mass", id="mass_overflows"),
+    pytest.param("1 2\n3 4\n", "holds a 2 x 2 table", id="two_columns"),
 ])
-def test_cli_bad_initial_file_exits_1_naming_the_file(content, capsys, tmp_path):
+def test_cli_bad_initial_file_exits_1_naming_the_file(content, detail, capsys, tmp_path):
     ic = tmp_path / "init.txt"
     ic.write_text(content, encoding="utf-8")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"lambda = 0.5\nm = 0\nn = 4\ndt = 1e-2\nt_end = 0.1\n"
                    f"initial = file:{ic}\n", encoding="utf-8")
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err.splitlines()
-    assert code == 1
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert code == 1 and out == ""
     assert len(err) == 1 and err[0].startswith(f"error: initial-condition file {ic} ")
+    assert detail in err[0]
+    assert not list((tmp_path / "o").glob("*"))
 
 
 @pytest.mark.parametrize("change, field", [

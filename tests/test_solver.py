@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from opinion_kinetics import (
     BetaEquilibrium,
@@ -18,7 +18,6 @@ from opinion_kinetics import (
     bimodal_density,
     discretize_equilibrium,
     l1_distance,
-    make_solver_state,
     relative_entropy,
     solve,
     uniform_density,
@@ -41,9 +40,18 @@ def _apply_bands(rates, values):
     return out
 
 
-def _rows(s, n_steps):
-    """Every row march yields from s, in step order."""
-    return np.concatenate([b[2] for b in solver_module.march(s, n_steps)])
+def _rows(p, v0, dt, n_steps):
+    """Every row march yields from v0, in step order."""
+    return np.concatenate([b[2] for b in solver_module.march(p, v0, dt, n_steps)])
+
+
+def _factors(p, g, dt):
+    """dgttrf of I - dt A, the factors march steps with."""
+    upper, lower = assemble_coefficients(p, g)
+    *lu, info = dgttrf(-dt * lower, 1.0 - dt * solver_module._diagonal(upper, lower),
+                       -dt * upper)
+    assert info == 0
+    return lu
 
 
 def test_assemble_coefficients_pure_diffusion():
@@ -176,7 +184,7 @@ def test_step_holds_equilibrium():
     p = KineticParams(0.5, 0.2)
     g = Grid(200)
     eq = discretize_equilibrium(p, g)
-    v = _rows(make_solver_state(p, eq, 1e-3), 1)[0]
+    v = _rows(p, eq, 1e-3, 1)[0]
     assert np.max(np.abs(v - eq.values)) <= 1e-13
 
 
@@ -186,7 +194,7 @@ def test_step_conserves_mass_and_positivity():
     rng = np.random.default_rng(4)
     v0 = DensityField(g, rng.uniform(0.0, 1.0, 200)).normalized()
     before = v0
-    for row in _rows(make_solver_state(p, v0, 0.05), 20):
+    for row in _rows(p, v0, 0.05, 20):
         after = DensityField(g, row)
         assert abs(after.mass() - before.mass()) <= 1e-13
         assert np.all(after.values >= 0.0)
@@ -200,16 +208,16 @@ def test_step_from_point_mass_spreads_positively():
     g = Grid(64)
     v = np.zeros(64)
     v[32] = 1.0 / g.cell_width
-    assert np.all(_rows(make_solver_state(p, DensityField(g, v), 0.1), 1)[0] > 0.0)
+    assert np.all(_rows(p, DensityField(g, v), 0.1, 1)[0] > 0.0)
 
 
 def test_step_decreases_entropy():
     p = KineticParams(0.5, 0.0)
     g = Grid(200)
     eq = discretize_equilibrium(p, g)
-    s = make_solver_state(p, bimodal_density(g), 1e-3)
-    h0 = relative_entropy(s.density.values, eq)
-    assert relative_entropy(_rows(s, 1)[0], eq) < h0
+    v0 = bimodal_density(g)
+    h0 = relative_entropy(v0.values, eq)
+    assert relative_entropy(_rows(p, v0, 1e-3, 1)[0], eq) < h0
 
 
 def test_solve_from_equilibrium_is_flat():
@@ -326,14 +334,14 @@ def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
         v[n // 3] = 1.0 / g.cell_width
         v0 = DensityField(g, v)
     dt, every = 1e-2, 7
-    s = make_solver_state(p, v0, dt)
+    lu = _factors(p, g, dt)
     eq = discretize_equilibrium(p, g)
     n_steps = int(round(t_end / dt))
     assert n_steps % every != 0
     v, t = v0.values, 0.0
     times, fields = [t], [v0]
     for k in range(1, n_steps + 1):
-        v, info = dgttrs(*s.lu, v)
+        v, info = dgttrs(*lu, v)
         assert info == 0
         t += dt
         if k % every == 0 or k == n_steps:
@@ -363,19 +371,20 @@ def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
 def test_march_blocks_equal_a_per_step_dgttrs_loop(n, n_steps):
     p = KineticParams(0.8, 0.3)
     g = Grid(n)
-    s = make_solver_state(p, bimodal_density(g), 1e-2)
+    v0, dt = bimodal_density(g), 1e-2
+    lu = _factors(p, g, dt)
     dy = g.cell_width
-    v, t = s.density.values, 0.0
+    v, t = v0.values, 0.0
     ref_values, ref_times, ref_mass = [], [], []
     for _ in range(n_steps):
-        v, info = dgttrs(*s.lu, v)
+        v, info = dgttrs(*lu, v)
         assert info == 0
-        t += s.dt
+        t += dt
         ref_values.append(v)
         ref_times.append(t)
         ref_mass.append(float(v.sum() * dy))
 
-    blocks = list(solver_module.march(s, n_steps))
+    blocks = list(solver_module.march(p, v0, dt, n_steps))
     rows = max(1, 10_000 // n)
     assert [len(b[0]) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
     assert 1 <= len(blocks[-1][0]) <= rows
@@ -383,6 +392,37 @@ def test_march_blocks_equal_a_per_step_dgttrs_loop(n, n_steps):
     assert np.array_equal(np.concatenate([b[2] for b in blocks]), ref_values)
     assert np.array_equal(np.concatenate([b[1] for b in blocks]), ref_times)
     assert np.array_equal(np.concatenate([b[3] for b in blocks]), ref_mass)
+
+
+@pytest.mark.parametrize("dt, scale, match", [
+    pytest.param(0.0, 1.0, "dt must be positive", id="dt_zero"),
+    pytest.param(-1e-3, 1.0, "dt must be positive", id="dt_negative"),
+    pytest.param(1e-3, 1.0 + 2e-8, "unit mass", id="mass_above"),
+    pytest.param(1e-3, 1.0 - 2e-8, "unit mass", id="mass_below"),
+])
+def test_march_checks_dt_and_mass_at_the_first_next(monkeypatch, dt, scale, match):
+    p, g = KineticParams(0.8, 0.3), Grid(200)
+    v0 = DensityField(g, bimodal_density(g).values * scale)
+    blocks = solver_module.march(p, v0, dt, 123)
+
+    def no_step(*args):
+        raise AssertionError("march stepped before its checks")
+
+    monkeypatch.setattr(solver_module, "dgttrs", no_step)
+    with pytest.raises(ValueError, match=match):
+        next(blocks)
+
+
+def test_march_takes_a_start_within_1e_8_of_unit_mass():
+    p, g = KineticParams(0.8, 0.3), Grid(200)
+    v0 = bimodal_density(g)
+    off = DensityField(g, v0.values * (1.0 + 5e-9))
+    assert len(next(solver_module.march(p, off, 1e-3, 1))[0]) == 1
+
+
+def test_solve_rejects_a_zero_dt():
+    with pytest.raises(ValueError, match="dt must be positive"):
+        solve(KineticParams(0.5, 0.0), bimodal_density(Grid(64)), 0.0, 0.1)
 
 
 def _poison_steps(monkeypatch, bad_at):
@@ -446,7 +486,7 @@ def _solve_scoring_each_block(p, v0, dt, t_end, every):
     h_prev = entropy_gap(v0.values[None, :], eq)
     max_increase, max_drift = 0.0, abs(v0.mass() - 1.0)
     pieces = [(np.zeros(1), v0.values[None, :], np.array([v0.mass()]), h_prev)]
-    for steps, times, values, mass in solver_module.march(make_solver_state(p, v0, dt), n_steps):
+    for steps, times, values, mass in solver_module.march(p, v0, dt, n_steps):
         h = entropy_gap(values, eq)
         max_increase = max(max_increase, float(np.diff(h, prepend=h_prev[-1]).max()))
         h_prev = h
@@ -478,7 +518,7 @@ def test_solve_chunks_equal_per_block_scoring_bitwise(monkeypatch, block_values,
     g = Grid(200)
     v0 = bimodal_density(g) if start == "bimodal" else discretize_equilibrium(p, g)
     monkeypatch.setattr(solver_module, "_BLOCK_VALUES", block_values)
-    assert len(next(solver_module.march(make_solver_state(p, v0, 1e-2), 123))[0]) == rows
+    assert len(next(solver_module.march(p, v0, 1e-2, 123))[0]) == rows
     columns, max_increase, max_drift, final = _solve_scoring_each_block(p, v0, 1e-2, 1.23,
                                                                          every)
     traj = solve(p, v0, 1e-2, 1.23, sample_every=every)
@@ -497,8 +537,8 @@ def test_solve_memory_stays_bounded_after_the_first_block(monkeypatch):
     march = solver_module.march
     after_first = []
 
-    def traced_march(s, n_steps):
-        blocks = march(s, n_steps)
+    def traced_march(*args):
+        blocks = march(*args)
         yield next(blocks)
         after_first.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
