@@ -23,7 +23,6 @@ from .fitting import fit_decay_rate
 from .params import classify_params
 from .runners import (
     default_ls_grid,
-    format_ls_table,
     run_mc,
     run_solve,
     run_sweep,
@@ -66,20 +65,17 @@ def _cmd_equilibrium(args) -> bool:
 
 def _cmd_solve(args) -> bool:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    report = run_solve(cfg, out)
-    print((out / "summary.txt").read_text(encoding="utf-8"), end="")
-    return all(report.verdicts().values())
+    report = run_solve(cfg, _out_dir(args, cfg))
+    print(report)
+    return report.passed
 
 
 def _cmd_sweep(args) -> bool:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    passed = []
-    for lv, (sub, report) in run_sweep(cfg, out).items():
-        passed.append(all(report.verdicts().values()))
-        print(f"lambda = {lv:g}: {'PASS' if passed[-1] else 'FAIL'} (outputs in {sub})")
-    return all(passed)
+    runs = run_sweep(cfg, _out_dir(args, cfg))
+    for lv, (sub, report) in runs.items():
+        print(f"lambda = {lv:g}: {'PASS' if report.passed else 'FAIL'} (outputs in {sub})")
+    return all(report.passed for _, report in runs.values())
 
 
 def _cmd_mc(args) -> bool:
@@ -95,14 +91,14 @@ def _cmd_verify_ls(args) -> bool:
     given = {"n": args.n, "n_samples": args.samples, "seed": args.seed}
     report = verify_ls(points=default_ls_grid(args.lambdas), out_dir=args.out,
                        **{key: v for key, v in given.items() if v is not None})
-    print(format_ls_table(report))
-    return report.all_pass
+    print(report)
+    return report.passed
 
 
 def _cmd_transform_check(args) -> bool:
-    text, ok = run_transform_check(_load_config(args), args.out)
-    print(text)
-    return ok
+    report = run_transform_check(_load_config(args), args.out)
+    print(report)
+    return report.passed
 
 
 def _cmd_fit(args) -> bool:

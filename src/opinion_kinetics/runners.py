@@ -1,7 +1,7 @@
 """Experiment drivers: steady states, decay runs, Monte Carlo runs, sweeps,
 the inequality verification battery and the angular-transform check.
-Every artifact is a self-describing CSV (or a plain-text summary
-recomputable from the CSVs)."""
+Every artifact is a self-describing CSV or a summary recomputable from the
+CSVs: a Report, which the runner writes and returns and opkin prints."""
 
 from __future__ import annotations
 
@@ -90,19 +90,36 @@ class Check:
 
 
 @dataclass(frozen=True)
-class DecayReport:
-    """Trajectory rows, fitted decay rates and the acceptance checks."""
+class Report:
+    """A runner's summary: str() is its lines, then one line per check."""
 
-    trajectory: Trajectory
-    k_constant: float | None          # None outside the L2 regime
-    rho: float | None
-    entropy_fit: DecayFit | None
-    wl2_fit: DecayFit | None
+    lines: tuple[str, ...]
     checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def verdicts(self) -> dict:
         """Check name -> passed."""
         return {c.name: c.passed for c in self.checks}
+
+    def __str__(self) -> str:
+        return "\n".join([*self.lines, *map(str, self.checks)])
+
+    def write(self, path: Path) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(str(self) + "\n", encoding="utf-8")
+
+
+@dataclass(frozen=True)
+class DecayReport(Report):
+    """A decay run's summary with its trajectory and fitted decay rates."""
+
+    trajectory: Trajectory
+    k_constant: float | None          # None outside the L2 regime
+    entropy_fit: DecayFit | None
+    wl2_fit: DecayFit | None
 
 
 _NOT_FITTED = f"not fitted (needs at least {MIN_POINTS} samples in the window, all positive)"
@@ -115,7 +132,7 @@ def _safe_fit(times, values, window) -> DecayFit | None:
         return None
 
 
-def build_decay_report(traj: Trajectory) -> DecayReport:
+def build_decay_report(cfg: ExperimentConfig, traj: Trajectory) -> DecayReport:
     """Fit log H and log ||.||* over the second half of the run and check
     the run.  A rate that could not be fitted fails: no decay was measured."""
     p = traj.params
@@ -123,48 +140,8 @@ def build_decay_report(traj: Trajectory) -> DecayReport:
     fit_window = (0.5 * float(t[-1]), float(t[-1]))
     admissible = classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
     k = log_sobolev_constant(p) if admissible else None
-    rho = bakry_emery_rho(p) if admissible else None
-    entropy_fit = _safe_fit(t, traj.entropy, fit_window)
-    wl2_fit = _safe_fit(t, traj.wl2_dist, fit_window)
-    checks = []
-    if admissible:
-        checks.append(Check.at_most(
-            "entropy_rate", None if entropy_fit is None else entropy_fit.slope, -0.95 / k))
-    checks += [
-        Check.at_most("weighted_l2_rate", None if wl2_fit is None else wl2_fit.slope,
-                      -2.0 * 0.95),
-        Check.at_most("entropy_monotone", traj.max_entropy_increase, 1e-12),
-        Check.at_most("mass_conserved", traj.max_mass_drift, 1e-12),
-    ]
-    finite = np.isfinite(traj.fisher)
-    if admissible and np.any(finite):
-        slack = float((k * traj.fisher[finite] - traj.entropy[finite]).min())
-        checks.append(Check("ls_rows", slack, -1e-9, slack >= -1e-9))
-    return DecayReport(traj, k, rho, entropy_fit, wl2_fit, tuple(checks))
-
-
-def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
-    """Decay experiment: integrate, emit decay/equilibrium/final CSVs + summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    p = cfg.params()
-    grid = cfg.grid()
-    v0 = cfg.initial_density()
-    traj = solve(p, v0, cfg.dt, cfg.t_end, cfg.sample_every)
-    report = build_decay_report(traj)
-
-    k_col = (report.k_constant * traj.fisher) if report.k_constant is not None \
-        else np.full_like(traj.fisher, math.nan)
-    write_csv(
-        out / "decay.csv",
-        ["t", "entropy", "fisher", "k_fisher", "l1_dist", "weighted_l2", "mass", "mean"],
-        [traj.times, traj.entropy, traj.fisher, k_col,
-         traj.l1_dist, traj.wl2_dist, traj.mass, traj.mean],
-    )
-    write_equilibrium_csv(out, p, grid, traj.equilibrium)
-    write_csv(out / "final_state.csv", ["y", "density"],
-              [grid.centers, traj.final.values])
-
+    ef = _safe_fit(t, traj.entropy, fit_window)
+    wf = _safe_fit(t, traj.wl2_dist, fit_window)
     lines = [
         f"lambda = {p.lam!r}",
         f"m = {p.m!r}",
@@ -174,23 +151,54 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
         f"t_end = {cfg.t_end!r}",
         f"initial = {cfg.initial}",
     ]
-    if report.k_constant is not None:
-        lines.append(f"log_sobolev_constant = {_fmt(report.k_constant)}")
-        lines.append(f"bakry_emery_rho = {_fmt(report.rho)}")
-    if report.entropy_fit is not None:
-        f = report.entropy_fit
-        lines.append(f"entropy_slope = {_fmt(f.slope)} (r2 = {f.r_squared:.6f}, "
-                     f"window = [{f.window[0]:g}, {f.window[1]:g}])")
-    else:
-        lines.append(f"entropy_slope = {_NOT_FITTED}")
-    if report.wl2_fit is not None:
-        f = report.wl2_fit
-        lines.append(f"weighted_l2_slope = {_fmt(f.slope)} (r2 = {f.r_squared:.6f})")
-    else:
-        lines.append(f"weighted_l2_slope = {_NOT_FITTED}")
-    lines.append(f"final_l1_to_equilibrium = {_fmt(float(traj.l1_dist[-1]))}")
-    lines += map(str, report.checks)
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if admissible:
+        lines.append(f"log_sobolev_constant = {_fmt(k)}")
+        lines.append(f"bakry_emery_rho = {_fmt(bakry_emery_rho(p))}")
+    lines += [
+        f"entropy_slope = {_NOT_FITTED}" if ef is None else
+        f"entropy_slope = {_fmt(ef.slope)} (r2 = {ef.r_squared:.6f}, "
+        f"window = [{ef.window[0]:g}, {ef.window[1]:g}])",
+        f"weighted_l2_slope = {_NOT_FITTED}" if wf is None else
+        f"weighted_l2_slope = {_fmt(wf.slope)} (r2 = {wf.r_squared:.6f})",
+        f"final_l1_to_equilibrium = {_fmt(float(traj.l1_dist[-1]))}",
+    ]
+    checks = []
+    if admissible:
+        checks.append(Check.at_most(
+            "entropy_rate", None if ef is None else ef.slope, -0.95 / k))
+    checks += [
+        Check.at_most("weighted_l2_rate", None if wf is None else wf.slope, -2.0 * 0.95),
+        Check.at_most("entropy_monotone", traj.max_entropy_increase, 1e-12),
+        Check.at_most("mass_conserved", traj.max_mass_drift, 1e-12),
+    ]
+    finite = np.isfinite(traj.fisher)
+    if admissible and np.any(finite):
+        slack = float((k * traj.fisher[finite] - traj.entropy[finite]).min())
+        checks.append(Check("ls_rows", slack, -1e-9, slack >= -1e-9))
+    return DecayReport(tuple(lines), tuple(checks), traj, k, ef, wf)
+
+
+def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
+    """Decay experiment: check the inputs, integrate, write CSVs + summary."""
+    p = cfg.params()
+    v0 = cfg.initial_density()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    traj = solve(p, v0, cfg.dt, cfg.t_end, cfg.sample_every)
+    report = build_decay_report(cfg, traj)
+
+    k_col = (report.k_constant * traj.fisher) if report.k_constant is not None \
+        else np.full_like(traj.fisher, math.nan)
+    write_csv(
+        out / "decay.csv",
+        ["t", "entropy", "fisher", "k_fisher", "l1_dist", "weighted_l2", "mass", "mean"],
+        [traj.times, traj.entropy, traj.fisher, k_col,
+         traj.l1_dist, traj.wl2_dist, traj.mass, traj.mean],
+    )
+    write_equilibrium_csv(out, p, v0.grid, traj.equilibrium)
+    write_csv(out / "final_state.csv", ["y", "density"],
+              [v0.grid.centers, traj.final.values])
+    report.write(out / "summary.txt")
     return report
 
 
@@ -293,25 +301,21 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
               [[r[0] for r in l1_rows], [r[1] for r in l1_rows]])
 
     check = Check.at_most("final_l1_mc_vs_fp", l1_rows[-1][1] if l1_rows else None, 0.05)
-    (out / "mc_summary.txt").write_text(
-        "\n".join([
-            f"lambda = {p.lam!r}",
-            f"m = {p.m!r}",
-            f"n_agents = {mc_cfg.n_agents}",
-            f"epsilon = {mc_cfg.epsilon!r}",
-            f"gamma = {mc_cfg.gamma!r}",
-            f"seed = {use_seed}",
-            f"sweeps = {total_sweeps}",
-            f"rejection_fraction = {_fmt(ens.rejection_fraction)}",
-            # the noise can leave [-1, 1] within 6 eps sigma2 of an endpoint
-            f"rejection_layer_width = {_fmt(6.0 * ip.epsilon * ip.sigma2)}",
-            f"hist_bin_width = {_fmt(hist_grid.cell_width)}",
-            # the share of the reference's edge-bin mass the Monte Carlo misses
-            f"edge_bin_deficit = {_fmt(edge_deficit)}",
-            str(check),
-        ]) + "\n",
-        encoding="utf-8",
-    )
+    Report((
+        f"lambda = {p.lam!r}",
+        f"m = {p.m!r}",
+        f"n_agents = {mc_cfg.n_agents}",
+        f"epsilon = {mc_cfg.epsilon!r}",
+        f"gamma = {mc_cfg.gamma!r}",
+        f"seed = {use_seed}",
+        f"sweeps = {total_sweeps}",
+        f"rejection_fraction = {_fmt(ens.rejection_fraction)}",
+        # the noise can leave [-1, 1] within 6 eps sigma2 of an endpoint
+        f"rejection_layer_width = {_fmt(6.0 * ip.epsilon * ip.sigma2)}",
+        f"hist_bin_width = {_fmt(hist_grid.cell_width)}",
+        # the share of the reference's edge-bin mass the Monte Carlo misses
+        f"edge_bin_deficit = {_fmt(edge_deficit)}",
+    ), (check,)).write(out / "mc_summary.txt")
     final_l1 = math.nan if check.value is None else check.value
     return {"final_l1": final_l1, "pass": check.passed, "ensemble": ens}
 
@@ -340,8 +344,26 @@ def default_ls_grid(lambdas=None):
 
 @dataclass(frozen=True)
 class LsVerification:
+    """One row per (lambda, m) point; str() is the table opkin prints."""
+
     rows: list
-    all_pass: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(r["pass"] for r in self.rows)
+
+    def __str__(self) -> str:
+        lines = [f"{'lambda':>8} {'m':>9} {'K':>10} {'rho':>10} "
+                 f"{'|rho_min-rho|':>14} {'min_slack':>12} {'uniform':>12} verdict"]
+        for r in self.rows:
+            uni = "-" if math.isnan(r["min_uniform_slack"]) else f"{r['min_uniform_slack']:.3e}"
+            lines.append(
+                f"{r['lambda']:>8.3f} {r['m']:>9.4f} {r['K']:>10.5f} {r['rho']:>10.5f} "
+                f"{abs(r['rho_minimized'] - r['rho']):>14.3e} {r['min_ls_slack']:>12.3e} "
+                f"{uni:>12} {'PASS' if r['pass'] else 'FAIL'}"
+            )
+        lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
+        return "\n".join(lines)
 
 
 def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
@@ -405,27 +427,12 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
             "lambda": lv, "m": mv, "K": k, "rho": rho, "rho_minimized": rho_min,
             "min_ls_slack": min_slack, "min_uniform_slack": uni_slack, "pass": ok,
         })
-    report = LsVerification(rows, all(r["pass"] for r in rows))
     if out is not None:
         # one column per row key; a verdict is written as 1.0 or 0.0
         write_csv(out / "ls_report.csv",
                   ["passed" if key == "pass" else key for key in rows[0]],
                   [[r[key] for r in rows] for key in rows[0]])
-    return report
-
-
-def format_ls_table(report: LsVerification) -> str:
-    lines = [f"{'lambda':>8} {'m':>9} {'K':>10} {'rho':>10} "
-             f"{'|rho_min-rho|':>14} {'min_slack':>12} {'uniform':>12} verdict"]
-    for r in report.rows:
-        uni = "-" if math.isnan(r["min_uniform_slack"]) else f"{r['min_uniform_slack']:.3e}"
-        lines.append(
-            f"{r['lambda']:>8.3f} {r['m']:>9.4f} {r['K']:>10.5f} {r['rho']:>10.5f} "
-            f"{abs(r['rho_minimized'] - r['rho']):>14.3e} {r['min_ls_slack']:>12.3e} "
-            f"{uni:>12} {'PASS' if r['pass'] else 'FAIL'}"
-        )
-    lines.append("overall: " + ("PASS" if report.all_pass else "FAIL"))
-    return "\n".join(lines)
+    return LsVerification(rows)
 
 
 def _max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -437,12 +444,11 @@ def _max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got[pos] - want[pos]) / want[pos], initial=0.0))
 
 
-def run_transform_check(cfg: ExperimentConfig, out_dir=None) -> tuple[str, bool]:
+def run_transform_check(cfg: ExperimentConfig, out_dir=None) -> Report:
     """Check the angular change of variables: the identity g(z) = v(sin z)
     cos z and the explicit formula at 2001 angles, and the boundary
-    exponents.  Only lambda and m are read from cfg.
-    Returns the report text and whether every check passed; the text also
-    goes to out_dir/transform_report.txt when out_dir is given.
+    exponents.  Only lambda and m are read from cfg.  The report also goes
+    to out_dir/transform_report.txt when out_dir is given.
     FloatingPointError when v(sin z) cos z is positive at fewer than
     MIN_POINTS angles, the least the decay fits accept too."""
     p = cfg.params()
@@ -477,13 +483,10 @@ def run_transform_check(cfg: ExperimentConfig, out_dir=None) -> tuple[str, bool]
         Check.at_most("boundary_exponent_error_minus", abs(slope_minus - exp_minus),
                       0.02 * max(1.0, abs(exp_minus))),
     ]
-    text = "\n".join([
+    report = Report((
         f"boundary exponent at +pi/2: fitted {slope_plus:.6f}, expected {exp_plus:.6f}",
         f"boundary exponent at -pi/2: fitted {slope_minus:.6f}, expected {exp_minus:.6f}",
-        *map(str, checks),
-    ])
+    ), tuple(checks))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "transform_report.txt").write_text(text + "\n", encoding="utf-8")
-    return text, all(c.passed for c in checks)
+        report.write(Path(out_dir) / "transform_report.txt")
+    return report

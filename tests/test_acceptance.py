@@ -8,37 +8,38 @@ import time
 import numpy as np
 import pytest
 
-from opinion_kinetics import (
-    BetaEquilibrium,
-    DensityField,
-    Ensemble,
-    Grid,
-    InteractionParams,
-    KineticParams,
-    bakry_emery_rho,
-    bimodal_density,
-    discretize_equilibrium,
-    histogram,
-    initial_ensemble,
+from opinion_kinetics.config import whole_steps
+from opinion_kinetics.equilibrium import BetaEquilibrium
+from opinion_kinetics.fitting import fit_decay_rate
+from opinion_kinetics.functionals import (
+    entropy_gap,
     l1_distance,
-    log_sobolev_constant,
     ls_slack,
-    mc_sweeps,
-    minimize_potential_second,
     relative_entropy,
-    solve,
     uniform_ls_slack,
     weighted_fisher,
 )
-from opinion_kinetics.config import whole_steps
-from opinion_kinetics.functionals import entropy_gap
-from opinion_kinetics.fitting import fit_decay_rate
-from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
-from opinion_kinetics.solver import march
+from opinion_kinetics.grid import (
+    DensityField,
+    Grid,
+    bimodal_density,
+    random_grid_functions,
+    random_smooth_densities,
+)
+from opinion_kinetics.montecarlo import (
+    Ensemble,
+    InteractionParams,
+    histogram,
+    initial_ensemble,
+    mc_sweeps,
+)
+from opinion_kinetics.params import KineticParams, bakry_emery_rho, log_sobolev_constant
+from opinion_kinetics.solver import discretize_equilibrium, march, solve
 from opinion_kinetics.transform import (
     angular_equilibrium,
     angular_equilibrium_explicit,
     boundary_exponents,
+    minimize_potential_second,
 )
 
 

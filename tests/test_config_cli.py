@@ -9,10 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opinion_kinetics import ConfigError, parse_config
 from opinion_kinetics.cli import main
-from opinion_kinetics.config import parse_config_text
-from opinion_kinetics.runners import Check, default_ls_grid, run_mc, run_solve, verify_ls
+from opinion_kinetics.config import ConfigError, parse_config, parse_config_text
+from opinion_kinetics.runners import Check, Report, default_ls_grid, run_mc, run_solve, verify_ls
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -103,7 +102,7 @@ def test_cli_bad_initial_file_exits_1_naming_the_file(content, detail, capsys, t
     assert code == 1 and out == ""
     assert len(err) == 1 and err[0].startswith(f"error: initial-condition file {ic} ")
     assert detail in err[0]
-    assert not list((tmp_path / "o").glob("*"))
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("change, field", [
@@ -132,7 +131,9 @@ def test_run_solve_outputs_and_rerun_identical(tmp_path):
 
 def test_run_solve_equilibrium_start_all_zero(tmp_path):
     # start exactly at the scheme's steady state via the file: mechanism
-    from opinion_kinetics import Grid, KineticParams, discretize_equilibrium
+    from opinion_kinetics.grid import Grid
+    from opinion_kinetics.params import KineticParams
+    from opinion_kinetics.solver import discretize_equilibrium
 
     eqv = discretize_equilibrium(KineticParams(1.0, 0.0), Grid(64)).values
     ic = tmp_path / "eq.txt"
@@ -592,3 +593,31 @@ def test_check_renders_value_bound_and_verdict(value, want):
     check = Check.at_most("x", value, 1.0)
     assert str(check) == want
     assert check.passed is want.endswith("PASS")
+
+
+@pytest.mark.parametrize("values", [(), (0.5,), (0.5, 0.25), (2.0,), (0.5, 2.0), (None, 0.5)])
+def test_report_renders_lines_then_checks(values, tmp_path):
+    checks = tuple(Check.at_most(f"c{i}", v, 1.0) for i, v in enumerate(values))
+    report = Report(("x = 1", "y = 2"), checks)
+    assert str(report) == "\n".join(["x = 1", "y = 2", *map(str, checks)])
+    assert report.passed is all(v is not None and v <= 1.0 for v in values)
+    assert report.verdicts() == {c.name: c.passed for c in checks}
+    path = tmp_path / "new" / "summary.txt"
+    report.write(path)
+    assert path.read_text(encoding="utf-8") == str(report) + "\n"
+
+
+@pytest.mark.parametrize("command, written", [
+    ("solve", "summary.txt"),
+    ("mc", "mc_summary.txt"),
+    ("transform-check", "transform_report.txt"),
+])
+def test_cli_prints_the_report_it_writes(command, written, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.2\n"
+                   "mc.n = 100\nmc.t_end = 0.04\nmc.hist_n = 8\n", encoding="utf-8")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code in (0, 3)
+    out = capsys.readouterr().out
+    assert out == (tmp_path / "o" / written).read_text(encoding="utf-8")
+    assert out.endswith(("-> PASS\n", "-> FAIL\n"))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from opinion_kinetics import BetaEquilibrium, Grid, KineticParams, log_normalization
-from opinion_kinetics.equilibrium import STIRLING_MIN
+from opinion_kinetics.equilibrium import BetaEquilibrium, STIRLING_MIN, log_normalization
+from opinion_kinetics.grid import Grid
+from opinion_kinetics.params import KineticParams
 
 import oracles
 from oracles import QUAD_OPTS, quad_mass

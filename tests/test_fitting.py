@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opinion_kinetics import fit_decay_rate
+from opinion_kinetics.fitting import fit_decay_rate
 
 
 def test_exact_exponential():

@@ -5,28 +5,29 @@ import warnings
 import numpy as np
 import pytest
 
-from opinion_kinetics import (
-    BetaEquilibrium,
-    DensityField,
-    Grid,
-    GridMismatchError,
-    KineticParams,
+from opinion_kinetics.equilibrium import BetaEquilibrium
+from opinion_kinetics.functionals import (
     PositivityError,
-    RegimeError,
-    bimodal_density,
-    discretize_equilibrium,
-    log_sobolev_constant,
+    _entropy_core,
+    entropy_gap,
     l1_distance,
     ls_slack,
     relative_entropy,
-    uniform_density,
     uniform_ls_slack,
     weighted_fisher,
     weighted_l2,
 )
-
-from opinion_kinetics.functionals import _entropy_core, entropy_gap
-from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
+from opinion_kinetics.grid import (
+    DensityField,
+    Grid,
+    GridMismatchError,
+    bimodal_density,
+    random_grid_functions,
+    random_smooth_densities,
+    uniform_density,
+)
+from opinion_kinetics.params import KineticParams, RegimeError, log_sobolev_constant
+from opinion_kinetics.solver import discretize_equilibrium
 
 from oracles import (
     SmoothRatioCase,

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from opinion_kinetics import (
+from opinion_kinetics.functionals import l1_distance
+from opinion_kinetics.grid import (
     DensityField,
     Grid,
     GridMismatchError,
-    bimodal_density,
-    l1_distance,
-    uniform_density,
-)
-from opinion_kinetics.grid import (
     TRIG_DEGREE,
     _trig_basis,
     _trig_series,
+    bimodal_density,
     random_grid_functions,
     random_smooth_densities,
+    uniform_density,
 )
 
 

@@ -7,22 +7,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opinion_kinetics import (
-    BetaEquilibrium,
-    Ensemble,
-    Grid,
-    InteractionParams,
-    KineticParams,
-    histogram,
-    initial_ensemble,
-    l1_distance,
-    mc_sweeps,
-    moments,
-    sample_noise,
-)
 from opinion_kinetics import montecarlo
 from opinion_kinetics.config import whole_steps
-from opinion_kinetics.montecarlo import _interact, sample_from_density
+from opinion_kinetics.equilibrium import BetaEquilibrium
+from opinion_kinetics.functionals import l1_distance
+from opinion_kinetics.grid import Grid
+from opinion_kinetics.montecarlo import (
+    Ensemble,
+    InteractionParams,
+    _interact,
+    histogram,
+    initial_ensemble,
+    mc_sweeps,
+    moments,
+    sample_from_density,
+    sample_noise,
+)
+from opinion_kinetics.params import KineticParams
 
 
 def _swept(e, ip, n_sweeps):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from opinion_kinetics import (
+from opinion_kinetics.params import (
     KineticParams,
     ParamRegime,
     RegimeError,

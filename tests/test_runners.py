@@ -5,17 +5,12 @@ import threading
 import numpy as np
 import pytest
 
-from opinion_kinetics import (
-    BetaEquilibrium,
-    Grid,
-    KineticParams,
-    ls_slack,
-    montecarlo,
-    runners,
-    uniform_ls_slack,
-)
+from opinion_kinetics import montecarlo, runners
 from opinion_kinetics.config import ConfigError, McConfig, parse_config_text
-from opinion_kinetics.grid import random_grid_functions, random_smooth_densities
+from opinion_kinetics.equilibrium import BetaEquilibrium
+from opinion_kinetics.functionals import ls_slack, uniform_ls_slack
+from opinion_kinetics.grid import Grid, random_grid_functions, random_smooth_densities
+from opinion_kinetics.params import KineticParams
 from opinion_kinetics.runners import run_mc, run_sweep, verify_ls, write_csv
 
 

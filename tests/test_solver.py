@@ -8,26 +8,30 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from opinion_kinetics import (
-    BetaEquilibrium,
-    DensityField,
-    Grid,
-    KineticParams,
-    SolverError,
-    assemble_coefficients,
-    bimodal_density,
-    discretize_equilibrium,
+from opinion_kinetics import solver as solver_module
+from opinion_kinetics.cli import main
+from opinion_kinetics.equilibrium import BetaEquilibrium
+from opinion_kinetics.functionals import (
+    entropy_gap,
     l1_distance,
     relative_entropy,
-    solve,
-    uniform_density,
     weighted_fisher,
     weighted_l2,
 )
-from opinion_kinetics import solver as solver_module
-from opinion_kinetics.cli import main
-from opinion_kinetics.functionals import entropy_gap
-from opinion_kinetics.grid import _mean
+from opinion_kinetics.grid import (
+    DensityField,
+    Grid,
+    _mean,
+    bimodal_density,
+    uniform_density,
+)
+from opinion_kinetics.params import KineticParams
+from opinion_kinetics.solver import (
+    SolverError,
+    assemble_coefficients,
+    discretize_equilibrium,
+    solve,
+)
 from oracles import zero_flux_kernel
 
 
