@@ -80,10 +80,9 @@ def _cmd_sweep(args) -> bool:
 
 def _cmd_mc(args) -> bool:
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    result = run_mc(cfg, out, seed=args.seed)
-    print((out / "mc_summary.txt").read_text(encoding="utf-8"), end="")
-    return result["pass"]
+    report = run_mc(cfg, _out_dir(args, cfg), seed=args.seed)["report"]
+    print(report)
+    return report.passed
 
 
 def _cmd_verify_ls(args) -> bool:

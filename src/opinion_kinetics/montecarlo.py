@@ -100,13 +100,13 @@ class Ensemble:
         return self.rejected_pairs / self.attempted_pairs if self.attempted_pairs else 0.0
 
 
-def _check_range(x: np.ndarray, scratch: np.ndarray | None = None) -> None:
+def _check_range(x: np.ndarray) -> None:
     """Raise ValueError unless every opinion is finite and in [-1, 1].
 
-    The maximum propagates NaN, and NaN <= 1 is false, so one pass catches
-    NaN, inf and out-of-range values; with scratch it allocates nothing.
+    min and max propagate NaN, and every comparison with NaN is false, so
+    two reads that allocate nothing catch NaN, inf and out-of-range values.
     """
-    if not np.abs(x, out=scratch).max() <= 1.0:
+    if not (x.min() >= -1.0 and x.max() <= 1.0):
         raise ValueError("opinions must lie in [-1, 1]")
 
 
@@ -118,7 +118,10 @@ def initial_ensemble(n: int, seed: int, kind: str = "bimodal",
         x = rng.uniform(-1.0, 1.0, n)
     elif kind == "bimodal":
         centers = np.where(rng.integers(0, 2, n) == 0, -0.5, 0.5)
-        x = centers + width * rng.normal(size=n)
+        # in place: the same roundings as centers + width * normal, no temporaries
+        x = rng.normal(size=n)
+        x *= width
+        x += centers
         out = np.abs(x) > 1.0
         while np.any(out):  # redraw = hard truncation to (-1, 1)
             k = int(out.sum())
@@ -250,7 +253,7 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
             perm_drawn = worker.submit(_shuffle_identity, e.rng, identity, perm)
             noise_drawn = worker.submit(sample_noise, e.rng, s2_s, noise)
         for k in range(1, n_sweeps + 1):
-            _check_range(x, scratch=old)
+            _check_range(x)
             if worker is None:
                 e.rng.shuffle(x)
                 sample_noise(e.rng, s2_s, out=noise)

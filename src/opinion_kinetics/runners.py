@@ -1,7 +1,8 @@
 """Experiment drivers: steady states, decay runs, Monte Carlo runs, sweeps,
 the inequality verification battery and the angular-transform check.
 Every artifact is a self-describing CSV or a summary recomputable from the
-CSVs: a Report, which the runner writes and returns and opkin prints."""
+CSVs: a Report, which the runner writes and returns and opkin prints.  Every
+verdict is a Check in that Report, the battery's per-point ones included."""
 
 from __future__ import annotations
 
@@ -82,6 +83,12 @@ class Check:
         """Passes when a value was measured and is <= bound."""
         value = None if value is None else float(value)
         return cls(name, value, bound, value is not None and bool(value <= bound))
+
+    @classmethod
+    def at_least(cls, name: str, value: float | None, bound: float) -> Check:
+        """Passes when a value was measured and is >= bound."""
+        value = None if value is None else float(value)
+        return cls(name, value, bound, value is not None and bool(value >= bound))
 
     def __str__(self) -> str:
         value = "not measured" if self.value is None else _fmt(self.value)
@@ -174,7 +181,7 @@ def build_decay_report(cfg: ExperimentConfig, traj: Trajectory) -> DecayReport:
     finite = np.isfinite(traj.fisher)
     if admissible and np.any(finite):
         slack = float((k * traj.fisher[finite] - traj.entropy[finite]).min())
-        checks.append(Check("ls_rows", slack, -1e-9, slack >= -1e-9))
+        checks.append(Check.at_least("ls_rows", slack, -1e-9))
     return DecayReport(tuple(lines), tuple(checks), traj, k, ef, wf)
 
 
@@ -222,7 +229,8 @@ def coarsen_density(f: DensityField, coarse: Grid) -> DensityField:
 
 
 def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
-    """Monte Carlo run with matched Fokker-Planck reference at sample times.
+    """Monte Carlo run with matched Fokker-Planck reference at sample times:
+    the "report" it writes, its "pass", "final_l1" and the final "ensemble".
 
     The pair rule conserves the ensemble mean while the Fokker-Planck drift
     moves the mean to m, so an initial law whose mean is not m is rejected
@@ -301,7 +309,7 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
               [[r[0] for r in l1_rows], [r[1] for r in l1_rows]])
 
     check = Check.at_most("final_l1_mc_vs_fp", l1_rows[-1][1] if l1_rows else None, 0.05)
-    Report((
+    report = Report((
         f"lambda = {p.lam!r}",
         f"m = {p.m!r}",
         f"n_agents = {mc_cfg.n_agents}",
@@ -315,9 +323,10 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
         f"hist_bin_width = {_fmt(hist_grid.cell_width)}",
         # the share of the reference's edge-bin mass the Monte Carlo misses
         f"edge_bin_deficit = {_fmt(edge_deficit)}",
-    ), (check,)).write(out / "mc_summary.txt")
+    ), (check,))
+    report.write(out / "mc_summary.txt")
     final_l1 = math.nan if check.value is None else check.value
-    return {"final_l1": final_l1, "pass": check.passed, "ensemble": ens}
+    return {"final_l1": final_l1, "pass": report.passed, "ensemble": ens, "report": report}
 
 
 def default_ls_grid(lambdas=None):
@@ -343,14 +352,10 @@ def default_ls_grid(lambdas=None):
 
 
 @dataclass(frozen=True)
-class LsVerification:
-    """One row per (lambda, m) point; str() is the table opkin prints."""
+class LsVerification(Report):
+    """The battery's checks, named by point, one row per (lambda, m); str() is its table."""
 
     rows: list
-
-    @property
-    def passed(self) -> bool:
-        return all(r["pass"] for r in self.rows)
 
     def __str__(self) -> str:
         lines = [f"{'lambda':>8} {'m':>9} {'K':>10} {'rho':>10} "
@@ -368,10 +373,11 @@ class LsVerification:
 
 def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
               out_dir=None) -> LsVerification:
-    """Inequality battery: per (lambda, m), the minimum log-Sobolev slack
-    over n_samples random smooth densities, and the minimized potential
-    curvature against its closed form.  The distinguished uniform case also
-    runs the unconstrained battery.
+    """Inequality battery: per (lambda, m), the checks min_ls_slack (the
+    minimum log-Sobolev slack over n_samples random smooth densities) and
+    rho_minimized_error (the minimized potential curvature against its
+    closed form); the uniform case (1, 0) adds min_uniform_slack, the
+    unconstrained battery.  A row passes when its point's checks do.
 
     The reference field is built once per point.  The random densities are
     drawn and scored in row blocks of about 1e4 values (25 rows at
@@ -399,7 +405,7 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     rng = np.random.default_rng(seed)
     block = rows_per_block(n)  # the solver's budget: a block stays in L2 cache
     block_rows = [min(block, n_samples - i) for i in range(0, n_samples, block)]
-    rows = []
+    rows, checks = [], []
     for lv, mv in pts:
         p = KineticParams(lv, mv)
         k = log_sobolev_constant(p)
@@ -416,23 +422,27 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
         min_slack = min(
             float(ls_slack(random_smooth_densities(grid, rng, r), ref, p).min())
             for r in block_rows)
+        at = f"(lambda={float(lv)!r}, m={float(mv)!r})"
+        point = [Check.at_least("min_ls_slack" + at, min_slack, -1e-6),
+                 Check.at_most("rho_minimized_error" + at, abs(rho_min - rho), 1e-10)]
         uni_slack = math.nan
         if lv == 1.0 and mv == 0.0:
             uni_slack = min(
                 float(uniform_ls_slack(random_grid_functions(grid, rng, r), grid).min())
                 for r in block_rows)
-        ok = (min_slack >= -1e-6 and abs(rho_min - rho) <= 1e-10
-              and (math.isnan(uni_slack) or uni_slack >= -1e-6))
+            point.append(Check.at_least("min_uniform_slack" + at, uni_slack, -1e-6))
+        checks += point
         rows.append({
             "lambda": lv, "m": mv, "K": k, "rho": rho, "rho_minimized": rho_min,
-            "min_ls_slack": min_slack, "min_uniform_slack": uni_slack, "pass": ok,
+            "min_ls_slack": min_slack, "min_uniform_slack": uni_slack,
+            "pass": all(c.passed for c in point),
         })
     if out is not None:
         # one column per row key; a verdict is written as 1.0 or 0.0
         write_csv(out / "ls_report.csv",
                   ["passed" if key == "pass" else key for key in rows[0]],
                   [[r[key] for r in rows] for key in rows[0]])
-    return LsVerification(rows)
+    return LsVerification((), tuple(checks), rows)
 
 
 def _max_relative_error(got: np.ndarray, want: np.ndarray) -> float:

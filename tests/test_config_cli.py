@@ -621,3 +621,29 @@ def test_cli_prints_the_report_it_writes(command, written, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == (tmp_path / "o" / written).read_text(encoding="utf-8")
     assert out.endswith(("-> PASS\n", "-> FAIL\n"))
+
+
+@pytest.mark.parametrize("value, passed", [
+    (1.0, True), (1.5, True), (math.inf, True),
+    (0.999, False), (-math.inf, False), (None, False), (math.nan, False),
+])
+def test_check_at_least_passes_a_measured_value_at_or_above_the_bound(value, passed):
+    check = Check.at_least("x", value, 1.0)
+    assert check.passed is passed
+    assert str(check).endswith("-> PASS" if passed else "-> FAIL")
+
+
+def test_cli_mc_prints_the_report_it_returns_without_reading_it_back(
+        monkeypatch, tmp_path, capsys):
+    # with nothing written, the printed summary can only come from run_mc's return
+    monkeypatch.setattr(Report, "write", lambda self, path: None)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.2\n"
+                   "mc.n = 100\nmc.t_end = 0.04\nmc.hist_n = 8\n", encoding="utf-8")
+    code = main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert not (tmp_path / "o" / "mc_summary.txt").exists()
+    assert out.startswith("lambda = 0.5\nm = 0.0\n")
+    [verdict] = [line for line in out.splitlines() if "->" in line]
+    assert verdict.startswith("final_l1_mc_vs_fp = ") and out.endswith(verdict + "\n")
+    assert code == (0 if verdict.endswith("-> PASS") else 3)

@@ -172,7 +172,8 @@ def test_mc_sweeps_matches_a_plain_reference_loop():
         assert rejected == int((~ok).sum())
 
 
-@pytest.mark.parametrize("bad", [math.nan, 1.5], ids=["nan", "above_one"])
+@pytest.mark.parametrize("bad", [math.nan, 1.5, math.inf, -math.inf, -1.5],
+                         ids=["nan", "above_one", "inf", "minus_inf", "below_minus_one"])
 def test_mc_sweeps_rejects_a_buffer_written_out_of_range(bad):
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     sweeps = mc_sweeps(initial_ensemble(100, seed=3, kind="bimodal"), ip, 3)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from opinion_kinetics import montecarlo, runners
+from opinion_kinetics.cli import main
 from opinion_kinetics.config import ConfigError, McConfig, parse_config_text
 from opinion_kinetics.equilibrium import BetaEquilibrium
 from opinion_kinetics.functionals import ls_slack, uniform_ls_slack
 from opinion_kinetics.grid import Grid, random_grid_functions, random_smooth_densities
-from opinion_kinetics.params import KineticParams
+from opinion_kinetics.params import KineticParams, bakry_emery_rho
 from opinion_kinetics.runners import run_mc, run_sweep, verify_ls, write_csv
 
 
@@ -154,3 +155,34 @@ def test_mc_summary_edge_bin_deficit_is_nan_without_reference_edge_mass(tmp_path
     assert np.all(hist[[0, -1], -2:] == 0.0)
     summary = (tmp_path / "mc" / "mc_summary.txt").read_text(encoding="utf-8")
     assert "edge_bin_deficit = nan\n" in summary
+
+
+def test_verify_ls_names_one_check_per_point_and_verdict():
+    # (1, 0) adds the uniform battery's check to the two every point has
+    report = verify_ls(points=[(1.0, 0.0), (0.5, 0.2)], n=16, n_samples=2)
+    names = [c.name for c in report.checks]
+    assert names == ["min_ls_slack(lambda=1.0, m=0.0)", "rho_minimized_error(lambda=1.0, m=0.0)",
+                     "min_uniform_slack(lambda=1.0, m=0.0)",
+                     "min_ls_slack(lambda=0.5, m=0.2)", "rho_minimized_error(lambda=0.5, m=0.2)"]
+    assert len(report.verdicts()) == 5
+    assert report.passed is all(r["pass"] for r in report.rows)
+
+
+def test_default_battery_has_91_uniquely_named_checks():
+    report = verify_ls(n=16, n_samples=1)
+    assert len(report.rows) == 45
+    assert len(report.checks) == len(report.verdicts()) == 91
+
+
+def test_verify_ls_fails_a_row_whose_minimized_curvature_is_off(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(runners, "minimize_potential_second",
+                        lambda p: (0.0, bakry_emery_rho(p) + 1e-9))
+    report = verify_ls(points=[(0.5, 0.0)], n=16, n_samples=2)
+    assert report.verdicts() == {"min_ls_slack(lambda=0.5, m=0.0)": True,
+                                 "rho_minimized_error(lambda=0.5, m=0.0)": False}
+    assert not report.rows[0]["pass"] and not report.passed
+    code = main(["verify-ls", "--lambdas", "0.5", "--n", "16", "--samples", "2",
+                 "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert lines[1].endswith(" FAIL") and lines[-1] == "overall: FAIL"
