@@ -7,12 +7,15 @@ override config entries and are checked by the config parser exactly as
 the same value in the file would be.
 Each handler parses, dispatches to runners and returns whether every
 acceptance check it ran passed.  Exit codes: 0 success, 1 usage/config
-error, 2 numerical failure (overflow included), 3 acceptance-check failure.
+error, 2 numerical failure (overflow included), 3 acceptance-check failure,
+141 standard output closed by its reader (128 + SIGPIPE, as a shell reports
+a filter that SIGPIPE stopped).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from .runners import (
 )
 from .solver import SolverError
 
-USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILED = 1, 2, 3
+USAGE_ERROR, NUMERICAL_ERROR, CHECK_FAILED, BROKEN_PIPE = 1, 2, 3, 141
 
 
 # argument destination -> the config key it overrides
@@ -191,11 +194,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return 0 if args.func(args) else CHECK_FAILED
+        passed = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return 0 if passed else CHECK_FAILED
     # numerical first: LinAlgError is a ValueError
     except (SolverError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    # before OSError: a reader that stops reading (head, a pager) is no error
+    except BrokenPipeError:
+        # what is left to flush at exit goes to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -2,7 +2,8 @@
 the inequality verification battery and the angular-transform check.
 Every artifact is a self-describing CSV or a summary recomputable from the
 CSVs: a Report, which the runner writes and returns and opkin prints.  Every
-verdict is a Check in that Report, the battery's per-point ones included."""
+verdict is a Check in that Report, the battery's per-point ones included.
+decay.csv is the columns of solve's Trajectory, written as they stand."""
 
 from __future__ import annotations
 
@@ -119,16 +120,6 @@ class Report:
         path.write_text(str(self) + "\n", encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class DecayReport(Report):
-    """A decay run's summary with its trajectory and fitted decay rates."""
-
-    trajectory: Trajectory
-    k_constant: float | None          # None outside the L2 regime
-    entropy_fit: DecayFit | None
-    wl2_fit: DecayFit | None
-
-
 _NOT_FITTED = f"not fitted (needs at least {MIN_POINTS} samples in the window, all positive)"
 
 
@@ -139,16 +130,17 @@ def _safe_fit(times, values, window) -> DecayFit | None:
         return None
 
 
-def build_decay_report(cfg: ExperimentConfig, traj: Trajectory) -> DecayReport:
+def build_decay_report(cfg: ExperimentConfig, traj: Trajectory) -> Report:
     """Fit log H and log ||.||* over the second half of the run and check
     the run.  A rate that could not be fitted fails: no decay was measured."""
-    p = traj.params
-    t = traj.times
+    p = cfg.params()
+    # the leading decay.csv columns, in file order
+    t, entropy, fisher, k_fisher, l1, wl2, *_ = traj.columns.values()
     fit_window = (0.5 * float(t[-1]), float(t[-1]))
     admissible = classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
     k = log_sobolev_constant(p) if admissible else None
-    ef = _safe_fit(t, traj.entropy, fit_window)
-    wf = _safe_fit(t, traj.wl2_dist, fit_window)
+    ef = _safe_fit(t, entropy, fit_window)
+    wf = _safe_fit(t, wl2, fit_window)
     lines = [
         f"lambda = {p.lam!r}",
         f"m = {p.m!r}",
@@ -167,7 +159,7 @@ def build_decay_report(cfg: ExperimentConfig, traj: Trajectory) -> DecayReport:
         f"window = [{ef.window[0]:g}, {ef.window[1]:g}])",
         f"weighted_l2_slope = {_NOT_FITTED}" if wf is None else
         f"weighted_l2_slope = {_fmt(wf.slope)} (r2 = {wf.r_squared:.6f})",
-        f"final_l1_to_equilibrium = {_fmt(float(traj.l1_dist[-1]))}",
+        f"final_l1_to_equilibrium = {_fmt(float(l1[-1]))}",
     ]
     checks = []
     if admissible:
@@ -178,14 +170,14 @@ def build_decay_report(cfg: ExperimentConfig, traj: Trajectory) -> DecayReport:
         Check.at_most("entropy_monotone", traj.max_entropy_increase, 1e-12),
         Check.at_most("mass_conserved", traj.max_mass_drift, 1e-12),
     ]
-    finite = np.isfinite(traj.fisher)
+    finite = np.isfinite(fisher)
     if admissible and np.any(finite):
-        slack = float((k * traj.fisher[finite] - traj.entropy[finite]).min())
+        slack = float((k_fisher[finite] - entropy[finite]).min())
         checks.append(Check.at_least("ls_rows", slack, -1e-9))
-    return DecayReport(tuple(lines), tuple(checks), traj, k, ef, wf)
+    return Report(tuple(lines), tuple(checks))
 
 
-def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
+def run_solve(cfg: ExperimentConfig, out_dir) -> Report:
     """Decay experiment: check the inputs, integrate, write CSVs + summary."""
     p = cfg.params()
     v0 = cfg.initial_density()
@@ -193,15 +185,7 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
     out.mkdir(parents=True, exist_ok=True)
     traj = solve(p, v0, cfg.dt, cfg.t_end, cfg.sample_every)
     report = build_decay_report(cfg, traj)
-
-    k_col = (report.k_constant * traj.fisher) if report.k_constant is not None \
-        else np.full_like(traj.fisher, math.nan)
-    write_csv(
-        out / "decay.csv",
-        ["t", "entropy", "fisher", "k_fisher", "l1_dist", "weighted_l2", "mass", "mean"],
-        [traj.times, traj.entropy, traj.fisher, k_col,
-         traj.l1_dist, traj.wl2_dist, traj.mass, traj.mean],
-    )
+    write_csv(out / "decay.csv", list(traj.columns), list(traj.columns.values()))
     write_equilibrium_csv(out, p, v0.grid, traj.equilibrium)
     write_csv(out / "final_state.csv", ["y", "density"],
               [v0.grid.centers, traj.final.values])
@@ -211,7 +195,7 @@ def run_solve(cfg: ExperimentConfig, out_dir) -> DecayReport:
 
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """One run_solve per sweep_lambdas value, each in its own subdirectory:
-    {lambda: (that subdirectory, its DecayReport)}."""
+    {lambda: (that subdirectory, its Report)}."""
     if not cfg.sweep_lambdas:
         raise ConfigError("sweep requires sweep_lambdas in the config or --lambdas")
     runs = {}
@@ -377,7 +361,8 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     minimum log-Sobolev slack over n_samples random smooth densities) and
     rho_minimized_error (the minimized potential curvature against its
     closed form); the uniform case (1, 0) adds min_uniform_slack, the
-    unconstrained battery.  A row passes when its point's checks do.
+    unconstrained battery.  A row passes when its point's checks do.  A
+    point given twice is a ConfigError, raised before any output.
 
     The reference field is built once per point.  The random densities are
     drawn and scored in row blocks of about 1e4 values (25 rows at
@@ -391,6 +376,10 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     pts = default_ls_grid() if points is None else list(points)
     if not pts:
         raise ConfigError("points must hold at least one (lambda, m) pair")
+    # a check is named by its point, so a point given twice would hide one
+    repeated = [f"(lambda={lv}, m={mv})" for i, (lv, mv) in enumerate(pts) if pts[i] in pts[:i]]
+    if repeated:
+        raise ConfigError("repeated grid points: " + ", ".join(dict.fromkeys(repeated)))
     bad = [
         f"(lambda={lv}, m={mv})" for lv, mv in pts
         if classify_params(KineticParams(lv, mv)) < ParamRegime.L2_EQUILIBRIUM

@@ -21,7 +21,8 @@ solve checks each block once: finiteness, nonnegativity, mass drift and
 entropy monotonicity over every row.  It buffers the sampled
 rows across blocks and scores them in chunks of about one block's values,
 each chunk one (rows, n) stack through the functionals.  Every step is
-still checked.  dgttrf and dgttrs are scipy's LAPACK wrappers, loaded from
+still checked.  Its Trajectory.columns is decay.csv, header names in file
+order.  dgttrf and dgttrs are scipy's LAPACK wrappers, loaded from
 their extension file by _scipy, since importing scipy.linalg would load
 scipy's array-API layer.
 """
@@ -37,7 +38,7 @@ from ._scipy import dgttrf, dgttrs, exprel
 from .config import whole_steps
 from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
 from .grid import DensityField, Grid, _mean
-from .params import KineticParams
+from .params import KineticParams, ParamRegime, classify_params, log_sobolev_constant
 
 
 class SolverError(RuntimeError):
@@ -170,38 +171,34 @@ def march(p: KineticParams, v0: DensityField, dt: float, n_steps: int):
 class Trajectory:
     """Sampled functional rows along a solve.
 
-    All distances are measured against the discrete kernel equilibrium (the
-    scheme's own steady state), which is what makes the entropy column
-    exactly monotone and the late-time decay rates clean.
+    columns is decay.csv: its keys are the file's header names in file
+    order, each an array with one entry per sampled row.  All distances are
+    measured against the discrete kernel equilibrium (the scheme's own
+    steady state), which is what makes the entropy column exactly monotone
+    and the late-time decay rates clean.
     """
 
-    params: KineticParams
-    times: np.ndarray
-    entropy: np.ndarray
-    fisher: np.ndarray
-    l1_dist: np.ndarray
-    wl2_dist: np.ndarray
-    mass: np.ndarray
-    mean: np.ndarray
+    columns: dict
     max_entropy_increase: float
     max_mass_drift: float
     final: DensityField
     equilibrium: DensityField
 
 
-def _score_rows(times, values, mass, entropy, eq_field: DensityField, lam: float):
-    """The Trajectory columns of a (rows, n) stack of sampled rows.
+def _score_rows(times, values, mass, entropy, eq_field: DensityField, lam: float, k: float):
+    """The decay.csv columns of a (rows, n) stack of sampled rows, k the
+    log-Sobolev constant (NaN outside the L2 regime).
 
     Each functional is one pass over the stack; a row with a cell <= 0 has
     infinite Fisher information.
     """
-    l1 = l1_distance(values, eq_field)
-    wl2 = weighted_l2(values, eq_field)
     fisher = np.full(len(values), math.inf)
     positive = (values > 0.0).all(axis=-1)
     if positive.any():
         fisher[positive] = weighted_fisher(values[positive], eq_field, lam)
-    return times, entropy, fisher, l1, wl2, mass, _mean(values, eq_field.grid)
+    return {"t": times, "entropy": entropy, "fisher": fisher, "k_fisher": k * fisher,
+            "l1_dist": l1_distance(values, eq_field), "weighted_l2": weighted_l2(values, eq_field),
+            "mass": mass, "mean": _mean(values, eq_field.grid)}
 
 
 def _entropies(values: np.ndarray, eq_field: DensityField, first_step: int) -> np.ndarray:
@@ -229,7 +226,8 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     last value carried over) and the mass drift.  The sampled rows, v0
     first, wait across blocks until at least rows_per_block(n) are
     pending (and at the last block), and each such chunk is scored as one
-    stack.  The final density is the only DensityField built.
+    stack by _score_rows, which names the decay.csv columns.  The final
+    density is the only DensityField built.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -246,6 +244,8 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
         raise SolverError(f"the discrete steady state underflows on {tiny.sum()} of "
                           f"{g.size} cells (its log spans {span:.1f})")
     chunk = rows_per_block(v0.grid.n_cells)
+    ls_constant = (log_sobolev_constant(p) if classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
+                   else math.nan)
 
     start, start_mass = v0.values[None, :], v0.mass()
     h = _entropies(start, eq_field, 0)
@@ -268,18 +268,10 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
         if n_pending >= chunk or steps.stop > n_steps:
             stack = [np.concatenate(c) for c in zip(*pending)]
             pending, n_pending = [], 0
-            scored.append(_score_rows(*stack, eq_field, p.lam))
+            scored.append(_score_rows(*stack, eq_field, p.lam, ls_constant))
 
-    times, entropy, fisher, l1, wl2, mass, mean = (np.concatenate(c) for c in zip(*scored))
     return Trajectory(
-        params=p,
-        times=times,
-        entropy=entropy,
-        fisher=fisher,
-        l1_dist=l1,
-        wl2_dist=wl2,
-        mass=mass,
-        mean=mean,
+        columns={name: np.concatenate([c[name] for c in scored]) for name in scored[0]},
         max_entropy_increase=max_increase,
         max_mass_drift=max_mass_drift,
         final=DensityField(v0.grid, values[-1]),

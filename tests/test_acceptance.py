@@ -147,7 +147,8 @@ def test_criterion_3_conservation(decay_runs):
         y = g.centers
         v0 = DensityField(g, (1.0 - y * y) * (1.0 + y)).normalized()
         traj = solve(p, v0, 1e-3, 2.0, 40)
-        drifts.append(abs(traj.mean[-1] - traj.mean[0]) / traj.times[-1])
+        drifts.append(abs(traj.columns["mean"][-1] - traj.columns["mean"][0])
+                      / traj.columns["t"][-1])
     order = -float(np.polyfit(np.log(ns), np.log(drifts), 1)[0])
     ok = worst_mass <= 1e-12 and order >= 1.0
     _report(3, "mass and mean conservation", ok,
@@ -162,7 +163,7 @@ def test_criterion_4_entropy_decay_rate(decay_runs):
     for lam in (0.2, 0.4, 0.6, 0.8):
         traj = decay_runs[(lam, 0.0)]
         bound = -(2.0 - lam) * 0.95
-        fit = fit_decay_rate(traj.times, traj.entropy, (5.0, 10.0))
+        fit = fit_decay_rate(traj.columns["t"], traj.columns["entropy"], (5.0, 10.0))
         mono = traj.max_entropy_increase <= 1e-12
         ok = ok and mono and fit.slope <= bound
         details.append(f"lam={lam}: slope={fit.slope:.2f}<= {bound:.2f}, "
@@ -175,7 +176,7 @@ def test_criterion_5_weighted_l2_decay(decay_runs):
     ok = True
     details = []
     for key, traj in decay_runs.items():
-        fit = fit_decay_rate(traj.times, traj.wl2_dist, (5.0, 10.0))
+        fit = fit_decay_rate(traj.columns["t"], traj.columns["weighted_l2"], (5.0, 10.0))
         ok = ok and fit.slope <= -1.9
         details.append(f"{key}: slope={fit.slope:.2f}")
     _report(5, "weighted-L2 decay rate", ok, "; ".join(details))

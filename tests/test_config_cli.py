@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from opinion_kinetics.cli import main
 from opinion_kinetics.config import ConfigError, parse_config, parse_config_text
 from opinion_kinetics.runners import Check, Report, default_ls_grid, run_mc, run_solve, verify_ls
+from opinion_kinetics.solver import solve
 
 
 def test_minimal_config_defaults(tmp_path):
@@ -129,6 +131,16 @@ def test_run_solve_outputs_and_rerun_identical(tmp_path):
     assert header == "t,entropy,fisher,k_fisher,l1_dist,weighted_l2,mass,mean"
 
 
+def test_trajectory_columns_are_decay_csv_in_readme_order(tmp_path):
+    cfg = parse_config_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.1\n")
+    run_solve(cfg, tmp_path)
+    traj = solve(cfg.params(), cfg.initial_density(), cfg.dt, cfg.t_end, cfg.sample_every)
+    header = (tmp_path / "decay.csv").read_text().splitlines()[0].split(",")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = re.search(r"`solve` writes `decay.csv` \(([^)]*)\)", readme).group(1)
+    assert list(traj.columns) == header == re.split(r",\s+", documented)
+
+
 def test_run_solve_equilibrium_start_all_zero(tmp_path):
     # start exactly at the scheme's steady state via the file: mechanism
     from opinion_kinetics.grid import Grid
@@ -142,11 +154,11 @@ def test_run_solve_equilibrium_start_all_zero(tmp_path):
         f"lambda = 1.0\nm = 0\nn = 64\ndt = 1e-3\nt_end = 0.2\n"
         f"sample_every = 10\ninitial = file:{ic}\n"
     )
-    report = run_solve(cfg, tmp_path / "eq_run")
-    traj = report.trajectory
-    assert np.all(traj.entropy <= 1e-12)
-    assert np.all(traj.l1_dist <= 1e-12)
-    assert np.all(traj.wl2_dist <= 1e-12)
+    run_solve(cfg, tmp_path / "eq_run")
+    rows = np.genfromtxt(tmp_path / "eq_run" / "decay.csv", delimiter=",", names=True)
+    assert np.all(rows["entropy"] <= 1e-12)
+    assert np.all(rows["l1_dist"] <= 1e-12)
+    assert np.all(rows["weighted_l2"] <= 1e-12)
 
 
 def test_cli_equilibrium_and_exit_codes(tmp_path):
@@ -396,6 +408,54 @@ def test_cli_os_error_exits_1_with_one_error_line(argv, capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lambdas", ["0.5,0.5", "0.5,5e-1"])
+def test_cli_verify_ls_repeated_lambda_exits_1_before_any_output(lambdas, capsys, tmp_path):
+    code = main(["verify-ls", "--lambdas", lambdas, "--n", "16", "--samples", "1",
+                 "--out", str(tmp_path / "d")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: repeated grid points: (lambda=0.5, m=0.0), ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A standard output whose reader has gone: every write raises."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_cli_closed_stdout_exits_141_without_an_error_line(monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "stdout", "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main(["verify-ls", "--lambdas", "0.5", "--n", "16", "--samples", "1"])
+        # what is flushed at exit now goes to devnull
+        os.write(sink.fileno(), b"flushed at exit")
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "stdout").read_bytes() == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_cli_stdout_closed_by_its_reader_exits_141(unbuffered):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    argv = [sys.executable, "-m", "opinion_kinetics", "verify-ls", "--lambdas", "0.5",
+            "--n", "16", "--samples", "1"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()  # before the child writes anything
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def test_module_help_lists_every_subcommand():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
@@ -541,7 +601,6 @@ def test_unfitted_rate_verdicts_are_false(tmp_path):
     cfg = parse_config_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.1\n"
                             "sample_every = 100\n")
     report = run_solve(cfg, tmp_path)
-    assert report.entropy_fit is None and report.wl2_fit is None
     verdicts = report.verdicts()
     assert verdicts["entropy_rate"] is False
     assert verdicts["weighted_l2_rate"] is False

@@ -92,6 +92,14 @@ def test_verify_ls_rejects_empty_points():
         verify_ls(points=[], n=16, n_samples=1)
 
 
+def test_verify_ls_rejects_a_repeated_point_before_any_output(tmp_path):
+    # each check is named by its point: a repeated one would hide a verdict
+    points = [(0.5, 0.0), (1.0, 0.0), (0.5, 0.0)]
+    with pytest.raises(ConfigError, match=r"^repeated grid points: \(lambda=0.5, m=0.0\)$"):
+        verify_ls(points=points, n=16, n_samples=1, out_dir=tmp_path / "o")
+    assert not (tmp_path / "o").exists()
+
+
 _SMALL_MC = ("lambda = {lam}\nm = 0\nn = 100\ndt = 5e-3\ninitial = uniform\n"
              "mc.n = 2000\nmc.hist_n = {hist_n}\nmc.t_end = 0.2\n")
 

@@ -25,7 +25,7 @@ from opinion_kinetics.grid import (
     bimodal_density,
     uniform_density,
 )
-from opinion_kinetics.params import KineticParams
+from opinion_kinetics.params import KineticParams, log_sobolev_constant
 from opinion_kinetics.solver import (
     SolverError,
     assemble_coefficients,
@@ -229,9 +229,9 @@ def test_solve_from_equilibrium_is_flat():
     g = Grid(100)
     eq = discretize_equilibrium(p, g)
     traj = solve(p, eq, 1e-3, 0.5, sample_every=50)
-    assert np.all(traj.entropy <= 1e-12)
-    assert np.all(traj.l1_dist <= 1e-12)
-    assert np.all(traj.wl2_dist <= 1e-12)
+    assert np.all(traj.columns["entropy"] <= 1e-12)
+    assert np.all(traj.columns["l1_dist"] <= 1e-12)
+    assert np.all(traj.columns["weighted_l2"] <= 1e-12)
 
 
 def test_solve_trajectory_invariants():
@@ -239,12 +239,12 @@ def test_solve_trajectory_invariants():
     g = Grid(128)
     traj = solve(p, bimodal_density(g), 2e-3, 3.0, sample_every=25)
     assert traj.max_entropy_increase <= 1e-12
-    assert np.all(np.diff(traj.entropy) <= 1e-12)
-    assert np.max(np.abs(traj.mass - 1.0)) <= 1e-12
+    assert np.all(np.diff(traj.columns["entropy"]) <= 1e-12)
+    assert np.max(np.abs(traj.columns["mass"] - 1.0)) <= 1e-12
     assert traj.max_mass_drift <= 1e-12
     # terminal state close to the discrete steady state
-    assert traj.l1_dist[-1] <= 1e-2
-    assert math.isinf(traj.fisher[0]) or traj.fisher[0] >= 0.0
+    assert traj.columns["l1_dist"][-1] <= 1e-2
+    assert math.isinf(traj.columns["fisher"][0]) or traj.columns["fisher"][0] >= 0.0
 
 
 def test_solve_input_validation():
@@ -265,7 +265,7 @@ def test_solve_ends_at_t_end_or_raises():
     for dt, t_end in ((0.5, 0.1), (0.03, 0.1)):
         with pytest.raises(ValueError, match="must be a whole number of dt steps"):
             solve(p, v0, dt, t_end)
-    assert solve(p, v0, 0.05, 0.1).times[-1] == pytest.approx(0.1, rel=1e-12, abs=0)
+    assert solve(p, v0, 0.05, 0.1).columns["t"][-1] == pytest.approx(0.1, rel=1e-12, abs=0)
 
 
 def test_solver_runs_outside_l2_regime():
@@ -275,6 +275,15 @@ def test_solver_runs_outside_l2_regime():
     traj = solve(p, uniform_density(g), 1e-3, 0.5, sample_every=100)
     assert traj.max_mass_drift <= 1e-12
     assert np.all(traj.final.values >= 0.0)
+
+
+@pytest.mark.parametrize("lam, k", [(0.5, log_sobolev_constant(KineticParams(0.5, 0.0))),
+                                     (3.0, math.nan)], ids=["l2_regime", "lambda_3"])
+def test_k_fisher_is_k_times_fisher(lam, k):
+    # outside the L2 regime there is no K, and the column is all NaN
+    traj = solve(KineticParams(lam, 0.0), bimodal_density(Grid(64)), 1e-2, 0.5)
+    assert np.array_equal(traj.columns["k_fisher"], k * traj.columns["fisher"], equal_nan=True)
+    assert np.isnan(traj.columns["k_fisher"]).all() == math.isnan(k)
 
 
 def _reference_entropy(f, g, dy):
@@ -317,8 +326,8 @@ def test_solve_matches_banded_reference_bitwise(lam, m, n, dt, t_end):
 
     traj = solve(p, v0, dt, t_end, sample_every=every)
     assert np.array_equal(traj.final.values, v)
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.entropy, entropy)
+    assert np.array_equal(traj.columns["t"], times)
+    assert np.array_equal(traj.columns["entropy"], entropy)
 
 
 @pytest.mark.parametrize("n, t_end, start", [
@@ -356,14 +365,14 @@ def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
     fisher = [weighted_fisher(f.values, eq, p.lam) if np.all(f.values > 0.0) else math.inf
               for f in fields]
     assert math.isinf(fisher[0]) == (start == "point_mass")
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.entropy,
+    assert np.array_equal(traj.columns["t"], times)
+    assert np.array_equal(traj.columns["entropy"],
                           [entropy_gap(f.values, eq) for f in fields])
-    assert np.array_equal(traj.fisher, fisher)
-    assert np.array_equal(traj.l1_dist, [l1_distance(f.values, eq) for f in fields])
-    assert np.array_equal(traj.wl2_dist, [weighted_l2(f.values, eq) for f in fields])
-    assert np.array_equal(traj.mass, [f.mass() for f in fields])
-    assert np.array_equal(traj.mean, [f.mean() for f in fields])
+    assert np.array_equal(traj.columns["fisher"], fisher)
+    assert np.array_equal(traj.columns["l1_dist"], [l1_distance(f.values, eq) for f in fields])
+    assert np.array_equal(traj.columns["weighted_l2"], [weighted_l2(f.values, eq) for f in fields])
+    assert np.array_equal(traj.columns["mass"], [f.mass() for f in fields])
+    assert np.array_equal(traj.columns["mean"], [f.mean() for f in fields])
     assert np.array_equal(traj.final.values, fields[-1].values)
 
 
@@ -470,7 +479,7 @@ def test_entropy_increase_across_a_block_boundary_is_seen(monkeypatch):
     # step 51 opens the second 50-step block at n = 200; it restarts from v0
     p = KineticParams(0.5, 0.0)
     v0 = bimodal_density(Grid(200))
-    h_50 = solve(p, v0, 1e-3, 0.05, sample_every=50).entropy[-1]
+    h_50 = solve(p, v0, 1e-3, 0.05, sample_every=50).columns["entropy"][-1]
     calls = itertools.count(1)
 
     def restart(*args, **kwargs):
@@ -479,7 +488,7 @@ def test_entropy_increase_across_a_block_boundary_is_seen(monkeypatch):
 
     monkeypatch.setattr(solver_module, "dgttrs", restart)
     traj = solve(p, v0, 1e-3, 0.1)
-    assert traj.max_entropy_increase == traj.entropy[0] - h_50 > 0.0
+    assert traj.max_entropy_increase == traj.columns["entropy"][0] - h_50 > 0.0
 
 
 def _solve_scoring_each_block(p, v0, dt, t_end, every):
@@ -498,14 +507,15 @@ def _solve_scoring_each_block(p, v0, dt, t_end, every):
         k = np.arange(steps.start, steps.stop)
         keep = (k % every == 0) | (k == n_steps)
         pieces.append((times[keep], values[keep], mass[keep], h[keep]))
-    columns = {"times": [], "entropy": [], "fisher": [], "l1_dist": [], "wl2_dist": [],
-               "mass": [], "mean": []}
+    k = log_sobolev_constant(p)
+    columns = {"t": [], "entropy": [], "fisher": [], "k_fisher": [], "l1_dist": [],
+               "weighted_l2": [], "mass": [], "mean": []}
     for times, rows, mass, h in pieces:
         fisher = np.full(len(rows), math.inf)
         positive = (rows > 0.0).all(axis=-1)
         if positive.any():
             fisher[positive] = weighted_fisher(rows[positive], eq, p.lam)
-        for name, col in zip(columns, (times, h, fisher, l1_distance(rows, eq),
+        for name, col in zip(columns, (times, h, fisher, k * fisher, l1_distance(rows, eq),
                                        weighted_l2(rows, eq), mass, _mean(rows, v0.grid))):
             columns[name].append(col)
     return ({name: np.concatenate(cols) for name, cols in columns.items()},
@@ -527,7 +537,7 @@ def test_solve_chunks_equal_per_block_scoring_bitwise(monkeypatch, block_values,
                                                                          every)
     traj = solve(p, v0, 1e-2, 1.23, sample_every=every)
     for name, want in columns.items():
-        assert np.array_equal(getattr(traj, name), want), name
+        assert np.array_equal(traj.columns[name], want), name
     assert traj.max_entropy_increase == max_increase
     assert traj.max_mass_drift == max_drift
     assert np.array_equal(traj.final.values, final)
@@ -556,5 +566,5 @@ def test_solve_memory_stays_bounded_after_the_first_block(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.times) == 1001
+    assert len(traj.columns["t"]) == 1001
     assert peak - after_first[0] < 10 * 80e3
