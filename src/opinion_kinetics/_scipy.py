@@ -10,12 +10,18 @@ module is registered under its dotted name, so a later scipy.special or
 scipy.linalg import reuses it: the objects are the very ones the public
 names are bound to, and every result keeps its bits.
 
+xlogy and exprel load at import.  dgttrf and dgttrs load at the first
+call of lapack(), which the solver makes when it first factors I - dt A:
+_flapack brings scipy's OpenBLAS with it, a few MB of resident memory
+and a few ms, which a run that never steps the solver does not pay.
+
 On a scipy without these files (or without these names in them) the
 public import runs instead; that is the only path such a scipy takes.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import sys
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -49,4 +55,9 @@ def load(module: str, names: tuple, public: str) -> tuple:
 
 
 xlogy, exprel = load("scipy.special._special_ufuncs", ("xlogy", "exprel"), "scipy.special")
-dgttrf, dgttrs = load("scipy.linalg._flapack", ("dgttrf", "dgttrs"), "scipy.linalg.lapack")
+
+
+@functools.cache
+def lapack() -> tuple:
+    """(dgttrf, dgttrs), loaded at the first call and the same objects after."""
+    return load("scipy.linalg._flapack", ("dgttrf", "dgttrs"), "scipy.linalg.lapack")

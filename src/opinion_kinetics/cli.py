@@ -172,8 +172,16 @@ _COMMANDS = [
 ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but --help lets an error writing stdout through:
+    argparse drops it, and a closed stdout must exit 141 there too."""
+
+    def print_help(self, file=None):
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="opkin",
         description="Opinion-formation kinetics: Fokker-Planck decay runs, "
                     "Boltzmann Monte Carlo, and inequality verification.",
@@ -188,15 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        passed = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            code = USAGE_ERROR if exc.code not in (0, None) else 0
+        else:
+            code = 0 if args.func(args) else CHECK_FAILED
         sys.stdout.flush()  # a closed stdout raises here, not at exit
-        return 0 if passed else CHECK_FAILED
+        return code
     # numerical first: LinAlgError is a ValueError
     except (SolverError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

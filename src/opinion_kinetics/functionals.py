@@ -104,9 +104,10 @@ def _entropy_core(r: np.ndarray) -> np.ndarray:
     The direct formula, r * log(r) - (r - 1) with numpy's log, loses all
     significant digits once r - 1 falls below sqrt(eps); a short Taylor
     series takes over on those cells (|r - 1| < 0.01) so entropies as small
-    as ~1e-30 remain meaningful.  Each formula is evaluated only on the
-    cells that use it.  0 log 0 = 0, so r = 0 gives exactly 1; r < 0 and
-    NaN give NaN without a warning, as scipy's xlogy does.  Besides r it
+    as ~1e-30 remain meaningful.  When every cell is near, only the series
+    runs; otherwise the direct formula runs on every cell and the series
+    overwrites the near ones.  0 log 0 = 0, so r = 0 gives exactly 1; r < 0
+    and NaN give NaN without a warning, as scipy's xlogy does.  Besides r it
     holds two arrays of its size, u = r - 1 and the result, the masks, and
     a copy of u on the series cells.
     """

@@ -23,8 +23,8 @@ rows across blocks and scores them in chunks of about one block's values,
 each chunk one (rows, n) stack through the functionals.  Every step is
 still checked.  Its Trajectory.columns is decay.csv, header names in file
 order.  dgttrf and dgttrs are scipy's LAPACK wrappers, loaded from
-their extension file by _scipy, since importing scipy.linalg would load
-scipy's array-API layer.
+their extension file by _scipy.lapack at the first factorization, so a
+process that never steps the solver never loads LAPACK.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import dgttrf, dgttrs, exprel
+from ._scipy import exprel, lapack
 from .config import whole_steps
 from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
 from .grid import DensityField, Grid, _mean
@@ -118,16 +118,17 @@ def march(p: KineticParams, v0: DensityField, dt: float, n_steps: int):
     and yield them in blocks of up to rows_per_block(n) consecutive steps.
 
     At the first next() it checks dt > 0 and that v0 has unit mass to 1e-8
-    (ValueError), and factors I - dt A once (dgttrf; SolverError when that
-    fails).  A block is (steps, times, values, mass): the range of its step
-    numbers (1 to n_steps over the run), their times (t += dt per step from
-    t = 0), a fresh (rows, n) array whose row i is the density after step
-    steps[i], and the per-row masses.  Each step is one dgttrs solve in
-    place: the previous state is copied into row i and solved there, so a
-    step allocates no array.  I - dt A is an M-matrix, so each solve keeps
-    nonnegativity and mass for any dt; every step is still checked, once per
-    block, and the first non-finite or negative row raises SolverError
-    naming its step (non-finite first when a row is both).
+    (ValueError), and only then loads LAPACK (lapack()) and factors I - dt A
+    once (dgttrf; SolverError when that fails).  A block is (steps, times,
+    values, mass): the range of its step numbers (1 to n_steps over the
+    run), their times (t += dt per step from t = 0), a fresh (rows, n) array
+    whose row i is the density after step steps[i], and the per-row masses.
+    Each step is one dgttrs solve in place: the previous state is copied
+    into row i and solved there, so a step allocates no array.  I - dt A is
+    an M-matrix, so each solve keeps nonnegativity and mass for any dt;
+    every step is still checked, once per block, and the first non-finite
+    or negative row raises SolverError naming its step (non-finite first
+    when a row is both).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -135,6 +136,7 @@ def march(p: KineticParams, v0: DensityField, dt: float, n_steps: int):
         raise ValueError(f"initial density must have unit mass, got {v0.mass()}")
     grid = v0.grid
     upper, lower = assemble_coefficients(p, grid)
+    dgttrf, dgttrs = lapack()
     dl, d, du, du2, ipiv, info = dgttrf(-dt * lower, 1.0 - dt * _diagonal(upper, lower),
                                         -dt * upper)
     if info != 0:

@@ -443,12 +443,22 @@ def test_cli_closed_stdout_exits_141_without_an_error_line(monkeypatch, capsys, 
     assert (tmp_path / "stdout").read_bytes() == b""
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-def test_cli_stdout_closed_by_its_reader_exits_141(unbuffered):
+_VERIFY_LS = ["verify-ls", "--lambdas", "0.5", "--n", "16", "--samples", "1"]
+
+
+@pytest.mark.parametrize("args, unbuffered", [
+    pytest.param(_VERIFY_LS, "", id="buffered"),
+    pytest.param(_VERIFY_LS, "1", id="unbuffered"),
+    # argparse prints --help itself, and drops an error writing it
+    pytest.param(["--help"], "", id="help_buffered"),
+    pytest.param(["--help"], "1", id="help_unbuffered"),
+    pytest.param(["solve", "--help"], "", id="solve_help_buffered"),
+    pytest.param(["solve", "--help"], "1", id="solve_help_unbuffered"),
+])
+def test_cli_stdout_closed_by_its_reader_exits_141(args, unbuffered):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
-    argv = [sys.executable, "-m", "opinion_kinetics", "verify-ls", "--lambdas", "0.5",
-            "--n", "16", "--samples", "1"]
+    argv = [sys.executable, "-m", "opinion_kinetics", *args]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         proc.stdout.close()  # before the child writes anything
         err = proc.stderr.read()

@@ -49,6 +49,12 @@ def _rows(p, v0, dt, n_steps):
     return np.concatenate([b[2] for b in solver_module.march(p, v0, dt, n_steps)])
 
 
+def _stub_dgttrs(monkeypatch, fn):
+    """Make march step with fn in place of dgttrs, through the lapack() it
+    loads dgttrf and dgttrs from."""
+    monkeypatch.setattr(solver_module, "lapack", lambda: (dgttrf, fn))
+
+
 def _factors(p, g, dt):
     """dgttrf of I - dt A, the factors march steps with."""
     upper, lower = assemble_coefficients(p, g)
@@ -418,10 +424,10 @@ def test_march_checks_dt_and_mass_at_the_first_next(monkeypatch, dt, scale, matc
     v0 = DensityField(g, bimodal_density(g).values * scale)
     blocks = solver_module.march(p, v0, dt, 123)
 
-    def no_step(*args):
-        raise AssertionError("march stepped before its checks")
+    def no_load():
+        raise AssertionError("march loaded LAPACK before its checks")
 
-    monkeypatch.setattr(solver_module, "dgttrs", no_step)
+    monkeypatch.setattr(solver_module, "lapack", no_load)
     with pytest.raises(ValueError, match=match):
         next(blocks)
 
@@ -449,7 +455,7 @@ def _poison_steps(monkeypatch, bad_at):
             x[x.size // 2] = bad
         return x, info
 
-    monkeypatch.setattr(solver_module, "dgttrs", poisoned)
+    _stub_dgttrs(monkeypatch, poisoned)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1e-3])
@@ -486,7 +492,7 @@ def test_entropy_increase_across_a_block_boundary_is_seen(monkeypatch):
         x, info = dgttrs(*args, **kwargs)
         return (v0.values.copy() if next(calls) == 51 else x), info
 
-    monkeypatch.setattr(solver_module, "dgttrs", restart)
+    _stub_dgttrs(monkeypatch, restart)
     traj = solve(p, v0, 1e-3, 0.1)
     assert traj.max_entropy_increase == traj.columns["entropy"][0] - h_50 > 0.0
 

@@ -219,14 +219,16 @@ def test_boundary_asymptotics():
 
 
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.special", "scipy.linalg",
-                                    "scipy._lib._array_api", "concurrent.futures"])
+                                    "scipy._lib._array_api", "concurrent.futures",
+                                    "scipy.linalg._flapack"])
 def test_import_leaves_slow_scipy_modules_unloaded(module):
     # nothing in the package imports scipy.interpolate, and xlogy and the
-    # LAPACK routines load from their extension files; the Monte Carlo sweeps
-    # import concurrent.futures, which loads logging, only to draw ahead.  So
-    # a fresh import of the module opkin loads, which loads every other
-    # module, loads none of these; it does load scipy itself, whose version
-    # the benchmark records
+    # LAPACK routines load from their extension files, LAPACK's only at the
+    # solver's first factorization (see the test below); the Monte Carlo
+    # sweeps import concurrent.futures, which loads logging, only to draw
+    # ahead.  So a fresh import of the module opkin loads, which loads every
+    # other module, loads none of these; it does load scipy itself, whose
+    # version the benchmark records
     code = (f"import sys, opinion_kinetics.cli; "
             f"print({module!r} in sys.modules, 'scipy' in sys.modules)")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -259,3 +261,44 @@ print([m for m in slow if m in sys.modules])
     assert out.stdout.split("\n") == ["[]", ""]
     assert (tmp_path / "ls" / "ls_report.csv").exists()
     assert (tmp_path / "tc" / "transform_report.txt").exists()
+
+
+def test_lapack_loads_at_the_first_march_only(tmp_path):
+    # the runs that never step the solver, and a march that rejects its dt
+    # or its start, leave scipy's LAPACK (and its OpenBLAS) unloaded; the
+    # first march that factors I - dt A loads it, as the very objects
+    # scipy.linalg.lapack binds
+    code = f"""
+import sys
+from pathlib import Path
+from opinion_kinetics.cli import main
+from opinion_kinetics.config import parse_config_text
+from opinion_kinetics.grid import DensityField, bimodal_density
+from opinion_kinetics.runners import run_transform_check, verify_ls, write_equilibrium_csv
+from opinion_kinetics.solver import march
+out = Path({str(tmp_path)!r})
+cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\n")
+p, grid = cfg.params(), cfg.grid()
+write_equilibrium_csv(out, p, grid)
+verify_ls(points=[(0.5, 0.0)], n=16, n_samples=1, out_dir=out / "ls")
+run_transform_check(cfg, out / "tc")
+(out / "decay.csv").write_text("t,entropy\\n" + "".join(f"{{k}},{{2.0 ** -k}}\\n" for k in range(12)))
+assert main(["fit", "--csv", str(out / "decay.csv")]) == 0
+v0 = bimodal_density(grid)
+for dt, start in [(0.0, v0), (1e-2, DensityField(grid, 2.0 * v0.values))]:
+    try:
+        next(march(p, start, dt, 1))
+    except ValueError:
+        pass
+unloaded = "scipy.linalg._flapack" not in sys.modules
+next(march(p, v0, 1e-2, 1))
+flapack = sys.modules["scipy.linalg._flapack"]
+import scipy.linalg.lapack as lapack
+print(unloaded, flapack.dgttrf is lapack.dgttrf, flapack.dgttrs is lapack.dgttrs)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split()[-3:] == ["True"] * 3
+    assert (tmp_path / "equilibrium.csv").exists()
