@@ -2,9 +2,9 @@
 
 Subcommands: equilibrium, solve, mc, sweep, verify-ls, transform-check, fit.
 Each subcommand takes only the flags its handler reads (see _COMMANDS); any
-other flag is a usage error.  --n, --dt, --t-end and sweep's --lambdas
-override config entries and are checked by the config parser exactly as
-the same value in the file would be.
+other flag is a usage error.  --n, --dt, --t-end, sweep's --lambdas and
+mc's --seed (mc.seed) override config entries and are checked by the
+config exactly as the same value in the file would be.
 Each handler parses, dispatches to runners and returns whether every
 acceptance check it ran passed.  Exit codes: 0 success, 1 usage/config
 error, 2 numerical failure (overflow included), 3 acceptance-check failure,
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,9 @@ def _cmd_sweep(args) -> bool:
 
 def _cmd_mc(args) -> bool:
     cfg = _load_config(args)
-    report = run_mc(cfg, _out_dir(args, cfg), seed=args.seed)["report"]
+    if args.seed is not None and cfg.mc is not None:
+        cfg = replace(cfg, mc=replace(cfg.mc, seed=args.seed))
+    report = run_mc(cfg, _out_dir(args, cfg))["report"]
     print(report)
     return report.passed
 

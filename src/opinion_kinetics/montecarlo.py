@@ -14,6 +14,10 @@ interact once; interactions that would leave [-1, 1] are rejected (both
 agents keep their states), which preserves the range invariant at a bias
 of the order of the rejection fraction (counted and reported).
 
+A run's agents are drawn from a gridded density, piecewise constant per
+cell (sample_from_density); run_mc passes the density its Fokker-Planck
+reference starts from, so both sides start from one law.
+
 Drawing a sweep's permutation and noise costs about twice its arithmetic,
 and neither draw depends on the opinions.  So when the process may run on
 more than one CPU, mc_sweeps draws the whole random stream of sweep k + 1
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401  (load it with the package, not lazily inside a run)
 
-from .grid import BIMODAL_WIDTH, DensityField, Grid
+from .grid import DensityField, Grid
 from .params import KineticParams
 
 
@@ -60,8 +64,6 @@ class InteractionParams:
             raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if self.epsilon * self.gamma >= 1.0:
-            raise ValueError("scaled compromise epsilon*gamma must stay below 1")
 
     @classmethod
     def from_kinetic(cls, p: KineticParams, gamma: float,
@@ -110,37 +112,17 @@ def _check_range(x: np.ndarray) -> None:
         raise ValueError("opinions must lie in [-1, 1]")
 
 
-def initial_ensemble(n: int, seed: int, kind: str = "bimodal",
-                     width: float = BIMODAL_WIDTH) -> Ensemble:
-    """Seeded ensemble from a named initial law ("bimodal" or "uniform")."""
-    rng = np.random.default_rng(seed)
-    if kind == "uniform":
-        x = rng.uniform(-1.0, 1.0, n)
-    elif kind == "bimodal":
-        centers = np.where(rng.integers(0, 2, n) == 0, -0.5, 0.5)
-        # in place: the same roundings as centers + width * normal, no temporaries
-        x = rng.normal(size=n)
-        x *= width
-        x += centers
-        out = np.abs(x) > 1.0
-        while np.any(out):  # redraw = hard truncation to (-1, 1)
-            k = int(out.sum())
-            c = np.where(rng.integers(0, 2, k) == 0, -0.5, 0.5)
-            x[out] = c + width * rng.normal(size=k)
-            out = np.abs(x) > 1.0
-    else:
-        raise ValueError(f"unknown initial ensemble kind {kind!r}")
-    return Ensemble(opinions=x, rng=rng)
-
-
 def sample_from_density(f: DensityField, n: int, seed: int) -> Ensemble:
-    """Sample agents from a gridded density (piecewise constant per cell)."""
+    """n agents drawn by seed from a gridded density, piecewise constant per
+    cell: a cell by its mass, then a uniform offset from its left edge.  Built
+    in place, with the roundings of clip(edge + offset, -1, 1)."""
     rng = np.random.default_rng(seed)
     p = f.values / f.values.sum()
     cells = rng.choice(f.grid.n_cells, size=n, p=p)
-    lo = f.grid.edges[cells]
-    x = lo + rng.uniform(0.0, f.grid.cell_width, n)
-    return Ensemble(opinions=np.clip(x, -1.0, 1.0), rng=rng)
+    x = rng.uniform(0.0, f.grid.cell_width, n)
+    x += f.grid.edges[cells]
+    np.clip(x, -1.0, 1.0, out=x)
+    return Ensemble(opinions=x, rng=rng)
 
 
 def sample_noise(rng: np.random.Generator, sigma2_scaled: float, out: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from .grid import DensityField, Grid, random_grid_functions, random_smooth_densi
 from .montecarlo import (
     Ensemble,
     InteractionParams,
-    initial_ensemble,
     mc_sweeps,
     moments,
     sample_from_density,
@@ -212,10 +211,12 @@ def coarsen_density(f: DensityField, coarse: Grid) -> DensityField:
     return DensityField(coarse, f.values.reshape(coarse.n_cells, -1).mean(axis=1))
 
 
-def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
+def run_mc(cfg: ExperimentConfig, out_dir) -> dict:
     """Monte Carlo run with matched Fokker-Planck reference at sample times:
     the "report" it writes, its "pass", "final_l1" and the final "ensemble".
 
+    Both sides start from cfg.initial_density(): the solver marches it, and
+    mc.n agents are drawn from it, piecewise constant per cell, by mc.seed.
     The pair rule conserves the ensemble mean while the Fokker-Planck drift
     moves the mean to m, so an initial law whose mean is not m is rejected
     before any output."""
@@ -228,17 +229,10 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
             f"field 'm': the Monte Carlo keeps the mean of the initial law, "
             f"{v0.mean()!r}, so m must equal it, got {p.m!r}")
     mc_cfg = cfg.mc
-    use_seed = mc_cfg.seed if seed is None else seed
-    if use_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {use_seed}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ip = InteractionParams.from_kinetic(p, gamma=mc_cfg.gamma, epsilon=mc_cfg.epsilon)
-
-    if cfg.initial in ("bimodal", "uniform"):
-        ens = initial_ensemble(mc_cfg.n_agents, use_seed, cfg.initial, cfg.bimodal_width)
-    else:
-        ens = sample_from_density(v0, mc_cfg.n_agents, use_seed)
+    ens = sample_from_density(v0, mc_cfg.n_agents, mc_cfg.seed)
 
     hist_grid = Grid(mc_cfg.hist_n)
     t_samples = mc_cfg.sample_times
@@ -258,8 +252,7 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
     mean_col, var_col = np.empty(total_sweeps + 1), np.empty(total_sweeps + 1)
     rej_col = np.zeros(total_sweeps + 1)  # pairs rejected up to sweep k
     header, cols, l1_rows = ["y"], [hist_grid.centers], []
-    x = ens.opinions  # the state after sweep 0, kept when there are no sweeps
-    mean_col[0], var_col[0] = moments(x)
+    mean_col[0], var_col[0] = moments(ens.opinions)  # the state after sweep 0
     rejected = 0
     edge_deficit = math.nan  # at the last sample time
     with closing(mc_sweeps(ens, ip, total_sweeps)) as run:
@@ -292,14 +285,15 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
     write_csv(out / "mc_vs_fp.csv", ["t_fp", "l1_distance"],
               [[r[0] for r in l1_rows], [r[1] for r in l1_rows]])
 
-    check = Check.at_most("final_l1_mc_vs_fp", l1_rows[-1][1] if l1_rows else None, 0.05)
+    # the config makes each sample time a whole number of sweeps, at least 1
+    check = Check.at_most("final_l1_mc_vs_fp", l1_rows[-1][1], 0.05)
     report = Report((
         f"lambda = {p.lam!r}",
         f"m = {p.m!r}",
         f"n_agents = {mc_cfg.n_agents}",
         f"epsilon = {mc_cfg.epsilon!r}",
         f"gamma = {mc_cfg.gamma!r}",
-        f"seed = {use_seed}",
+        f"seed = {mc_cfg.seed}",
         f"sweeps = {total_sweeps}",
         f"rejection_fraction = {_fmt(ens.rejection_fraction)}",
         # the noise can leave [-1, 1] within 6 eps sigma2 of an endpoint
@@ -309,8 +303,7 @@ def run_mc(cfg: ExperimentConfig, out_dir, seed=None) -> dict:
         f"edge_bin_deficit = {_fmt(edge_deficit)}",
     ), (check,))
     report.write(out / "mc_summary.txt")
-    final_l1 = math.nan if check.value is None else check.value
-    return {"final_l1": final_l1, "pass": report.passed, "ensemble": ens, "report": report}
+    return {"final_l1": check.value, "pass": report.passed, "ensemble": ens, "report": report}
 
 
 def default_ls_grid(lambdas=None):

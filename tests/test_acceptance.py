@@ -30,8 +30,8 @@ from opinion_kinetics.montecarlo import (
     Ensemble,
     InteractionParams,
     histogram,
-    initial_ensemble,
     mc_sweeps,
+    sample_from_density,
 )
 from opinion_kinetics.params import KineticParams, bakry_emery_rho, log_sobolev_constant
 from opinion_kinetics.solver import discretize_equilibrium, march, solve
@@ -222,22 +222,22 @@ def test_criterion_6_inequality_property_suites():
 def test_criterion_7_micro_macro_consistency():
     t0 = time.time()
     p = KineticParams(0.5, 0.0)
+    start = bimodal_density(Grid(200))  # the law both sides start from
 
     # (a) histogram vs solver at t_fp = 2
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.01)
-    ens = initial_ensemble(100_000, seed=42, kind="bimodal")
+    ens = sample_from_density(start, 100_000, seed=42)
     hist_grid = Grid(50)
     ens = _swept(ens, ip, whole_steps(2.0, ip.epsilon * ip.gamma))
     hist = histogram(ens.opinions, hist_grid)
-    fine = Grid(200)
-    final = _last_row(p, bimodal_density(fine), 1e-3, 2000)
+    final = _last_row(p, start, 1e-3, 2000)
     fp = DensityField(hist_grid, final.values.reshape(50, -1).mean(axis=1))
     l1_mc_fp = l1_distance(hist.values, fp)
 
     # (b) mean conservation across 50 independent runs
     drifts = []
     for seed in range(50):
-        e = initial_ensemble(5000, seed=100 + seed, kind="bimodal")
+        e = sample_from_density(start, 5000, seed=100 + seed)
         m0 = float(e.opinions.mean())
         e = _swept(e, ip, whole_steps(1.0, ip.epsilon * ip.gamma))
         drifts.append(float(e.opinions.mean()) - m0)
@@ -249,7 +249,7 @@ def test_criterion_7_micro_macro_consistency():
     hists = []
     for gamma in (0.4, 0.8):
         ipg = InteractionParams(gamma=gamma, sigma2=p.lam * gamma, epsilon=0.01)
-        e = initial_ensemble(100_000, seed=11, kind="bimodal")
+        e = sample_from_density(start, 100_000, seed=11)
         e = _swept(e, ipg, whole_steps(2.0, ipg.epsilon * ipg.gamma))
         hists.append(histogram(e.opinions, hist_grid))
     l1_invariance = l1_distance(hists[0].values, hists[1])

@@ -12,6 +12,7 @@ import pytest
 
 from opinion_kinetics.cli import main
 from opinion_kinetics.config import ConfigError, parse_config, parse_config_text
+from opinion_kinetics.montecarlo import moments, sample_from_density
 from opinion_kinetics.runners import Check, Report, default_ls_grid, run_mc, run_solve, verify_ls
 from opinion_kinetics.solver import solve
 
@@ -244,9 +245,6 @@ def test_cli_rejects_an_empty_lambda_list_or_a_negative_seed(argv, flag, capsys,
 
 
 def test_runners_reject_a_negative_seed_before_any_output(tmp_path):
-    cfg = parse_config_text("lambda = 0.5\nm = 0\nmc.n = 100\n")
-    with pytest.raises(ConfigError, match="seed must be >= 0"):
-        run_mc(cfg, tmp_path / "o", seed=-1)
     with pytest.raises(ConfigError, match="seed must be >= 0"):
         verify_ls(points=[(0.5, 0.0)], n=8, n_samples=1, seed=-1, out_dir=tmp_path / "o")
     assert not (tmp_path / "o").exists()
@@ -284,6 +282,40 @@ def test_cli_mc_deterministic_outputs(tmp_path):
         main(["mc", "--config", str(cfg), "--out", str(tmp_path / sub)])
     for name in ("mc_hist.csv", "moments.csv", "mc_vs_fp.csv"):
         assert (tmp_path / "m1" / name).read_bytes() == (tmp_path / "m2" / name).read_bytes()
+
+
+_SMALL_MC = ("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.2\n"
+             "mc.n = 100\nmc.t_end = 0.04\nmc.hist_n = 8\n")
+
+
+def test_cli_mc_seed_flag_is_the_config_seed(tmp_path, capsys):
+    for name, text, flags in (("flag", _SMALL_MC, ["--seed", "7"]),
+                              ("file", _SMALL_MC + "mc.seed = 7\n", [])):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        main(["mc", "--config", str(cfg), "--out", str(tmp_path / name)] + flags)
+        assert "\nseed = 7\n" in capsys.readouterr().out
+    written = sorted(path.name for path in (tmp_path / "flag").iterdir())
+    assert written == ["mc_hist.csv", "mc_summary.txt", "mc_vs_fp.csv",
+                       "moments.csv", "rejection_stats.csv"]
+    for name in written:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+@pytest.mark.parametrize("initial", ["bimodal", "uniform", "file"])
+def test_cli_mc_draws_its_agents_from_the_solver_start(initial, tmp_path):
+    # row 0 of moments.csv is the sample the Monte Carlo starts from
+    if initial == "file":
+        start = tmp_path / "start.txt"
+        np.savetxt(start, [0, 1, 3, 2, 0, 0, 5, 1, 1, 5, 0, 0, 2, 3, 1, 0])
+        initial = f"file:{start}"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(_SMALL_MC + f"initial = {initial}\nmc.seed = 5\n", encoding="utf-8")
+    main(["mc", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    config = parse_config(cfg)
+    drawn = sample_from_density(config.initial_density(), config.mc.n_agents, config.mc.seed)
+    rows = np.loadtxt(tmp_path / "o" / "moments.csv", delimiter=",", skiprows=1)
+    assert tuple(rows[0, 1:]) == moments(drawn.opinions)
 
 
 def test_cli_transform_check(tmp_path):
@@ -377,14 +409,17 @@ def test_cli_fit_bad_column_exits_1(column, message, tmp_path, capsys):
     assert captured.out == "" and "error: " in captured.err and message in captured.err
 
 
-@pytest.mark.parametrize("command, message", [
-    pytest.param("sweep", "sweep requires sweep_lambdas", id="sweep_no_lambdas"),
-    pytest.param("mc", "mc run requires an mc block", id="mc_no_block"),
+@pytest.mark.parametrize("command, message, flags", [
+    pytest.param("sweep", "sweep requires sweep_lambdas", [], id="sweep_no_lambdas"),
+    pytest.param("mc", "mc run requires an mc block", [], id="mc_no_block"),
+    # --seed replaces mc.seed, and makes no mc block where there is none
+    pytest.param("mc", "mc run requires an mc block", ["--seed", "7"], id="mc_seed_no_block"),
 ])
-def test_cli_missing_setting_exits_1_before_any_output(command, message, capsys, tmp_path):
+def test_cli_missing_setting_exits_1_before_any_output(command, message, flags,
+                                                       capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("lambda = 0.5\nm = 0\nn = 16\n", encoding="utf-8")
-    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")] + flags)
     err = capsys.readouterr().err
     assert code == 1
     assert message in err and "Traceback" not in err

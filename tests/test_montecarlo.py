@@ -11,19 +11,21 @@ from opinion_kinetics import montecarlo
 from opinion_kinetics.config import whole_steps
 from opinion_kinetics.equilibrium import BetaEquilibrium
 from opinion_kinetics.functionals import l1_distance
-from opinion_kinetics.grid import Grid
+from opinion_kinetics.grid import DensityField, Grid, bimodal_density, uniform_density
 from opinion_kinetics.montecarlo import (
     Ensemble,
     InteractionParams,
     _interact,
     histogram,
-    initial_ensemble,
     mc_sweeps,
     moments,
     sample_from_density,
     sample_noise,
 )
 from opinion_kinetics.params import KineticParams
+
+# the two preset starts on the README grid: run_mc draws its agents from these
+BIMODAL, UNIFORM = bimodal_density(Grid(200)), uniform_density(Grid(200))
 
 
 def _swept(e, ip, n_sweeps):
@@ -119,7 +121,7 @@ def test_mc_step_odd_size_error():
 
 def test_mc_step_range_invariant_and_rejections():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    e = initial_ensemble(20_000, seed=5, kind="bimodal")
+    e = sample_from_density(BIMODAL, 20_000, seed=5)
     rejected = 0
     for _, x, rejected_k, _ in mc_sweeps(e, ip, 50):
         assert np.all(np.abs(x) <= 1.0)
@@ -129,7 +131,7 @@ def test_mc_step_range_invariant_and_rejections():
 
 def test_mc_step_mean_within_standard_errors():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    e = initial_ensemble(50_000, seed=9, kind="bimodal")
+    e = sample_from_density(BIMODAL, 50_000, seed=9)
     m0 = moments(e.opinions)[0]
     n_sweeps = 200
     e = _swept(e, ip, n_sweeps)
@@ -142,7 +144,7 @@ def test_determinism_bitwise():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     runs = []
     for _ in range(2):
-        e = initial_ensemble(1000, seed=1234, kind="bimodal")
+        e = sample_from_density(BIMODAL, 1000, seed=1234)
         runs.append(_swept(e, ip, 10).opinions)
     assert np.array_equal(runs[0], runs[1])
 
@@ -151,12 +153,12 @@ def test_mc_sweeps_matches_a_plain_reference_loop():
     # the reference writes the pair rule out as one expression: shuffle,
     # pair the contiguous halves, keep both states of a rejected pair
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    e = initial_ensemble(1000, seed=21, kind="bimodal")
+    e = sample_from_density(BIMODAL, 1000, seed=21)
     x0 = e.opinions.copy()
     swept = [(k, x.copy(), rejected) for k, x, rejected, _ in mc_sweeps(e, ip, 25)]
     assert np.array_equal(e.opinions, x0)  # the caller's ensemble is unchanged
 
-    rng = initial_ensemble(1000, seed=21, kind="bimodal").rng
+    rng = sample_from_density(BIMODAL, 1000, seed=21).rng
     g_s, half = ip.epsilon * ip.gamma, x0.size // 2
     x = x0.copy()
     assert [k for k, _, _ in swept] == list(range(1, 26))
@@ -176,7 +178,7 @@ def test_mc_sweeps_matches_a_plain_reference_loop():
                          ids=["nan", "above_one", "inf", "minus_inf", "below_minus_one"])
 def test_mc_sweeps_rejects_a_buffer_written_out_of_range(bad):
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    sweeps = mc_sweeps(initial_ensemble(100, seed=3, kind="bimodal"), ip, 3)
+    sweeps = mc_sweeps(sample_from_density(BIMODAL, 100, seed=3), ip, 3)
     _, x, _, _ = next(sweeps)
     x[17] = bad
     with pytest.raises(ValueError, match=r"opinions must lie in \[-1, 1\]"):
@@ -202,7 +204,7 @@ def test_mc_sweeps_pairs_by_a_uniform_perfect_matching():
 
 def test_mc_sweeps_allocates_nothing_per_sweep():
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    sweeps = mc_sweeps(initial_ensemble(100_000, seed=5, kind="bimodal"), ip, 50)
+    sweeps = mc_sweeps(sample_from_density(BIMODAL, 100_000, seed=5), ip, 50)
     tracemalloc.start()
     try:
         next(sweeps)
@@ -237,8 +239,8 @@ def test_both_schedules_match_the_reference_loop(monkeypatch, cpus, lam):
     # at lambda = 3 about 7% of the pairs are rejected
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     ip = InteractionParams.from_kinetic(KineticParams(lam, 0.0), gamma=0.5, epsilon=0.01)
-    e = initial_ensemble(1000, seed=21, kind="bimodal")
-    ref = initial_ensemble(1000, seed=21, kind="bimodal")
+    e = sample_from_density(BIMODAL, 1000, seed=21)
+    ref = sample_from_density(BIMODAL, 1000, seed=21)
     threads = threading.active_count()
     rejected_total = 0
     sweeps = zip(mc_sweeps(e, ip, 25), _reference_sweeps(ref.opinions, ref.rng, ip, 25),
@@ -267,7 +269,7 @@ def test_interleaved_runs_under_fast_thread_switching(monkeypatch):
 
     def consume():
         try:
-            runs = [mc_sweeps(initial_ensemble(1000, seed=s, kind="bimodal"), ip, 20)
+            runs = [mc_sweeps(sample_from_density(BIMODAL, 1000, seed=s), ip, 20)
                     for s in range(4)]
             for states in zip(*runs):
                 last = [x.copy() for _, x, _, _ in states]
@@ -285,7 +287,7 @@ def test_interleaved_runs_under_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
     assert not consumer.is_alive() and errors == []
     for seed, got in enumerate(finals):
-        ref = initial_ensemble(1000, seed=seed, kind="bimodal")
+        ref = sample_from_density(BIMODAL, 1000, seed=seed)
         *_, (want, _) = _reference_sweeps(ref.opinions, ref.rng, ip, 20)
         assert np.array_equal(got, want)
 
@@ -294,7 +296,7 @@ def test_closing_mc_sweeps_early_joins_the_worker(monkeypatch):
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     threads = threading.active_count()
-    sweeps = mc_sweeps(initial_ensemble(1000, seed=4, kind="bimodal"), ip, 50)
+    sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, 50)
     next(sweeps)
     assert threading.active_count() == threads + 1
     sweeps.close()
@@ -315,7 +317,7 @@ def test_a_noise_error_comes_out_of_next(monkeypatch, cpus):
     monkeypatch.setattr(montecarlo, "sample_noise", failing_noise)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     threads = threading.active_count()
-    sweeps = mc_sweeps(initial_ensemble(1000, seed=4, kind="bimodal"), ip, 10)
+    sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, 10)
     assert [next(sweeps)[0] for _ in range(2)] == [1, 2]
     with pytest.raises(RuntimeError, match="noise source failed"):
         next(sweeps)
@@ -328,8 +330,8 @@ def test_closing_mc_sweeps_early_leaves_a_whole_number_of_sweeps_drawn(monkeypat
     # finished on close; the in-place schedule has drawn exactly k sweeps
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    e = initial_ensemble(100_000, seed=8, kind="bimodal")
-    ref = initial_ensemble(100_000, seed=8, kind="bimodal")
+    e = sample_from_density(BIMODAL, 100_000, seed=8)
+    ref = sample_from_density(BIMODAL, 100_000, seed=8)
     sweeps = mc_sweeps(e, ip, 10)
     for _ in range(3):
         next(sweeps)
@@ -349,7 +351,7 @@ def test_mc_sweeps_with_nothing_to_overlap_starts_no_thread(monkeypatch, n_sweep
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_worker)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    sweeps = mc_sweeps(initial_ensemble(1000, seed=4, kind="bimodal"), ip, n_sweeps)
+    sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, n_sweeps)
     assert [k for k, _, _, _ in sweeps] == list(range(1, n_sweeps + 1))
 
 
@@ -365,7 +367,7 @@ def test_histogram_point_mass_and_mass():
 
 
 def test_histogram_uniform_multinomial():
-    e = initial_ensemble(1_000_000, seed=3, kind="uniform")
+    e = sample_from_density(UNIFORM, 1_000_000, seed=3)
     g = Grid(50)
     h = histogram(e.opinions, g)
     p_cell = g.cell_width / 2.0
@@ -397,7 +399,7 @@ def test_quasi_invariant_time_mapping():
 
 def test_pure_compromise_variance_contracts():
     ip = InteractionParams(gamma=0.5, sigma2=0.0, epsilon=0.05)
-    e = initial_ensemble(10_000, seed=13, kind="uniform")
+    e = sample_from_density(UNIFORM, 10_000, seed=13)
     variances = [moments(e.opinions)[1]]
     for _, x, _, _ in mc_sweeps(e, ip, 30):
         variances.append(moments(x)[1])
@@ -409,7 +411,7 @@ def test_long_run_reaches_beta_equilibrium():
     # the Beta state within the statistical budget
     p = KineticParams(0.5, 0.0)
     ip = InteractionParams.from_kinetic(p, gamma=0.5, epsilon=0.02)
-    e = initial_ensemble(50_000, seed=31, kind="bimodal")
+    e = sample_from_density(BIMODAL, 50_000, seed=31)
     g = Grid(25)
     e = _swept(e, ip, whole_steps(20.0, ip.epsilon * ip.gamma))
     h = histogram(e.opinions, g)
@@ -419,6 +421,26 @@ def test_long_run_reaches_beta_equilibrium():
     mean, var = moments(e.opinions)
     assert abs(mean) <= 0.02
     assert var == pytest.approx(p.lam / (p.lam + 2.0), rel=0.05, abs=0)
+
+
+@pytest.mark.parametrize("start", ["bimodal", "uniform", "file_with_zero_cells"])
+def test_sample_from_density_matches_a_plain_reference(start):
+    # a cell by its mass, then a uniform offset from its left edge, clipped
+    g = Grid(200)
+    f = {"bimodal": BIMODAL, "uniform": UNIFORM}.get(start)
+    if f is None:  # a file: start, renormalized, with mass on two bumps only
+        raw = np.zeros(g.n_cells)
+        raw[20:60], raw[150:170] = 1.0, np.linspace(0.5, 3.0, 20)
+        f = DensityField(g, raw).normalized()
+    n_agents, v = 10_000, f.values
+    rng = np.random.default_rng(7)
+    want = np.clip(g.edges[rng.choice(g.n_cells, n_agents, p=v / v.sum())]
+                   + rng.uniform(0.0, g.cell_width, n_agents), -1.0, 1.0)
+    e = sample_from_density(f, n_agents, seed=7)
+    assert np.array_equal(e.opinions, want)
+    assert e.rng.bit_generator.state == rng.bit_generator.state
+    if start == "file_with_zero_cells":
+        assert not np.any(histogram(e.opinions, g).values[v == 0.0])
 
 
 def test_sample_from_density_matches_shape():
