@@ -74,7 +74,7 @@ def build_initial_density(spec: str, grid: Grid, width: float) -> DensityField:
     nonnegative value per cell.
     """
     if spec == "bimodal":
-        return bimodal_density(grid, width)
+        return _check("bimodal_width", bimodal_density, grid, width)
     if spec == "uniform":
         return uniform_density(grid)
     if spec.startswith("file:"):

@@ -133,14 +133,19 @@ def bimodal_density(grid: Grid, width: float = BIMODAL_WIDTH) -> DensityField:
     """Equal-weight Gaussian mixture at +-1/2, truncated to (-1,1), renormalized.
 
     The standard initial condition for the decay experiments.  Values are
-    symmetrized so the discrete field is exactly even.
+    symmetrized so the discrete field is exactly even.  ValueError when the
+    width is so narrow that the mixture underflows to 0 at every cell center.
     """
     if width <= 0.0:
         raise ValueError("width must be positive")
     y = grid.centers
     v = np.exp(-0.5 * ((y - 0.5) / width) ** 2) + np.exp(-0.5 * ((y + 0.5) / width) ** 2)
     v = 0.5 * (v + v[::-1])
-    v /= v.sum() * grid.cell_width
+    mass = v.sum() * grid.cell_width
+    if mass == 0.0:
+        raise ValueError(f"width {width!r} is too narrow for {grid.n_cells} cells: "
+                         f"the mixture underflows to 0 at every cell center")
+    v /= mass
     return DensityField(grid, v)
 
 

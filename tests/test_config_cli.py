@@ -426,6 +426,28 @@ def test_cli_missing_setting_exits_1_before_any_output(command, message, flags,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["solve", "sweep", "mc"])
+@pytest.mark.parametrize("n, width, hist_n", [
+    # no cell center is near enough to +-1/2 for the mixture to stay above 0
+    pytest.param(200, 1e-4, 50, id="n200_width_1e-4"),
+    pytest.param(7, 1e-3, 7, id="n7_width_1e-3"),
+])
+def test_cli_too_narrow_bimodal_width_names_its_field(command, n, width, hist_n,
+                                                      capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"lambda = 0.5\nm = 0\nn = {n}\nbimodal_width = {width!r}\n"
+                   f"sweep_lambdas = 0.4, 0.6\nmc.n = 1000\nmc.hist_n = {hist_n}\n",
+                   encoding="utf-8")
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: field 'bimodal_width': ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["fit", "--csv", "{tmp}"], id="fit_csv_is_a_directory"),
     pytest.param(["solve", "--config", "{tmp}/exp.cfg", "--out", "{tmp}/file/o"],

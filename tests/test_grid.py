@@ -70,6 +70,23 @@ def test_bimodal_density_mass_and_symmetry():
     assert abs(g.centers[g.centers > 0][i_max] - 0.5) < 0.02
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, width", [(200, 1e-4), (7, 1e-3)])
+def test_bimodal_density_too_narrow_raises_before_dividing(n, width):
+    # every cell center is far enough from +-1/2 for the mixture to underflow
+    with pytest.raises(ValueError, match="too narrow"):
+        bimodal_density(Grid(n), width)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bimodal_density_narrowest_width_that_works_keeps_its_formula():
+    g = Grid(200)
+    y = g.centers
+    v = np.exp(-0.5 * ((y - 0.5) / 1e-3) ** 2) + np.exp(-0.5 * ((y + 0.5) / 1e-3) ** 2)
+    v = 0.5 * (v + v[::-1])
+    assert np.array_equal(bimodal_density(g, 1e-3).values, v / (v.sum() * g.cell_width))
+
+
 def test_random_density_positive_normalized():
     g = Grid(128)
     rng = np.random.default_rng(0)

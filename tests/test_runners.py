@@ -1,18 +1,19 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from opinion_kinetics import montecarlo, runners
+from opinion_kinetics import functionals, montecarlo, runners
 from opinion_kinetics.cli import main
 from opinion_kinetics.config import ConfigError, McConfig, parse_config_text
 from opinion_kinetics.equilibrium import BetaEquilibrium
 from opinion_kinetics.functionals import ls_slack, uniform_ls_slack
 from opinion_kinetics.grid import Grid, random_grid_functions, random_smooth_densities
 from opinion_kinetics.params import KineticParams, bakry_emery_rho
-from opinion_kinetics.runners import run_mc, run_sweep, verify_ls, write_csv
+from opinion_kinetics.runners import default_ls_grid, run_mc, run_sweep, verify_ls, write_csv
 
 
 def test_write_csv_pins_edge_values(tmp_path):
@@ -49,20 +50,22 @@ def test_run_sweep_sub_config_keeps_every_other_field(monkeypatch, tmp_path):
 
 
 def _scalar_battery(points, n, n_samples, seed):
-    """One random draw and one slack call per density, in battery order."""
+    """One-row draws in stream order: every density first, then the uniform
+    battery's functions when (1, 0) is a point.  Every point scores the same
+    densities, one slack call per density."""
     grid = Grid(n)
     rng = np.random.default_rng(seed)
+    densities = [random_smooth_densities(grid, rng, 1)[0] for _ in range(n_samples)]
+    uni_min = math.nan
+    if (1.0, 0.0) in points:
+        uni_min = min(uniform_ls_slack(random_grid_functions(grid, rng, 1)[0], grid)
+                      for _ in range(n_samples))
     out = []
     for lv, mv in points:
         p = KineticParams(lv, mv)
         ref = BetaEquilibrium.from_params(p).on_grid(grid)
-        ls_min = min(ls_slack(random_smooth_densities(grid, rng, 1)[0], ref, p)
-                     for _ in range(n_samples))
-        uni_min = math.nan
-        if (lv, mv) == (1.0, 0.0):
-            uni_min = min(uniform_ls_slack(random_grid_functions(grid, rng, 1)[0], grid)
-                          for _ in range(n_samples))
-        out.append((ls_min, uni_min))
+        ls_min = min(ls_slack(f, ref, p) for f in densities)
+        out.append((ls_min, uni_min if (lv, mv) == (1.0, 0.0) else math.nan))
     return out
 
 
@@ -85,6 +88,51 @@ def test_verify_ls_rows_equal_scalar_loop(seed):
     got = [(r["min_ls_slack"], r["min_uniform_slack"]) for r in report.rows]
     assert np.array_equal(got, _scalar_battery(points, 400, 37, seed), equal_nan=True)
     assert math.isfinite(got[1][1])
+
+
+def test_verify_ls_draws_each_block_of_densities_once(monkeypatch):
+    calls = []
+
+    def counted(grid, rng, rows):
+        calls.append(rows)
+        return random_smooth_densities(grid, rng, rows)
+
+    monkeypatch.setattr(runners, "random_smooth_densities", counted)
+    verify_ls()
+    # 200 densities in blocks of 25 rows at n = 400, shared by all 45 points
+    assert calls == [25] * 8
+
+
+@pytest.mark.parametrize("index, point", [(11, (0.6, 0.35)), (20, (1.0, 0.0))])
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_verify_ls_row_does_not_depend_on_the_other_points(index, point, seed):
+    grid_point = default_ls_grid()[index]
+    assert np.allclose(grid_point, point, rtol=0.0, atol=1e-15)
+    keys = ["K", "rho", "rho_minimized", "min_ls_slack", "min_uniform_slack", "pass"]
+    battery = verify_ls(seed=seed).rows[index]
+    alone = verify_ls(points=[grid_point], seed=seed).rows[0]
+    assert np.array_equal([alone[k] for k in keys], [battery[k] for k in keys], equal_nan=True)
+
+
+def test_default_battery_holds_one_block_at_a_time():
+    verify_ls(points=[(1.0, 0.0)], n_samples=1)  # caches the n = 400 basis
+    tracemalloc.start()
+    try:
+        verify_ls()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 25 x 400 block is 80 kB; all 200 densities at once peak at about 1.6 MB
+    assert peak < 1e6
+
+
+def test_default_battery_catches_a_log_sobolev_constant_too_small(monkeypatch):
+    # the shared densities must still find the points where 0.3 K is too small
+    k = functionals.log_sobolev_constant
+    monkeypatch.setattr(functionals, "log_sobolev_constant", lambda p: 0.3 * k(p))
+    failed = [name for name, ok in verify_ls().verdicts().items()
+              if name.startswith("min_ls_slack") and not ok]
+    assert len(failed) >= 20
 
 
 def test_verify_ls_rejects_empty_points():
