@@ -15,14 +15,22 @@ value per row, bit for bit what that row alone gives.
 Every functional but l1_distance divides by the reference: one private
 check, _reference, raises PositivityError unless it is > 0 on every cell.
 
-One private kernel, _log_ratio, checks the values and takes the log:
-weighted_fisher and ls_slack call it once per row or stack.  It validates
-with two reductions, min >= 0 and max < inf (else the DensityField
-invariant's ValueError, non-finite before negative), then min > 0
-(PositivityError), and forms log r = log(f/ref) once, in place.
-weighted_fisher differences that log r across the interfaces.
+weighted_fisher and ls_slack check the values once per row or stack, in
+_check_positive: two reductions, min >= 0 and max < inf (else the
+DensityField invariant's ValueError, non-finite before negative), then
+min > 0 (PositivityError).  _log_ratio then forms log r = log(f/ref) in
+place, and _fisher differences that log r across the interfaces.
 entropy_gap, relative_entropy, weighted_l2 and l1_distance do not check
 the values (the solver's march has already checked every row it scores).
+
+ls_slack also takes a sequence of (reference, KineticParams) points and
+scores one row or stack against all of them in one call, as the
+log-Sobolev battery does with each block of random densities.  The
+point-independent work runs once per stack: the value check, the sums
+f_i + f_(i+1), the interface weights 1 - y_if^2 and the scratch arrays
+every point reuses.  Each point still takes its own division, log,
+weighted square sum and entropy sum, in the one-point order, so each
+point's row is bit for bit its one-point value.
 
 Two sums give the relative entropy.  relative_entropy and ls_slack take
 the direct one, sum f log r dy: one multiply and one row sum on the log r
@@ -158,50 +166,59 @@ def relative_entropy(values: np.ndarray, ref: DensityField) -> float | np.ndarra
     return _scalar_or_array(_entropy_sum(f, _log_in_place(f / g), ref.grid.cell_width))
 
 
-def _log_ratio(f: np.ndarray, ref: DensityField) -> np.ndarray:
-    """log(f/ref) in a new array, for a row or a stack.
-
-    f is validated in two reductions: min >= 0 and max < inf, else
-    check_density_values raises its ValueError (non-finite before
-    negative); then min > 0, else PositivityError.  The reference must be
-    strictly positive too.
-    """
+def _check_positive(f: np.ndarray) -> None:
+    """Raise unless every value of f is finite and > 0, in two reductions:
+    min >= 0 and max < inf, else check_density_values raises its ValueError
+    (non-finite before negative); then min > 0, else PositivityError."""
     if f.size:
         lo, hi = f.min(), f.max()
         if not (lo >= 0.0 and hi < math.inf):
             check_density_values(f)
         if lo == 0.0:
             raise PositivityError("log ratio needs strictly positive f")
-    log_r = f / _reference(ref)
-    return np.log(log_r, out=log_r)
 
 
-def _neighbours(op, x: np.ndarray) -> np.ndarray:
-    """op(x_{i+1}, x_i) in slot i of a new array shaped like x.
+def _log_ratio(f: np.ndarray, ref: DensityField, out: np.ndarray) -> np.ndarray:
+    """log(f/ref) for a row or a stack, written into out (shaped like f) and
+    returned.  The reference must be strictly positive."""
+    np.divide(f, _reference(ref), out=out)
+    return np.log(out, out=out)
+
+
+def _neighbours(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """op(x_{i+1}, x_i) in slot i of out, shaped like x, returned.
 
     It runs over the flattened stack, one loop instead of one per row (at
     25 x 400 the per-row slices take twice as long).  Slot n - 1 of each
     row pairs its last cell with the next row's first; the last slot is 0.
     """
-    out = np.empty(x.shape)
     flat, x = out.reshape(-1), x.reshape(-1)
     op(x[1:], x[:-1], out=flat[:-1])
     flat[-1:] = 0.0
     return out
 
 
-def _fisher(f: np.ndarray, log_r: np.ndarray, grid: Grid, lam: float) -> np.ndarray:
-    """sum over interior interfaces of (lam/(4 dy))(1 - y_if^2) (dlog r)^2 (f_i + f_{i+1}).
+def _interface_weight(grid: Grid) -> np.ndarray:
+    """1 - y_if^2 in slot i for the n - 1 interior interfaces, and 0 in slot
+    n - 1, which _neighbours fills across rows."""
+    w = np.zeros(grid.n_cells)
+    w[:-1] = 1.0 - grid.interior_interfaces**2
+    return w
+
+
+def _fisher(log_r: np.ndarray, f_pairs: np.ndarray, w: np.ndarray,
+            d: np.ndarray) -> np.ndarray:
+    """sum over interior interfaces of w (dlog r)^2 (f_i + f_{i+1}), with w
+    the scaled _interface_weight, f_pairs _neighbours(np.add, f) and d a
+    scratch array shaped like log_r.
 
     Slot n - 1 of _neighbours, which pairs a row with the next, has weight 0
     and the sum leaves it out.
     """
-    w = np.zeros(grid.n_cells)
-    w[:-1] = (0.25 * lam / grid.cell_width) * (1.0 - grid.interior_interfaces**2)
-    d = _neighbours(np.subtract, log_r)
+    d = _neighbours(np.subtract, log_r, d)
     d *= d
     d *= w
-    d *= _neighbours(np.add, f)
+    d *= f_pairs
     return d[..., :-1].sum(axis=-1)
 
 
@@ -217,7 +234,12 @@ def weighted_fisher(values: np.ndarray, ref: DensityField, lam: float) -> float 
     PositivityError for a zero).
     """
     f = _check_width(values, ref.grid)
-    return _scalar_or_array(_fisher(f, _log_ratio(f, ref), ref.grid, lam))
+    _check_positive(f)
+    w = _interface_weight(ref.grid)
+    w *= 0.25 * lam / ref.grid.cell_width
+    log_r = _log_ratio(f, ref, np.empty(f.shape))
+    return _scalar_or_array(
+        _fisher(log_r, _neighbours(np.add, f, np.empty(f.shape)), w, np.empty(f.shape)))
 
 
 def weighted_l2(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
@@ -233,7 +255,7 @@ def l1_distance(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     return _scalar_or_array(np.abs(f - ref.values).sum(axis=-1) * ref.grid.cell_width)
 
 
-def ls_slack(values: np.ndarray, ref: DensityField, p: KineticParams) -> float | np.ndarray:
+def ls_slack(values: np.ndarray, ref, p: KineticParams | None = None) -> float | np.ndarray:
     """Slack of the weighted log-Sobolev inequality: K * I(f, ref) - H(f, ref).
 
     Requires the square-integrable-equilibrium regime.  Nonnegative up to a
@@ -242,12 +264,32 @@ def ls_slack(values: np.ndarray, ref: DensityField, p: KineticParams) -> float |
     finite and strictly positive, as weighted_fisher's.  One log ratio
     serves both terms; the result is bit for bit
     K * weighted_fisher - relative_entropy.
+
+    With p omitted, ref is a sequence of points, each a (reference field,
+    KineticParams) pair, and the result is an array with one slack per
+    point and row, shaped (points,) + values.shape[:-1]; each point's entry
+    is bit for bit its one-point call.  Every K is taken first (RegimeError),
+    then every point's width, and the values are validated once.  Every
+    reference has the values' width, so they share one Grid.
     """
-    k = log_sobolev_constant(p)
-    f = _check_width(values, ref.grid)
-    log_r = _log_ratio(f, ref)
-    fisher = _fisher(f, log_r, ref.grid, p.lam)
-    return _scalar_or_array(k * fisher - _entropy_sum(f, log_r, ref.grid.cell_width))
+    points = [(ref, p)] if p is not None else list(ref)
+    ks = [log_sobolev_constant(q) for _, q in points]
+    f = np.asarray(values, dtype=float)
+    for r, _ in points:
+        _check_width(f, r.grid)
+    _check_positive(f)
+    slack = np.empty((len(points),) + f.shape[:-1])
+    if points:
+        grid = points[0][0].grid
+        dy = grid.cell_width
+        base, w = _interface_weight(grid), np.empty(grid.n_cells)
+        f_pairs = _neighbours(np.add, f, np.empty(f.shape))
+        log_r, d = np.empty(f.shape), np.empty(f.shape)
+        for i, ((r, q), k) in enumerate(zip(points, ks)):
+            np.multiply(0.25 * q.lam / dy, base, out=w)
+            fisher = _fisher(_log_ratio(f, r, log_r), f_pairs, w, d)
+            slack[i] = k * fisher - _entropy_sum(f, log_r, dy)
+    return slack if p is None else _scalar_or_array(slack[0])
 
 
 def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:

@@ -348,6 +348,16 @@ class LsVerification(Report):
         return "\n".join(lines)
 
 
+def _has_ls_constant(lv, mv) -> bool:
+    """Whether (lv, mv) is a KineticParams pair in the square-integrable
+    regime, where the log-Sobolev constant is explicit."""
+    try:
+        p = KineticParams(lv, mv)
+    except ValueError:
+        return False
+    return classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
+
+
 def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
               out_dir=None) -> LsVerification:
     """Inequality battery: per (lambda, m), the checks min_ls_slack (the
@@ -355,18 +365,21 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     rho_minimized_error (the minimized potential curvature against its
     closed form); the uniform case (1, 0) adds min_uniform_slack, the
     unconstrained battery.  A row passes when its point's checks do.  A
-    point given twice is a ConfigError, raised before any output.
+    point given twice is a ConfigError, and a point KineticParams rejects
+    or one outside the square-integrable regime a RegimeError naming it,
+    both raised before any output.
 
     The inputs are checked and out_dir is made first.  The set-up then takes
     each point's minimized curvature and its reference field, which must
     not underflow on any cell (FloatingPointError).  One pass over row
     blocks of about 1e4 values (25 rows at n = 400) draws each block of
-    densities once and scores it against every point's reference, keeping a
-    running minimum per point; when (1, 0) is a point, a second pass draws
-    and scores the uniform battery's functions the same way.  So every
-    point sees the same n_samples densities, the generator draws all of
-    them before the uniform functions, and one draw per density gives the
-    same stream: no row depends on the block size or on the other points."""
+    densities once and scores it against every point's reference in one
+    ls_slack call, keeping a running minimum per point; when (1, 0) is a
+    point, a second pass draws and scores the uniform battery's functions
+    the same way.  So every point sees the same n_samples densities, the
+    generator draws all of them before the uniform functions, and one draw
+    per density gives the same stream: no row depends on the block size or
+    on the other points."""
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if seed < 0:
@@ -378,10 +391,7 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     repeated = [f"(lambda={lv}, m={mv})" for i, (lv, mv) in enumerate(pts) if pts[i] in pts[:i]]
     if repeated:
         raise ConfigError("repeated grid points: " + ", ".join(dict.fromkeys(repeated)))
-    bad = [
-        f"(lambda={lv}, m={mv})" for lv, mv in pts
-        if classify_params(KineticParams(lv, mv)) < ParamRegime.L2_EQUILIBRIUM
-    ]
+    bad = [f"(lambda={lv}, m={mv})" for lv, mv in pts if not _has_ls_constant(lv, mv)]
     if bad:
         raise RegimeError("inadmissible grid points: " + ", ".join(bad))
 
@@ -406,10 +416,11 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     rng = np.random.default_rng(seed)
     block = rows_per_block(n)  # the solver's budget: a block stays in L2 cache
     block_rows = [min(block, n_samples - i) for i in range(0, n_samples, block)]
+    refs = [(ref, p) for p, _, ref in setup]
     min_slack = np.full(len(pts), np.inf)
     for r in block_rows:
-        f = random_smooth_densities(grid, rng, r)
-        np.minimum(min_slack, [ls_slack(f, ref, p).min() for p, _, ref in setup], out=min_slack)
+        slack = ls_slack(random_smooth_densities(grid, rng, r), refs)
+        np.minimum(min_slack, slack.min(axis=1), out=min_slack)
     uni_slack = math.nan
     if any(lv == 1.0 and mv == 0.0 for lv, mv in pts):
         uni_slack = min(

@@ -476,6 +476,22 @@ def test_cli_verify_ls_repeated_lambda_exits_1_before_any_output(lambdas, capsys
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("lam, shown", [
+    ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"), ("1e-400", "0.0"),
+])
+def test_cli_verify_ls_names_a_lambda_kinetic_params_rejects(lam, shown, capsys, tmp_path):
+    # KineticParams rejects the lambda; verify-ls names the point, as for a
+    # point outside the log-Sobolev regime, before any output
+    code = main(["verify-ls", "--lambdas", lam, "--n", "16", "--samples", "1",
+                 "--out", str(tmp_path / "d")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(
+        f"error: inadmissible grid points: (lambda={shown}, m=0.0), (lambda={shown}, m=")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
 class _ClosedPipe(io.TextIOBase):
     """A standard output whose reader has gone: every write raises."""
 

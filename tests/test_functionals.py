@@ -27,6 +27,7 @@ from opinion_kinetics.grid import (
     uniform_density,
 )
 from opinion_kinetics.params import KineticParams, RegimeError, log_sobolev_constant
+from opinion_kinetics.runners import default_ls_grid
 from opinion_kinetics.solver import discretize_equilibrium
 
 from oracles import (
@@ -485,6 +486,12 @@ def _stack_near_and_far(g, ref, rng, rows):
     return np.stack(far + [ref.values, near / (near.sum() * g.cell_width)])
 
 
+def _battery_points(g):
+    # the (reference, params) pairs of the default log-Sobolev battery
+    params = [KineticParams(lv, mv) for lv, mv in default_ls_grid()]
+    return [(BetaEquilibrium.from_params(p).on_grid(g), p) for p in params]
+
+
 @pytest.mark.parametrize("n", [64, 400])
 def test_row_functionals_equal_one_row_calls_bitwise(n):
     g = Grid(n)
@@ -521,6 +528,7 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
 
     assert _raised_type(one_row(lambda f: ls_slack(f.values, ref, p))) is error
     assert _raised_type(lambda: ls_slack(stack, ref, p)) is error
+    assert _raised_type(lambda: ls_slack(stack, _battery_points(g))) is error
     assert _raised_type(one_row(lambda f: weighted_fisher(f.values, ref, p.lam))) is error
     assert _raised_type(lambda: weighted_fisher(stack, ref, p.lam)) is error
     if error is ValueError:
@@ -529,6 +537,43 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
     ws[1] = 0.0
     assert _raised_type(lambda: uniform_ls_slack(ws[1], g)) is ValueError
     assert _raised_type(lambda: uniform_ls_slack(ws, g)) is ValueError
+
+
+@pytest.mark.parametrize("n", [4, 400])
+@pytest.mark.parametrize("rows", [1, 7, 25])
+def test_ls_slack_at_many_points_equals_one_point_calls_bitwise(n, rows):
+    g = Grid(n)
+    points = _battery_points(g)
+    stack = random_smooth_densities(g, np.random.default_rng(n + rows), rows)
+    got = ls_slack(stack, points)
+    assert got.shape == (45, rows)
+    assert np.array_equal(got, [ls_slack(stack, ref, p) for ref, p in points])
+    row = ls_slack(stack[0], points)
+    assert row.shape == (45,)
+    assert np.array_equal(row, [ls_slack(stack[0], ref, p) for ref, p in points])
+
+
+def test_ls_slack_at_many_points_checks_a_nan_before_a_negative_value():
+    g = Grid(64)
+    points = _battery_points(g)
+    stack = random_smooth_densities(g, np.random.default_rng(6), 4)
+    stack[1, 3], stack[2, 5] = -1e-3, math.nan
+    for fn in (lambda: ls_slack(stack, points), lambda: ls_slack(stack, *points[0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            fn()
+
+
+def test_ls_slack_at_many_points_rejects_an_inadmissible_point():
+    g = Grid(64)
+    bad = KineticParams(1.9, 0.5)
+    points = [*_battery_points(g)[:3], (uniform_density(g), bad)]
+    stack = random_smooth_densities(g, np.random.default_rng(7), 4)
+    with pytest.raises(RegimeError):
+        ls_slack(stack, points)
+    # the constant is taken before the values are checked, as at one point
+    stack[2, 5] = math.nan
+    assert _raised_type(lambda: ls_slack(stack, points)) is RegimeError
+    assert _raised_type(lambda: ls_slack(stack, uniform_density(g), bad)) is RegimeError
 
 
 def test_each_functional_takes_an_empty_stack():

@@ -91,16 +91,23 @@ def test_verify_ls_rows_equal_scalar_loop(seed):
 
 
 def test_verify_ls_draws_each_block_of_densities_once(monkeypatch):
-    calls = []
+    calls, scored = [], []
 
     def counted(grid, rng, rows):
         calls.append(rows)
         return random_smooth_densities(grid, rng, rows)
 
+    def scored_once(values, points):
+        scored.append((len(values), len(points)))
+        return ls_slack(values, points)
+
     monkeypatch.setattr(runners, "random_smooth_densities", counted)
+    monkeypatch.setattr(runners, "ls_slack", scored_once)
     verify_ls()
     # 200 densities in blocks of 25 rows at n = 400, shared by all 45 points
+    # and scored against all of them in one call per block
     assert calls == [25] * 8
+    assert scored == [(25, 45)] * 8
 
 
 @pytest.mark.parametrize("index, point", [(11, (0.6, 0.35)), (20, (1.0, 0.0))])
