@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: equilibrium, solve, mc, sweep, verify-ls, transform-check, fit.
+Subcommands: equilibrium, solve, mc, sweep, verify-ls, fit.
 Each subcommand takes only the flags its handler reads (see _COMMANDS); any
 other flag is a usage error.  --n, --dt, --t-end, sweep's --lambdas and
 mc's --seed (mc.seed) override config entries and are checked by the
@@ -30,7 +30,6 @@ from .runners import (
     run_mc,
     run_solve,
     run_sweep,
-    run_transform_check,
     verify_ls,
     write_equilibrium_csv,
 )
@@ -100,14 +99,9 @@ def _cmd_verify_ls(args) -> bool:
     return report.passed
 
 
-def _cmd_transform_check(args) -> bool:
-    report = run_transform_check(_load_config(args), args.out)
-    print(report)
-    return report.passed
-
-
 def _cmd_fit(args) -> bool:
-    rows = Path(args.csv).read_text(encoding="utf-8").strip().splitlines()
+    text = Path(args.csv).read_text(encoding="utf-8")
+    rows = text.strip().splitlines()
     if len(rows) < 2:
         raise ConfigError(f"{args.csv} holds no data rows")
     header = rows[0].split(",")
@@ -116,7 +110,19 @@ def _cmd_fit(args) -> bool:
         v_idx = header.index(args.column)
     except ValueError as exc:
         raise ConfigError(f"column not found in {args.csv}: {exc}") from exc
-    data = np.array([[float(tok) for tok in line.split(",")] for line in rows[1:]])
+    # a bad row is named by its line in the file, blank lines before the header counted
+    first = text[:len(text) - len(text.lstrip())].count("\n") + 2
+    data = []
+    for lineno, line in enumerate(rows[1:], start=first):
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ConfigError(f"{args.csv} line {lineno}: expected {len(header)} fields "
+                              f"as in the header, got {len(fields)}")
+        try:
+            data.append([float(tok) for tok in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{args.csv} line {lineno}: {exc}") from exc
+    data = np.array(data)
     window = tuple(args.window) if args.window else None
     fit = fit_decay_rate(data[:, t_idx], data[:, v_idx], window)
     print(f"slope = {fit.slope:.12e}")
@@ -166,8 +172,6 @@ _COMMANDS = [
      ("--config", "--out", "--n", "--dt", "--seed")),
     ("sweep", _cmd_sweep, "run a lambda sweep of decay experiments",
      ("--config", "--out", "--n", "--dt", "--t-end", "--lambdas")),
-    ("transform-check", _cmd_transform_check, "verify the angular change of variables",
-     ("--config", "--out")),
     ("verify-ls", _cmd_verify_ls, "run the log-Sobolev inequality battery",
      ("--out", "--n", "--seed", "--lambdas", "--samples")),
     ("fit", _cmd_fit, "fit an exponential rate to a CSV column",

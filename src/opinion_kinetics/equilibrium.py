@@ -22,17 +22,6 @@ from .grid import DensityField, Grid, _scalar_or_array
 from .params import KineticParams
 
 
-def _exp_density(log_values, what: str):
-    """exp of log density values; OverflowError naming the count of points
-    where a value overflows, instead of inf and a RuntimeWarning."""
-    with np.errstate(over="ignore"):
-        out = np.exp(log_values)
-    over = np.isinf(out)
-    if over.any():
-        raise OverflowError(f"{what} overflows on {over.sum()} of {over.size} points")
-    return _scalar_or_array(out)
-
-
 # min(a, b) from which log C takes the asymptotic log-Beta: lam < 5e-4 at
 # most; every lam from 5e-4 up keeps the log-gamma path and its bits
 STIRLING_MIN = 2000.0
@@ -118,8 +107,15 @@ class BetaEquilibrium:
         return _scalar_or_array(out)
 
     def value(self, y):
-        """Pointwise density v(y), |y| < 1."""
-        return _exp_density(self.log_value(y), "the Beta steady state")
+        """Pointwise density v(y), |y| < 1; OverflowError naming the count of
+        points where v overflows, instead of inf and a RuntimeWarning."""
+        with np.errstate(over="ignore"):
+            out = np.exp(self.log_value(y))
+        over = np.isinf(out)
+        if over.any():
+            raise OverflowError(
+                f"the Beta steady state overflows on {over.sum()} of {over.size} points")
+        return _scalar_or_array(out)
 
     def on_grid(self, grid: Grid) -> DensityField:
         """Center-sampled equilibrium as a DensityField, rescaled to unit

@@ -1,5 +1,5 @@
-"""Experiment drivers: steady states, decay runs, Monte Carlo runs, sweeps,
-the inequality verification battery and the angular-transform check.
+"""Experiment drivers: steady states, decay runs, Monte Carlo runs, sweeps
+and the inequality verification battery.
 Every artifact is a self-describing CSV or a summary recomputable from the
 CSVs: a Report, which the runner writes and returns and opkin prints.  Every
 verdict is a Check in that Report, the battery's per-point ones included.
@@ -36,12 +36,7 @@ from .params import (
 )
 from .solver import Trajectory, discretize_equilibrium, march, rows_per_block
 from .solver import solve
-from .transform import (
-    angular_equilibrium,
-    angular_equilibrium_explicit,
-    boundary_exponents,
-    minimize_potential_second,
-)
+from .transform import minimize_potential_second
 from . import montecarlo
 
 
@@ -309,7 +304,8 @@ def run_mc(cfg: ExperimentConfig, out_dir) -> dict:
 def default_ls_grid(lambdas=None):
     """Admissible (lambda, m) points: per lambda, m = 0 and +-fractions of
     the admissibility margin 1 - lambda/2.  lambdas=None takes nine lambdas
-    from 0.2 to 1.8; an empty sequence is an error, not the default."""
+    from 0.2 to 1.8; an empty sequence is an error, not the default, and a
+    lambda outside (0, 2), NaN included, a RegimeError naming it."""
     if lambdas is None:
         lams = tuple(np.round(np.arange(0.2, 1.81, 0.2), 10))
     else:
@@ -318,9 +314,10 @@ def default_ls_grid(lambdas=None):
             raise ConfigError("lambdas must hold at least one value")
     points = []
     for lv in lams:
-        c = 1.0 - lv / 2.0
-        if c <= 0.0:
+        # lambda itself, not c: c rounds to 1.0 at lambda = 1e-300, a valid point
+        if not 0.0 < lv < 2.0:
             raise RegimeError(f"lambda = {lv} admits no log-Sobolev constant")
+        c = 1.0 - lv / 2.0
         points.append((lv, 0.0))
         for frac in (0.5, 0.9):
             points.append((lv, frac * c))
@@ -449,60 +446,3 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
                   ["passed" if key == "pass" else key for key in rows[0]],
                   [[r[key] for r in rows] for key in rows[0]])
     return LsVerification((), tuple(checks), rows)
-
-
-def _max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
-    """max |got - want| / want where want > 0; where want is 0 (it underflows
-    near the endpoints) got must be 0 too, or the error is infinite."""
-    pos = want > 0.0
-    if np.any(got[~pos] != 0.0):
-        return math.inf
-    return float(np.max(np.abs(got[pos] - want[pos]) / want[pos], initial=0.0))
-
-
-def run_transform_check(cfg: ExperimentConfig, out_dir=None) -> Report:
-    """Check the angular change of variables: the identity g(z) = v(sin z)
-    cos z and the explicit formula at 2001 angles, and the boundary
-    exponents.  Only lambda and m are read from cfg.  The report also goes
-    to out_dir/transform_report.txt when out_dir is given.
-    FloatingPointError when v(sin z) cos z is positive at fewer than
-    MIN_POINTS angles, the least the decay fits accept too."""
-    p = cfg.params()
-    z = np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 2001)
-    eq = BetaEquilibrium.from_params(p)
-    direct = eq.value(np.sin(z)) * np.cos(z)
-    # the relative errors compare only where v(sin z) cos z is positive
-    positive = int(np.count_nonzero(direct > 0.0))
-    if positive < MIN_POINTS:
-        where = "all" if positive == 0 else f"{z.size - positive} of"
-        raise FloatingPointError(
-            f"v(sin z) cos z underflows to 0 on {where} {z.size} angles at lambda={p.lam!r}, "
-            f"m={p.m!r}: {positive} left to compare, fewer than {MIN_POINTS}")
-    via_identity = angular_equilibrium(p, z)
-    explicit = angular_equilibrium_explicit(p, z)
-
-    # fitted in log space: g itself underflows near the endpoints for small lambda
-    exp_minus, exp_plus = boundary_exponents(p)
-    deltas = np.logspace(-6, -3, 16)
-    zs = 0.5 * math.pi - deltas
-    log_cos = np.log(np.cos(zs))
-    slope_plus = np.polyfit(np.log(deltas), eq.log_value(np.sin(zs)) + log_cos, 1)[0]
-    slope_minus = np.polyfit(np.log(deltas), eq.log_value(np.sin(-zs)) + log_cos, 1)[0]
-
-    checks = [
-        Check.at_most("identity_max_relative_error",
-                      _max_relative_error(via_identity, direct), 1e-12),
-        Check.at_most("explicit_max_relative_error",
-                      _max_relative_error(explicit, via_identity), 1e-10),
-        Check.at_most("boundary_exponent_error_plus", abs(slope_plus - exp_plus),
-                      0.02 * max(1.0, abs(exp_plus))),
-        Check.at_most("boundary_exponent_error_minus", abs(slope_minus - exp_minus),
-                      0.02 * max(1.0, abs(exp_minus))),
-    ]
-    report = Report((
-        f"boundary exponent at +pi/2: fitted {slope_plus:.6f}, expected {exp_plus:.6f}",
-        f"boundary exponent at -pi/2: fitted {slope_minus:.6f}, expected {exp_minus:.6f}",
-    ), tuple(checks))
-    if out_dir is not None:
-        report.write(Path(out_dir) / "transform_report.txt")
-    return report

@@ -8,28 +8,19 @@ In the angular coordinate the equilibrium becomes g(z) = v(sin z) cos z on
 Its second derivative P'' = ((1 - lam/2) - m sin z) / cos^2 z is uniformly
 convex exactly on the admissible set 1 - lam/2 >= |m|, and its minimum is
 the convexity bound behind the log-Sobolev constant.  This module provides
-P'' (private, from sin z and cos z), an independent numerical minimization
-of it, the angular equilibrium in both its defining and explicit closed
-forms, and its power-law exponents at the boundary.
+P'' (private, from sin z and cos z) and an independent numerical
+minimization of it, which verify-ls checks against the closed form.  The
+angular density itself, in its defining and explicit forms, is checked in
+the tests against a 60-digit oracle.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .equilibrium import BetaEquilibrium, _exp_density, log_normalization
 from .params import KineticParams, _require_l2
 
 _HALF_PI = 0.5 * math.pi
-
-
-def _check_angle(z):
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(z_arr) >= _HALF_PI):
-        raise ValueError("angle must lie strictly inside (-pi/2, pi/2)")
-    return z_arr
 
 
 def _second(p: KineticParams, sin_z, cos_z):
@@ -71,33 +62,3 @@ def minimize_potential_second(p: KineticParams):
             fd = f(d)
     z_bar = 0.5 * (a + b)
     return z_bar, f(z_bar)
-
-
-def angular_equilibrium(p: KineticParams, z):
-    """g(z) = v(sin z) cos z, the steady state in the angular coordinate."""
-    z_arr = _check_angle(z)
-    eq = BetaEquilibrium.from_params(p)
-    return _exp_density(eq.log_value(np.sin(z_arr)) + np.log(np.cos(z_arr)),
-                       "the angular steady state")
-
-
-def angular_equilibrium_explicit(p: KineticParams, z):
-    """The same density by its explicit closed form,
-
-        g(z) = C (cos z)^(2/lam - 1) * ((1 + tan(z/2)) / (1 - tan(z/2)))^(2m/lam),
-
-    kept as an independent cross-check of angular_equilibrium.
-    """
-    z_arr = _check_angle(z)
-    t = np.tan(0.5 * z_arr)
-    log_g = (
-        log_normalization(p)
-        + (2.0 / p.lam - 1.0) * np.log(np.cos(z_arr))
-        + (2.0 * p.m / p.lam) * (np.log1p(t) - np.log1p(-t))
-    )
-    return _exp_density(log_g, "the explicit angular steady state")
-
-
-def boundary_exponents(p: KineticParams):
-    """Power-law exponents of g at z -> -pi/2 and z -> +pi/2."""
-    return 2.0 / p.lam - 1.0 + 2.0 * p.m / p.lam, 2.0 / p.lam - 1.0 - 2.0 * p.m / p.lam

@@ -1,12 +1,14 @@
 """Independent oracles used by the tests.
 
 The continuum ones go through adaptive quadrature on the closed-form
-integrands; the discrete kernel is evaluated in mpmath at 50 digits.  None
+integrands; the discrete kernel is evaluated in mpmath at 50 digits, and
+the steady state in the angle z = arcsin y at 60 (400 at tiny lam).  None
 of it reuses the package's evaluation paths (the Beta normalization, for
 instance, comes from quadrature, or from mpmath's log-gamma at 400 digits,
 not from log-gamma in floats or Stirling's series).
 """
 
+import functools
 import math
 
 import mpmath
@@ -28,6 +30,12 @@ def beta_density(lam, m):
     return lambda y: unnorm(y) / z
 
 
+def _mp_log_normalization(a, b):
+    """log C = -((a + b - 1) log 2 + log B(a, b)) at the working precision."""
+    return -((a + b - 1) * mpmath.log(2)
+             + mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b))
+
+
 def log_normalization(lam, m, dps=400):
     """log C = -((a + b - 1) log 2 + log B(a, b)) with a = (1 - m)/lam and
     b = (1 + m)/lam, from the floats lam and m taken exactly, at dps digits
@@ -35,9 +43,91 @@ def log_normalization(lam, m, dps=400):
     about 344, so dps must exceed 303 plus the digits wanted."""
     with mpmath.workdps(dps):
         lam, m = mpmath.mpf(lam), mpmath.mpf(m)
+        return float(_mp_log_normalization((1 - m) / lam, (1 + m) / lam))
+
+
+# the angles of the angular checks, 1e-3 inside (-pi/2, pi/2), and the sparse
+# subset of them that most pairs use: every 10th plus the 10 outermost on each side
+ANGLES = np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 2001)
+SPARSE_ANGLES = ANGLES[np.unique(np.r_[0:2001:10, 0:10, 1991:2001])]
+
+
+def angular_dps(lam):
+    """60 digits, or 400 where lam < 1e-3, as in log_normalization: the log
+    terms reach 15 (2/lam), 3e309 at lam = 1e-308, and cancel."""
+    return 400 if lam < 1e-3 else 60
+
+
+# The logs and trigonometric values below do not depend on (lam, m), and
+# every pair evaluates them at the same points, so each is computed once per
+# point and precision; a pair then costs a few multiplications per point.
+
+@functools.cache
+def _log_one_minus_plus(y, dps):
+    """log(1 - y) and log(1 + y) at dps digits, y (a float or an mpf) taken exactly."""
+    with mpmath.workdps(dps):
+        y = mpmath.mpf(y)
+        return mpmath.log(1 - y), mpmath.log(1 + y)
+
+
+@functools.cache
+def _log_cos_and_sin(z, dps):
+    """log cos z and sin z at dps digits, the float z taken exactly."""
+    with mpmath.workdps(dps):
+        c, s = mpmath.cos_sin(mpmath.mpf(z))
+        return mpmath.log(c), s
+
+
+@functools.cache
+def _explicit_logs(z, dps):
+    """log cos z and log((1 + tan(z/2)) / (1 - tan(z/2))) at dps digits, the
+    float z taken exactly, both from the cosine and sine of z/2."""
+    with mpmath.workdps(dps):
+        c, s = mpmath.cos_sin(mpmath.mpf(z) / 2)
+        t = s / c
+        return mpmath.log((c - s) * (c + s)), mpmath.log((1 + t) / (1 - t))
+
+
+def beta_log_density(lam, m, ys):
+    """log v(y) = log C + (a - 1) log(1 - y) + (b - 1) log(1 + y) for each y
+    of ys, as mpf values at angular_dps(lam) digits.  The floats lam and m
+    and each y (a float or an mpf) are taken exactly; nothing is rounded to
+    a float.  mpmath's arithmetic rounds the exact result of each operation,
+    so the difference of two such values needs no raised precision."""
+    dps = angular_dps(lam)
+    with mpmath.workdps(dps):
+        lam, m = mpmath.mpf(lam), mpmath.mpf(m)
         a, b = (1 - m) / lam, (1 + m) / lam
-        return float(-((a + b - 1) * mpmath.log(2)
-                       + mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)))
+        log_c, a1, b1 = _mp_log_normalization(a, b), a - 1, b - 1
+        return [log_c + a1 * lm + b1 * lp
+                for lm, lp in (_log_one_minus_plus(y, dps) for y in ys)]
+
+
+def angular_log_density(lam, m, zs):
+    """log g(z) = log v(sin z) + log cos z, the steady state in the angle
+    z = arcsin y by its definition, for each float z of zs taken exactly:
+    mpf values at angular_dps(lam) digits, sin z included."""
+    dps = angular_dps(lam)
+    logs = [_log_cos_and_sin(z, dps) for z in zs]
+    log_v = beta_log_density(lam, m, [s for _, s in logs])
+    with mpmath.workdps(dps):
+        return [lv + log_cos for lv, (log_cos, _) in zip(log_v, logs)]
+
+
+def angular_log_density_explicit(lam, m, zs):
+    """log g(z) by the paper's explicit angular formula,
+
+        g(z) = C cos^(2/lam - 1) z ((1 + tan(z/2)) / (1 - tan(z/2)))^(2m/lam),
+
+    for each float z of zs taken exactly: mpf values at angular_dps(lam)
+    digits, with the Beta normalization C of v."""
+    dps = angular_dps(lam)
+    with mpmath.workdps(dps):
+        lam, m = mpmath.mpf(lam), mpmath.mpf(m)
+        log_c = _mp_log_normalization((1 - m) / lam, (1 + m) / lam)
+        cos_power, ratio_power = 2 / lam - 1, 2 * m / lam
+        return [log_c + cos_power * log_cos + ratio_power * log_ratio
+                for log_cos, log_ratio in (_explicit_logs(z, dps) for z in zs)]
 
 
 def quad_mass(f):

@@ -5,6 +5,7 @@ to see the lines; each criterion is also a hard assertion."""
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -35,12 +36,9 @@ from opinion_kinetics.montecarlo import (
 )
 from opinion_kinetics.params import KineticParams, bakry_emery_rho, log_sobolev_constant
 from opinion_kinetics.solver import discretize_equilibrium, march, solve
-from opinion_kinetics.transform import (
-    angular_equilibrium,
-    angular_equilibrium_explicit,
-    boundary_exponents,
-    minimize_potential_second,
-)
+from opinion_kinetics.transform import minimize_potential_second
+
+import oracles
 
 
 def _report(num, name, ok, detail=""):
@@ -265,27 +263,33 @@ def test_criterion_7_micro_macro_consistency():
 
 
 def test_criterion_8_transform_correctness():
+    # the 60-digit oracle first, outside the timed span, at the sparse angles
+    # (tests/test_transform.py has all 2001 at three of these pairs): v at
+    # the angles' float sin z, and the paper's explicit angular formula
+    # against v(sin z) cos z, both sides in mpmath and compared in logs
+    pairs = [(0.2, 0.0), (0.4, 0.0), (0.6, 0.0), (0.8, 0.0), (0.5, 0.2), (1.0, 0.0)]
+    z = oracles.SPARSE_ANGLES
+    y = np.sin(z)
+    want = {pair: np.array([float(mpmath.exp(v)) for v in oracles.beta_log_density(*pair, y)])
+            for pair in pairs}
+    worst_expl = math.expm1(max(abs(float(e - d))
+                                for pair in pairs
+                                for d, e in zip(oracles.angular_log_density(*pair, z),
+                                                oracles.angular_log_density_explicit(*pair, z))))
     t0 = time.time()
     worst_ident = 0.0
-    worst_expl = 0.0
     worst_slope = 0.0
-    for lam, m in [(0.2, 0.0), (0.4, 0.0), (0.6, 0.0), (0.8, 0.0), (0.5, 0.2), (1.0, 0.0)]:
-        p = KineticParams(lam, m)
-        z = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 2001)
-        eq = BetaEquilibrium.from_params(p)
-        direct = eq.value(np.sin(z)) * np.cos(z)
-        ident = angular_equilibrium(p, z)
-        worst_ident = max(worst_ident, float(np.max(np.abs(ident - direct) / direct)))
-        expl = angular_equilibrium_explicit(p, z)
-        worst_expl = max(worst_expl, float(np.max(np.abs(expl - ident) / ident)))
-        exp_minus, exp_plus = boundary_exponents(p)
+    for lam, m in pairs:
+        eq = BetaEquilibrium.from_params(KineticParams(lam, m))
+        v = want[lam, m]
+        worst_ident = max(worst_ident, float(np.max(np.abs(eq.value(y) - v) / v)))
         deltas = np.logspace(-6, -3, 16)
         zs = math.pi / 2 - deltas
-        sp = np.polyfit(np.log(deltas), np.log(angular_equilibrium(p, zs)), 1)[0]
-        sm = np.polyfit(np.log(deltas), np.log(angular_equilibrium(p, -zs)), 1)[0]
-        worst_slope = max(worst_slope,
-                          abs(sp - exp_plus) / abs(exp_plus),
-                          abs(sm - exp_minus) / abs(exp_minus))
+        for sign in (1.0, -1.0):
+            expected = 2.0 / lam - 1.0 - sign * 2.0 * m / lam
+            slope = np.polyfit(np.log(deltas),
+                               eq.log_value(np.sin(sign * zs)) + np.log(np.cos(zs)), 1)[0]
+            worst_slope = max(worst_slope, abs(slope - expected) / abs(expected))
     elapsed = time.time() - t0
     ok = (worst_ident <= 1e-12 and worst_expl <= 1e-10 and worst_slope <= 0.02
           and elapsed < 1.0)

@@ -318,31 +318,15 @@ def test_cli_mc_draws_its_agents_from_the_solver_start(initial, tmp_path):
     assert tuple(rows[0, 1:]) == moments(drawn.opinions)
 
 
-def test_cli_transform_check(tmp_path):
+def test_cli_transform_check_is_no_subcommand(tmp_path, capsys):
+    # its checks of the angular steady state are tests (tests/test_transform.py)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("lambda = 0.5\nm = 0.2\nn = 200\n", encoding="utf-8")
-    assert main(["transform-check", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
-    assert (tmp_path / "t" / "transform_report.txt").exists()
-
-
-def test_cli_transform_check_survives_underflow_at_small_lambda(tmp_path, capsys):
-    # lambda = 0.01: g = v(sin z) cos z underflows to 0 near +-pi/2, where
-    # its boundary exponent 2/lambda - 1 is 199
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("lambda = 0.01\nm = 0\nn = 200\n", encoding="utf-8")
-    code = main(["transform-check", "--config", str(cfg)])
+    cfg.write_text("lambda = 0.5\nm = 0\nn = 16\n", encoding="utf-8")
+    code = main(["transform-check", "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr()
-    assert code == 0
-    assert "nan" not in captured.out and captured.err == ""
-    assert captured.out.count("fitted 198.99") == 2
-
-
-def test_max_relative_error_needs_exact_zeros_where_the_reference_is_zero():
-    from opinion_kinetics.runners import _max_relative_error
-    want = np.array([0.0, 2.0, 4.0])
-    assert _max_relative_error(np.array([0.0, 2.2, 4.0]), want) == pytest.approx(0.1)
-    assert _max_relative_error(np.array([1e-300, 2.0, 4.0]), want) == math.inf
-    assert _max_relative_error(np.zeros(2), np.zeros(2)) == 0.0
+    assert code == 1 and captured.out == ""
+    assert "invalid choice: 'transform-check'" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def test_cli_verify_ls_defaults_are_verify_ls_defaults(tmp_path):
@@ -393,6 +377,26 @@ def test_cli_fit_header_only_csv_exits_1(tmp_path, capsys):
     csv.write_text("t,entropy\n", encoding="utf-8")
     assert main(["fit", "--csv", str(csv)]) == 1
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("t,entropy\n0,1\n1\n2,0.25\n",
+                 "line 3: expected 2 fields as in the header, got 1", id="short_row"),
+    pytest.param("t,entropy\n0,1\n1,0.5,2\n",
+                 "line 3: expected 2 fields as in the header, got 3", id="long_row"),
+    pytest.param("t,entropy\n0,1\n1,x\n", "line 3: could not convert string to float: 'x'",
+                 id="not_a_number"),
+    # the blank lines before the header count
+    pytest.param("\n\nt,entropy\n0,1\n1,x\n",
+                 "line 5: could not convert string to float: 'x'", id="leading_blank_lines"),
+])
+def test_cli_fit_names_the_line_of_a_bad_row(text, message, tmp_path, capsys):
+    csv = tmp_path / "decay.csv"
+    csv.write_text(text, encoding="utf-8")
+    assert main(["fit", "--csv", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {csv} {message}\n"
 
 
 @pytest.mark.parametrize("column, message", [
@@ -477,18 +481,16 @@ def test_cli_verify_ls_repeated_lambda_exits_1_before_any_output(lambdas, capsys
 
 
 @pytest.mark.parametrize("lam, shown", [
-    ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"), ("1e-400", "0.0"),
+    ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"), ("1e-400", "0.0"), ("inf", "inf"),
+    ("0.5,nan", "nan"),
 ])
 def test_cli_verify_ls_names_a_lambda_kinetic_params_rejects(lam, shown, capsys, tmp_path):
-    # KineticParams rejects the lambda; verify-ls names the point, as for a
-    # point outside the log-Sobolev regime, before any output
+    # a lambda outside (0, 2) is named once, as one at or above 2 is, before any output
     code = main(["verify-ls", "--lambdas", lam, "--n", "16", "--samples", "1",
                  "--out", str(tmp_path / "d")])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.startswith(
-        f"error: inadmissible grid points: (lambda={shown}, m=0.0), (lambda={shown}, m=")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: lambda = {shown} admits no log-Sobolev constant\n"
     assert not (tmp_path / "d").exists()
 
 
@@ -545,7 +547,7 @@ def test_module_help_lists_every_subcommand():
     out = subprocess.run([sys.executable, "-m", "opinion_kinetics", "--help"], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0 and out.stderr == ""
-    assert "{equilibrium,solve,mc,sweep,transform-check,verify-ls,fit}" in out.stdout
+    assert "{equilibrium,solve,mc,sweep,verify-ls,fit}" in out.stdout
 
 
 @pytest.mark.parametrize("command, lines, flags, field", [
@@ -647,8 +649,6 @@ def test_override_gets_the_checks_and_message_of_the_file_value(key, raw, value)
 @pytest.mark.parametrize("argv", [
     pytest.param(["solve", "--seed", "9"], id="solve_seed"),
     pytest.param(["equilibrium", "--dt", "-5"], id="equilibrium_dt"),
-    pytest.param(["transform-check", "--t-end", "1"], id="transform_check_t_end"),
-    pytest.param(["transform-check", "--n", "16"], id="transform_check_n"),
     pytest.param(["mc", "--t-end", "9"], id="mc_t_end"),
     pytest.param(["verify-ls", "--lambdas", "0.5", "--samples", "2", "--n", "16"],
                  id="verify_ls_config"),
@@ -752,7 +752,6 @@ def test_report_renders_lines_then_checks(values, tmp_path):
 @pytest.mark.parametrize("command, written", [
     ("solve", "summary.txt"),
     ("mc", "mc_summary.txt"),
-    ("transform-check", "transform_report.txt"),
 ])
 def test_cli_prints_the_report_it_writes(command, written, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"

@@ -1,24 +1,37 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from opinion_kinetics.equilibrium import BetaEquilibrium
 from opinion_kinetics.params import KineticParams, RegimeError, bakry_emery_rho
 from opinion_kinetics.runners import default_ls_grid
-from opinion_kinetics.transform import (
-    _second,
-    angular_equilibrium,
-    angular_equilibrium_explicit,
-    boundary_exponents,
-    minimize_potential_second,
-)
+from opinion_kinetics.transform import _second, minimize_potential_second
 
-from oracles import centered_difference
+import oracles
+from oracles import ANGLES, SPARSE_ANGLES, centered_difference
+from test_corners import _LAMBDAS
+
+# the (lam, m) pairs of the corner matrix whose Beta normalization is
+# finite: at lam = 1e-320 it overflows, which the corner tests cover
+_MATRIX_PAIRS = [*itertools.product(map(float, _LAMBDAS), (0.0, 0.5, -0.9, 0.99)),
+                 (1e-308, 0.0)]
+# checked at all 2001 angles, the rest at the sparse ones: the explicit
+# formula's first five pairs, and four where v(sin z) cos z in floats is off
+# by more than 1e-10 (the explicit formula is the accurate side there)
+_FULL_PAIRS = [(0.5, 0.0), (0.5, 0.2), (1.0, 0.0), (0.2, 0.0), (0.8, -0.1),
+               (0.1, 0.0), (0.05, 0.9), (0.02, 0.5), (0.2, -0.7)]
+_PAIRS = list(dict.fromkeys(_MATRIX_PAIRS + _FULL_PAIRS))
+
+
+def _angles(lam, m):
+    return ANGLES if (lam, m) in _FULL_PAIRS else SPARSE_ANGLES
 
 
 def _prime(p, z):
@@ -39,12 +52,10 @@ def test_potential_prime_examples():
     # g = C exp(-(2/lam) P), so P' = -(lam/2) (log g)' for both forms of g
     for lam, m in [(0.5, 0.3), (1.0, 0.0), (0.7, 0.0), (1.2, -0.2)]:
         q = KineticParams(lam, m)
-        for g in (angular_equilibrium, angular_equilibrium_explicit):
+        for log_g in (oracles.angular_log_density, oracles.angular_log_density_explicit):
             for s in np.linspace(-1.2, 1.2, 13):
-                fd = -0.5 * lam * centered_difference(lambda t: math.log(g(q, t)), s)
+                fd = -0.5 * lam * centered_difference(lambda t: float(log_g(lam, m, [t])[0]), s)
                 assert _prime(q, s) == pytest.approx(fd, abs=1e-8)
-    with pytest.raises(ValueError):
-        angular_equilibrium(p, math.pi / 2)
 
 
 def test_potential_second_examples():
@@ -59,8 +70,6 @@ def test_potential_second_examples():
     assert np.allclose(_second_at(p, -z), _second_at(p, z), atol=1e-15, rtol=0.0)
     assert np.allclose(_second_at(KineticParams(0.7, 0.2), -z),
                        _second_at(KineticParams(0.7, -0.2), z), atol=1e-15, rtol=0.0)
-    with pytest.raises(ValueError):
-        angular_equilibrium_explicit(KineticParams(1.0, 0.0), -2.0)
 
 
 @pytest.mark.parametrize("lam,m", [(0.5, 0.25), (1.0, 0.0), (1.5, -0.2), (0.3, 0.6)])
@@ -109,9 +118,6 @@ def test_potential_scalar_and_array_calls_agree():
 
 
 _POINTWISE = {
-    "angular_equilibrium": lambda z: angular_equilibrium(KineticParams(0.6, 0.1), z),
-    "angular_equilibrium_explicit":
-        lambda z: angular_equilibrium_explicit(KineticParams(0.6, 0.1), z),
     "log_value": BetaEquilibrium.from_params(KineticParams(0.6, 0.1)).log_value,
     "value": BetaEquilibrium.from_params(KineticParams(0.6, 0.1)).value,
 }
@@ -178,44 +184,66 @@ def test_closed_form_matches_minimization_on_grid():
 
 
 def test_angular_equilibrium_examples():
-    assert angular_equilibrium(KineticParams(1.0, 0.0), 0.0) == pytest.approx(0.5, abs=1e-15)
-    p = KineticParams(0.5, 0.2)
-    z = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 1001)
-    eq = BetaEquilibrium.from_params(p)
-    direct = eq.value(np.sin(z)) * np.cos(z)
-    assert np.max(np.abs(angular_equilibrium(p, z) - direct) / direct) <= 1e-12
+    # (1, 0): v = 1/2, so g = cos(z)/2; (0.5, 0): v = (3/4)(1 - y^2), g = (3/4) cos^3 z
+    z = np.linspace(-1.5, 1.5, 7)
+    for lam, want in [(1.0, 0.5 * np.cos(z)), (0.5, 0.75 * np.cos(z) ** 3)]:
+        for log_g in (oracles.angular_log_density, oracles.angular_log_density_explicit):
+            got = [float(mpmath.exp(v)) for v in log_g(lam, 0.0, z)]
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_angular_equilibrium_unit_mass():
     # midpoint sum over the angular grid; g vanishes at the ends for these
     # parameters, so the quadrature is clean
     for lam, m in [(0.5, 0.0), (0.5, 0.2), (0.4, -0.1)]:
-        p = KineticParams(lam, m)
         n = 400
         dz = math.pi / n
         z = -math.pi / 2 + (np.arange(n) + 0.5) * dz
-        assert angular_equilibrium(p, z).sum() * dz == pytest.approx(1.0, abs=1e-8)
+        g = oracles.angular_log_density_explicit(lam, m, z)
+        assert float(mpmath.fsum(map(mpmath.exp, g))) * dz == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("lam,m", [(0.5, 0.0), (0.5, 0.2), (1.0, 0.0), (0.2, 0.0), (0.8, -0.1)])
+@pytest.mark.parametrize("lam,m", [pair for pair in _PAIRS if pair[0] >= 0.005])
+def test_value_at_sin_z_matches_the_oracle(lam, m):
+    # BetaEquilibrium.value at the float y = sin z against v(y) at 60 digits,
+    # wherever that is a normal float.  Below lam = 0.005 the error grows
+    # with the exponents 1/lam (2e-11 at 1e-4); the boundary test covers those
+    y = np.sin(_angles(lam, m))
+    want = np.array([float(mpmath.exp(v)) for v in oracles.beta_log_density(lam, m, y)])
+    got = BetaEquilibrium.from_params(KineticParams(lam, m)).value(y)
+    normal = want >= sys.float_info.min
+    assert normal.any()
+    assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 1e-12
+
+
+@pytest.mark.parametrize("lam,m", _PAIRS)
 def test_explicit_formula_agreement(lam, m):
-    p = KineticParams(lam, m)
-    z = np.linspace(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3, 2001)
-    g1 = angular_equilibrium(p, z)
-    g2 = angular_equilibrium_explicit(p, z)
-    assert np.max(np.abs(g2 - g1) / g1) <= 1e-10
+    # the paper's C cos^(2/lam - 1) z ((1 + tan(z/2)) / (1 - tan(z/2)))^(2m/lam)
+    # against v(sin z) cos z, both at 60 digits (400 at tiny lam) and compared
+    # in logs, as g underflows near the ends and at tiny lam everywhere: the
+    # relative error |e^(log ratio) - 1| is at most e^|log ratio| - 1
+    defined = oracles.angular_log_density(lam, m, _angles(lam, m))
+    explicit = oracles.angular_log_density_explicit(lam, m, _angles(lam, m))
+    assert math.expm1(max(abs(float(e - d)) for d, e in zip(defined, explicit))) <= 1e-10
 
 
 def test_boundary_asymptotics():
-    for lam, m in [(0.5, 0.0), (0.5, 0.2), (1.0, 0.0)]:
-        p = KineticParams(lam, m)
-        exp_minus, exp_plus = boundary_exponents(p)
-        deltas = np.logspace(-6, -3, 16)
-        zs = math.pi / 2 - deltas
-        slope_plus = np.polyfit(np.log(deltas), np.log(angular_equilibrium(p, zs)), 1)[0]
-        slope_minus = np.polyfit(np.log(deltas), np.log(angular_equilibrium(p, -zs)), 1)[0]
-        assert abs(slope_plus - exp_plus) <= 0.02 * abs(exp_plus)
-        assert abs(slope_minus - exp_minus) <= 0.02 * abs(exp_minus)
+    # log v(sin(+-z)) + log cos z against log delta, delta = pi/2 - z, has
+    # slope 2/lam - 1 -+ 2m/lam, fitted from the package's log_value
+    deltas = np.logspace(-6, -3, 16)
+    zs = math.pi / 2 - deltas
+    for lam, m in _MATRIX_PAIRS:
+        eq = BetaEquilibrium.from_params(KineticParams(lam, m))
+        for sign in (1.0, -1.0):
+            expected = 2.0 / lam - 1.0 - sign * 2.0 * m / lam
+            log_g = eq.log_value(np.sin(sign * zs)) + np.log(np.cos(zs))
+            if math.isinf(expected):
+                # lam = 1e-308: 2/lam overflows, and log v(sin z) with it,
+                # to -inf: v is far below the least float there
+                assert np.all(log_g == -math.inf)
+                continue
+            slope = np.polyfit(np.log(deltas), log_g, 1)[0]
+            assert abs(slope - expected) <= 0.02 * max(1.0, abs(expected)), (lam, m, sign)
 
 
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.special", "scipy.linalg",
@@ -240,17 +268,16 @@ def test_import_leaves_slow_scipy_modules_unloaded(module):
 
 def test_runs_leave_slow_scipy_modules_unloaded(tmp_path):
     # the guard above covers the import; this one covers a solve, a Monte
-    # Carlo run, the log-Sobolev battery and the transform check at tiny sizes
+    # Carlo run and the log-Sobolev battery at tiny sizes
     code = f"""
 import sys
 from opinion_kinetics.config import parse_config_text
-from opinion_kinetics.runners import run_mc, run_solve, run_transform_check, verify_ls
+from opinion_kinetics.runners import run_mc, run_solve, verify_ls
 cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\ndt = 1e-2\\nt_end = 0.2\\n"
                         "mc.n = 100\\nmc.t_end = 0.04\\nmc.hist_n = 8\\n")
 run_solve(cfg, {str(tmp_path / "solve")!r})
 run_mc(cfg, {str(tmp_path / "mc")!r})
 verify_ls(points=[(0.5, 0.0), (1.0, 0.0)], n=16, n_samples=2, out_dir={str(tmp_path / "ls")!r})
-run_transform_check(cfg, {str(tmp_path / "tc")!r})
 slow = ("scipy.interpolate", "scipy.special", "scipy.linalg", "scipy._lib._array_api")
 print([m for m in slow if m in sys.modules])
 """
@@ -260,7 +287,6 @@ print([m for m in slow if m in sys.modules])
                          text=True, check=True, timeout=120)
     assert out.stdout.split("\n") == ["[]", ""]
     assert (tmp_path / "ls" / "ls_report.csv").exists()
-    assert (tmp_path / "tc" / "transform_report.txt").exists()
 
 
 def test_lapack_loads_at_the_first_march_only(tmp_path):
@@ -274,14 +300,13 @@ from pathlib import Path
 from opinion_kinetics.cli import main
 from opinion_kinetics.config import parse_config_text
 from opinion_kinetics.grid import DensityField, bimodal_density
-from opinion_kinetics.runners import run_transform_check, verify_ls, write_equilibrium_csv
+from opinion_kinetics.runners import verify_ls, write_equilibrium_csv
 from opinion_kinetics.solver import march
 out = Path({str(tmp_path)!r})
 cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\n")
 p, grid = cfg.params(), cfg.grid()
 write_equilibrium_csv(out, p, grid)
 verify_ls(points=[(0.5, 0.0)], n=16, n_samples=1, out_dir=out / "ls")
-run_transform_check(cfg, out / "tc")
 (out / "decay.csv").write_text("t,entropy\\n" + "".join(f"{{k}},{{2.0 ** -k}}\\n" for k in range(12)))
 assert main(["fit", "--csv", str(out / "decay.csv")]) == 0
 v0 = bimodal_density(grid)
