@@ -4,11 +4,15 @@ a traceback, a warning (pytest turns warnings into errors, and main does
 not catch them) or a `nan` on stdout."""
 
 import itertools
+import math
 import re
 
+import numpy as np
 import pytest
 
 from opinion_kinetics.cli import main
+from opinion_kinetics.config import parse_config
+from opinion_kinetics.equilibrium import BetaEquilibrium
 
 _RATES = "the Chang-Cooper rates are not positive finite floats"
 _UNDERFLOW = "the discrete steady state underflows on"
@@ -17,11 +21,16 @@ _ANALYTIC_UNDERFLOW = "the analytic steady state underflows"
 _MC = "mc.n = 2000\nmc.t_end = 0.2\nmc.hist_n = 50\n"
 
 
-def _run(command, lam, m, n, t_end, tmp_path, capsys, initial="bimodal"):
+def _write_config(command, lam, m, n, t_end, tmp_path, initial="bimodal"):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"lambda = {lam!r}\nm = {m!r}\nn = {n}\ndt = 1e-2\nt_end = {t_end}\n"
                    f"initial = {initial}\n" + (_MC if command == "mc" else ""),
                    encoding="utf-8")
+    return cfg
+
+
+def _run(command, lam, m, n, t_end, tmp_path, capsys, initial="bimodal"):
+    cfg = _write_config(command, lam, m, n, t_end, tmp_path, initial)
     code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
     return code, capsys.readouterr()
 
@@ -90,17 +99,53 @@ def test_corner_runs_to_a_verdict(command, lam, m, n, want, capsys, tmp_path):
 _LAMBDAS = (1e-300, 1e-100, 1e-10, 1e-4,
             0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 5, 20, 50)
 _MATRIX = [
-    *itertools.product(("equilibrium", "solve"), _LAMBDAS,
+    *itertools.product(("equilibrium", "transform-check", "solve"), _LAMBDAS,
                        (0.0, 0.5, -0.9, 0.99), (4, 7, 200)),
-    *itertools.product(("equilibrium", "solve", "mc"), (1e-308, 1e-320),
+    *itertools.product(("equilibrium", "transform-check", "solve", "mc"), (1e-308, 1e-320),
                        (0.0,), (200,)),
 ]
+# the angles the retired transform-check sampled: 2001 across the interval,
+# and delta = pi/2 - z from 1e-6 to 1e-3 for the boundary fits
+_ANGLES = np.linspace(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3, 2001)
+_DELTAS = np.logspace(-6, -3, 16)
+
+
+def _angular_corner(lam, m, n, tmp_path):
+    """The transform-check rows.  The subcommand is gone, and its checks run
+    on the 60-digit oracle in test_transform.py; what the package still
+    computes on its path runs here on the corner's config: the Beta steady
+    state, v(sin z) cos z at the 2001 angles, and log v(sin(+-z)) + log cos z
+    at the boundary angles with its fitted slope.  The one numerical failure
+    is the normalization overflow at 1e-320, which main reports as exit 2;
+    elsewhere nothing is nan, negative or +inf."""
+    p = parse_config(_write_config("transform-check", lam, m, n, 0.5, tmp_path)).params()
+    try:
+        eq = BetaEquilibrium.from_params(p)
+    except ArithmeticError as exc:
+        assert lam == 1e-320
+        assert str(exc).startswith("normalization constant overflowed")
+        assert "\n" not in str(exc)
+        return
+    g = eq.value(np.sin(_ANGLES)) * np.cos(_ANGLES)
+    assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
+    zs = 0.5 * math.pi - _DELTAS
+    for sign in (1.0, -1.0):
+        log_g = eq.log_value(np.sin(sign * zs)) + np.log(np.cos(zs))
+        if np.all(np.isfinite(log_g)):
+            assert math.isfinite(np.polyfit(np.log(_DELTAS), log_g, 1)[0])
+        else:
+            # lam = 1e-308: 2/lam overflows, and log v with it, to -inf
+            assert lam == 1e-308
+            assert np.all(log_g == -math.inf)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command, lam, m, n", _MATRIX,
                          ids=["-".join(map(str, row)) for row in _MATRIX])
 def test_corner_matrix_ends_in_a_verdict(command, lam, m, n, capsys, tmp_path):
+    if command == "transform-check":
+        _angular_corner(lam, m, n, tmp_path)
+        return
     code, captured = _run(command, lam, m, n, 0.5, tmp_path, capsys)
     assert code in (0, 2, 3), captured.err
     assert not re.search(r"\bnan\b", captured.out, re.IGNORECASE)
