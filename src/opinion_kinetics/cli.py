@@ -4,7 +4,8 @@ Subcommands: equilibrium, solve, mc, sweep, verify-ls, fit.
 Each subcommand takes only the flags its handler reads (see _COMMANDS); any
 other flag is a usage error.  --n, --dt, --t-end, sweep's --lambdas and
 mc's --seed (mc.seed) override config entries and are checked by the
-config exactly as the same value in the file would be.
+config exactly as the same value in the file would be.  verify-ls's
+--lambdas, --n, --samples and --seed pass straight to verify_ls.
 Each handler parses, dispatches to runners and returns whether every
 acceptance check it ran passed.  Exit codes: 0 success, 1 usage/config
 error, 2 numerical failure (overflow included), 3 acceptance-check failure,
@@ -26,7 +27,6 @@ from .config import ConfigError, ExperimentConfig, lambda_list, parse_config
 from .fitting import fit_decay_rate
 from .params import classify_params
 from .runners import (
-    default_ls_grid,
     run_mc,
     run_solve,
     run_sweep,
@@ -93,7 +93,7 @@ def _cmd_mc(args) -> bool:
 def _cmd_verify_ls(args) -> bool:
     # a flag the user left out takes verify_ls's default
     given = {"n": args.n, "n_samples": args.samples, "seed": args.seed}
-    report = verify_ls(points=default_ls_grid(args.lambdas), out_dir=args.out,
+    report = verify_ls(lambdas=args.lambdas, out_dir=args.out,
                        **{key: v for key, v in given.items() if v is not None})
     print(report)
     return report.passed

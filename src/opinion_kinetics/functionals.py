@@ -8,9 +8,10 @@ Each functional is one function with one convention.  Its first argument
 is density values, one row (n,) or a (rows, n) stack, summed along the
 last axis; its second is the reference DensityField (the solver's discrete
 steady state, or the analytic one sampled on the grid by
-BetaEquilibrium.on_grid), or the Grid for uniform_ls_slack.  Values of
-another width raise GridMismatchError.  A row gives a float and a stack one
-value per row, bit for bit what that row alone gives.
+BetaEquilibrium.on_grid), the Grid for uniform_ls_slack, or points for
+ls_slack (below).  Values of another width raise GridMismatchError.  A row
+gives a float and a stack one value per row, bit for bit what that row
+alone gives; ls_slack gives that per point, along a new first axis.
 
 Every functional but l1_distance divides by the reference: one private
 check, _reference, raises PositivityError unless it is > 0 on every cell.
@@ -23,14 +24,14 @@ place, and _fisher differences that log r across the interfaces.
 entropy_gap, relative_entropy, weighted_l2 and l1_distance do not check
 the values (the solver's march has already checked every row it scores).
 
-ls_slack also takes a sequence of (reference, KineticParams) points and
-scores one row or stack against all of them in one call, as the
-log-Sobolev battery does with each block of random densities.  The
-point-independent work runs once per stack: the value check, the sums
-f_i + f_(i+1), the interface weights 1 - y_if^2 and the scratch arrays
-every point reuses.  Each point still takes its own division, log,
-weighted square sum and entropy sum, in the one-point order, so each
-point's row is bit for bit its one-point value.
+ls_slack's points are (reference, KineticParams) pairs, and one call
+scores a row or stack against all of them, as the log-Sobolev battery
+does with each block of random densities.  The point-independent work
+runs once per stack: the value check, the sums f_i + f_(i+1), the
+interface weights 1 - y_if^2 and the scratch arrays every point reuses.
+Each point still takes its own division, log, weighted square sum and
+entropy sum, in the one-point order, so each point's row is bit for bit
+what a call with that point alone gives.
 
 Two sums give the relative entropy.  relative_entropy and ls_slack take
 the direct one, sum f log r dy: one multiply and one row sum on the log r
@@ -58,7 +59,7 @@ import numpy as np
 
 from ._scipy import xlogy
 from .grid import DensityField, Grid, GridMismatchError, _scalar_or_array, check_density_values
-from .params import KineticParams, log_sobolev_constant
+from .params import log_sobolev_constant
 
 
 class PositivityError(ValueError):
@@ -255,8 +256,9 @@ def l1_distance(values: np.ndarray, ref: DensityField) -> float | np.ndarray:
     return _scalar_or_array(np.abs(f - ref.values).sum(axis=-1) * ref.grid.cell_width)
 
 
-def ls_slack(values: np.ndarray, ref, p: KineticParams | None = None) -> float | np.ndarray:
-    """Slack of the weighted log-Sobolev inequality: K * I(f, ref) - H(f, ref).
+def ls_slack(values: np.ndarray, points) -> np.ndarray:
+    """Slack of the weighted log-Sobolev inequality, K * I(f, ref) - H(f, ref),
+    at each of the (ref, KineticParams) points.
 
     Requires the square-integrable-equilibrium regime.  Nonnegative up to a
     discretization allowance (~1e-6 for smooth positive f at n >= 400)
@@ -265,14 +267,13 @@ def ls_slack(values: np.ndarray, ref, p: KineticParams | None = None) -> float |
     serves both terms; the result is bit for bit
     K * weighted_fisher - relative_entropy.
 
-    With p omitted, ref is a sequence of points, each a (reference field,
-    KineticParams) pair, and the result is an array with one slack per
-    point and row, shaped (points,) + values.shape[:-1]; each point's entry
-    is bit for bit its one-point call.  Every K is taken first (RegimeError),
-    then every point's width, and the values are validated once.  Every
+    The result holds one slack per point and row, shaped
+    (points,) + values.shape[:-1]; each point's entry is bit for bit a call
+    with that point alone.  Every K is taken first (RegimeError), then
+    every point's width, and the values are validated once.  Every
     reference has the values' width, so they share one Grid.
     """
-    points = [(ref, p)] if p is not None else list(ref)
+    points = list(points)
     ks = [log_sobolev_constant(q) for _, q in points]
     f = np.asarray(values, dtype=float)
     for r, _ in points:
@@ -289,7 +290,7 @@ def ls_slack(values: np.ndarray, ref, p: KineticParams | None = None) -> float |
             np.multiply(0.25 * q.lam / dy, base, out=w)
             fisher = _fisher(_log_ratio(f, r, log_r), f_pairs, w, d)
             slack[i] = k * fisher - _entropy_sum(f, log_r, dy)
-    return slack if p is None else _scalar_or_array(slack[0])
+    return slack
 
 
 def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:

@@ -345,26 +345,15 @@ class LsVerification(Report):
         return "\n".join(lines)
 
 
-def _has_ls_constant(lv, mv) -> bool:
-    """Whether (lv, mv) is a KineticParams pair in the square-integrable
-    regime, where the log-Sobolev constant is explicit."""
-    try:
-        p = KineticParams(lv, mv)
-    except ValueError:
-        return False
-    return classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
-
-
-def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
+def verify_ls(lambdas=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
               out_dir=None) -> LsVerification:
-    """Inequality battery: per (lambda, m), the checks min_ls_slack (the
-    minimum log-Sobolev slack over n_samples random smooth densities) and
-    rho_minimized_error (the minimized potential curvature against its
-    closed form); the uniform case (1, 0) adds min_uniform_slack, the
-    unconstrained battery.  A row passes when its point's checks do.  A
-    point given twice is a ConfigError, and a point KineticParams rejects
-    or one outside the square-integrable regime a RegimeError naming it,
-    both raised before any output.
+    """Inequality battery at the points default_ls_grid(lambdas) builds: per
+    (lambda, m), the checks min_ls_slack (the minimum log-Sobolev slack over
+    n_samples random smooth densities) and rho_minimized_error (the
+    minimized potential curvature against its closed form); the uniform
+    case (1, 0) adds min_uniform_slack, the unconstrained battery.  A row
+    passes when its point's checks do.  A lambda given twice repeats its
+    points, a ConfigError raised before any output.
 
     The inputs are checked and out_dir is made first.  The set-up then takes
     each point's minimized curvature and its reference field, which must
@@ -377,20 +366,15 @@ def verify_ls(points=None, n: int = 400, n_samples: int = 200, seed: int = 2024,
     generator draws all of them before the uniform functions, and one draw
     per density gives the same stream: no row depends on the block size or
     on the other points."""
+    pts = default_ls_grid(lambdas)
     if n_samples < 1:
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    pts = default_ls_grid() if points is None else list(points)
-    if not pts:
-        raise ConfigError("points must hold at least one (lambda, m) pair")
     # a check is named by its point, so a point given twice would hide one
     repeated = [f"(lambda={lv}, m={mv})" for i, (lv, mv) in enumerate(pts) if pts[i] in pts[:i]]
     if repeated:
         raise ConfigError("repeated grid points: " + ", ".join(dict.fromkeys(repeated)))
-    bad = [f"(lambda={lv}, m={mv})" for lv, mv in pts if not _has_ls_constant(lv, mv)]
-    if bad:
-        raise RegimeError("inadmissible grid points: " + ", ".join(bad))
 
     grid = Grid(n)
     out = None if out_dir is None else Path(out_dir)

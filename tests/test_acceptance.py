@@ -200,7 +200,7 @@ def test_criterion_6_inequality_property_suites():
             ref = BetaEquilibrium.from_params(p).on_grid(g400)
             for _ in range(200):
                 phi = random_smooth_densities(g400, rng, 1)[0]
-                ls_min = min(ls_min, ls_slack(phi, ref, p))
+                ls_min = min(ls_min, ls_slack(phi, [(ref, p)])[0])
             n_points += 1
 
     uni_min = math.inf

@@ -246,7 +246,7 @@ def test_cli_rejects_an_empty_lambda_list_or_a_negative_seed(argv, flag, capsys,
 
 def test_runners_reject_a_negative_seed_before_any_output(tmp_path):
     with pytest.raises(ConfigError, match="seed must be >= 0"):
-        verify_ls(points=[(0.5, 0.0)], n=8, n_samples=1, seed=-1, out_dir=tmp_path / "o")
+        verify_ls(lambdas=(0.5,), n=8, n_samples=1, seed=-1, out_dir=tmp_path / "o")
     assert not (tmp_path / "o").exists()
 
 
@@ -477,6 +477,23 @@ def test_cli_verify_ls_repeated_lambda_exits_1_before_any_output(lambdas, capsys
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: repeated grid points: (lambda=0.5, m=0.0), ")
     assert captured.err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--lambdas", "2.5", "--samples", "0"],
+                 "lambda = 2.5 admits no log-Sobolev constant", id="lambda_before_samples"),
+    pytest.param(["--lambdas", "0.5,0.5", "--samples", "0"],
+                 "n_samples must be at least 1, got 0", id="samples_before_repeat"),
+    pytest.param(["--lambdas", "0.5,0.5,2.5"],
+                 "lambda = 2.5 admits no log-Sobolev constant", id="lambda_before_repeat"),
+])
+def test_cli_verify_ls_names_the_first_bad_input(flags, message, capsys, tmp_path):
+    # lambda first, then the battery sizes and seed, then a repeated point
+    code = main(["verify-ls", *flags, "--out", str(tmp_path / "d")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "d").exists()
 
 

@@ -225,7 +225,7 @@ def test_weighted_fisher_and_ls_slack_match_a_50_digit_oracle(kind):
         for rows, fisher_rel, slack_bound in ((far, 4e-15, None), (near, 2.5e-10, 2.2e-16)):
             if not len(rows):
                 continue
-            fisher, slack = weighted_fisher(rows, ref, p.lam), ls_slack(rows, ref, p)
+            fisher, slack = weighted_fisher(rows, ref, p.lam), ls_slack(rows, [(ref, p)])[0]
             for f, got_i, got_s in zip(rows, fisher, slack):
                 want_i = discrete_weighted_fisher(f, ref.values, g.interior_interfaces,
                                                   g.cell_width, p.lam)
@@ -251,7 +251,7 @@ def test_relative_entropy_matches_a_50_digit_oracle(lam, m):
     far = random_smooth_densities(g, np.random.default_rng(21), 6)
     rows = np.vstack([_near_row(ref), far])
     h = relative_entropy(rows, ref)
-    h_from_slack = k * weighted_fisher(rows, ref, lam) - ls_slack(rows, ref, p)
+    h_from_slack = k * weighted_fisher(rows, ref, lam) - ls_slack(rows, [(ref, p)])[0]
     for i, f in enumerate(rows):
         want = discrete_relative_entropy(f, ref.values, g.cell_width)
         bound = 2e-17 if i == 0 else 4e-15 * want
@@ -298,7 +298,7 @@ def test_ls_slack_is_k_fisher_minus_relative_entropy_bitwise(n):
     stack = _stack_near_and_far(g, ref, np.random.default_rng(n + 1), 9)
     for r in (ref, discretize_equilibrium(p, g)):
         for f in [*stack, stack]:
-            assert np.array_equal(ls_slack(f, r, p),
+            assert np.array_equal(ls_slack(f, [(r, p)])[0],
                                   k * weighted_fisher(f, r, p.lam) - relative_entropy(f, r))
 
 
@@ -402,19 +402,19 @@ def test_ls_slack_zero_at_equilibrium():
     p = KineticParams(0.5, 0.0)
     g = Grid(400)
     eq = BetaEquilibrium.from_params(p).on_grid(g)
-    assert ls_slack(eq.values, eq, p) == 0.0
+    assert ls_slack(eq.values, [(eq, p)])[0] == 0.0
 
 
 def test_ls_slack_bimodal_positive():
     p = KineticParams(0.5, 0.0)
     phi = bimodal_density(Grid(400))
-    assert ls_slack(phi.values, BetaEquilibrium.from_params(p).on_grid(phi.grid), p) > 0.0
+    assert ls_slack(phi.values, [(BetaEquilibrium.from_params(p).on_grid(phi.grid), p)])[0] > 0.0
 
 
 def test_ls_slack_regime_error():
     phi = bimodal_density(Grid(100))
     with pytest.raises(RegimeError):
-        ls_slack(phi.values, uniform_density(phi.grid), KineticParams(1.9, 0.5))
+        ls_slack(phi.values, [(uniform_density(phi.grid), KineticParams(1.9, 0.5))])
 
 
 def test_uniform_ls_slack_equality_case():
@@ -502,12 +502,18 @@ def test_row_functionals_equal_one_row_calls_bitwise(n):
     # the analytic reference and the discrete one
     for r in (ref, discretize_equilibrium(p, g)):
         for fn in (entropy_gap, relative_entropy, weighted_l2, l1_distance, _ckp_slack,
-                   lambda v, r: weighted_fisher(v, r, p.lam), lambda v, r: ls_slack(v, r, p)):
+                   lambda v, r: weighted_fisher(v, r, p.lam)):
             got = fn(stack, r)
             assert got.shape == (len(stack),)
             rows = [fn(row, r) for row in stack]
             assert all(type(x) is float for x in rows)
             assert np.array_equal(got, rows)
+        # ls_slack gives one array per point: a row's is shaped (points,)
+        got = ls_slack(stack, [(r, p)])
+        assert got.shape == (1, len(stack))
+        rows = [ls_slack(row, [(r, p)]) for row in stack]
+        assert all(x.shape == (1,) for x in rows)
+        assert np.array_equal(got, np.stack(rows, axis=1))
     ws = random_grid_functions(g, rng, 9)
     assert np.array_equal(uniform_ls_slack(ws, g), [uniform_ls_slack(w, g) for w in ws])
 
@@ -526,8 +532,8 @@ def test_row_functionals_reject_a_bad_row_as_the_one_row_path(bad, error):
     def one_row(fn):
         return lambda: fn(DensityField(g, stack[2]))
 
-    assert _raised_type(one_row(lambda f: ls_slack(f.values, ref, p))) is error
-    assert _raised_type(lambda: ls_slack(stack, ref, p)) is error
+    assert _raised_type(one_row(lambda f: ls_slack(f.values, [(ref, p)]))) is error
+    assert _raised_type(lambda: ls_slack(stack, [(ref, p)])) is error
     assert _raised_type(lambda: ls_slack(stack, _battery_points(g))) is error
     assert _raised_type(one_row(lambda f: weighted_fisher(f.values, ref, p.lam))) is error
     assert _raised_type(lambda: weighted_fisher(stack, ref, p.lam)) is error
@@ -547,10 +553,10 @@ def test_ls_slack_at_many_points_equals_one_point_calls_bitwise(n, rows):
     stack = random_smooth_densities(g, np.random.default_rng(n + rows), rows)
     got = ls_slack(stack, points)
     assert got.shape == (45, rows)
-    assert np.array_equal(got, [ls_slack(stack, ref, p) for ref, p in points])
+    assert np.array_equal(got, [ls_slack(stack, [(ref, p)])[0] for ref, p in points])
     row = ls_slack(stack[0], points)
     assert row.shape == (45,)
-    assert np.array_equal(row, [ls_slack(stack[0], ref, p) for ref, p in points])
+    assert np.array_equal(row, [ls_slack(stack[0], [(ref, p)])[0] for ref, p in points])
 
 
 def test_ls_slack_at_many_points_checks_a_nan_before_a_negative_value():
@@ -558,7 +564,7 @@ def test_ls_slack_at_many_points_checks_a_nan_before_a_negative_value():
     points = _battery_points(g)
     stack = random_smooth_densities(g, np.random.default_rng(6), 4)
     stack[1, 3], stack[2, 5] = -1e-3, math.nan
-    for fn in (lambda: ls_slack(stack, points), lambda: ls_slack(stack, *points[0])):
+    for fn in (lambda: ls_slack(stack, points), lambda: ls_slack(stack, points[:1])):
         with pytest.raises(ValueError, match="must be finite"):
             fn()
 
@@ -573,7 +579,7 @@ def test_ls_slack_at_many_points_rejects_an_inadmissible_point():
     # the constant is taken before the values are checked, as at one point
     stack[2, 5] = math.nan
     assert _raised_type(lambda: ls_slack(stack, points)) is RegimeError
-    assert _raised_type(lambda: ls_slack(stack, uniform_density(g), bad)) is RegimeError
+    assert _raised_type(lambda: ls_slack(stack, [(uniform_density(g), bad)])) is RegimeError
 
 
 def test_each_functional_takes_an_empty_stack():
@@ -581,7 +587,7 @@ def test_each_functional_takes_an_empty_stack():
     ref = BetaEquilibrium.from_params(p).on_grid(Grid(64))
     empty = np.empty((0, 64))
     for fn in (entropy_gap, relative_entropy, weighted_l2, l1_distance,
-               lambda v, r: weighted_fisher(v, r, p.lam), lambda v, r: ls_slack(v, r, p),
+               lambda v, r: weighted_fisher(v, r, p.lam), lambda v, r: ls_slack(v, [(r, p)])[0],
                lambda v, r: uniform_ls_slack(v, r.grid)):
         got = fn(empty, ref)
         assert isinstance(got, np.ndarray) and got.shape == (0,)
@@ -590,7 +596,7 @@ def test_each_functional_takes_an_empty_stack():
 @pytest.mark.parametrize("fn", [
     entropy_gap, relative_entropy, weighted_l2, l1_distance, _ckp_slack,
     lambda v, ref: weighted_fisher(v, ref, 0.6),
-    lambda v, ref: ls_slack(v, ref, KineticParams(0.6, 0.2)),
+    lambda v, ref: ls_slack(v, [(ref, KineticParams(0.6, 0.2))])[0],
     lambda v, ref: uniform_ls_slack(v, ref.grid),
 ], ids=["entropy_gap", "relative_entropy", "weighted_l2", "l1_distance", "ckp_slack",
         "weighted_fisher", "ls_slack", "uniform_ls_slack"])

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import re
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from opinion_kinetics import functionals, montecarlo, runners
 from opinion_kinetics.cli import main
@@ -12,7 +14,14 @@ from opinion_kinetics.config import ConfigError, McConfig, parse_config_text
 from opinion_kinetics.equilibrium import BetaEquilibrium
 from opinion_kinetics.functionals import ls_slack, uniform_ls_slack
 from opinion_kinetics.grid import Grid, random_grid_functions, random_smooth_densities
-from opinion_kinetics.params import KineticParams, bakry_emery_rho
+from opinion_kinetics.params import (
+    KineticParams,
+    ParamRegime,
+    RegimeError,
+    bakry_emery_rho,
+    classify_params,
+    log_sobolev_constant,
+)
 from opinion_kinetics.runners import default_ls_grid, run_mc, run_sweep, verify_ls, write_csv
 
 
@@ -64,7 +73,7 @@ def _scalar_battery(points, n, n_samples, seed):
     for lv, mv in points:
         p = KineticParams(lv, mv)
         ref = BetaEquilibrium.from_params(p).on_grid(grid)
-        ls_min = min(ls_slack(f, ref, p) for f in densities)
+        ls_min = min(ls_slack(f, [(ref, p)])[0] for f in densities)
         out.append((ls_min, uni_min if (lv, mv) == (1.0, 0.0) else math.nan))
     return out
 
@@ -77,17 +86,18 @@ def test_verify_ls_makes_its_output_directory_before_the_battery(monkeypatch, tm
 
     monkeypatch.setattr(runners, "minimize_potential_second", battery)
     with pytest.raises(NotADirectoryError):
-        verify_ls(points=[(0.5, 0.0)], n=8, n_samples=1, out_dir=tmp_path / "file" / "o")
+        verify_ls(lambdas=(0.5,), n=8, n_samples=1, out_dir=tmp_path / "file" / "o")
 
 
 @pytest.mark.parametrize("seed", [3, 2024])
 def test_verify_ls_rows_equal_scalar_loop(seed):
     # 37 samples at n = 400 make a full block of 25 rows and a partial one
-    points = [(0.4, -0.72), (1.0, 0.0), (1.4, 0.27)]
-    report = verify_ls(points=points, n=400, n_samples=37, seed=seed)
+    lambdas = (0.4, 1.0, 1.4)
+    report = verify_ls(lambdas=lambdas, n=400, n_samples=37, seed=seed)
     got = [(r["min_ls_slack"], r["min_uniform_slack"]) for r in report.rows]
-    assert np.array_equal(got, _scalar_battery(points, 400, 37, seed), equal_nan=True)
-    assert math.isfinite(got[1][1])
+    assert np.array_equal(got, _scalar_battery(default_ls_grid(lambdas), 400, 37, seed),
+                          equal_nan=True)
+    assert math.isfinite(got[5][1])  # (1, 0), the uniform battery's point
 
 
 def test_verify_ls_draws_each_block_of_densities_once(monkeypatch):
@@ -117,12 +127,14 @@ def test_verify_ls_row_does_not_depend_on_the_other_points(index, point, seed):
     assert np.allclose(grid_point, point, rtol=0.0, atol=1e-15)
     keys = ["K", "rho", "rho_minimized", "min_ls_slack", "min_uniform_slack", "pass"]
     battery = verify_ls(seed=seed).rows[index]
-    alone = verify_ls(points=[grid_point], seed=seed).rows[0]
+    # the run at the point's lambda alone: its five points, the point among them
+    alone = verify_ls(lambdas=(grid_point[0],), seed=seed).rows[index % 5]
+    assert (alone["lambda"], alone["m"]) == grid_point
     assert np.array_equal([alone[k] for k in keys], [battery[k] for k in keys], equal_nan=True)
 
 
 def test_default_battery_holds_one_block_at_a_time():
-    verify_ls(points=[(1.0, 0.0)], n_samples=1)  # caches the n = 400 basis
+    verify_ls(lambdas=(1.0,), n_samples=1)  # caches the n = 400 basis
     tracemalloc.start()
     try:
         verify_ls()
@@ -144,14 +156,41 @@ def test_default_battery_catches_a_log_sobolev_constant_too_small(monkeypatch):
 
 def test_verify_ls_rejects_empty_points():
     with pytest.raises(ConfigError, match="at least one"):
-        verify_ls(points=[], n=16, n_samples=1)
+        verify_ls(lambdas=(), n=16, n_samples=1)
+
+
+# hypothesis imports libcst to write a failure patch, and libcst's import
+# warns: without this filter a failing example ends the run as an INTERNALERROR
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, deadline=None)
+@given(lam=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+@example(lam=5e-324)
+@example(lam=1e-300)
+@example(lam=1.9999999999999998)
+def test_every_default_ls_grid_point_has_a_log_sobolev_constant(lam):
+    # so the battery needs no admissibility check of its own
+    for lv, mv in default_ls_grid((lam,)):
+        p = KineticParams(lv, mv)
+        assert classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
+        assert math.isfinite(log_sobolev_constant(p))
+
+
+def test_verify_ls_checks_lambdas_then_sizes_then_repeats(tmp_path):
+    out = tmp_path / "o"
+    with pytest.raises(RegimeError, match=r"^lambda = 2.5 admits no log-Sobolev constant$"):
+        verify_ls(lambdas=(2.5,), n_samples=0, out_dir=out)
+    with pytest.raises(ConfigError, match=r"^lambdas must hold at least one value$"):
+        verify_ls(lambdas=(), n_samples=0, out_dir=out)
+    with pytest.raises(ConfigError, match=r"^n_samples must be at least 1, got 0$"):
+        verify_ls(lambdas=(0.5, 0.5), n_samples=0, out_dir=out)
+    assert not out.exists()
 
 
 def test_verify_ls_rejects_a_repeated_point_before_any_output(tmp_path):
     # each check is named by its point: a repeated one would hide a verdict
-    points = [(0.5, 0.0), (1.0, 0.0), (0.5, 0.0)]
-    with pytest.raises(ConfigError, match=r"^repeated grid points: \(lambda=0.5, m=0.0\)$"):
-        verify_ls(points=points, n=16, n_samples=1, out_dir=tmp_path / "o")
+    repeated = ", ".join(f"(lambda=0.5, m={m})" for m in (0.0, 0.375, -0.375, 0.675, -0.675))
+    with pytest.raises(ConfigError, match=f"^repeated grid points: {re.escape(repeated)}$"):
+        verify_ls(lambdas=(0.5, 1.0, 0.5), n=16, n_samples=1, out_dir=tmp_path / "o")
     assert not (tmp_path / "o").exists()
 
 
@@ -222,12 +261,21 @@ def test_mc_summary_edge_bin_deficit_is_nan_without_reference_edge_mass(tmp_path
 
 def test_verify_ls_names_one_check_per_point_and_verdict():
     # (1, 0) adds the uniform battery's check to the two every point has
-    report = verify_ls(points=[(1.0, 0.0), (0.5, 0.2)], n=16, n_samples=2)
+    report = verify_ls(lambdas=(1.0, 0.5), n=16, n_samples=2)
     names = [c.name for c in report.checks]
-    assert names == ["min_ls_slack(lambda=1.0, m=0.0)", "rho_minimized_error(lambda=1.0, m=0.0)",
-                     "min_uniform_slack(lambda=1.0, m=0.0)",
-                     "min_ls_slack(lambda=0.5, m=0.2)", "rho_minimized_error(lambda=0.5, m=0.2)"]
-    assert len(report.verdicts()) == 5
+    assert names == [
+        "min_ls_slack(lambda=1.0, m=0.0)", "rho_minimized_error(lambda=1.0, m=0.0)",
+        "min_uniform_slack(lambda=1.0, m=0.0)",
+        "min_ls_slack(lambda=1.0, m=0.25)", "rho_minimized_error(lambda=1.0, m=0.25)",
+        "min_ls_slack(lambda=1.0, m=-0.25)", "rho_minimized_error(lambda=1.0, m=-0.25)",
+        "min_ls_slack(lambda=1.0, m=0.45)", "rho_minimized_error(lambda=1.0, m=0.45)",
+        "min_ls_slack(lambda=1.0, m=-0.45)", "rho_minimized_error(lambda=1.0, m=-0.45)",
+        "min_ls_slack(lambda=0.5, m=0.0)", "rho_minimized_error(lambda=0.5, m=0.0)",
+        "min_ls_slack(lambda=0.5, m=0.375)", "rho_minimized_error(lambda=0.5, m=0.375)",
+        "min_ls_slack(lambda=0.5, m=-0.375)", "rho_minimized_error(lambda=0.5, m=-0.375)",
+        "min_ls_slack(lambda=0.5, m=0.675)", "rho_minimized_error(lambda=0.5, m=0.675)",
+        "min_ls_slack(lambda=0.5, m=-0.675)", "rho_minimized_error(lambda=0.5, m=-0.675)"]
+    assert len(report.verdicts()) == 21
     assert report.passed is all(r["pass"] for r in report.rows)
 
 
@@ -240,9 +288,10 @@ def test_default_battery_has_91_uniquely_named_checks():
 def test_verify_ls_fails_a_row_whose_minimized_curvature_is_off(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(runners, "minimize_potential_second",
                         lambda p: (0.0, bakry_emery_rho(p) + 1e-9))
-    report = verify_ls(points=[(0.5, 0.0)], n=16, n_samples=2)
-    assert report.verdicts() == {"min_ls_slack(lambda=0.5, m=0.0)": True,
-                                 "rho_minimized_error(lambda=0.5, m=0.0)": False}
+    report = verify_ls(lambdas=(0.5,), n=16, n_samples=2)
+    verdicts = report.verdicts()
+    assert len(verdicts) == 10
+    assert verdicts == {name: name.startswith("min_ls_slack") for name in verdicts}
     assert not report.rows[0]["pass"] and not report.passed
     code = main(["verify-ls", "--lambdas", "0.5", "--n", "16", "--samples", "2",
                  "--out", str(tmp_path)])

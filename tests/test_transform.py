@@ -277,7 +277,7 @@ cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\ndt = 1e-2\\nt_end = 0.2
                         "mc.n = 100\\nmc.t_end = 0.04\\nmc.hist_n = 8\\n")
 run_solve(cfg, {str(tmp_path / "solve")!r})
 run_mc(cfg, {str(tmp_path / "mc")!r})
-verify_ls(points=[(0.5, 0.0), (1.0, 0.0)], n=16, n_samples=2, out_dir={str(tmp_path / "ls")!r})
+verify_ls(lambdas=(0.5, 1.0), n=16, n_samples=2, out_dir={str(tmp_path / "ls")!r})
 slow = ("scipy.interpolate", "scipy.special", "scipy.linalg", "scipy._lib._array_api")
 print([m for m in slow if m in sys.modules])
 """
@@ -306,7 +306,7 @@ out = Path({str(tmp_path)!r})
 cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\n")
 p, grid = cfg.params(), cfg.grid()
 write_equilibrium_csv(out, p, grid)
-verify_ls(points=[(0.5, 0.0)], n=16, n_samples=1, out_dir=out / "ls")
+verify_ls(lambdas=(0.5,), n=16, n_samples=1, out_dir=out / "ls")
 (out / "decay.csv").write_text("t,entropy\\n" + "".join(f"{{k}},{{2.0 ** -k}}\\n" for k in range(12)))
 assert main(["fit", "--csv", str(out / "decay.csv")]) == 0
 v0 = bimodal_density(grid)
