@@ -65,24 +65,24 @@ def classify_params(p: KineticParams) -> ParamRegime:
     return ParamRegime.GENERAL
 
 
-def _require_l2(p: KineticParams, what: str) -> float:
-    if classify_params(p) < ParamRegime.L2_EQUILIBRIUM:
-        raise RegimeError(
-            f"{what} requires a square-integrable equilibrium "
-            f"(1 - lam/2 >= |m|, strict for m = 0); got lam={p.lam}, m={p.m}"
-        )
-    return 1.0 - p.lam / 2.0
-
-
 def bakry_emery_rho(p: KineticParams) -> float:
     """Uniform convexity bound of the transformed log-density potential.
 
     With c = 1 - lam/2, the minimum of the potential's second derivative
     over the angular interval is (c + sqrt(c^2 - m^2))/2, which is c for
     m = 0.  Strictly positive on the admissible set and never larger than 1.
+    The square root falls to 0 at |m| = c, where the rounding of c or of
+    c^2 - m^2 would move it by up to sqrt(eps) ~ 1e-8; so c^2 - m^2 is taken
+    as (c - |m|)(c + |m|), with c - |m| = 1 - lam/2 - |m| summed exactly.
     """
-    c = _require_l2(p, "bakry_emery_rho")
-    return 0.5 * (c + math.sqrt(max(c * c - p.m * p.m, 0.0)))
+    if classify_params(p) < ParamRegime.L2_EQUILIBRIUM:
+        raise RegimeError(
+            "bakry_emery_rho requires a square-integrable equilibrium "
+            f"(1 - lam/2 >= |m|, strict for m = 0); got lam={p.lam}, m={p.m}"
+        )
+    c, m = 1.0 - p.lam / 2.0, abs(p.m)
+    gap = math.fsum((1.0, -p.lam / 2.0, -m))  # < 0 only where c rounds up past |m|
+    return 0.5 * (c + math.sqrt(max(gap, 0.0) * (c + m)))
 
 
 def log_sobolev_constant(p: KineticParams) -> float:

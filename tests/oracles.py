@@ -71,10 +71,17 @@ def _log_one_minus_plus(y, dps):
 
 
 @functools.cache
+def _cos_and_sin(z, dps):
+    """cos z and sin z at dps digits, the float z taken exactly."""
+    with mpmath.workdps(dps):
+        return mpmath.cos_sin(mpmath.mpf(z))
+
+
+@functools.cache
 def _log_cos_and_sin(z, dps):
     """log cos z and sin z at dps digits, the float z taken exactly."""
+    c, s = _cos_and_sin(z, dps)
     with mpmath.workdps(dps):
-        c, s = mpmath.cos_sin(mpmath.mpf(z))
         return mpmath.log(c), s
 
 
@@ -128,6 +135,34 @@ def angular_log_density_explicit(lam, m, zs):
         cos_power, ratio_power = 2 / lam - 1, 2 * m / lam
         return [log_c + cos_power * log_cos + ratio_power * log_ratio
                 for log_cos, log_ratio in (_explicit_logs(z, dps) for z in zs)]
+
+
+def potential_second(lam, m, zs, dps=60):
+    """P''(z) = ((1 - lam/2) - m sin z) / cos^2 z, the second derivative of
+    the angular potential P, g = C exp(-(2/lam) P), for each float z of zs:
+    mpf values at dps digits, the floats lam, m and z taken exactly."""
+    with mpmath.workdps(dps):
+        c, m = 1 - mpmath.mpf(lam) / 2, mpmath.mpf(m)
+        return [(c - m * s) / (cz * cz) for cz, s in (_cos_and_sin(z, dps) for z in zs)]
+
+
+def potential_second_min(lam, m, dps=60):
+    """The infimum of P'' over (-pi/2, pi/2) for an admissible pair, c =
+    1 - lam/2 >= |m| taken exactly from the floats lam and m, as an mpf at
+    dps digits.
+
+    In s = sin z, P'' = (c - m s) / (1 - s^2), whose stationary points solve
+    m s^2 + (lam - 2) s + m = 0.  The root inside (-1, 1) is
+    s* = m / (c + sqrt(c^2 - m^2)), taken in this form, which does not
+    cancel; s* = 0 at m = 0.  At |m| = c that root reaches s = sign(m),
+    where P'' = c / (1 + |s|) has no minimum: the infimum is its limit c/2
+    as z -> +-pi/2."""
+    with mpmath.workdps(dps):
+        c, m = 1 - mpmath.mpf(lam) / 2, mpmath.mpf(m)
+        if abs(m) == c:
+            return c / 2
+        s = m / (c + mpmath.sqrt(c * c - m * m))
+        return (c - m * s) / (1 - s * s)
 
 
 def quad_mass(f):

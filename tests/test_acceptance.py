@@ -36,7 +36,6 @@ from opinion_kinetics.montecarlo import (
 )
 from opinion_kinetics.params import KineticParams, bakry_emery_rho, log_sobolev_constant
 from opinion_kinetics.solver import discretize_equilibrium, march, solve
-from opinion_kinetics.transform import minimize_potential_second
 
 import oracles
 
@@ -86,7 +85,7 @@ def test_criterion_1_closed_form_constants():
         c = 1.0 - lam / 2.0
         for frac in (0.0, 0.25, -0.25, 0.5, -0.5, 0.75, -0.75, 0.95, -0.95):
             p = KineticParams(float(lam), float(frac * c))
-            _, min_val = minimize_potential_second(p)
+            min_val = float(oracles.potential_second_min(p.lam, p.m))
             rho = bakry_emery_rho(p)
             worst_min = max(worst_min, abs(min_val - rho))
             worst_identity = max(

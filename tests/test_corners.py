@@ -190,7 +190,7 @@ def test_verify_ls_outside_the_l2_regime_stays_a_usage_error(lam, capsys, tmp_pa
     assert capsys.readouterr().err.startswith(f"error: lambda = {lam} admits no")
 
 
-# ROADMAP item 3's verdict map: `solve` at n = 200, dt = 1e-3, t_end = 5
+# ROADMAP item 12's verdict map: `solve` at n = 200, dt = 1e-3, t_end = 5
 # from the bimodal start, over every (lambda, m) cell
 _MAP_LAMBDAS = (0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 1.5, 2, 5, 20, 50)
 _MAP_MS = (0.0, 0.5, -0.9, 0.99)
@@ -200,10 +200,10 @@ _MAP_NOT_PASSING = {
     # the kernel's log spans more than the float range (item 6)
     **{(0.005, m): (2, []) for m in _MAP_MS},
     **{(0.01, m): (2, []) for m in (0.5, -0.9, 0.99)},
-    # mass drift above 1e-12 from the LU solve (item 8)
+    # mass drift above 1e-12 from the LU solve (item 1)
     **{cell: (3, ["mass_conserved"]) for cell in ((5, 0.0), (5, -0.9), (20, -0.9),
                                                   (20, 0.99))},
-    # ... and the weighted L2 fit reaches its roundoff floor (item 7)
+    # ... and the weighted L2 fit reaches its roundoff floor (item 9)
     **{cell: (3, ["mass_conserved", "weighted_l2_rate"])
        for cell in ((20, 0.0), *((50, m) for m in _MAP_MS))},
 }

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from opinion_kinetics.params import (
     KineticParams,
@@ -11,6 +13,8 @@ from opinion_kinetics.params import (
     classify_params,
     log_sobolev_constant,
 )
+
+import oracles
 
 
 def test_param_validation():
@@ -107,3 +111,40 @@ def test_constants_even_in_m():
             kp = log_sobolev_constant(KineticParams(lam, m))
             km = log_sobolev_constant(KineticParams(lam, -m))
             assert kp == km
+
+
+@st.composite
+def _admissible_points(draw):
+    """(lam, m) with lam in (0, 2) and m = frac * (1 - lam/2) in floats,
+    |frac| <= 1, kept where |m| <= 1 - lam/2 holds for the floats taken
+    exactly: where 1 - lam/2 rounds up, frac = +-1 lies just outside."""
+    lam = draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    m = draw(st.floats(-1.0, 1.0)) * (1.0 - lam / 2.0)
+    assume(abs(Fraction(m)) <= 1 - Fraction(lam) / 2)
+    return lam, m
+
+
+# the examples: the edge |m| = 1 - lam/2, where the square root in rho falls
+# to 0; points one float inside it, where rounding 1 - lam/2 or c^2 - m^2
+# moves rho by up to 1e-8 (c*c - m*m in floats is 3.4e-9 off at (0.3, 0.85)
+# and 1.2e-9 at (0.5, 0.75 - ulp)); and tiny lam, where 1 - lam/2 rounds to 1.
+# hypothesis imports libcst to write a failure patch, and libcst's import
+# warns: without this filter a failing example ends the run as an INTERNALERROR
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(derandomize=True, database=None, deadline=None)
+@given(point=_admissible_points())
+@example(point=(0.5, 0.75))
+@example(point=(0.5, -0.75))
+@example(point=(1.5, 0.25))
+@example(point=(1.9999999999999998, 1.1102230246251565e-16))
+@example(point=(0.5, 0.7499999999999999))
+@example(point=(0.3, 0.85))
+@example(point=(2.0 ** -52, 1.0 - 2.0 ** -53))
+@example(point=(1e-300, 0.0))
+@example(point=(1e-300, 0.9))
+@example(point=(1e-300, -(1.0 - 2.0 ** -53)))
+@example(point=(5e-324, 0.5))
+def test_bakry_emery_rho_is_the_60_digit_minimum_of_the_curvature(point):
+    lam, m = point
+    p = KineticParams(lam, m)
+    assert abs(bakry_emery_rho(p) - float(oracles.potential_second_min(lam, m))) <= 1e-10

@@ -84,7 +84,8 @@ def test_verify_ls_makes_its_output_directory_before_the_battery(monkeypatch, tm
     def battery(*args):
         raise AssertionError("the battery ran before the output directory was made")
 
-    monkeypatch.setattr(runners, "minimize_potential_second", battery)
+    # the set-up's first call: each point's reference field
+    monkeypatch.setattr(runners.BetaEquilibrium, "on_grid", battery)
     with pytest.raises(NotADirectoryError):
         verify_ls(lambdas=(0.5,), n=8, n_samples=1, out_dir=tmp_path / "file" / "o")
 
@@ -125,7 +126,7 @@ def test_verify_ls_draws_each_block_of_densities_once(monkeypatch):
 def test_verify_ls_row_does_not_depend_on_the_other_points(index, point, seed):
     grid_point = default_ls_grid()[index]
     assert np.allclose(grid_point, point, rtol=0.0, atol=1e-15)
-    keys = ["K", "rho", "rho_minimized", "min_ls_slack", "min_uniform_slack", "pass"]
+    keys = ["K", "rho", "min_ls_slack", "min_uniform_slack", "pass"]
     battery = verify_ls(seed=seed).rows[index]
     # the run at the point's lambda alone: its five points, the point among them
     alone = verify_ls(lambdas=(grid_point[0],), seed=seed).rows[index % 5]
@@ -260,39 +261,40 @@ def test_mc_summary_edge_bin_deficit_is_nan_without_reference_edge_mass(tmp_path
 
 
 def test_verify_ls_names_one_check_per_point_and_verdict():
-    # (1, 0) adds the uniform battery's check to the two every point has
+    # (1, 0) adds the uniform battery's check to the one every point has
     report = verify_ls(lambdas=(1.0, 0.5), n=16, n_samples=2)
     names = [c.name for c in report.checks]
     assert names == [
-        "min_ls_slack(lambda=1.0, m=0.0)", "rho_minimized_error(lambda=1.0, m=0.0)",
-        "min_uniform_slack(lambda=1.0, m=0.0)",
-        "min_ls_slack(lambda=1.0, m=0.25)", "rho_minimized_error(lambda=1.0, m=0.25)",
-        "min_ls_slack(lambda=1.0, m=-0.25)", "rho_minimized_error(lambda=1.0, m=-0.25)",
-        "min_ls_slack(lambda=1.0, m=0.45)", "rho_minimized_error(lambda=1.0, m=0.45)",
-        "min_ls_slack(lambda=1.0, m=-0.45)", "rho_minimized_error(lambda=1.0, m=-0.45)",
-        "min_ls_slack(lambda=0.5, m=0.0)", "rho_minimized_error(lambda=0.5, m=0.0)",
-        "min_ls_slack(lambda=0.5, m=0.375)", "rho_minimized_error(lambda=0.5, m=0.375)",
-        "min_ls_slack(lambda=0.5, m=-0.375)", "rho_minimized_error(lambda=0.5, m=-0.375)",
-        "min_ls_slack(lambda=0.5, m=0.675)", "rho_minimized_error(lambda=0.5, m=0.675)",
-        "min_ls_slack(lambda=0.5, m=-0.675)", "rho_minimized_error(lambda=0.5, m=-0.675)"]
-    assert len(report.verdicts()) == 21
+        "min_ls_slack(lambda=1.0, m=0.0)", "min_uniform_slack(lambda=1.0, m=0.0)",
+        "min_ls_slack(lambda=1.0, m=0.25)", "min_ls_slack(lambda=1.0, m=-0.25)",
+        "min_ls_slack(lambda=1.0, m=0.45)", "min_ls_slack(lambda=1.0, m=-0.45)",
+        "min_ls_slack(lambda=0.5, m=0.0)", "min_ls_slack(lambda=0.5, m=0.375)",
+        "min_ls_slack(lambda=0.5, m=-0.375)", "min_ls_slack(lambda=0.5, m=0.675)",
+        "min_ls_slack(lambda=0.5, m=-0.675)"]
+    assert len(report.verdicts()) == 11
     assert report.passed is all(r["pass"] for r in report.rows)
 
 
-def test_default_battery_has_91_uniquely_named_checks():
+def test_default_battery_has_46_uniquely_named_checks():
     report = verify_ls(n=16, n_samples=1)
     assert len(report.rows) == 45
-    assert len(report.checks) == len(report.verdicts()) == 91
+    assert len(report.checks) == len(report.verdicts()) == 46
 
 
-def test_verify_ls_fails_a_row_whose_minimized_curvature_is_off(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(runners, "minimize_potential_second",
-                        lambda p: (0.0, bakry_emery_rho(p) + 1e-9))
+def test_verify_ls_fails_a_row_whose_slack_is_below_its_bound(monkeypatch, capsys, tmp_path):
+    def one_point_below(values, points):
+        slack = ls_slack(values, points)
+        slack[0, 0] = -2e-6  # the first point, lambda = 0.5 and m = 0
+        return slack
+
+    monkeypatch.setattr(runners, "ls_slack", one_point_below)
     report = verify_ls(lambdas=(0.5,), n=16, n_samples=2)
     verdicts = report.verdicts()
-    assert len(verdicts) == 10
-    assert verdicts == {name: name.startswith("min_ls_slack") for name in verdicts}
+    assert len(verdicts) == 5
+    assert verdicts == {name: name != "min_ls_slack(lambda=0.5, m=0.0)" for name in verdicts}
+    assert report.rows[0]["min_ls_slack"] == -2e-6
     assert not report.rows[0]["pass"] and not report.passed
+    assert all(r["pass"] for r in report.rows[1:])
     code = main(["verify-ls", "--lambdas", "0.5", "--n", "16", "--samples", "2",
                  "--out", str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
