@@ -18,19 +18,16 @@ A run's agents are drawn from a gridded density, piecewise constant per
 cell (sample_from_density); run_mc passes the density its Fokker-Planck
 reference starts from, so both sides start from one law.
 
-Drawing a sweep's permutation and noise costs about twice its arithmetic,
-and neither draw depends on the opinions.  So when the process may run on
-more than one CPU, mc_sweeps draws the whole random stream of sweep k + 1
-on the one worker of a ThreadPoolExecutor while the caller's thread
-computes sweep k; the worker takes its jobs in stream order, so the stream
-and every result are the serial schedule's bit for bit.
+A sweep shuffles the opinion buffer in place and draws its noise on the
+caller's thread, starting no thread, whatever the number of CPUs: drawing
+the next sweep on a worker thread while this one computes is slower at
+N = 1e5, as the worker's shuffle of an index buffer costs more than the
+in-place one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,22 +166,6 @@ def _interact(x, xs, g_s, eta, eta_s, out):
     ok &= ok_s
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _shuffle_identity(rng: np.random.Generator, identity: np.ndarray,
-                      perm: np.ndarray) -> None:
-    """perm = identity shuffled by rng: the permutation rng.shuffle applies
-    to any array of that length, as it draws the same for each."""
-    np.copyto(perm, identity)
-    rng.shuffle(perm)
-
-
 def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     """Run n_sweeps Nanbu sweeps from e in place, allocating nothing per sweep.
 
@@ -197,19 +178,8 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     a uniform random perfect matching.  One sweep is one unit of kinetic
     time.  e.opinions is never changed.
 
-    e.rng advances by each sweep's permutation, then its noise, and after
-    the last sweep stands where drawing them all in turn leaves it.  With
-    more than one usable CPU, a one-worker ThreadPoolExecutor draws sweep
-    k + 1's permutation into an index buffer once sweep k has gathered
-    through it, and its noise once sweep k's pairs have read the noise
-    buffer; the worker runs its jobs in the order they were submitted,
-    which is the serial stream order.  The worker is joined, its queued
-    draws done, when the generator finishes, is closed or raises: a run
-    stopped after sweep k < n_sweeps leaves e.rng exactly k + 1 sweeps on.
-    A caller that stops early should close() it, as one left suspended
-    keeps its worker waiting until it is collected.  With one CPU, or a
-    single sweep, the state is shuffled in place, no thread is started,
-    and a run stopped after sweep k leaves e.rng k sweeps on.
+    e.rng advances by each sweep's permutation, then its noise: a run stopped
+    after sweep k, or closed there, leaves it exactly k sweeps on.
     """
     n = e.size
     if n % 2 != 0:
@@ -222,39 +192,17 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     old, noise = np.empty(n), np.empty(n)
     ok, ok_s = np.empty(half, dtype=bool), np.empty(half, dtype=bool)
     noise_pairs = noise.reshape(2, half)
-    # one sweep, or one CPU, has nothing to overlap the draws with
-    executor = contextlib.nullcontext()
-    if n_sweeps > 1 and _usable_cpus() > 1:
-        # deferred: concurrent.futures loads logging, which in-place runs never need
-        from concurrent.futures import ThreadPoolExecutor
-        executor = ThreadPoolExecutor(max_workers=1)
-        identity = np.arange(n, dtype=np.int32 if n <= 2**31 else np.intp)
-        perm = np.empty(n, dtype=np.intp)
-    with executor as worker:  # None on the in-place branch
-        if worker is not None:
-            perm_drawn = worker.submit(_shuffle_identity, e.rng, identity, perm)
-            noise_drawn = worker.submit(sample_noise, e.rng, s2_s, noise)
-        for k in range(1, n_sweeps + 1):
-            _check_range(x)
-            if worker is None:
-                e.rng.shuffle(x)
-                sample_noise(e.rng, s2_s, out=noise)
-                x, old = old, x
-            else:
-                perm_drawn.result()
-                # mode="raise" would buffer out: an array of N floats per sweep
-                np.take(x, perm, out=old, mode="clip")
-                if k < n_sweeps:
-                    perm_drawn = worker.submit(_shuffle_identity, e.rng, identity, perm)
-                noise_drawn.result()
-            # the two contiguous halves as the rows of (2, half) views
-            pairs, old_pairs = x.reshape(2, half), old.reshape(2, half)
-            _interact(*old_pairs, g_s, *noise_pairs, out=(*pairs, ok, ok_s))
-            if worker is not None and k < n_sweeps:
-                noise_drawn = worker.submit(sample_noise, e.rng, s2_s, noise)
-            rejected = np.logical_not(ok, out=ok)
-            np.copyto(pairs, old_pairs, where=rejected)
-            yield k, x, int(np.count_nonzero(rejected)), old
+    for k in range(1, n_sweeps + 1):
+        _check_range(x)
+        e.rng.shuffle(x)
+        sample_noise(e.rng, s2_s, out=noise)
+        x, old = old, x
+        # the two contiguous halves as the rows of (2, half) views
+        pairs, old_pairs = x.reshape(2, half), old.reshape(2, half)
+        _interact(*old_pairs, g_s, *noise_pairs, out=(*pairs, ok, ok_s))
+        rejected = np.logical_not(ok, out=ok)
+        np.copyto(pairs, old_pairs, where=rejected)
+        yield k, x, int(np.count_nonzero(rejected)), old
 
 
 def histogram(x: np.ndarray, grid: Grid) -> DensityField:

@@ -56,11 +56,17 @@ class ParamRegime(enum.IntEnum):
 
 
 def classify_params(p: KineticParams) -> ParamRegime:
-    """Return the most restrictive regime satisfied by ``p``."""
-    c = 1.0 - p.lam / 2.0
-    if 1.0 - p.lam > abs(p.m):
+    """Return the most restrictive regime satisfied by ``p``.
+
+    Both inequalities are decided on the floats taken exactly, 1 - lam - |m|
+    and 1 - lam/2 - |m| summed by math.fsum: a rounded 1 - lam/2 can land on
+    or past |m| where the exact one falls short, as at (0.2, 0.9).
+    """
+    m = abs(p.m)
+    if math.fsum((1.0, -p.lam, -m)) > 0.0:
         return ParamRegime.VANISHING_BOUNDARY
-    if (p.m == 0.0 and c > 0.0) or (p.m != 0.0 and c >= abs(p.m)):
+    gap = math.fsum((1.0, -p.lam / 2.0, -m))
+    if gap > 0.0 or (gap == 0.0 and m != 0.0):
         return ParamRegime.L2_EQUILIBRIUM
     return ParamRegime.GENERAL
 
@@ -81,8 +87,8 @@ def bakry_emery_rho(p: KineticParams) -> float:
             f"(1 - lam/2 >= |m|, strict for m = 0); got lam={p.lam}, m={p.m}"
         )
     c, m = 1.0 - p.lam / 2.0, abs(p.m)
-    gap = math.fsum((1.0, -p.lam / 2.0, -m))  # < 0 only where c rounds up past |m|
-    return 0.5 * (c + math.sqrt(max(gap, 0.0) * (c + m)))
+    gap = math.fsum((1.0, -p.lam / 2.0, -m))  # >= 0, as classify_params decides
+    return 0.5 * (c + math.sqrt(gap * (c + m)))
 
 
 def log_sobolev_constant(p: KineticParams) -> float:

@@ -8,7 +8,6 @@ decay.csv is the columns of solve's Trajectory, written as they stand."""
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -249,21 +248,20 @@ def run_mc(cfg: ExperimentConfig, out_dir) -> dict:
     mean_col[0], var_col[0] = moments(ens.opinions)  # the state after sweep 0
     rejected = 0
     edge_deficit = math.nan  # at the last sample time
-    with closing(mc_sweeps(ens, ip, total_sweeps)) as run:
-        for k, x, rejected_k, scratch in run:
-            rejected += rejected_k
-            rej_col[k] = rejected
-            mean_col[k], var_col[k] = moments(x, scratch)
-            if k in sweep_of_sample:
-                t = sweep_of_sample[k]
-                hist = montecarlo.histogram(x, hist_grid)
-                ref = coarsen_density(fp[t], hist_grid)
-                header += [f"hist_t{t:g}", f"fp_t{t:g}"]
-                cols += [hist.values, ref.values]
-                l1_rows.append((t, l1_distance(hist.values, ref)))
-                # the two bins have one width, so their densities weigh as masses
-                mc_edges, ref_edges = (f.values[0] + f.values[-1] for f in (hist, ref))
-                edge_deficit = 1.0 - mc_edges / ref_edges if ref_edges > 0.0 else math.nan
+    for k, x, rejected_k, scratch in mc_sweeps(ens, ip, total_sweeps):
+        rejected += rejected_k
+        rej_col[k] = rejected
+        mean_col[k], var_col[k] = moments(x, scratch)
+        if k in sweep_of_sample:
+            t = sweep_of_sample[k]
+            hist = montecarlo.histogram(x, hist_grid)
+            ref = coarsen_density(fp[t], hist_grid)
+            header += [f"hist_t{t:g}", f"fp_t{t:g}"]
+            cols += [hist.values, ref.values]
+            l1_rows.append((t, l1_distance(hist.values, ref)))
+            # the two bins have one width, so their densities weigh as masses
+            mc_edges, ref_edges = (f.values[0] + f.values[-1] for f in (hist, ref))
+            edge_deficit = 1.0 - mc_edges / ref_edges if ref_edges > 0.0 else math.nan
     # the buffer of the finished sweeps; the Ensemble checks its range
     ens = Ensemble(x, ens.rng, attempted_pairs=total_sweeps * half, rejected_pairs=rejected)
 

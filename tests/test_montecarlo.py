@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import sys
 import threading
@@ -233,11 +232,9 @@ def _reference_sweeps(x, rng, ip, n_sweeps):
         yield x, int((~ok).sum())
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in_place", "drawn_ahead"])
 @pytest.mark.parametrize("lam", [0.5, 3.0])
-def test_both_schedules_match_the_reference_loop(monkeypatch, cpus, lam):
+def test_mc_sweeps_matches_the_reference_loop_on_the_callers_thread(lam):
     # at lambda = 3 about 7% of the pairs are rejected
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
     ip = InteractionParams.from_kinetic(KineticParams(lam, 0.0), gamma=0.5, epsilon=0.01)
     e = sample_from_density(BIMODAL, 1000, seed=21)
     ref = sample_from_density(BIMODAL, 1000, seed=21)
@@ -246,8 +243,7 @@ def test_both_schedules_match_the_reference_loop(monkeypatch, cpus, lam):
     sweeps = zip(mc_sweeps(e, ip, 25), _reference_sweeps(ref.opinions, ref.rng, ip, 25),
                  strict=True)
     for (k, got, rejected, scratch), (want, want_rejected) in sweeps:
-        if k == 1:
-            assert threading.active_count() == threads + (cpus > 1)
+        assert threading.active_count() == threads
         assert np.array_equal(got, want)
         assert rejected == want_rejected
         assert scratch.shape == got.shape and not np.shares_memory(scratch, got)
@@ -259,11 +255,10 @@ def test_both_schedules_match_the_reference_loop(monkeypatch, cpus, lam):
     assert e.rng.random() == ref.rng.random()
 
 
-def test_interleaved_runs_under_fast_thread_switching(monkeypatch):
-    # four runs at once, each with its own worker, on fewer cores, with the
-    # interpreter switching threads every microsecond: a lost hand-over
-    # would change a state or hang, so the consumer gets a deadline
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+def test_interleaved_runs_under_fast_thread_switching():
+    # four runs at once on another thread, with the interpreter switching
+    # threads every microsecond: a run that shared state with another would
+    # change a state or hang, so the consumer gets a deadline
     ip = InteractionParams.from_kinetic(KineticParams(3.0, 0.0), gamma=0.5, epsilon=0.01)
     finals, errors = [], []
 
@@ -292,20 +287,7 @@ def test_interleaved_runs_under_fast_thread_switching(monkeypatch):
         assert np.array_equal(got, want)
 
 
-def test_closing_mc_sweeps_early_joins_the_worker(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    threads = threading.active_count()
-    sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, 50)
-    next(sweeps)
-    assert threading.active_count() == threads + 1
-    sweeps.close()
-    assert threading.active_count() == threads
-
-
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in_place", "drawn_ahead"])
-def test_a_noise_error_comes_out_of_next(monkeypatch, cpus):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+def test_a_noise_error_comes_out_of_next(monkeypatch):
     calls = []
 
     def failing_noise(rng, s2, out):
@@ -316,43 +298,38 @@ def test_a_noise_error_comes_out_of_next(monkeypatch, cpus):
 
     monkeypatch.setattr(montecarlo, "sample_noise", failing_noise)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
-    threads = threading.active_count()
     sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, 10)
     assert [next(sweeps)[0] for _ in range(2)] == [1, 2]
     with pytest.raises(RuntimeError, match="noise source failed"):
         next(sweeps)
-    assert threading.active_count() == threads
+    assert len(calls) == 3
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["in_place", "drawn_ahead"])
-def test_closing_mc_sweeps_early_leaves_a_whole_number_of_sweeps_drawn(monkeypatch, cpus):
-    # the worker's queued draws, sweep k + 1's permutation and noise, are
-    # finished on close; the in-place schedule has drawn exactly k sweeps
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+def test_closing_mc_sweeps_early_leaves_exactly_the_sweeps_run_drawn():
+    # nothing is drawn ahead: closed after sweep 3, the stream is 3 sweeps on
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     e = sample_from_density(BIMODAL, 100_000, seed=8)
     ref = sample_from_density(BIMODAL, 100_000, seed=8)
+    threads = threading.active_count()
     sweeps = mc_sweeps(e, ip, 10)
     for _ in range(3):
         next(sweeps)
+    assert threading.active_count() == threads
     sweeps.close()
     x, noise = np.empty(ref.size), np.empty(ref.size)
-    for _ in range(3 + (cpus > 1)):
+    for _ in range(3):
         ref.rng.shuffle(x)
         sample_noise(ref.rng, ip.epsilon * ip.sigma2, out=noise)
     assert e.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("n_sweeps", [0, 1])
-def test_mc_sweeps_with_nothing_to_overlap_starts_no_thread(monkeypatch, n_sweeps):
-    def no_worker(*args, **kwargs):
-        raise AssertionError(f"a worker was started for {n_sweeps} sweeps")
-
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_worker)
+def test_mc_sweeps_with_nothing_to_overlap_starts_no_thread(n_sweeps):
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    threads = threading.active_count()
     sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, n_sweeps)
     assert [k for k, _, _, _ in sweeps] == list(range(1, n_sweeps + 1))
+    assert threading.active_count() == threads
 
 
 def test_histogram_point_mass_and_mass():

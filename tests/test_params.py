@@ -45,6 +45,48 @@ def test_classify_edge_cases():
     assert classify_params(KineticParams(2.5, 0.0)) == ParamRegime.GENERAL
 
 
+@pytest.mark.parametrize("m", [0.9, -0.9])
+def test_classify_rejects_a_point_where_1_minus_lam_over_2_rounds_up_to_m(m):
+    # 1 - 0.2/2 rounds to 0.9, but for the floats taken exactly it is
+    # 0.89999999999999999445 < 0.9: the steady state is not square-integrable
+    p = KineticParams(0.2, m)
+    assert 1.0 - p.lam / 2.0 == abs(m)
+    assert classify_params(p) == ParamRegime.GENERAL
+    with pytest.raises(RegimeError):
+        bakry_emery_rho(p)
+
+
+@st.composite
+def _points_near_an_edge(draw):
+    """(lam, m) with m = frac * (1 - lam/2) or frac * (1 - lam) in floats,
+    |frac| <= 1: on, or a rounding off, either regime's edge."""
+    lam = draw(st.floats(0.0, 4.0, exclude_min=True))
+    edge = draw(st.sampled_from((1.0 - lam / 2.0, 1.0 - lam)))
+    m = draw(st.floats(-1.0, 1.0)) * edge
+    assume(abs(m) < 1.0)
+    return lam, m
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(point=_points_near_an_edge())
+@example(point=(0.2, 0.9))
+@example(point=(0.1, 0.9))
+@example(point=(1.5, 0.25))
+@example(point=(2.0, 0.0))
+@example(point=(5e-324, 0.5))
+def test_classify_matches_the_floats_taken_exactly(point):
+    lam, m = point
+    lam_x, m_x = Fraction(lam), abs(Fraction(m))
+    gap = 1 - lam_x / 2 - m_x
+    if 1 - lam_x - m_x > 0:
+        want = ParamRegime.VANISHING_BOUNDARY
+    elif gap > 0 or (gap == 0 and m_x != 0):
+        want = ParamRegime.L2_EQUILIBRIUM
+    else:
+        want = ParamRegime.GENERAL
+    assert classify_params(KineticParams(lam, m)) == want
+
+
 def test_vanishing_implies_l2():
     rng = np.random.default_rng(1)
     for _ in range(500):

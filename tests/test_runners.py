@@ -200,14 +200,21 @@ _SMALL_MC = ("lambda = {lam}\nm = 0\nn = 100\ndt = 5e-3\ninitial = uniform\n"
 
 
 def test_run_mc_leaves_no_thread_when_it_returns_or_raises(monkeypatch, tmp_path):
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     cfg = parse_config_text(_SMALL_MC.format(lam=0.5, hist_n=20))
     threads = threading.active_count()
+    histogram, seen = montecarlo.histogram, []
+
+    def watched_histogram(x, grid):
+        seen.append(threading.active_count())  # mid-run, at each sample time
+        return histogram(x, grid)
+
+    monkeypatch.setattr(montecarlo, "histogram", watched_histogram)
     run_mc(cfg, tmp_path / "ok")
+    assert seen and set(seen) == {threads}
     assert threading.active_count() == threads
 
     def failing_histogram(x, grid):
-        assert threading.active_count() == threads + 1  # the worker is drawing
+        assert threading.active_count() == threads
         raise RuntimeError("histogram failed")
 
     monkeypatch.setattr(montecarlo, "histogram", failing_histogram)

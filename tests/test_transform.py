@@ -205,9 +205,9 @@ def test_boundary_asymptotics():
 def test_import_leaves_slow_scipy_modules_unloaded(module):
     # nothing in the package imports scipy.interpolate, and xlogy and the
     # LAPACK routines load from their extension files, LAPACK's only at the
-    # solver's first factorization (see the test below); the Monte Carlo
-    # sweeps import concurrent.futures, which loads logging, only to draw
-    # ahead.  So a fresh import of the module opkin loads, which loads every
+    # solver's first factorization (see the test below); nothing imports
+    # concurrent.futures, which loads logging, as the Monte Carlo starts no
+    # thread.  So a fresh import of the module opkin loads, which loads every
     # other module, loads none of these; it does load scipy itself, whose
     # version the benchmark records
     code = (f"import sys, opinion_kinetics.cli; "
@@ -221,7 +221,7 @@ def test_import_leaves_slow_scipy_modules_unloaded(module):
 
 def test_runs_leave_slow_scipy_modules_unloaded(tmp_path):
     # the guard above covers the import; this one covers a solve, a Monte
-    # Carlo run and the log-Sobolev battery at tiny sizes
+    # Carlo run of 8 sweeps and the log-Sobolev battery at tiny sizes
     code = f"""
 import sys
 from opinion_kinetics.config import parse_config_text
@@ -231,7 +231,8 @@ cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\ndt = 1e-2\\nt_end = 0.2
 run_solve(cfg, {str(tmp_path / "solve")!r})
 run_mc(cfg, {str(tmp_path / "mc")!r})
 verify_ls(lambdas=(0.5, 1.0), n=16, n_samples=2, out_dir={str(tmp_path / "ls")!r})
-slow = ("scipy.interpolate", "scipy.special", "scipy.linalg", "scipy._lib._array_api")
+slow = ("scipy.interpolate", "scipy.special", "scipy.linalg", "scipy._lib._array_api",
+        "concurrent.futures")
 print([m for m in slow if m in sys.modules])
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
