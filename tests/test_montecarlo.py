@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -232,9 +233,25 @@ def _reference_sweeps(x, rng, ip, n_sweeps):
         yield x, int((~ok).sum())
 
 
+def _host_with_cpus(monkeypatch, cpus):
+    """Make the process see `cpus` usable CPUs, however it asks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if hasattr(os, "process_cpu_count"):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: cpus)
+
+
+# A host with one CPU, and one with a CPU to spare, on which the sweeps were
+# once drawn ahead on a worker thread: mc_sweeps runs in place on the
+# caller's thread on both, with the same stream.
+CPUS = pytest.mark.parametrize("cpus", [1, 2], ids=["in_place", "drawn_ahead"])
+
+
+@CPUS
 @pytest.mark.parametrize("lam", [0.5, 3.0])
-def test_mc_sweeps_matches_the_reference_loop_on_the_callers_thread(lam):
+def test_both_schedules_match_the_reference_loop(monkeypatch, cpus, lam):
     # at lambda = 3 about 7% of the pairs are rejected
+    _host_with_cpus(monkeypatch, cpus)
     ip = InteractionParams.from_kinetic(KineticParams(lam, 0.0), gamma=0.5, epsilon=0.01)
     e = sample_from_density(BIMODAL, 1000, seed=21)
     ref = sample_from_density(BIMODAL, 1000, seed=21)
@@ -287,7 +304,9 @@ def test_interleaved_runs_under_fast_thread_switching():
         assert np.array_equal(got, want)
 
 
-def test_a_noise_error_comes_out_of_next(monkeypatch):
+@CPUS
+def test_a_noise_error_comes_out_of_next(monkeypatch, cpus):
+    _host_with_cpus(monkeypatch, cpus)
     calls = []
 
     def failing_noise(rng, s2, out):
@@ -298,15 +317,32 @@ def test_a_noise_error_comes_out_of_next(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "sample_noise", failing_noise)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    threads = threading.active_count()
     sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, 10)
     assert [next(sweeps)[0] for _ in range(2)] == [1, 2]
     with pytest.raises(RuntimeError, match="noise source failed"):
         next(sweeps)
     assert len(calls) == 3
+    assert threading.active_count() == threads
 
 
-def test_closing_mc_sweeps_early_leaves_exactly_the_sweeps_run_drawn():
+def test_closing_mc_sweeps_early_joins_the_worker(monkeypatch):
+    # there is no worker to join, even with a CPU to spare: no thread runs
+    # while the sweeps are suspended, and none is left after close
+    _host_with_cpus(monkeypatch, 2)
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    threads = threading.active_count()
+    sweeps = mc_sweeps(sample_from_density(BIMODAL, 1000, seed=4), ip, 50)
+    next(sweeps)
+    assert threading.active_count() == threads
+    sweeps.close()
+    assert threading.active_count() == threads
+
+
+@CPUS
+def test_closing_mc_sweeps_early_leaves_a_whole_number_of_sweeps_drawn(monkeypatch, cpus):
     # nothing is drawn ahead: closed after sweep 3, the stream is 3 sweeps on
+    _host_with_cpus(monkeypatch, cpus)
     ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
     e = sample_from_density(BIMODAL, 100_000, seed=8)
     ref = sample_from_density(BIMODAL, 100_000, seed=8)
