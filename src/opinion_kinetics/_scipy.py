@@ -1,22 +1,22 @@
-"""xlogy, exprel, dgttrf and dgttrs, loaded without scipy's array-API layer.
+"""dgttrf and dgttrs, loaded without scipy's array-API layer.
 
-`from scipy.special import xlogy` and `from scipy.linalg.lapack import ...`
-run the inits of scipy.special and scipy.linalg, which import
-scipy._lib._array_api and with it numpy.testing and numpy.f2py: about
-0.3 s of a 0.5 s package import.  The four functions live in two
-extension files, scipy/special/_special_ufuncs*.so and
-scipy/linalg/_flapack*.so, which load by file location in a few ms.  Each
-module is registered under its dotted name, so a later scipy.special or
+`from scipy.linalg.lapack import ...` runs the init of scipy.linalg, which
+imports scipy._lib._array_api and with it numpy.testing and numpy.f2py:
+about 0.3 s of a 0.5 s package import.  The two functions live in one
+extension file, scipy/linalg/_flapack*.so, which loads by file location in
+a few ms.  The module is registered under its dotted name, so a later
 scipy.linalg import reuses it: the objects are the very ones the public
 names are bound to, and every result keeps its bits.
 
-xlogy and exprel load at import.  dgttrf and dgttrs load at the first
-call of lapack(), which the solver makes when it first factors I - dt A:
-_flapack brings scipy's OpenBLAS with it, a few MB of resident memory
-and a few ms, which a run that never steps the solver does not pay.
+It is the only scipy extension the package loads, at the first call of
+lapack(), which the solver makes when it first factors I - dt A: _flapack
+brings scipy's OpenBLAS with it, a few MB of resident memory and a few
+ms, which a run that never steps the solver does not pay.  Nothing loads
+scipy.special: the solver's exprel and the functionals' logs take the C
+library's expm1 and numpy's log.
 
-On a scipy without these files (or without these names in them) the
-public import runs instead; that is the only path such a scipy takes.
+On a scipy without this file (or without these names in it) the public
+import runs instead; that is the only path such a scipy takes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import scipy
 
 def load(module: str, names: tuple, public: str) -> tuple:
     """The attributes `names` of the scipy extension `module` (a dotted name
-    such as "scipy.special._special_ufuncs"), loaded from its file, or of the
+    such as "scipy.linalg._flapack"), loaded from its file, or of the
     public module `public` when the file or a name is missing."""
     stem = Path(scipy.__path__[0], *module.split(".")[1:])
     mod = sys.modules.get(module)
@@ -52,9 +52,6 @@ def load(module: str, names: tuple, public: str) -> tuple:
     except (ImportError, AttributeError) as exc:
         raise ImportError(f"cannot load {', '.join(names)} from {stem}*"
                           f" or from {public}: {exc}") from exc
-
-
-xlogy, exprel = load("scipy.special._special_ufuncs", ("xlogy", "exprel"), "scipy.special")
 
 
 @functools.cache

@@ -45,10 +45,9 @@ term: the direct sum would add the march's mass drift, about 1e-16 per
 step, to entropies that fall to 1e-25, and swamp the monotone check and
 the decay fit.
 
-The entropy kernel and the log ratio take numpy's vectorised log.  xlogy,
-scipy.special's own ufunc, remains only in uniform_ls_slack; it is loaded
-from its extension file by _scipy: importing scipy.special would load
-scipy's array-API layer, the larger part of the package's import time.
+Every log here is numpy's vectorised log: the entropy kernel, the log
+ratio and uniform_ls_slack's w^2 log w^2, which takes the same
+_log_in_place and _entropy_sum as relative_entropy.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ import math
 
 import numpy as np
 
-from ._scipy import xlogy
 from .grid import DensityField, Grid, GridMismatchError, _scalar_or_array, check_density_values
 from .params import log_sobolev_constant
 
@@ -310,7 +308,5 @@ def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:
         raise ValueError("w must not be identically zero")
     dw = np.diff(w, axis=-1) / dy
     lhs = 2.0 * (((1.0 - grid.interior_interfaces**2) * dw * dw).sum(axis=-1) * dy)
-    # xlogy(x, y) is x * log(y) with the C library's log, bit for bit what
-    # math.log gives; numpy's log can differ from it in the last place
-    rhs = xlogy(wsq, wsq).sum(axis=-1) * dy - xlogy(norm2, norm2 / 2.0)
+    rhs = _entropy_sum(wsq, _log_in_place(wsq.copy()), dy) - norm2 * np.log(norm2 / 2.0)
     return _scalar_or_array(lhs - rhs)

@@ -22,7 +22,10 @@ A sweep shuffles the opinion buffer in place and draws its noise on the
 caller's thread, starting no thread, whatever the number of CPUs: drawing
 the next sweep on a worker thread while this one computes is slower at
 N = 1e5, as the worker's shuffle of an index buffer costs more than the
-in-place one.
+in-place one.  A run holds two opinion-sized buffers and one half-size
+scratch: the noise is drawn into the buffer the new states go to, and the
+pair rule writes them over it.  Sampling and histograms hold no further
+ensemble-sized array.
 """
 
 from __future__ import annotations
@@ -112,12 +115,12 @@ def _check_range(x: np.ndarray) -> None:
 def sample_from_density(f: DensityField, n: int, seed: int) -> Ensemble:
     """n agents drawn by seed from a gridded density, piecewise constant per
     cell: a cell by its mass, then a uniform offset from its left edge.  Built
-    in place, with the roundings of clip(edge + offset, -1, 1)."""
+    in place, with the roundings of clip(edge + offset, -1, 1), holding at
+    most two arrays of n values at once."""
     rng = np.random.default_rng(seed)
     p = f.values / f.values.sum()
-    cells = rng.choice(f.grid.n_cells, size=n, p=p)
-    x = rng.uniform(0.0, f.grid.cell_width, n)
-    x += f.grid.edges[cells]
+    x = f.grid.edges[rng.choice(f.grid.n_cells, size=n, p=p)]
+    x += rng.uniform(0.0, f.grid.cell_width, n)
     np.clip(x, -1.0, 1.0, out=x)
     return Ensemble(opinions=x, rng=rng)
 
@@ -142,27 +145,26 @@ def sample_noise(rng: np.random.Generator, sigma2_scaled: float, out: np.ndarray
     return out
 
 
-def _interact(x, xs, g_s, eta, eta_s, out):
-    """The interaction rule on arrays of pairs (x, xs), written into
-    out = (x_new, xs_new, ok, ok_s): the new opinions and, in ok, whether both
-    stay in [-1, 1] (a pair that would not keeps its states).
+def _interact(x, xs, g_s, new, new_s, scratch, ok, ok_s):
+    """The interaction rule on arrays of pairs (x, xs), written over their
+    noise: new and new_s hold eta and eta_s on entry and the new opinions on
+    return, and ok whether both stay in [-1, 1] (a pair that would not
+    keeps its states).
 
-    eta and eta_s are overwritten as scratch, and ok_s too.  Each new opinion
-    is x + g_s (xs - x) + sqrt(1 - x^2) eta, rounded as that expression
+    scratch, shaped like x, and ok_s are overwritten.  Each new opinion is
+    x + g_s (xs - x) + sqrt(1 - x^2) eta, rounded as that expression
     evaluates left to right; zero-mean noise conserves the expected pair sum.
     """
-    x_new, xs_new, ok, ok_s = out
-    for new, own, partner, noise, inside in ((x_new, x, xs, eta, ok),
-                                             (xs_new, xs, x, eta_s, ok_s)):
-        np.multiply(own, own, out=new)
-        np.subtract(1.0, new, out=new)
-        np.sqrt(new, out=new)
-        new *= noise
-        np.subtract(partner, own, out=noise)
-        noise *= g_s
-        noise += own
-        new += noise
-        np.less_equal(np.abs(new, out=noise), 1.0, out=inside)
+    for new, own, partner, inside in ((new, x, xs, ok), (new_s, xs, x, ok_s)):
+        np.multiply(own, own, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch *= new
+        np.subtract(partner, own, out=new)
+        new *= g_s
+        new += own
+        new += scratch
+        np.less_equal(np.abs(new, out=scratch), 1.0, out=inside)
     ok &= ok_s
 
 
@@ -176,7 +178,8 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     have written to it) and may overwrite either.  Each sweep shuffles the
     state and pairs its two halves: the agents are exchangeable, so that is
     a uniform random perfect matching.  One sweep is one unit of kinetic
-    time.  e.opinions is never changed.
+    time.  e.opinions is never changed; once copied, it is no longer held,
+    so a caller that drops e frees it.
 
     e.rng advances by each sweep's permutation, then its noise: a run stopped
     after sweep k, or closed there, leaves it exactly k sweeps on.
@@ -187,28 +190,35 @@ def mc_sweeps(e: Ensemble, p: InteractionParams, n_sweeps: int):
     half = n // 2
     g_s = p.epsilon * p.gamma
     s2_s = p.epsilon * p.sigma2
-    # x: the state; old: the shuffled state the sweep starts from
-    x = e.opinions.copy()
-    old, noise = np.empty(n), np.empty(n)
+    # x: the state; new: the sweep's noise, then the new states over it
+    x, rng = e.opinions.copy(), e.rng
+    del e
+    new, scratch = np.empty(n), np.empty(half)
     ok, ok_s = np.empty(half, dtype=bool), np.empty(half, dtype=bool)
-    noise_pairs = noise.reshape(2, half)
     for k in range(1, n_sweeps + 1):
         _check_range(x)
-        e.rng.shuffle(x)
-        sample_noise(e.rng, s2_s, out=noise)
-        x, old = old, x
+        rng.shuffle(x)
+        sample_noise(rng, s2_s, out=new)
         # the two contiguous halves as the rows of (2, half) views
-        pairs, old_pairs = x.reshape(2, half), old.reshape(2, half)
-        _interact(*old_pairs, g_s, *noise_pairs, out=(*pairs, ok, ok_s))
+        pairs, new_pairs = x.reshape(2, half), new.reshape(2, half)
+        _interact(*pairs, g_s, *new_pairs, scratch, ok, ok_s)
         rejected = np.logical_not(ok, out=ok)
-        np.copyto(pairs, old_pairs, where=rejected)
-        yield k, x, int(np.count_nonzero(rejected)), old
+        np.copyto(new_pairs, pairs, where=rejected)
+        x, new = new, x
+        yield k, x, int(np.count_nonzero(rejected)), new
+
+
+# Opinions per np.histogram call: its sort blocks stay at 64 kB
+_HISTOGRAM_CHUNK = 8192
 
 
 def histogram(x: np.ndarray, grid: Grid) -> DensityField:
     """Cell counts of the opinions x over N = x.size, divided by dy: unit
-    discrete mass when every opinion lies in [-1, 1]."""
-    counts, _ = np.histogram(x, bins=grid.edges)
+    discrete mass when every opinion lies in [-1, 1].  Counted in chunks of
+    at most 8192 opinions, whose counts add exactly to np.histogram's."""
+    counts = np.zeros(grid.n_cells, dtype=np.int64)
+    for start in range(0, x.size, _HISTOGRAM_CHUNK):
+        counts += np.histogram(x[start:start + _HISTOGRAM_CHUNK], bins=grid.edges)[0]
     return DensityField(grid, counts / (x.size * grid.cell_width))
 
 

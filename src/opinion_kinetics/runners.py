@@ -248,7 +248,11 @@ def run_mc(cfg: ExperimentConfig, out_dir) -> dict:
     mean_col[0], var_col[0] = moments(ens.opinions)  # the state after sweep 0
     rejected = 0
     edge_deficit = math.nan  # at the last sample time
-    for k, x, rejected_k, scratch in mc_sweeps(ens, ip, total_sweeps):
+    # mc_sweeps copies the sampled opinions and drops them, so with ens
+    # unbound here they are freed at the first sweep
+    rng, states = ens.rng, mc_sweeps(ens, ip, total_sweeps)
+    del ens
+    for k, x, rejected_k, scratch in states:
         rejected += rejected_k
         rej_col[k] = rejected
         mean_col[k], var_col[k] = moments(x, scratch)
@@ -263,7 +267,7 @@ def run_mc(cfg: ExperimentConfig, out_dir) -> dict:
             mc_edges, ref_edges = (f.values[0] + f.values[-1] for f in (hist, ref))
             edge_deficit = 1.0 - mc_edges / ref_edges if ref_edges > 0.0 else math.nan
     # the buffer of the finished sweeps; the Ensemble checks its range
-    ens = Ensemble(x, ens.rng, attempted_pairs=total_sweeps * half, rejected_pairs=rejected)
+    ens = Ensemble(x, rng, attempted_pairs=total_sweeps * half, rejected_pairs=rejected)
 
     t_axis = sweeps * ip.epsilon * ip.gamma
     att_col = sweeps * half

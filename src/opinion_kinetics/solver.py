@@ -24,17 +24,20 @@ each chunk one (rows, n) stack through the functionals.  Every step is
 still checked.  Its Trajectory.columns is decay.csv, header names in file
 order.  dgttrf and dgttrs are scipy's LAPACK wrappers, loaded from
 their extension file by _scipy.lapack at the first factorization, so a
-process that never steps the solver never loads LAPACK.
+process that never steps the solver never loads LAPACK.  The rates' exprel
+is _exprel, the C library's expm1 through math: it gives
+scipy.special.exprel's bits without loading scipy.special's extension.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import exprel, lapack
+from ._scipy import lapack
 from .config import whole_steps
 from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
 from .grid import DensityField, Grid, _mean
@@ -44,6 +47,21 @@ from .params import KineticParams, ParamRegime, classify_params, log_sobolev_con
 class SolverError(RuntimeError):
     """Numerical failure of the scheme: rates, a steady state or a time step
     that floating point cannot represent."""
+
+
+def _exprel(x: float) -> float:
+    """(e^x - 1)/x, bit for bit scipy.special.exprel: 1 for |x| < eps, inf
+    above 717 and where expm1 overflows, else the C library's expm1(x)/x.
+    (numpy's expm1 has vector paths of its own that can differ in the last
+    place.)"""
+    if abs(x) < sys.float_info.epsilon:
+        return 1.0
+    if x > 717.0:
+        return math.inf
+    try:
+        return math.expm1(x) / x
+    except OverflowError:
+        return math.inf
 
 
 def assemble_coefficients(p: KineticParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -65,8 +83,8 @@ def assemble_coefficients(p: KineticParams, grid: Grid) -> tuple[np.ndarray, np.
     with np.errstate(all="ignore"):
         w = dy * drift / diffusion
         rate = diffusion / dy**2
-        upper = rate / exprel(-w)
-        lower = rate / exprel(w)
+        upper = rate / np.array([_exprel(-v) for v in w.tolist()])
+        lower = rate / np.array([_exprel(v) for v in w.tolist()])
     rates = np.concatenate((upper, lower))
     if not np.all(np.isfinite(rates) & (rates > 0.0)):
         raise SolverError(f"the Chang-Cooper rates are not positive finite floats "

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -66,13 +67,12 @@ def test_sample_noise_moments_and_support():
 
 
 def _interact_pairs(x, xs, g_s, eta, eta_s):
-    """_interact on copies of the given pairs, into new output arrays:
-    (x_new, xs_new, ok)."""
+    """_interact on copies of the given pairs, the new opinions written over
+    copies of the noise: (x_new, xs_new, ok)."""
     x, xs, eta, eta_s = (np.array(a, dtype=float, ndmin=1) for a in (x, xs, eta, eta_s))
-    out = (np.empty_like(x), np.empty_like(x),
-           np.empty(x.shape, dtype=bool), np.empty(x.shape, dtype=bool))
-    _interact(x, xs, g_s, eta, eta_s, out)
-    return out[:3]
+    ok = np.empty(x.shape, dtype=bool)
+    _interact(x, xs, g_s, eta, eta_s, np.empty_like(x), ok, np.empty(x.shape, dtype=bool))
+    return eta, eta_s, ok
 
 
 def test_interact_examples():
@@ -216,6 +216,20 @@ def test_mc_sweeps_allocates_nothing_per_sweep():
     finally:
         tracemalloc.stop()
     assert peak - after_first < 0.1e6
+
+
+def test_mc_sweeps_frees_the_sampled_opinions_once_copied():
+    # the sweeps keep their copy and the generator: the caller's opinions
+    # are never written, and once the caller drops them they are freed
+    ip = InteractionParams.from_kinetic(KineticParams(0.5, 0.0), gamma=0.5, epsilon=0.01)
+    e = sample_from_density(BIMODAL, 1000, seed=5)
+    x0, sampled = e.opinions.copy(), weakref.ref(e.opinions)
+    sweeps = mc_sweeps(e, ip, 3)
+    next(sweeps)
+    assert np.array_equal(e.opinions, x0)
+    del e
+    assert sampled() is None
+    assert [k for k, _, _, _ in sweeps] == [2, 3]
 
 
 def _reference_sweeps(x, rng, ip, n_sweeps):
@@ -377,6 +391,23 @@ def test_histogram_point_mass_and_mass():
     assert np.all(h.values[[0, 1, 3]] == 0.0)
     # endpoints land in the outermost cells
     assert histogram(np.array([-1.0, 1.0]), g).mass() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 3 * 8192 + 5, 100_000])
+def test_histogram_counts_as_numpy_bit_for_bit(n):
+    # opinions on every edge, a float either side of each, at -1 and 1, and
+    # repeated, among uniform ones, for sizes on either side of a chunk
+    g = Grid(50)
+    edges = g.edges
+    special = np.concatenate([edges, np.nextafter(edges[1:], -2.0), np.nextafter(edges[:-1], 2.0),
+                              [-1.0, 1.0, -1.0, 1.0], np.full(40, edges[17]), np.full(40, 0.123)])
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, n)
+    at = rng.choice(n, size=min(n, special.size), replace=False)
+    x[at] = rng.permutation(special)[:at.size]
+    counts = np.histogram(x, bins=edges)[0]
+    assert np.array_equal(histogram(x, g).values, counts / (n * g.cell_width))
+    assert counts.sum() == n
 
 
 def test_histogram_uniform_multinomial():

@@ -223,6 +223,23 @@ def test_run_mc_leaves_no_thread_when_it_returns_or_raises(monkeypatch, tmp_path
     assert threading.active_count() == threads
 
 
+def test_run_mc_holds_two_opinion_buffers_and_a_half(tmp_path):
+    # 1e5 agents are 0.8 MB of opinions: the state, the noise the new states
+    # are written over and a half-size scratch peak at about 2.2 MB; a third
+    # buffer, the sampled opinions kept to the end or numpy's histogram
+    # sort blocks would each add 0.4 to 0.8 MB
+    cfg = parse_config_text("lambda = 0.5\nm = 0\nn = 200\ndt = 1e-3\ninitial = bimodal\n"
+                            "mc.n = 100000\nmc.t_end = 0.1\n")
+    tracemalloc.start()
+    try:
+        result = run_mc(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["pass"] and "sweeps = 20" in str(result["report"])
+    assert peak < 3.0e6
+
+
 def test_mc_summary_reports_the_rejection_layer_against_the_bin(tmp_path):
     # the noise leaves [-1, 1] within 6 eps lambda gamma of an endpoint:
     # 0.09 at lambda = 3, wider than a 0.04 bin of hist_n = 50

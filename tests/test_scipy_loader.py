@@ -11,23 +11,21 @@ from opinion_kinetics import _scipy
 
 
 def test_loaded_objects_are_the_public_ones():
-    # package first, public modules after, in one fresh interpreter: the
-    # extension files are the modules scipy's own inits go on to use; the
+    # package first, public module after, in one fresh interpreter: the
+    # extension file is the module scipy's own init goes on to use; the
     # LAPACK pair is loaded once, and a second lapack() returns it again
     code = (
-        "from opinion_kinetics import functionals, solver\n"
+        "from opinion_kinetics import solver\n"
         "dgttrf, dgttrs = solver.lapack()\n"
-        "import scipy.special, scipy.linalg.lapack as lapack\n"
-        "print(functionals.xlogy is scipy.special.xlogy,\n"
-        "      solver.exprel is scipy.special.exprel,\n"
-        "      dgttrf is lapack.dgttrf, dgttrs is lapack.dgttrs,\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "print(dgttrf is lapack.dgttrf, dgttrs is lapack.dgttrs,\n"
         "      solver.lapack() is solver.lapack())\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["True"] * 5
+    assert out.stdout.split() == ["True"] * 3
 
 
 def test_missing_extension_file_falls_back_to_the_public_name():

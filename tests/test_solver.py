@@ -1,9 +1,11 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -28,6 +30,7 @@ from opinion_kinetics.grid import (
 from opinion_kinetics.params import KineticParams, log_sobolev_constant
 from opinion_kinetics.solver import (
     SolverError,
+    _exprel,
     assemble_coefficients,
     discretize_equilibrium,
     solve,
@@ -72,6 +75,48 @@ def test_assemble_coefficients_pure_diffusion():
     assert np.array_equal(upper, lower)
     assert np.allclose(upper, 0.5 * (1.0 - y * y) / dy**2, rtol=1e-14, atol=0.0)
     assert np.all(upper > 0.0)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise: a and b are the same float (signed zeros apart), or both NaN."""
+    return (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))
+
+
+def test_exprel_is_scipys_bit_for_bit():
+    # scipy.special is imported here only: the package takes exprel from the
+    # C library's expm1.  inf is the input on which expm1(x)/x alone would
+    # differ (inf/inf), and numpy's expm1 differs in the last place on
+    # some hosts' vector paths
+    eps, big = sys.float_info.epsilon, math.log(sys.float_info.max)
+    edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+             eps, -eps, eps / 2.0, -eps / 2.0, math.nextafter(eps, 0.0),
+             math.nextafter(-eps, 0.0), math.nextafter(eps, 1.0), 709.78, big,
+             math.nextafter(big, math.inf), 710.0, 716.9, 717.0, math.nextafter(717.0, 718.0),
+             1e308, -1e308, -745.2, -800.0, math.inf, -math.inf, math.nan]
+    rng = np.random.default_rng(2024)
+    x = np.concatenate([edges, rng.normal(0.0, 1.0, 25_000), rng.normal(0.0, 1e-8, 25_000),
+                        rng.normal(0.0, 30.0, 25_000), rng.uniform(-800.0, 800.0, 25_000)])
+    got = np.array([_exprel(v) for v in x.tolist()])
+    with np.errstate(all="ignore"):
+        want = scipy.special.exprel(x)
+    assert np.all(_same_bits(got, want))
+
+
+@pytest.mark.parametrize("lam, m, n", [(0.5, 0.0, 200), (0.05, 0.3, 200), (3.0, -0.6, 400),
+                                       (20.0, 0.9, 50), (1e-3, 0.99, 2000)])
+def test_assembled_rates_are_the_scipy_exprel_ones_bit_for_bit(lam, m, n):
+    p, g = KineticParams(lam, m), Grid(n)
+    y, dy = g.interior_interfaces, g.cell_width
+    drift, diffusion = (1.0 - lam) * y - m, 0.5 * lam * (1.0 - y * y)
+    w, rate = dy * drift / diffusion, diffusion / dy**2
+    with np.errstate(all="ignore"):
+        want = rate / scipy.special.exprel(-w), rate / scipy.special.exprel(w)
+    try:
+        got = assemble_coefficients(p, g)
+    except SolverError:
+        assert not all(np.all(np.isfinite(r) & (r > 0.0)) for r in want)
+        return
+    assert all(np.all(_same_bits(a, b)) for a, b in zip(got, want))
 
 
 def _chang_cooper_rates(lam, m, y, dy):

@@ -201,15 +201,16 @@ def test_boundary_asymptotics():
 
 @pytest.mark.parametrize("module", ["scipy.interpolate", "scipy.special", "scipy.linalg",
                                     "scipy._lib._array_api", "concurrent.futures",
-                                    "scipy.linalg._flapack"])
+                                    "scipy.linalg._flapack", "scipy.special._special_ufuncs"])
 def test_import_leaves_slow_scipy_modules_unloaded(module):
-    # nothing in the package imports scipy.interpolate, and xlogy and the
-    # LAPACK routines load from their extension files, LAPACK's only at the
-    # solver's first factorization (see the test below); nothing imports
-    # concurrent.futures, which loads logging, as the Monte Carlo starts no
-    # thread.  So a fresh import of the module opkin loads, which loads every
-    # other module, loads none of these; it does load scipy itself, whose
-    # version the benchmark records
+    # nothing in the package imports scipy.interpolate or any part of
+    # scipy.special (the solver's exprel and the functionals' logs take the
+    # C library's expm1 and numpy's log), and the LAPACK routines load from
+    # their extension file at the solver's first factorization only (see the
+    # test below); nothing imports concurrent.futures, which loads logging,
+    # as the Monte Carlo starts no thread.  So a fresh import of the module
+    # opkin loads, which loads every other module, loads none of these; it
+    # does load scipy itself, whose version the benchmark records
     code = (f"import sys, opinion_kinetics.cli; "
             f"print({module!r} in sys.modules, 'scipy' in sys.modules)")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -232,7 +233,7 @@ run_solve(cfg, {str(tmp_path / "solve")!r})
 run_mc(cfg, {str(tmp_path / "mc")!r})
 verify_ls(lambdas=(0.5, 1.0), n=16, n_samples=2, out_dir={str(tmp_path / "ls")!r})
 slow = ("scipy.interpolate", "scipy.special", "scipy.linalg", "scipy._lib._array_api",
-        "concurrent.futures")
+        "concurrent.futures", "scipy.special._special_ufuncs")
 print([m for m in slow if m in sys.modules])
 """
     src = str(Path(__file__).resolve().parent.parent / "src")
