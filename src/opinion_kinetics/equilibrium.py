@@ -14,7 +14,7 @@ space and is exponentiated last, so extreme exponents are survivable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,9 +76,9 @@ def log_normalization(p: KineticParams) -> float:
     return log_c
 
 
-@dataclass(frozen=True)
-class BetaEquilibrium:
-    """Steady state with cached exponents and log normalization constant."""
+class BetaEquilibrium(NamedTuple):
+    """Steady state with cached exponents and log normalization constant,
+    an immutable record built by from_params."""
 
     params: KineticParams
     exponent_minus: float  # a = (1 - m)/lam, power of (1 - y) plus one

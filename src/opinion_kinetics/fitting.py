@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 MIN_POINTS = 10  # the fewest samples a fit window may hold
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
+    """A log-linear fit: the slope (the decay exponent), intercept and r^2
+    of log value against t, over n_points samples in window (t0, t1)."""
+
     slope: float
     intercept: float
     r_squared: float

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from ._frozen import Frozen, Value
 
 # Standard deviation of each Gaussian bump of the bimodal initial law.
 BIMODAL_WIDTH = 0.15
@@ -18,22 +19,23 @@ class GridMismatchError(ValueError):
     they are scored on."""
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Value):
     """Uniform cell-centered grid on (-1, 1) with n_cells cells.
 
     Cell centers are y_i = -1 + (i + 1/2) dy, dy = 2/n; all centers are
     strictly interior, so endpoint singularities of the steady state are
     never evaluated.  Centers and interfaces are stored exactly mirror
     symmetric so that even/odd symmetry of the dynamics survives in
-    floating point.
+    floating point.  Immutable; two grids with one n_cells are equal and
+    hash alike (_trig_basis caches by grid).
     """
 
-    n_cells: int
+    _fields = ("n_cells",)
 
-    def __post_init__(self):
-        if self.n_cells < 4:
-            raise ValueError(f"need at least 4 cells, got {self.n_cells}")
+    def __init__(self, n_cells: int):
+        if n_cells < 4:
+            raise ValueError(f"need at least 4 cells, got {n_cells}")
+        self.__dict__["n_cells"] = n_cells
 
     @property
     def cell_width(self) -> float:
@@ -62,27 +64,25 @@ class Grid:
         return e
 
 
-@dataclass(frozen=True)
-class DensityField:
+class DensityField(Frozen):
     """Nonnegative cell values of a density on a Grid.
 
     values[i] approximates the density at the cell center y_i; the discrete
-    mass is sum(values) * dy.
+    mass is sum(values) * dy.  The field keeps a read-only float copy of
+    the values it is given.  Immutable; it compares and hashes by identity,
+    as it holds an array.
     """
 
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_cells,):
+    def __init__(self, grid: Grid, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
+        if v.shape != (grid.n_cells,):
             raise ValueError(
-                f"values shape {v.shape} does not match grid with {self.grid.n_cells} cells"
+                f"values shape {v.shape} does not match grid with {grid.n_cells} cells"
             )
         check_density_values(v)
         v = v.copy()
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        self.__dict__.update(grid=grid, values=v)
 
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_width)

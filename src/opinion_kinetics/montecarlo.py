@@ -31,17 +31,16 @@ ensemble-sized array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  (load it with the package, not lazily inside a run)
 
+from ._frozen import Frozen, Value
 from .grid import DensityField, Grid
 from .params import KineticParams
 
 
-@dataclass(frozen=True)
-class InteractionParams:
+class InteractionParams(Value):
     """Microscopic interaction parameters plus the scaling coefficient.
 
     lam = sigma2/gamma is the only combination surviving the quasi-invariant
@@ -50,20 +49,20 @@ class InteractionParams:
     One unit of Fokker-Planck time is 1/(epsilon*gamma) sweeps: the
     macroscopic equation has unit drift coefficient, and the per-interaction
     drift is epsilon*gamma*(partner - self).  With that clock the histogram
-    limit depends on (lam, m) only.
+    limit depends on (lam, m) only.  Immutable; equal parameters compare
+    equal and hash alike.
     """
 
-    gamma: float
-    sigma2: float
-    epsilon: float
+    _fields = ("gamma", "sigma2", "epsilon")
 
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be nonnegative, got {self.sigma2}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+    def __init__(self, gamma: float, sigma2: float, epsilon: float):
+        if not 0.0 < gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+        if sigma2 < 0.0:
+            raise ValueError(f"sigma2 must be nonnegative, got {sigma2}")
+        if not 0.0 < epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+        self.__dict__.update(gamma=gamma, sigma2=sigma2, epsilon=epsilon)
 
     @classmethod
     def from_kinetic(cls, p: KineticParams, gamma: float,
@@ -72,26 +71,23 @@ class InteractionParams:
         return cls(gamma=gamma, sigma2=p.lam * gamma, epsilon=epsilon)
 
 
-@dataclass(frozen=True)
-class Ensemble:
+class Ensemble(Frozen):
     """A population of agent opinions plus its owned random stream.
 
     The generator advances as the ensemble evolves, so an Ensemble belongs
     to a single run; identical seeds reproduce identical trajectories
-    bit for bit.
+    bit for bit.  Immutable; it compares and hashes by identity, as it
+    holds an array.
     """
 
-    opinions: np.ndarray = field(repr=False)
-    rng: np.random.Generator = field(repr=False, compare=False)
-    attempted_pairs: int = 0
-    rejected_pairs: int = 0
-
-    def __post_init__(self):
-        x = np.asarray(self.opinions, dtype=float)
+    def __init__(self, opinions: np.ndarray, rng: np.random.Generator,
+                 attempted_pairs: int = 0, rejected_pairs: int = 0):
+        x = np.asarray(opinions, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValueError("opinions must be a nonempty 1-d array")
         _check_range(x)
-        object.__setattr__(self, "opinions", x)
+        self.__dict__.update(opinions=x, rng=rng, attempted_pairs=attempted_pairs,
+                             rejected_pairs=rejected_pairs)
 
     @property
     def size(self) -> int:

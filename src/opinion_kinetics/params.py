@@ -11,31 +11,31 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+
+from ._frozen import Value
 
 
 class RegimeError(ValueError):
     """Raised when an operation needs a stronger parameter regime than given."""
 
 
-@dataclass(frozen=True)
-class KineticParams:
+class KineticParams(Value):
     """Parameter pair (lam, m) with lam > 0 and -1 < m < 1.
 
     lam is the ratio of self-thinking variance to compromise intensity;
     small lam means compromise-dominated interactions, large lam means
     self-thinking dominated ones.  m is the mean opinion, conserved by
-    the dynamics.
+    the dynamics.  Immutable; equal pairs compare equal and hash alike.
     """
 
-    lam: float
-    m: float
+    _fields = ("lam", "m")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be a positive finite real, got {self.lam}")
-        if not (math.isfinite(self.m) and -1.0 < self.m < 1.0):
-            raise ValueError(f"m must lie strictly inside (-1, 1), got {self.m}")
+    def __init__(self, lam: float, m: float):
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise ValueError(f"lam must be a positive finite real, got {lam}")
+        if not (math.isfinite(m) and -1.0 < m < 1.0):
+            raise ValueError(f"m must lie strictly inside (-1, 1), got {m}")
+        self.__dict__.update(lam=lam, m=m)
 
 
 class ParamRegime(enum.IntEnum):

@@ -8,11 +8,13 @@ decay.csv is the columns of solve's Trajectory, written as they stand."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from ._frozen import Frozen
 from .config import ConfigError, ExperimentConfig, sweep_dir_name, whole_steps
 from .equilibrium import BetaEquilibrium
 from .fitting import MIN_POINTS, DecayFit, fit_decay_rate
@@ -60,11 +62,10 @@ def write_equilibrium_csv(out: Path, p: KineticParams, grid: Grid,
     return out / "equilibrium.csv"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One acceptance verdict: the measured value (None when nothing was
     measured), the bound it is held to, and whether it passed.  str() is the
-    one rendering of a verdict line."""
+    one rendering of a verdict line.  An immutable record."""
 
     name: str
     value: float | None
@@ -89,12 +90,12 @@ class Check:
                 f"-> {'PASS' if self.passed else 'FAIL'}")
 
 
-@dataclass(frozen=True)
-class Report:
-    """A runner's summary: str() is its lines, then one line per check."""
+class Report(Frozen):
+    """A runner's summary: str() is its lines, then one line per check.
+    Immutable; it compares and hashes by identity."""
 
-    lines: tuple[str, ...]
-    checks: tuple[Check, ...]
+    def __init__(self, lines: tuple[str, ...], checks: tuple[Check, ...]):
+        self.__dict__.update(lines=lines, checks=checks)
 
     @property
     def passed(self) -> bool:
@@ -326,11 +327,11 @@ def default_ls_grid(lambdas=None):
     return points
 
 
-@dataclass(frozen=True)
 class LsVerification(Report):
     """The battery's checks, named by point, one row per (lambda, m); str() is its table."""
 
-    rows: list
+    def __init__(self, lines: tuple[str, ...], checks: tuple[Check, ...], rows: list):
+        self.__dict__.update(lines=lines, checks=checks, rows=rows)
 
     def __str__(self) -> str:
         lines = [f"{'lambda':>8} {'m':>9} {'K':>10} {'rho':>10} "

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import Frozen
 from ._scipy import lapack
 from .config import whole_steps
 from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
@@ -187,22 +187,22 @@ def march(p: KineticParams, v0: DensityField, dt: float, n_steps: int):
         yield steps, times, values, mass
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Frozen):
     """Sampled functional rows along a solve.
 
     columns is decay.csv: its keys are the file's header names in file
     order, each an array with one entry per sampled row.  All distances are
     measured against the discrete kernel equilibrium (the scheme's own
     steady state), which is what makes the entropy column exactly monotone
-    and the late-time decay rates clean.
+    and the late-time decay rates clean.  Immutable; it compares and hashes
+    by identity, as it holds arrays.
     """
 
-    columns: dict
-    max_entropy_increase: float
-    max_mass_drift: float
-    final: DensityField
-    equilibrium: DensityField
+    def __init__(self, columns: dict, max_entropy_increase: float, max_mass_drift: float,
+                 final: DensityField, equilibrium: DensityField):
+        self.__dict__.update(columns=columns, max_entropy_increase=max_entropy_increase,
+                             max_mass_drift=max_mass_drift, final=final,
+                             equilibrium=equilibrium)
 
 
 def _score_rows(times, values, mass, entropy, eq_field: DensityField, lam: float, k: float):

@@ -220,6 +220,24 @@ def test_import_leaves_slow_scipy_modules_unloaded(module):
     assert out.stdout.split() == ["False", "True"]
 
 
+def test_import_builds_no_dataclass_but_the_configs():
+    # a dataclass execs its generated methods from source text at import;
+    # the value types are written out, and only the two configs, whose
+    # contract is dataclasses.replace, stay dataclasses
+    code = ("import dataclasses, sys, opinion_kinetics.cli\n"
+            "names = {name for mod, m in list(sys.modules.items())\n"
+            "         if mod.split('.')[0] == 'opinion_kinetics'\n"
+            "         for name, obj in vars(m).items()\n"
+            "         if isinstance(obj, type) and obj.__module__ == mod\n"
+            "         and dataclasses.is_dataclass(obj)}\n"
+            "print(*sorted(names))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["ExperimentConfig", "McConfig"]
+
+
 def test_runs_leave_slow_scipy_modules_unloaded(tmp_path):
     # the guard above covers the import; this one covers a solve, a Monte
     # Carlo run of 8 sweeps and the log-Sobolev battery at tiny sizes
