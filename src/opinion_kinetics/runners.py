@@ -127,8 +127,9 @@ def build_decay_report(cfg: ExperimentConfig, traj: Trajectory) -> Report:
     """Fit log H and log ||.||* over the second half of the run and check
     the run.  A rate that could not be fitted fails: no decay was measured."""
     p = cfg.params()
-    # the leading decay.csv columns, in file order
-    t, entropy, fisher, k_fisher, l1, wl2, *_ = traj.columns.values()
+    cols = traj.columns
+    t, entropy, fisher = cols["t"], cols["entropy"], cols["fisher"]
+    k_fisher, l1, wl2 = cols["k_fisher"], cols["l1_dist"], cols["weighted_l2"]
     fit_window = (0.5 * float(t[-1]), float(t[-1]))
     admissible = classify_params(p) >= ParamRegime.L2_EQUILIBRIUM
     k = log_sobolev_constant(p) if admissible else None
@@ -355,7 +356,8 @@ def verify_ls(lambdas=None, n: int = 400, n_samples: int = 200, seed: int = 2024
     point's checks do.  A lambda given twice repeats its points, a
     ConfigError raised before any output.
 
-    The inputs are checked and out_dir is made first.  The set-up then takes
+    The inputs are checked first (lambda, then n_samples, seed and n, then a
+    repeated point), and out_dir is made after them.  The set-up then takes
     each point's reference field, which must not underflow on any cell
     (FloatingPointError).  One pass over row blocks of about 1e4 values (25
     rows at n = 400) draws each block of densities once and scores it
@@ -370,12 +372,12 @@ def verify_ls(lambdas=None, n: int = 400, n_samples: int = 200, seed: int = 2024
         raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    grid = Grid(n)
     # a check is named by its point, so a point given twice would hide one
     repeated = [f"(lambda={lv}, m={mv})" for i, (lv, mv) in enumerate(pts) if pts[i] in pts[:i]]
     if repeated:
         raise ConfigError("repeated grid points: " + ", ".join(dict.fromkeys(repeated)))
 
-    grid = Grid(n)
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

@@ -23,7 +23,7 @@ rows across blocks and scores them in chunks of about one block's values,
 each chunk one (rows, n) stack through the functionals.  Every step is
 still checked.  Its Trajectory.columns is decay.csv, header names in file
 order.  dgttrf and dgttrs are scipy's LAPACK wrappers, loaded from
-their extension file by _scipy.lapack at the first factorization, so a
+their extension file by lapack() at the first factorization, so a
 process that never steps the solver never loads LAPACK.  The rates' exprel
 is _exprel, the C library's expm1 through math: it gives
 scipy.special.exprel's bits without loading scipy.special's extension.
@@ -31,13 +31,20 @@ scipy.special.exprel's bits without loading scipy.special's extension.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
+# lapack() needs only scipy's path, but the benchmark's child process reads
+# sys.modules["scipy"].__version__ after every run, one that never steps
+# the solver included
+import scipy
 
 from ._frozen import Frozen
-from ._scipy import lapack
 from .config import whole_steps
 from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
 from .grid import DensityField, Grid, _mean
@@ -62,6 +69,37 @@ def _exprel(x: float) -> float:
         return math.expm1(x) / x
     except OverflowError:
         return math.inf
+
+
+@functools.cache
+def lapack() -> tuple:
+    """(dgttrf, dgttrs), loaded at the first call and the same objects after.
+
+    `from scipy.linalg.lapack import ...` runs the init of scipy.linalg,
+    which imports scipy._lib._array_api and with it numpy.testing and
+    numpy.f2py: about 0.3 s.  The two routines live in one extension file,
+    scipy/linalg/_flapack*, which loads by file location in a few ms; it
+    brings scipy's OpenBLAS with it, which a run that never steps the solver
+    does not pay.  The module is registered under its dotted name, so a
+    later scipy.linalg import reuses it (and one imported first is reused
+    here): the objects are the very ones the public names are bound to.
+    ImportError, naming the path, when no such file exists.
+    """
+    name = "scipy.linalg._flapack"
+    mod = sys.modules.get(name)
+    if mod is None:
+        stem = Path(scipy.__path__[0], "linalg", "_flapack")
+        for suffix in EXTENSION_SUFFIXES:
+            path = stem.with_name(stem.name + suffix)
+            if path.is_file():
+                break
+        else:
+            raise ImportError(f"cannot load dgttrf, dgttrs: no extension file {stem}*")
+        spec = spec_from_file_location(name, path)
+        mod = module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        sys.modules[name] = mod
+    return mod.dgttrf, mod.dgttrs
 
 
 def assemble_coefficients(p: KineticParams, grid: Grid) -> tuple[np.ndarray, np.ndarray]:

@@ -487,6 +487,8 @@ def test_cli_verify_ls_repeated_lambda_exits_1_before_any_output(lambdas, capsys
                  "n_samples must be at least 1, got 0", id="samples_before_repeat"),
     pytest.param(["--lambdas", "0.5,0.5,2.5"],
                  "lambda = 2.5 admits no log-Sobolev constant", id="lambda_before_repeat"),
+    pytest.param(["--lambdas", "0.5,0.5", "--n", "3"],
+                 "need at least 4 cells, got 3", id="n_before_repeat"),
 ])
 def test_cli_verify_ls_names_the_first_bad_input(flags, message, capsys, tmp_path):
     # lambda first, then the battery sizes and seed, then a repeated point
