@@ -111,6 +111,18 @@ print(unloaded, dgttrf is flapack.dgttrf is public.dgttrf,
     assert (tmp_path / "equilibrium.csv").exists()
 
 
+def test_loaded_objects_are_the_public_ones():
+    # package first, public module after, in one fresh interpreter: the
+    # extension file is the module scipy's own init goes on to use; the
+    # LAPACK pair is loaded once, and a second lapack() returns it again
+    out = _run("from opinion_kinetics import solver\n"
+               "dgttrf, dgttrs = solver.lapack()\n"
+               "import scipy.linalg.lapack as lapack\n"
+               "print(dgttrf is lapack.dgttrf, dgttrs is lapack.dgttrs,\n"
+               "      solver.lapack() is solver.lapack())\n")
+    assert out.split() == ["True"] * 3
+
+
 def test_lapack_without_its_extension_file_raises_naming_the_path(monkeypatch):
     # no public-import fallback: a scipy without scipy/linalg/_flapack* is
     # named in the error
