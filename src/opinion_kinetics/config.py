@@ -181,14 +181,19 @@ def _finite_positive(x: float):
 def whole_steps(t_end: float, dt: float) -> int:
     """The number of dt steps that ends at t_end (to 1e-9 relative).
 
-    Raises ValueError when dt <= 0 or t_end is not a whole number of dt
-    steps, so a run never ends short of or past t_end.  It is the one rule
-    from a time to a count: solver.solve applies it to a library call, and
-    run_mc counts its sweeps with it, at dt = epsilon * gamma.
+    Raises ValueError when dt <= 0, when t_end / dt overflows (a subnormal
+    dt) or when t_end is not a whole number of dt steps, so a run never
+    ends short of or past t_end.  It is the one rule from a time to a
+    count: solver.solve applies it to a library call, and run_mc counts its
+    sweeps with it, at dt = epsilon * gamma.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n_steps = round(t_end / dt)
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"must be a finite number of dt steps, "
+                         f"got t_end / dt = {ratio!r} for t_end = {t_end!r}, dt = {dt!r}")
+    n_steps = round(ratio)
     if abs(n_steps * dt - t_end) > 1e-9 * t_end:
         raise ValueError(f"must be a whole number of dt steps, "
                          f"got t_end = {t_end!r}, dt = {dt!r}")

@@ -307,6 +307,6 @@ def uniform_ls_slack(w: np.ndarray, grid: Grid) -> float | np.ndarray:
     if np.any(norm2 == 0.0):
         raise ValueError("w must not be identically zero")
     dw = np.diff(w, axis=-1) / dy
-    lhs = 2.0 * (((1.0 - grid.interior_interfaces**2) * dw * dw).sum(axis=-1) * dy)
+    lhs = 2.0 * ((_interface_weight(grid)[:-1] * dw * dw).sum(axis=-1) * dy)
     rhs = _entropy_sum(wsq, _log_in_place(wsq.copy()), dy) - norm2 * np.log(norm2 / 2.0)
     return _scalar_or_array(lhs - rhs)

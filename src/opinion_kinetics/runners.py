@@ -35,7 +35,7 @@ from .params import (
     classify_params,
     log_sobolev_constant,
 )
-from .solver import Trajectory, discretize_equilibrium, march, rows_per_block
+from .solver import Operator, Trajectory, march, rows_per_block
 from .solver import solve
 from . import montecarlo
 
@@ -56,7 +56,7 @@ def write_equilibrium_csv(out: Path, p: KineticParams, grid: Grid,
     the discrete one, computed after the analytic one unless given."""
     analytic = BetaEquilibrium.from_params(p).on_grid(grid)
     if discrete is None:
-        discrete = discretize_equilibrium(p, grid)
+        discrete = Operator(p, grid).equilibrium
     write_csv(out / "equilibrium.csv", ["y", "analytic", "discrete"],
               [grid.centers, analytic.values, discrete.values])
     return out / "equilibrium.csv"
@@ -234,7 +234,7 @@ def run_mc(cfg: ExperimentConfig, out_dir) -> dict:
     # Fokker-Planck reference densities at the sample times (whole dt steps)
     time_of_step = {whole_steps(t, cfg.dt): t for t in t_samples}
     fp = {}
-    for steps, _, values, _ in march(p, v0, cfg.dt, max(time_of_step)):
+    for steps, _, values, _ in march(Operator(p, v0.grid), v0, cfg.dt, max(time_of_step)):
         for i, k in enumerate(steps):
             if k in time_of_step:
                 fp[time_of_step[k]] = DensityField(v0.grid, values[i])

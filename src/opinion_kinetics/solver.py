@@ -10,14 +10,18 @@ form.  Interfaces carry the Chang-Cooper rates in their closed Bernoulli
 (Scharfetter-Gummel) form, so the scheme is positivity preserving for any
 time step, conserves mass exactly (zero column sums), dissipates the
 discrete relative entropy, and holds the discrete Beta steady state (a
-log-space sum of the rate ratios) to roundoff.  The operator A is held as
-its two off-diagonal rates per interior interface (assemble_coefficients);
-its diagonal is built from them only where I - dt A is factored.  Time
-stepping is backward Euler in march(p, v0, dt, n_steps), the one entry
-point: it checks dt and the initial mass, factors the tridiagonal I - dt A
-once per run (LAPACK dgttrf), and hands the steps out in blocks of
-consecutive rows, each step one dgttrs solve in place in its block row.
-solve checks each block once: finiteness, nonnegativity, mass drift and
+log-space sum of the rate ratios) to roundoff.  The operator A of a run is
+one Operator(p, grid), built once: its two off-diagonal rates per interior
+interface (assemble_coefficients, the one rate formula), the log of its
+kernel and the unit-mass steady state summed from it; the diagonal is
+built from the rates only where I - dt A is factored.  Time stepping is
+backward Euler in march(op, v0, dt, n_steps), the one entry point: it
+checks dt, the start's grid and its mass, factors the tridiagonal
+I - dt A from op's rates once per run (LAPACK dgttrf), and hands the
+steps out in blocks of consecutive rows, each step one dgttrs solve in
+place in its block row.  solve builds one Operator and uses it for the
+reference steady state, the message of its underflow error and the march.
+It checks each block once: finiteness, nonnegativity, mass drift and
 entropy monotonicity over every row.  It buffers the sampled
 rows across blocks and scores them in chunks of about one block's values,
 each chunk one (rows, n) stack through the functionals.  Every step is
@@ -47,7 +51,7 @@ import scipy
 from ._frozen import Frozen
 from .config import whole_steps
 from .functionals import entropy_gap, l1_distance, weighted_fisher, weighted_l2
-from .grid import DensityField, Grid, _mean
+from .grid import DensityField, Grid, GridMismatchError, _mean
 from .params import KineticParams, ParamRegime, classify_params, log_sobolev_constant
 
 
@@ -138,25 +142,29 @@ def _diagonal(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _log_kernel(p: KineticParams, grid: Grid) -> np.ndarray:
-    """log of the unnormalized kernel: zero flux at every interface gives
-    v_{i+1} = v_i * lower_i / upper_i, summed in log space from log v_0 = 0."""
-    upper, lower = assemble_coefficients(p, grid)
-    return np.concatenate(([0.0], np.cumsum(np.log(lower) - np.log(upper))))
+class Operator(Frozen):
+    """The discrete operator A of one (p, grid), built once per run.
 
-
-def discretize_equilibrium(p: KineticParams, grid: Grid) -> DensityField:
-    """The nonnegative unit-mass kernel vector of the discrete operator.
-
-    This is the steady state the scheme holds to roundoff; it converges to
-    the analytic Beta density as the grid is refined.  It is exponentiated
-    from its maximum, so it is finite for every lam the rates accept, but
-    cells more than ~745 below the maximum in log underflow to 0.
+    upper and lower are its off-diagonal rates (assemble_coefficients, the
+    one rate formula).  log_kernel is the log of its unnormalized kernel:
+    zero flux at every interface gives v_{i+1} = v_i * lower_i / upper_i,
+    summed in log space from log v_0 = 0.  equilibrium is the nonnegative
+    unit-mass kernel vector, the steady state the scheme holds to roundoff;
+    it converges to the analytic Beta density as the grid is refined.  It
+    is exponentiated from the kernel's maximum, so it is finite for every
+    lam the rates accept, but cells more than ~745 below the maximum in log
+    underflow to 0.  SolverError when a rate is not a positive finite
+    float.  Immutable; it compares and hashes by identity, as it holds
+    arrays.
     """
-    log_g = _log_kernel(p, grid)
-    g = np.exp(log_g - log_g.max())
-    g /= g.sum() * grid.cell_width
-    return DensityField(grid, g)
+
+    def __init__(self, p: KineticParams, grid: Grid):
+        upper, lower = assemble_coefficients(p, grid)
+        log_kernel = np.concatenate(([0.0], np.cumsum(np.log(lower) - np.log(upper))))
+        g = np.exp(log_kernel - log_kernel.max())
+        g /= g.sum() * grid.cell_width
+        self.__dict__.update(grid=grid, upper=upper, lower=lower, log_kernel=log_kernel,
+                             equilibrium=DensityField(grid, g))
 
 
 # Values per block of march: a block's arrays stay in L2 cache, and its
@@ -169,16 +177,19 @@ def rows_per_block(n: int) -> int:
     return max(1, divmod(_BLOCK_VALUES, n)[0])
 
 
-def march(p: KineticParams, v0: DensityField, dt: float, n_steps: int):
+def march(op: Operator, v0: DensityField, dt: float, n_steps: int):
     """Take n_steps backward-Euler steps (I - dt A) v_new = v_old from v0,
-    and yield them in blocks of up to rows_per_block(n) consecutive steps.
+    with A the operator op, and yield them in blocks of up to
+    rows_per_block(n) consecutive steps.
 
-    At the first next() it checks dt > 0 and that v0 has unit mass to 1e-8
-    (ValueError), and only then loads LAPACK (lapack()) and factors I - dt A
-    once (dgttrf; SolverError when that fails).  A block is (steps, times,
-    values, mass): the range of its step numbers (1 to n_steps over the
-    run), their times (t += dt per step from t = 0), a fresh (rows, n) array
-    whose row i is the density after step steps[i], and the per-row masses.
+    At the first next() it checks dt > 0 (ValueError), that v0 lies on op's
+    grid (GridMismatchError) and that it has unit mass to 1e-8 (ValueError),
+    and only then loads LAPACK (lapack()) and factors I - dt A once from
+    op's rates (dgttrf; SolverError when that fails).  A block is (steps,
+    times, values, mass): the range of its step numbers (1 to n_steps over
+    the run), their times (t += dt per step from t = 0), a fresh (rows, n)
+    array whose row i is the density after step steps[i], and the per-row
+    masses.
     Each step is one dgttrs solve in place: the previous state is copied
     into row i and solved there, so a step allocates no array.  I - dt A is
     an M-matrix, so each solve keeps nonnegativity and mass for any dt;
@@ -188,10 +199,12 @@ def march(p: KineticParams, v0: DensityField, dt: float, n_steps: int):
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    grid, upper, lower = op.grid, op.upper, op.lower
+    if v0.grid != grid:
+        raise GridMismatchError(f"the start has {v0.grid.n_cells} cells, "
+                                f"the operator's grid {grid.n_cells}")
     if not v0.is_normalized(tol=1e-8):
         raise ValueError(f"initial density must have unit mass, got {v0.mass()}")
-    grid = v0.grid
-    upper, lower = assemble_coefficients(p, grid)
     dgttrf, dgttrs = lapack()
     dl, d, du, du2, ipiv, info = dgttrf(-dt * lower, 1.0 - dt * _diagonal(upper, lower),
                                         -dt * upper)
@@ -292,13 +305,14 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
     n_steps = whole_steps(t_end, dt)
-    eq_field = discretize_equilibrium(p, v0.grid)
+    op = Operator(p, v0.grid)
+    eq_field = op.equilibrium
     g = eq_field.values
     # the distances to g divide by it: an underflowed cell (0 or subnormal)
     # turns f/g infinite
     tiny = g < np.finfo(float).tiny
     if tiny.any():
-        span = np.ptp(_log_kernel(p, v0.grid))
+        span = np.ptp(op.log_kernel)
         raise SolverError(f"the discrete steady state underflows on {tiny.sum()} of "
                           f"{g.size} cells (its log spans {span:.1f})")
     chunk = rows_per_block(v0.grid.n_cells)
@@ -313,7 +327,7 @@ def solve(p: KineticParams, v0: DensityField, dt: float, t_end: float,
     # sampled row would cost memory in proportion to the run
     pending, n_pending = [(np.zeros(1), start, np.array([start_mass]), h)], 1
     scored = []
-    for steps, times, values, mass in march(p, v0, dt, n_steps):
+    for steps, times, values, mass in march(op, v0, dt, n_steps):
         h_last = h[-1]
         h = _entropies(values, eq_field, steps.start)
         max_increase = max(max_increase, float((h[1:] - h[:-1]).max(initial=h[0] - h_last)))

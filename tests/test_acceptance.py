@@ -35,7 +35,7 @@ from opinion_kinetics.montecarlo import (
     sample_from_density,
 )
 from opinion_kinetics.params import KineticParams, bakry_emery_rho, log_sobolev_constant
-from opinion_kinetics.solver import discretize_equilibrium, march, solve
+from opinion_kinetics.solver import Operator, march, solve
 
 import oracles
 
@@ -48,7 +48,7 @@ def _report(num, name, ok, detail=""):
 
 def _last_row(p, v0, dt, n_steps):
     """The density after n_steps backward-Euler steps from v0."""
-    for _, _, values, _ in march(p, v0, dt, n_steps):
+    for _, _, values, _ in march(Operator(p, v0.grid), v0, dt, n_steps):
         pass
     return DensityField(v0.grid, values[-1])
 
@@ -102,7 +102,7 @@ def test_criterion_2_steady_state_preservation():
     t0 = time.time()
     p = KineticParams(0.5, 0.0)
     grid = Grid(200)
-    eq = discretize_equilibrium(p, grid)
+    eq = Operator(p, grid).equilibrium
     final = _last_row(p, eq, 1e-3, 10_000)
     drift = float(np.max(np.abs(final.values - eq.values)))
     mass_drift = abs(final.mass() - 1.0)
@@ -115,7 +115,7 @@ def test_criterion_2_steady_state_preservation():
         ns = (100, 200, 400, 800)
         for n in ns:
             g = Grid(n)
-            errs.append(l1_distance(discretize_equilibrium(pv, g).values,
+            errs.append(l1_distance(Operator(pv, g).equilibrium.values,
                                     BetaEquilibrium.from_params(pv).on_grid(g)))
         l1_at_200[lam] = errs[1]
         orders[lam] = -float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
@@ -304,11 +304,11 @@ def test_criterion_9_entropy_production_identity():
     errs = []
     for n, dt in levels:
         grid = Grid(n)
-        eq = discretize_equilibrium(p, grid)
+        eq = Operator(p, grid).equilibrium
         v0 = bimodal_density(grid)
         h_prev = entropy_gap(v0.values, eq)
         worst = 0.0
-        for steps, times, values, _ in march(p, v0, dt, int(round(1.0 / dt))):
+        for steps, times, values, _ in march(Operator(p, v0.grid), v0, dt, int(round(1.0 / dt))):
             for k, t, v in zip(steps, times, values):
                 h_now = entropy_gap(v, eq)
                 if (k - 1) % 25 == 0 and t >= 0.2:

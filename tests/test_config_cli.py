@@ -146,9 +146,9 @@ def test_run_solve_equilibrium_start_all_zero(tmp_path):
     # start exactly at the scheme's steady state via the file: mechanism
     from opinion_kinetics.grid import Grid
     from opinion_kinetics.params import KineticParams
-    from opinion_kinetics.solver import discretize_equilibrium
+    from opinion_kinetics.solver import Operator
 
-    eqv = discretize_equilibrium(KineticParams(1.0, 0.0), Grid(64)).values
+    eqv = Operator(KineticParams(1.0, 0.0), Grid(64)).equilibrium.values
     ic = tmp_path / "eq.txt"
     np.savetxt(ic, eqv, fmt="%.17e")
     cfg = parse_config_text(
@@ -602,6 +602,12 @@ def test_module_help_lists_every_subcommand():
     pytest.param("mc", "mc.n = 100\nmc.epsilon = 0.03\n", [], "mc.t_end",
                  id="file_mc_sample_time_not_whole_sweeps"),
     pytest.param("mc", "mc.n = 100\nmc.seed = -1\n", [], "mc.seed", id="file_mc_seed_negative"),
+    # t_end / dt is inf for a subnormal step: a config error, not a
+    # numerical failure while rounding it to a count
+    pytest.param("solve", "dt = 1e-320\n", [], "t_end", id="file_dt_subnormal"),
+    pytest.param("sweep", "", ["--dt", "1e-320"], "t_end", id="flag_dt_subnormal"),
+    pytest.param("mc", "mc.n = 100\nmc.epsilon = 1e-320\n", [], "mc.t_end",
+                 id="file_mc_epsilon_subnormal"),
 ])
 def test_cli_bad_setting_exits_1_naming_the_field(command, lines, flags, field,
                                                    capsys, tmp_path):

@@ -28,7 +28,7 @@ from opinion_kinetics.grid import (
 )
 from opinion_kinetics.params import KineticParams, RegimeError, log_sobolev_constant
 from opinion_kinetics.runners import default_ls_grid
-from opinion_kinetics.solver import discretize_equilibrium
+from opinion_kinetics.solver import Operator
 
 from oracles import (
     SmoothRatioCase,
@@ -296,7 +296,7 @@ def test_ls_slack_is_k_fisher_minus_relative_entropy_bitwise(n):
     k = log_sobolev_constant(p)
     ref = BetaEquilibrium.from_params(p).on_grid(g)
     stack = _stack_near_and_far(g, ref, np.random.default_rng(n + 1), 9)
-    for r in (ref, discretize_equilibrium(p, g)):
+    for r in (ref, Operator(p, g).equilibrium):
         for f in [*stack, stack]:
             assert np.array_equal(ls_slack(f, [(r, p)])[0],
                                   k * weighted_fisher(f, r, p.lam) - relative_entropy(f, r))
@@ -500,7 +500,7 @@ def test_row_functionals_equal_one_row_calls_bitwise(n):
     ref = BetaEquilibrium.from_params(p).on_grid(g)
     stack = _stack_near_and_far(g, ref, rng, 9)
     # the analytic reference and the discrete one
-    for r in (ref, discretize_equilibrium(p, g)):
+    for r in (ref, Operator(p, g).equilibrium):
         for fn in (entropy_gap, relative_entropy, weighted_l2, l1_distance, _ckp_slack,
                    lambda v, r: weighted_fisher(v, r, p.lam)):
             got = fn(stack, r)

@@ -74,18 +74,19 @@ print([m for m in slow if m in sys.modules])
 
 
 def test_lapack_loads_at_the_first_march_only(tmp_path):
-    # the runs that never step the solver, and a march that rejects its dt
-    # or its start, leave scipy's LAPACK (and its OpenBLAS) unloaded; the
-    # first march that factors I - dt A loads it once, registered under its
-    # dotted name, as the very objects scipy.linalg.lapack binds
+    # the runs that never step the solver, an Operator, and a march that
+    # rejects its dt, its start's mass or its start's grid (GridMismatchError)
+    # leave scipy's LAPACK (and its OpenBLAS) unloaded; the first march that
+    # factors I - dt A loads it once, registered under its dotted name, as
+    # the very objects scipy.linalg.lapack binds
     out = _run(f"""
 import sys
 from pathlib import Path
 from opinion_kinetics.cli import main
 from opinion_kinetics.config import parse_config_text
-from opinion_kinetics.grid import DensityField, bimodal_density
+from opinion_kinetics.grid import DensityField, Grid, GridMismatchError, bimodal_density
 from opinion_kinetics.runners import verify_ls, write_equilibrium_csv
-from opinion_kinetics.solver import lapack, march
+from opinion_kinetics.solver import Operator, lapack, march
 out = Path({str(tmp_path)!r})
 cfg = parse_config_text("lambda = 0.5\\nm = 0\\nn = 16\\n")
 p, grid = cfg.params(), cfg.grid()
@@ -93,21 +94,26 @@ write_equilibrium_csv(out, p, grid)
 verify_ls(lambdas=(0.5,), n=16, n_samples=1, out_dir=out / "ls")
 (out / "decay.csv").write_text("t,entropy\\n" + "".join(f"{{k}},{{2.0 ** -k}}\\n" for k in range(12)))
 assert main(["fit", "--csv", str(out / "decay.csv")]) == 0
-v0 = bimodal_density(grid)
+op, v0 = Operator(p, grid), bimodal_density(grid)
 for dt, start in [(0.0, v0), (1e-2, DensityField(grid, 2.0 * v0.values))]:
     try:
-        next(march(p, start, dt, 1))
+        next(march(op, start, dt, 1))
     except ValueError:
         pass
+try:
+    next(march(op, bimodal_density(Grid(32)), 1e-2, 1))
+    mismatch = False
+except GridMismatchError:
+    mismatch = True
 unloaded = "scipy.linalg._flapack" not in sys.modules
-next(march(p, v0, 1e-2, 1))
+next(march(op, v0, 1e-2, 1))
 flapack = sys.modules["scipy.linalg._flapack"]
 dgttrf, dgttrs = lapack()
 import scipy.linalg.lapack as public
-print(unloaded, dgttrf is flapack.dgttrf is public.dgttrf,
+print(mismatch, unloaded, dgttrf is flapack.dgttrf is public.dgttrf,
       dgttrs is flapack.dgttrs is public.dgttrs, lapack() is lapack())
 """)
-    assert out.split()[-4:] == ["True"] * 4
+    assert out.split()[-5:] == ["True"] * 5
     assert (tmp_path / "equilibrium.csv").exists()
 
 

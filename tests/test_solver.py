@@ -20,6 +20,7 @@ from opinion_kinetics.functionals import (
     weighted_fisher,
     weighted_l2,
 )
+from opinion_kinetics.config import parse_config_text
 from opinion_kinetics.grid import (
     DensityField,
     Grid,
@@ -28,11 +29,12 @@ from opinion_kinetics.grid import (
     uniform_density,
 )
 from opinion_kinetics.params import KineticParams, log_sobolev_constant
+from opinion_kinetics.runners import run_mc
 from opinion_kinetics.solver import (
     SolverError,
     _exprel,
     assemble_coefficients,
-    discretize_equilibrium,
+    Operator,
     solve,
 )
 from oracles import zero_flux_kernel
@@ -49,7 +51,8 @@ def _apply_bands(rates, values):
 
 def _rows(p, v0, dt, n_steps):
     """Every row march yields from v0, in step order."""
-    return np.concatenate([b[2] for b in solver_module.march(p, v0, dt, n_steps)])
+    blocks = solver_module.march(Operator(p, v0.grid), v0, dt, n_steps)
+    return np.concatenate([b[2] for b in blocks])
 
 
 def _stub_dgttrs(monkeypatch, fn):
@@ -155,7 +158,7 @@ def test_operator_columns_sum_to_zero():
 
 
 def test_discrete_equilibrium_uniform_case():
-    field = discretize_equilibrium(KineticParams(1.0, 0.0), Grid(64))
+    field = Operator(KineticParams(1.0, 0.0), Grid(64)).equilibrium
     assert np.all(field.values == 0.5)
 
 
@@ -163,13 +166,13 @@ def test_discrete_equilibrium_kernel_property():
     # small grid: the residual is at absolute machine scale
     p = KineticParams(0.5, 0.2)
     g = Grid(8)
-    eq = discretize_equilibrium(p, g)
+    eq = Operator(p, g).equilibrium
     res = _apply_bands(assemble_coefficients(p, g), eq.values.copy())
     assert np.max(np.abs(res)) <= 1e-14
     # production grid: the bands scale like 1/dy^2, so the honest statement
     # is a residual within a few ulps of the operator scale
     g = Grid(200)
-    eq = discretize_equilibrium(p, g)
+    eq = Operator(p, g).equilibrium
     upper, lower = assemble_coefficients(p, g)
     res = _apply_bands((upper, lower), eq.values.copy())
     scale = max(upper.max(), lower.max()) * eq.values.max()
@@ -189,7 +192,7 @@ def test_discrete_equilibrium_matches_zero_flux_oracle(lam, m, n, rel):
     # and the span of log g (1108 at (0.01, 0.5, 2000)), about twice the
     # measured error
     g = Grid(n)
-    disc = discretize_equilibrium(KineticParams(lam, m), g).values
+    disc = Operator(KineticParams(lam, m), g).equilibrium.values
     want = zero_flux_kernel(lam, m, g.interior_interfaces, g.cell_width)
     cells = want > 1e-300
     assert np.max(np.abs(disc[cells] / want[cells] - 1.0)) <= rel
@@ -209,7 +212,7 @@ def test_rates_are_positive_or_raise_and_the_kernel_is_a_density(lam, m, n):
         return
     assert np.all(np.isfinite(upper) & (upper > 0.0))
     assert np.all(np.isfinite(lower) & (lower > 0.0))
-    v = discretize_equilibrium(p, g).values
+    v = Operator(p, g).equilibrium.values
     assert np.all(np.isfinite(v) & (v >= 0.0))
     assert abs(v.sum() * g.cell_width - 1.0) <= 1e-12
 
@@ -218,7 +221,7 @@ def test_rates_are_positive_or_raise_and_the_kernel_is_a_density(lam, m, n):
 def test_discrete_equilibrium_matches_beta(lam):
     p = KineticParams(lam, 0.0)
     g = Grid(200)
-    disc = discretize_equilibrium(p, g)
+    disc = Operator(p, g).equilibrium
     ana = BetaEquilibrium.from_params(p).on_grid(g)
     assert l1_distance(disc.values, ana) <= 2e-3
 
@@ -229,7 +232,7 @@ def test_discrete_equilibrium_refinement_order():
     ns = (100, 200, 400, 800)
     for n in ns:
         g = Grid(n)
-        errs.append(l1_distance(discretize_equilibrium(p, g).values,
+        errs.append(l1_distance(Operator(p, g).equilibrium.values,
                                 BetaEquilibrium.from_params(p).on_grid(g)))
     order = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
     assert order >= 1.0
@@ -238,7 +241,7 @@ def test_discrete_equilibrium_refinement_order():
 def test_step_holds_equilibrium():
     p = KineticParams(0.5, 0.2)
     g = Grid(200)
-    eq = discretize_equilibrium(p, g)
+    eq = Operator(p, g).equilibrium
     v = _rows(p, eq, 1e-3, 1)[0]
     assert np.max(np.abs(v - eq.values)) <= 1e-13
 
@@ -269,7 +272,7 @@ def test_step_from_point_mass_spreads_positively():
 def test_step_decreases_entropy():
     p = KineticParams(0.5, 0.0)
     g = Grid(200)
-    eq = discretize_equilibrium(p, g)
+    eq = Operator(p, g).equilibrium
     v0 = bimodal_density(g)
     h0 = relative_entropy(v0.values, eq)
     assert relative_entropy(_rows(p, v0, 1e-3, 1)[0], eq) < h0
@@ -278,7 +281,7 @@ def test_step_decreases_entropy():
 def test_solve_from_equilibrium_is_flat():
     p = KineticParams(1.0, 0.0)
     g = Grid(100)
-    eq = discretize_equilibrium(p, g)
+    eq = Operator(p, g).equilibrium
     traj = solve(p, eq, 1e-3, 0.5, sample_every=50)
     assert np.all(traj.columns["entropy"] <= 1e-12)
     assert np.all(traj.columns["l1_dist"] <= 1e-12)
@@ -363,7 +366,7 @@ def test_solve_matches_banded_reference_bitwise(lam, m, n, dt, t_end):
     bands[0, 1:] = -dt * upper
     bands[1, :] = 1.0 - dt * solver_module._diagonal(upper, lower)
     bands[2, :-1] = -dt * lower
-    eq = discretize_equilibrium(p, g).values
+    eq = Operator(p, g).equilibrium.values
     dy = g.cell_width
     n_steps, every = int(round(t_end / dt)), 7
     v, t = v0.values.copy(), 0.0
@@ -399,7 +402,7 @@ def test_solve_rows_equal_one_row_functionals_bitwise(n, t_end, start):
         v0 = DensityField(g, v)
     dt, every = 1e-2, 7
     lu = _factors(p, g, dt)
-    eq = discretize_equilibrium(p, g)
+    eq = Operator(p, g).equilibrium
     n_steps = int(round(t_end / dt))
     assert n_steps % every != 0
     v, t = v0.values, 0.0
@@ -448,7 +451,7 @@ def test_march_blocks_equal_a_per_step_dgttrs_loop(n, n_steps):
         ref_times.append(t)
         ref_mass.append(float(v.sum() * dy))
 
-    blocks = list(solver_module.march(p, v0, dt, n_steps))
+    blocks = list(solver_module.march(Operator(p, v0.grid), v0, dt, n_steps))
     rows = max(1, 10_000 // n)
     assert [len(b[0]) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
     assert 1 <= len(blocks[-1][0]) <= rows
@@ -467,7 +470,7 @@ def test_march_blocks_equal_a_per_step_dgttrs_loop(n, n_steps):
 def test_march_checks_dt_and_mass_at_the_first_next(monkeypatch, dt, scale, match):
     p, g = KineticParams(0.8, 0.3), Grid(200)
     v0 = DensityField(g, bimodal_density(g).values * scale)
-    blocks = solver_module.march(p, v0, dt, 123)
+    blocks = solver_module.march(Operator(p, v0.grid), v0, dt, 123)
 
     def no_load():
         raise AssertionError("march loaded LAPACK before its checks")
@@ -477,11 +480,59 @@ def test_march_checks_dt_and_mass_at_the_first_next(monkeypatch, dt, scale, matc
         next(blocks)
 
 
+def _count_assembly(monkeypatch) -> list:
+    """Record each call of solver.assemble_coefficients, through the module
+    global that Operator looks up."""
+    calls = []
+    assemble = solver_module.assemble_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(solver_module, "assemble_coefficients", counted)
+    return calls
+
+
+def test_solve_assembles_the_rates_once(monkeypatch):
+    calls = _count_assembly(monkeypatch)
+    traj = solve(KineticParams(0.5, 0.0), bimodal_density(Grid(200)), 1e-3, 0.1)
+    assert len(calls) == 1
+    assert np.array_equal(traj.equilibrium.values,
+                          Operator(KineticParams(0.5, 0.0), Grid(200)).equilibrium.values)
+
+
+def test_solve_underflow_error_assembles_the_rates_once(monkeypatch):
+    calls = _count_assembly(monkeypatch)
+    with pytest.raises(SolverError, match="underflows on .* cells \\(its log spans"):
+        solve(KineticParams(0.005, 0.0), uniform_density(Grid(200)), 1e-3, 0.1)
+    assert len(calls) == 1
+
+
+def test_run_mc_assembles_the_rates_once(monkeypatch, tmp_path):
+    calls = _count_assembly(monkeypatch)
+    cfg = parse_config_text("lambda = 0.5\nm = 0\nn = 16\ndt = 1e-2\nt_end = 0.2\n"
+                            "mc.n = 100\nmc.t_end = 0.04\nmc.hist_n = 8\n")
+    run_mc(cfg, tmp_path)
+    assert len(calls) == 1
+
+
+def test_operator_holds_one_assembly():
+    p, g = KineticParams(0.8, -0.3), Grid(64)
+    op = Operator(p, g)
+    upper, lower = assemble_coefficients(p, g)
+    assert op.grid == g
+    assert np.array_equal(op.upper, upper) and np.array_equal(op.lower, lower)
+    assert np.array_equal(op.log_kernel,
+                          np.concatenate(([0.0], np.cumsum(np.log(lower) - np.log(upper)))))
+    assert op.equilibrium.grid == g and op.equilibrium.is_normalized()
+
+
 def test_march_takes_a_start_within_1e_8_of_unit_mass():
     p, g = KineticParams(0.8, 0.3), Grid(200)
     v0 = bimodal_density(g)
     off = DensityField(g, v0.values * (1.0 + 5e-9))
-    assert len(next(solver_module.march(p, off, 1e-3, 1))[0]) == 1
+    assert len(next(solver_module.march(Operator(p, g), off, 1e-3, 1))[0]) == 1
 
 
 def test_solve_rejects_a_zero_dt():
@@ -545,12 +596,12 @@ def test_entropy_increase_across_a_block_boundary_is_seen(monkeypatch):
 def _solve_scoring_each_block(p, v0, dt, t_end, every):
     """solve as a per-block loop: each march block's sampled rows scored as
     their own stack, the entropy increase through np.diff."""
-    eq = discretize_equilibrium(p, v0.grid)
+    eq = Operator(p, v0.grid).equilibrium
     n_steps = int(round(t_end / dt))
     h_prev = entropy_gap(v0.values[None, :], eq)
     max_increase, max_drift = 0.0, abs(v0.mass() - 1.0)
     pieces = [(np.zeros(1), v0.values[None, :], np.array([v0.mass()]), h_prev)]
-    for steps, times, values, mass in solver_module.march(p, v0, dt, n_steps):
+    for steps, times, values, mass in solver_module.march(Operator(p, v0.grid), v0, dt, n_steps):
         h = entropy_gap(values, eq)
         max_increase = max(max_increase, float(np.diff(h, prepend=h_prev[-1]).max()))
         h_prev = h
@@ -581,9 +632,9 @@ def test_solve_chunks_equal_per_block_scoring_bitwise(monkeypatch, block_values,
     # 123 steps at n = 200: the last block is partial for 7- and 50-row blocks
     p = KineticParams(0.8, 0.3)
     g = Grid(200)
-    v0 = bimodal_density(g) if start == "bimodal" else discretize_equilibrium(p, g)
+    v0 = bimodal_density(g) if start == "bimodal" else Operator(p, g).equilibrium
     monkeypatch.setattr(solver_module, "_BLOCK_VALUES", block_values)
-    assert len(next(solver_module.march(p, v0, 1e-2, 123))[0]) == rows
+    assert len(next(solver_module.march(Operator(p, v0.grid), v0, 1e-2, 123))[0]) == rows
     columns, max_increase, max_drift, final = _solve_scoring_each_block(p, v0, 1e-2, 1.23,
                                                                          every)
     traj = solve(p, v0, 1e-2, 1.23, sample_every=every)
